@@ -9,15 +9,13 @@ and angle evaluations, admissibility predicates and small grid utilities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .bundle_geometry import BundleParams, min_slope_certificate, steady_slope, weight_integral
+from .bundle_geometry import BundleParams, min_slope_certificate, steady_slope
 from .errors import AdmissibilityError, InputError, NoMonotoneSolutionError
 from .surface_lattice import to_fraction
 
@@ -73,16 +71,9 @@ class MomentProfile:
             raise InputError("endpoint values do not match the pinned boundary")
         self.values[0], self.values[-1] = lo, hi
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.grid[0]), float(self.grid[-1])
-
     def derivative(self) -> np.ndarray:
         """Centered first derivative at interior nodes, one-sided at the ends."""
         return np.gradient(self.values, self.grid)
-
-    def copy(self) -> "MomentProfile":
-        return MomentProfile(self.grid.copy(), self.values.copy(), self.boundary)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -97,10 +88,6 @@ class MomentProfile:
             "x": self.grid.tolist(),
             "psi": self.values.tolist(),
         }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
 
 
 def admissible_j(profile: MomentProfile, tol: float = ADMISSIBILITY_TOL) -> bool:
@@ -248,26 +235,21 @@ def steady_profile_j_derivative(params: BundleParams, s, x):
     return float(d[0]) if scalar else d
 
 
-def invert_steady_profile_j(params: BundleParams, s, y, tol: float = 1e-14) -> float:
-    """x in [s, a] with steady_profile_j(params, s, x) = y; monotone bisection
-    with Newton polish."""
-    a = float(params.a)
+def invert_steady_profile_j(params: BundleParams, s, y):
+    """x in [s, a] with steady_profile_j(params, s, x) = y, for a scalar or an
+    array y; 80 simultaneous halvings of [s, a], which the monotone profile
+    allows."""
     s = float(s)
-    b = float(params.b)
-    if y <= 0:
-        return s
-    if y >= b:
-        return a
-    lo, hi = s, a
-    for _ in range(200):
+    y_arr = np.asarray(y, dtype=float)
+    lo = np.full_like(y_arr, s)
+    hi = np.full_like(y_arr, float(params.a))
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if steady_profile_j(params, s, mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * max(a, 1.0):
-            break
-    return 0.5 * (lo + hi)
+        below = steady_profile_j(params, s, mid) < y_arr
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    return float(x) if np.ndim(y) == 0 else x
 
 
 def sample_steady_profile_j(
@@ -349,11 +331,19 @@ def pointwise_slope(profile: MomentProfile, params: BundleParams) -> np.ndarray:
     m/x factor is continued by m psi'(0) at x = 0 where psi vanishes.
     """
     require_admissible_j(profile)
-    n, m = params.n, params.m
-    x = profile.grid
-    psi = profile.values
-    d = profile.derivative()
-    out = d + n * psi / (1 + x) + n / (1 + x)
+    return _slope_field(profile.grid, profile.values, profile.derivative(), params.n, params.m)
+
+
+def pointwise_angle(profile: MomentProfile) -> np.ndarray:
+    """theta = arccot psi' + arccot(psi/x) with arccot valued in (0, pi)."""
+    require_admissible_dhym(profile)
+    return _angle_field(profile.grid, profile.values, profile.derivative())[1]
+
+
+def _slope_field(x: np.ndarray, psi: np.ndarray, d: np.ndarray, n: int, m: int) -> np.ndarray:
+    """sigma from samples psi and derivative samples d, unchecked."""
+    g = n / (1 + x)
+    out = d + psi * g + g
     if m:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(x > 0, psi / np.where(x > 0, x, 1.0), d)
@@ -361,14 +351,13 @@ def pointwise_slope(profile: MomentProfile, params: BundleParams) -> np.ndarray:
     return out
 
 
-def pointwise_angle(profile: MomentProfile) -> np.ndarray:
-    """theta = arccot psi' + arccot(psi/x) with arccot valued in (0, pi)."""
-    require_admissible_dhym(profile)
-    x = profile.grid
-    psi = profile.values
-    d = profile.derivative()
-    theta = _arccot(d) + _arccot(psi / x)
-    return theta
+def _angle_field(x: np.ndarray, psi: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cot theta, theta) from samples psi and derivative samples d, unchecked.
+
+    cot theta = (psi d - x)/(x d + psi) in closed form; theta itself is the
+    arccot sum, which leaves (0, pi) when x d + psi changes sign.
+    """
+    return (psi * d - x) / (x * d + psi), _arccot(d) + _arccot(psi / x)
 
 
 def _arccot(t):

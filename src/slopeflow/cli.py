@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -99,20 +100,8 @@ class ExperimentConfig:
 
 
 def _flow_config(ns) -> FlowConfig:
-    kwargs = {}
-    if getattr(ns, "grid", None):
-        kwargs["grid_size"] = ns.grid
-    if getattr(ns, "t_max", None):
-        kwargs["t_max"] = ns.t_max
-    if getattr(ns, "dt_policy", None):
-        kwargs["dt_policy"] = ns.dt_policy
-    if getattr(ns, "dt", None):
-        kwargs["dt"] = ns.dt
-    if getattr(ns, "cfl", None):
-        kwargs["cfl"] = ns.cfl
-    if getattr(ns, "checkpoint_interval", None):
-        kwargs["checkpoint_interval"] = ns.checkpoint_interval
-    return FlowConfig(**kwargs)
+    flags = ("grid_size", "t_max", "dt_policy", "dt", "cfl", "checkpoint_interval")
+    return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None)})
 
 
 def _outdir(ns) -> str | None:
@@ -233,9 +222,7 @@ def _cmd_verify(ns) -> int:
         for r in range(2, 7):
             params = BundleParams(n=n, m=r - 2, a=1, b=1)
             for l in range(0, n + 1):
-                import math as _math
-
-                if pairing_number(l, params) != _math.comb(r + l - 2, l):
+                if pairing_number(l, params) != math.comb(r + l - 2, l):
                     bad += 1
     record("pairing recursion", bad == 0, f"{bad} mismatches")
 
@@ -264,12 +251,9 @@ def _cmd_verify(ns) -> int:
 def run(config: ExperimentConfig) -> int:
     """Dispatch a parsed experiment; returns the process exit status."""
     argv = config.command.split()
-    for key, val in config.geometry.items():
-        argv += [f"--{key.replace('_', '-')}", str(val)]
-    for key, val in config.solver.items():
-        argv += [f"--{key.replace('_', '-')}", str(val)]
-    for key, val in config.output.items():
-        argv += [f"--{key.replace('_', '-')}", str(val)]
+    for section in (config.geometry, config.solver, config.output):
+        for key, val in section.items():
+            argv += [f"--{key.replace('_', '-')}", str(val)]
     return main(argv)
 
 
@@ -303,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--bpq", required=True, help="b,p,q")
     fc.add_argument("--init", default="special", help="special | steady")
     for f in (fj, fc):
-        f.add_argument("--grid", type=int, default=512)
+        f.add_argument("--grid", dest="grid_size", type=int, default=512)
         f.add_argument("--t-max", dest="t_max", type=float)
         f.add_argument("--dt-policy", dest="dt_policy", choices=("explicit", "implicit"))
         f.add_argument("--dt", type=float)

@@ -28,10 +28,10 @@ from .bundle_geometry import (
 )
 from .calabi_profiles import (
     MomentProfile,
+    invert_steady_profile_j,
     pointwise_slope,
     require_admissible_dhym,
     steady_cot_slope,
-    steady_profile_j,
     steady_profile_j_derivative,
 )
 from .errors import InputError
@@ -338,20 +338,6 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
     return num / (num + bump(1.0 - s))
 
 
-def _invert_steady_table(params: BundleParams, lam: float, targets: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for x in [lam, a] with psi_lam(x) = target."""
-    a = float(params.a)
-    lo = np.full_like(targets, lam)
-    hi = np.full_like(targets, a)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        vals = steady_profile_j(params, lam, mid)
-        below = vals < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def minimizing_profile(
     params: BundleParams,
     k: float,
@@ -397,7 +383,7 @@ def minimizing_profile(
     vt1 = np.zeros_like(rho)
     vt2 = np.zeros_like(rho)
     if np.any(body):
-        x_of_rho = _invert_steady_table(params, lam, u1[body])
+        x_of_rho = invert_steady_profile_j(params, lam, u1[body])
         dpsi = np.maximum(steady_profile_j_derivative(params, lam, x_of_rho), 1e-300)
         vt1[body] = x_of_rho - lam
         vt2[body] = u2[body] / dpsi

@@ -1,12 +1,22 @@
 """Finite-difference integration of the reduced parabolic flows.
 
-Both flows evolve a pinned momentum profile on a uniform grid with
-second-order centered differences in the interior.  Explicit Euler steps
-under a CFL bound are the default; a linearized backward-Euler step with
-lagged coefficients is available for stiffness near convergence.  Runtime
-monitors track the monotonicity and comparison principles the continuum
-theory guarantees for the special initial data, energy or calibration-volume
-decay, admissibility, and the angle range.
+Both flows evolve a pinned momentum profile on a uniform grid in the
+conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
+`_integrate`, owns the time loop, checkpoints, convergence test, runtime
+monitors and backward-Euler step.  A small scheme per equation supplies the
+half-node flux c (the pointwise slope for the J flow, cot(theta) for the
+cotangent flow) and its partials in (delta, mean), Q at the interior nodes,
+the explicit CFL step, the admissibility predicate, the checkpoint fields,
+and the reference profile with its plateau window.
+
+Explicit Euler steps under a CFL bound are the default.  The implicit step
+is backward Euler in delta form, (I - dt Q dc) delta = dt rate, with each
+half flux linearized and Q lagged: one tridiagonal solve.  Implicit J
+linearizes the plain chord flux, without the contact-flux blend of the
+explicit J flux: fed the blended flux, that step leaves semistable J flows
+unconverged at t = 100.  Monitors track monotonicity and comparison with the
+singular limit, energy or calibration-volume decay, admissibility and the
+angle range.
 """
 
 from __future__ import annotations
@@ -23,14 +33,17 @@ from .calabi_profiles import (
     ADMISSIBILITY_TOL,
     BackgroundPotential,
     MomentProfile,
+    _angle_field,
+    _slope_field,
+    background_potential,
     sample_steady_profile_dhym,
     singular_limit_profile_j,
     special_cotangent_profile,
-    steady_cot_slope,
+    steady_profile_dhym,
     straight_line_profile,
 )
 from .errors import InputError, MonitorViolationError, TimeStepError
-from .surface_slopes import STABLE, UNSTABLE, one_point_blowup_certificate
+from .surface_slopes import STABLE, one_point_blowup_certificate
 
 __all__ = [
     "FlowConfig",
@@ -45,10 +58,21 @@ __all__ = [
 J_MONITORS = ("admissible", "monotone", "comparison", "derivative", "energy")
 COT_MONITORS = ("admissible", "monotone", "comparison", "angle", "volume")
 
+#: a run has converged once sup |d psi/dt| stays below the tolerance for
+#: this many consecutive steps
+CONVERGENCE_STEPS = 100
+#: slack of the monotonicity and comparison monitors
+MONO_TOL = 1e-8
+COMP_TOL = 1e-8
+#: slack of the energy-decay monitor
+ENERGY_SLACK = 1e-10
+#: plateau and sup error are measured this far inside the puncture and ends
+COMPACT_MARGIN = 0.1
+
 
 @dataclass
 class FlowConfig:
-    """Discretization, stopping and monitoring policy for a flow run."""
+    """Discretization and stopping policy for a flow run."""
 
     grid_size: int = 512
     dt_policy: str = "explicit"
@@ -56,13 +80,7 @@ class FlowConfig:
     dt: float | None = None
     t_max: float = 100.0
     convergence_tol: float = 1e-8
-    convergence_steps: int = 100
     checkpoint_interval: float | None = None
-    monitors: tuple[str, ...] | None = None
-    mono_tol: float = 1e-8
-    comp_tol: float = 1e-8
-    energy_slack: float = 1e-10
-    compact_margin: float = 0.1
 
     def __post_init__(self):
         if self.grid_size < 64:
@@ -73,13 +91,7 @@ class FlowConfig:
             raise InputError("CFL factor must lie in (0, 1)")
         if self.dt_policy == "implicit" and (self.dt is None or self.dt <= 0):
             raise InputError("implicit stepping needs a positive fixed dt")
-        for name, v in (
-            ("t_max", self.t_max),
-            ("convergence_tol", self.convergence_tol),
-            ("mono_tol", self.mono_tol),
-            ("comp_tol", self.comp_tol),
-            ("energy_slack", self.energy_slack),
-        ):
+        for name, v in (("t_max", self.t_max), ("convergence_tol", self.convergence_tol)):
             if v <= 0:
                 raise InputError(f"{name} must be positive")
 
@@ -154,32 +166,24 @@ class FlowTrace:
         }
 
     def to_csv(self, path: str) -> None:
-        """Checkpoint profiles as rows t,x,psi,sigma_or_cot."""
+        """Checkpoint profiles as rows t,x,psi,diagnostic, where the
+        diagnostic is the pointwise slope (J) or cot(theta) (cotangent)."""
+        h = self.meta["h"]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,psi,diagnostic\n")
             for t, prof in zip(self.times, self.profiles):
-                diag = _csv_diagnostic(self.kind, prof, self.meta)
-                for x, v, dg in zip(prof.grid, prof.values, diag):
-                    fh.write(f"{t:.10g},{x:.17g},{v:.17g},{dg:.17g}\n")
+                x, psi = prof.grid, prof.values
+                d = _gradient(psi, h)
+                if self.kind == "j":
+                    diag = _slope_field(x, psi, d, self.meta["params"]["n"], self.meta["params"]["m"])
+                else:
+                    diag = _angle_field(x, psi, d)[0]
+                for xv, v, dg in zip(x, psi, diag):
+                    fh.write(f"{t:.10g},{xv:.17g},{v:.17g},{dg:.17g}\n")
 
     def save_summary(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.summary(), fh, indent=2, sort_keys=True)
-
-
-def _csv_diagnostic(kind: str, prof: MomentProfile, meta: dict) -> np.ndarray:
-    d = prof.derivative()
-    x, psi = prof.grid, prof.values
-    if kind == "j":
-        params = meta["params"]
-        n, m = params["n"], params["m"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(x > 0, psi / np.where(x > 0, x, 1.0), d)
-        return d + n * psi / (1 + x) + n / (1 + x) + m * ratio
-    num = psi * d - x
-    den = x * d + psi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den != 0, num / den, 0.0)
 
 
 def _smooth_switch(s: float) -> float:
@@ -200,6 +204,15 @@ def _uniform_spacing(grid: np.ndarray) -> float:
     return float(h[0])
 
 
+def _gradient(psi: np.ndarray, h: float) -> np.ndarray:
+    """psi' on a uniform grid: centered inside, one-sided at the ends."""
+    d = np.empty_like(psi)
+    d[1:-1] = (psi[2:] - psi[:-2]) / (2 * h)
+    d[0] = (psi[1] - psi[0]) / h
+    d[-1] = (psi[-1] - psi[-2]) / h
+    return d
+
+
 def _plateau(x: np.ndarray, values: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """Mean and total variation of a sampled function restricted to [lo, hi]."""
     sel = (x >= lo) & (x <= hi)
@@ -216,112 +229,102 @@ def _lambda_estimate(prof: MomentProfile, threshold: float = 1e-4) -> float:
     return float(prof.grid[np.nonzero(below)[0][-1]])
 
 
-def run_j_flow(
-    params: BundleParams,
-    init: MomentProfile | str,
-    bg: BackgroundPotential | None = None,
-    cfg: FlowConfig | None = None,
-) -> FlowTrace:
-    """Integrate the reduced inverse-trace flow with pinned endpoints.
+class _JScheme:
+    """The scheme of `run_j_flow`: Q(psi) = psi (b - psi)/b and the flux
+    sigma = psi' + (m/x + n/(1+x)) psi + n/(1+x), the pointwise slope."""
 
-    d psi/dt = Q(psi) (psi'' + (m/x + n/(1+x)) psi'
-                       - (m/x^2 + n/(1+x)^2) psi - n/(1+x)^2)
+    kind, monitors = "j", J_MONITORS
+    admissibility_lost = "J-admissibility lost"
+    #: the decaying functional: its Checkpoint field, and how often it is measured
+    decay, decay_every_step = "energy", True
+    cfl_refresh = 0  # the CFL bound is fixed
 
-    with psi(0) = 0 and psi(a) = b; the diffusion coefficient vanishes at the
-    endpoint values, consistent with the pinning.  Stops when the sup of
-    |d psi/dt| stays below the tolerance for the configured number of steps,
-    or at t_max.  Returns the terminal profile, the plateau value of the
-    pointwise slope on the compact away from the puncture, and checkpointed
-    monitor diagnostics.
-    """
-    cfg = cfg or FlowConfig()
-    from .calabi_profiles import background_potential
+    def __init__(self, params: BundleParams, init, bg: BackgroundPotential | None, cfg: FlowConfig):
+        bg = bg or background_potential("j_flow", params.b)
+        if bg.kind != "j_flow":
+            raise InputError("run_j_flow needs a j_flow background")
+        a, b = float(params.a), float(params.b)
+        if isinstance(init, str):
+            if init == "line":
+                init = straight_line_profile(params, cfg.grid_size + 1)
+            elif init == "steady":
+                init = singular_limit_profile_j(params, cfg.grid_size + 1)
+            else:
+                raise InputError(f"unknown J initial profile {init!r}")
+        if abs(init.grid[0]) > 1e-12 or abs(init.grid[-1] - a) > 1e-9:
+            raise InputError("initial profile must live on [0, a]")
+        if abs(init.boundary[0]) > 1e-12 or abs(init.boundary[1] - b) > 1e-9:
+            raise InputError("initial profile must have boundary values (0, b)")
 
-    bg = bg or background_potential("j_flow", params.b)
-    if bg.kind != "j_flow":
-        raise InputError("run_j_flow needs a j_flow background")
-    a, b = float(params.a), float(params.b)
-    if isinstance(init, str):
-        if init == "line":
-            init = straight_line_profile(params, cfg.grid_size + 1)
-        elif init == "steady":
-            init = singular_limit_profile_j(params, cfg.grid_size + 1)
-        else:
-            raise InputError(f"unknown J initial profile {init!r}")
-    if abs(init.grid[0]) > 1e-12 or abs(init.grid[-1] - a) > 1e-9:
-        raise InputError("initial profile must live on [0, a]")
-    if abs(init.boundary[0]) > 1e-12 or abs(init.boundary[1] - b) > 1e-9:
-        raise InputError("initial profile must have boundary values (0, b)")
+        cert = min_slope_certificate(params)
+        lam = cert.lam if cert.lam is not None else 0.0
+        self.reference_constant = cert.zeta_inv
+        self.x = x = init.grid.copy()
+        self.psi = init.values.copy()
+        self.h = h = _uniform_spacing(x)
+        n, m = params.n, params.m
+        self.n, self.m, self.b = n, m, b
+        self.bg = bg
+        self.boundary = self.ref_boundary = (0.0, b)
+        ref = singular_limit_profile_j(params, x.size, lam=lam)
+        self.ref = np.interp(x, ref.grid, ref.values)
+        self.window = (lam + COMPACT_MARGIN, a - COMPACT_MARGIN)
+        # half-node data of the chord flux delta + p mean + g
+        xh = 0.5 * (x[1:] + x[:-1])
+        self.p_h = n / (1 + xh) + (m / xh if m else 0.0)
+        self.g_h = n / (1 + xh)
+        # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
+        tw = np.full_like(x, h)
+        tw[0] = tw[-1] = h / 2
+        self.tw = tw * (x**m * (1 + x) ** n * float((n + m + 1) * math.comb(n + m, n) * params.d))
+        self.meta = {
+            "params": {"n": n, "m": m, "a": a, "b": b, "d": float(params.d)},
+            "verdict": cert.verdict,
+            "lambda_ref": lam,
+            "dt": cfg.dt if cfg.dt_policy == "implicit" else self.explicit_dt(None, cfg.cfl),
+            "h": h,
+        }
 
-    cert = min_slope_certificate(params)
-    lam_ref = cert.lam if cert.lam is not None else 0.0
-    sigma_ref = cert.zeta_inv
-    monitors = cfg.monitors
-    if monitors is None:
-        monitors = J_MONITORS
-        if cert.verdict == STABLE:
-            monitors = tuple(m for m in monitors if m not in ("monotone", "comparison"))
+    def Q(self, pv: np.ndarray) -> np.ndarray:
+        return self.bg.Q(pv[1:-1])
 
-    x = init.grid.copy()
-    psi = init.values.copy()
-    h = _uniform_spacing(x)
-    n, m = params.n, params.m
-    # half-node data for the conservative flux form psi_t = Q(psi) (sigma)'
-    xh = 0.5 * (x[1:] + x[:-1])
-    p_h = n / (1 + xh) + (m / xh if m else 0.0)
-    g_h = n / (1 + xh)
+    def explicit_dt(self, pv, cfl: float) -> float:
+        """Fixed CFL bound from the largest value b/4 of Q."""
+        return cfl / (self.b / 4.0 * (2 / self.h**2 + np.max(np.abs(self.p_h)) / self.h))
 
-    ref_profile = singular_limit_profile_j(params, x.size, lam=lam_ref)
-    ref_on_grid = np.interp(x, ref_profile.grid, ref_profile.values)
+    def linear_flux(self, pv: np.ndarray):
+        """The chord flux, linear in psi, with its (delta, mean) partials."""
+        c = (pv[1:] - pv[:-1]) / self.h + self.p_h * 0.5 * (pv[1:] + pv[:-1]) + self.g_h
+        return c, 1.0, self.p_h
 
-    # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
-    c_nm = float((n + m + 1) * math.comb(n + m, n) * params.d)
-    w = x**m * (1 + x) ** n
-    tw = np.full_like(x, h)
-    tw[0] = tw[-1] = h / 2
-    tw *= w * c_nm
-    inv1x = n / (1 + x)
+    def flux(self, pv: np.ndarray) -> np.ndarray:
+        """The chord flux, blended toward the contact flux near a contact.
 
-    def sigma_full(pv: np.ndarray) -> np.ndarray:
-        d = np.empty_like(pv)
-        d[1:-1] = (pv[2:] - pv[:-2]) / (2 * h)
-        d[0] = (pv[1] - pv[0]) / h
-        d[-1] = (pv[-1] - pv[-2]) / h
-        sig = d + pv * inv1x + inv1x
-        if m:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(x > 0, pv / np.where(x > 0, x, 1.0), d)
-            sig = sig + m * ratio
-        return sig
+        A cell whose left value has flattened to zero while its right value
+        fits the quadratic contact profile (inferred contact offset within a
+        few cells) blends toward `_contact_flux`.  Profiles that pass
+        through zero with positive slope infer an offset of order sqrt(h)
+        and never trigger.
+        """
+        s = self.linear_flux(pv)[0]
+        left, right = pv[:-1], pv[1:]
+        flat_tol = 1e-6 * self.b
+        # only the few transition cells: flat on the left, visible on the right
+        cand = np.nonzero(
+            (left < 3.0 * flat_tol) & (right > 2.0 * flat_tol) & (right < 0.2 * self.b)
+        )[0]
+        for i in cand:
+            x_r = self.x[i + 1]
+            c2 = self.n / (2.0 * (1.0 + x_r) ** 2)
+            u = math.sqrt(right[i] / c2)
+            w_flat = 1.0 - _smooth_switch((left[i] / flat_tol - 1.5) / 1.0)
+            w_near = 1.0 - _smooth_switch((u / self.h - 2.5) / 1.0)
+            w = w_flat * w_near
+            if w > 0.0:
+                s[i] = (1.0 - w) * s[i] + w * self._contact_flux(x_r, right[i])
+        return s
 
-    def energy_of(pv: np.ndarray) -> float:
-        s = sigma_full(pv)
-        return float(np.dot(s * s, tw))
-
-    track_energy = "energy" in monitors
-    Qcap = b / 4.0
-    if cfg.dt_policy == "explicit":
-        dt = cfg.cfl / (Qcap * (2 / h**2 + np.max(np.abs(p_h)) / h))
-    else:
-        dt = cfg.dt
-
-    t = 0.0
-    steps = 0
-    quiet = 0
-    converged = False
-    ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
-    next_ck = 0.0
-    times: list[float] = []
-    checkpoints: list[Checkpoint] = []
-    profiles: list[MomentProfile] = []
-    run_max_rate = -np.inf
-    run_min_rate = np.inf
-    energy_prev = energy_of(psi) if track_energy else None
-    energy_violation = 0.0
-    banded = np.zeros((3, x.size - 2)) if cfg.dt_policy == "implicit" else None
-    contact_cap = 0.2 * b
-
-    def contact_flux(x_r: float, psi_r: float) -> float:
+    def _contact_flux(self, x_r: float, psi_r: float) -> float:
         """Slope constant of the degenerate-contact profile through (x_r, psi_r).
 
         Near a contact point x0 the punctured steady profile behaves like
@@ -332,6 +335,7 @@ def run_j_flow(
         it the discrete limit undershoots the maximal member of the steady
         family near the contact.
         """
+        n, m = self.n, self.m
         x0 = x_r
         for _ in range(3):
             c2 = n / (2.0 * (1.0 + x0) ** 2)
@@ -342,228 +346,84 @@ def run_j_flow(
             x0 = max(x_r - u, 0.0)
         return n / (1.0 + x0)
 
-    flat_tol = 1e-6 * b
+    def diagnostic(self, pv: np.ndarray) -> np.ndarray:
+        return _slope_field(self.x, pv, _gradient(pv, self.h), self.n, self.m)
 
-    def flux(pv: np.ndarray) -> np.ndarray:
-        """sigma at half nodes: delta psi + p(x) psi + n/(1+x).
+    def admissible(self, pv: np.ndarray) -> bool:
+        """Nonnegative and nondecreasing up to the admissibility slack."""
+        return bool(pv.min() >= -ADMISSIBILITY_TOL and np.diff(pv).min() >= -ADMISSIBILITY_TOL)
 
-        A cell whose left value has flattened to zero while its right value
-        fits the quadratic contact profile (inferred contact offset within a
-        few cells) blends toward the contact flux above.  Profiles that pass
-        through zero with positive slope infer an offset of order sqrt(h)
-        and never trigger.
-        """
-        s = (pv[1:] - pv[:-1]) / h + p_h * 0.5 * (pv[1:] + pv[:-1]) + g_h
-        left = pv[:-1]
-        right = pv[1:]
-        # only the few transition cells: flat on the left, visible on the right
-        cand = np.nonzero(
-            (left < 3.0 * flat_tol) & (right > 2.0 * flat_tol) & (right < contact_cap)
-        )[0]
-        for i in cand:
-            x_r = x[i + 1]
-            c2 = n / (2.0 * (1.0 + x_r) ** 2)
-            u = math.sqrt(right[i] / c2)
-            w_flat = 1.0 - _smooth_switch((left[i] / flat_tol - 1.5) / 1.0)
-            w_near = 1.0 - _smooth_switch((u / h - 2.5) / 1.0)
-            w = w_flat * w_near
-            if w > 0.0:
-                s[i] = (1.0 - w) * s[i] + w * contact_flux(x_r, right[i])
-        return s
+    def decay_value(self, pv: np.ndarray) -> float:
+        s = self.diagnostic(pv)
+        return float(np.dot(s * s, self.tw))
 
-    def rate_explicit() -> np.ndarray:
-        s = flux(psi)
-        return bg.Q(psi[1:-1]) * (s[1:] - s[:-1]) / h
-
-    def checkpoint(rate: np.ndarray):
-        nonlocal run_max_rate, run_min_rate
-        prof = MomentProfile(x.copy(), psi.copy(), (0.0, b))
-        sig = sigma_full(psi)
-        lo = lam_ref + cfg.compact_margin
-        hi = a - cfg.compact_margin
-        plateau, tv = _plateau(x, sig, lo, hi)
-        diffs = np.diff(psi)
-        ck = Checkpoint(
-            t=t,
-            sup_rate=float(np.max(np.abs(rate))),
-            max_rate=float(max(run_max_rate, np.max(rate))),
-            min_rate=float(min(run_min_rate, np.min(rate))),
-            energy=energy_prev if track_energy else None,
-            admissible=bool(np.all(psi >= -ADMISSIBILITY_TOL) and np.all(diffs >= -ADMISSIBILITY_TOL)),
-            comparison_gap=float(np.min(psi - ref_on_grid)),
-            plateau=plateau,
-            slope_total_variation=tv,
-            min_forward_diff=float(np.min(diffs)),
-            max_derivative=float(np.max(np.abs(diffs)) / h),
-        )
-        times.append(t)
-        checkpoints.append(ck)
-        profiles.append(prof)
-        run_max_rate = -np.inf
-        run_min_rate = np.inf
-        if not ck.admissible and "admissible" in monitors:
-            raise MonitorViolationError(f"J-admissibility lost at t={t:.6g}")
-
-    rate = rate_explicit()
-    checkpoint(rate)
-    next_ck = ck_interval
-
-    while t < cfg.t_max and not converged:
-        if cfg.dt_policy == "explicit":
-            rate = rate_explicit()
-            psi[1:-1] += dt * rate
-        else:
-            Qv = bg.Q(psi[1:-1])
-            p_plus, p_minus = p_h[1:], p_h[:-1]
-            upper = Qv * (1 / h + p_plus / 2) / h
-            lower = Qv * (1 / h - p_minus / 2) / h
-            diag_m = Qv * ((1 / h - p_plus / 2) + (1 / h + p_minus / 2)) / h
-            forcing = Qv * (g_h[1:] - g_h[:-1]) / h
-            rhs = psi[1:-1] + dt * forcing
-            rhs[-1] += dt * upper[-1] * b
-            banded[0, 1:] = -dt * upper[:-1]
-            banded[1, :] = 1 + dt * diag_m
-            banded[2, :-1] = -dt * lower[1:]
-            new_int = solve_banded((1, 1), banded, rhs)
-            rate = (new_int - psi[1:-1]) / dt
-            psi[1:-1] = new_int
-        t += dt
-        steps += 1
-        sup = float(np.max(np.abs(rate)))
-        if not math.isfinite(sup):
-            raise TimeStepError(f"non-finite update at t={t:.6g}; time step too large")
-        run_max_rate = max(run_max_rate, float(np.max(rate)))
-        run_min_rate = min(run_min_rate, float(np.min(rate)))
-        if np.any(np.diff(psi) < -ADMISSIBILITY_TOL) or psi[1] < -ADMISSIBILITY_TOL:
-            raise MonitorViolationError(f"J-admissibility lost at t={t:.6g}")
-        if track_energy:
-            e_now = energy_of(psi)
-            energy_violation = max(energy_violation, e_now - energy_prev)
-            energy_prev = e_now
-        quiet = quiet + 1 if sup < cfg.convergence_tol else 0
-        if quiet >= cfg.convergence_steps:
-            converged = True
-        if t >= next_ck or converged or t >= cfg.t_max:
-            checkpoint(rate)
-            next_ck += ck_interval
-
-    terminal = MomentProfile(x.copy(), psi.copy(), (0.0, b))
-    sig = sigma_full(psi)
-    lo, hi = lam_ref + cfg.compact_margin, a - cfg.compact_margin
-    plateau, _ = _plateau(x, sig, lo, hi)
-    sel = x >= lam_ref + cfg.compact_margin
-    sup_err = float(np.max(np.abs(psi[sel] - ref_on_grid[sel])))
-    trace = FlowTrace(
-        kind="j",
-        times=times,
-        checkpoints=checkpoints,
-        profiles=profiles,
-        terminal_profile=terminal,
-        terminal_constant=plateau,
-        reference_constant=sigma_ref,
-        reference_profile=MomentProfile(x.copy(), ref_on_grid.copy(), (0.0, b)),
-        sup_error_on_compact=sup_err,
-        lambda_estimate=_lambda_estimate(terminal),
-        converged=converged,
-        steps=steps,
-        energy_max_violation=energy_violation if track_energy else None,
-        meta={
-            "params": {"n": n, "m": m, "a": a, "b": b, "d": float(params.d)},
-            "verdict": cert.verdict,
-            "lambda_ref": lam_ref,
-            "dt": dt,
-            "h": h,
-            "monitors": list(monitors),
-            "mono_tol": cfg.mono_tol,
-            "comp_tol": cfg.comp_tol,
-            "energy_slack": cfg.energy_slack,
-        },
-    )
-    trace.monitor_report = monitor_suite(trace)
-    return trace
+    def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
+        diffs = np.diff(pv)
+        return {
+            "comparison_gap": float(np.min(pv - self.ref)),
+            "min_forward_diff": float(np.min(diffs)),
+            "max_derivative": float(np.max(np.abs(diffs)) / self.h),
+        }
 
 
-def run_cotangent_flow(
-    b,
-    p,
-    q,
-    init: MomentProfile | str,
-    bg: BackgroundPotential | None = None,
-    cfg: FlowConfig | None = None,
-) -> FlowTrace:
-    """Integrate the reduced cotangent flow with pinned endpoints.
+class _CotScheme:
+    """The scheme of `run_cotangent_flow`: Q(x) = (x-1)(b-x)/(b-1) and the
+    flux cot(theta) = (psi psi' - x)/(x psi' + psi) of the angle sum theta."""
 
-    d psi/dt = Q(x) ((x^2+psi^2) psi'' + (1+psi'^2)(x psi' - psi))
-               / (x psi' + psi)^2
+    kind, monitors = "cotangent", COT_MONITORS
+    admissibility_lost = "dHYM admissibility lost"
+    decay, decay_every_step = "volume", False
+    cfl_refresh = 16  # steps between CFL refreshes; the bound drifts slowly
 
-    on [1, b] with psi(1) = q, psi(b) = p.  The prefactor is csc^2(theta)
-    over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum; the time
-    step adapts to the current diffusion coefficient.  Classifies the run by
-    the trichotomy in sign(q - c0) and measures the plateau of cot(theta).
-    """
-    cfg = cfg or FlowConfig()
-    from .calabi_profiles import background_potential
+    def __init__(self, b, p, q, init, bg: BackgroundPotential | None, cfg: FlowConfig):
+        b, p, q = float(b), float(p), float(q)
+        bg = bg or background_potential("cotangent", b)
+        if bg.kind != "cotangent":
+            raise InputError("run_cotangent_flow needs a cotangent background")
+        cert = one_point_blowup_certificate(b, p, q)
+        s_star = max(cert.slope, q)
+        if isinstance(init, str):
+            if init == "special":
+                init = special_cotangent_profile(b, p, q, cfg.grid_size + 1)
+            elif init == "steady":
+                prof = sample_steady_profile_dhym(b, p, s_star, cfg.grid_size + 1)
+                vals = prof.values.copy()
+                vals[0] = q
+                init = MomentProfile(prof.grid, vals, (q, p))
+            else:
+                raise InputError(f"unknown cotangent initial profile {init!r}")
+        if abs(init.grid[0] - 1.0) > 1e-12 or abs(init.grid[-1] - b) > 1e-9:
+            raise InputError("initial profile must live on [1, b]")
+        if abs(init.boundary[0] - q) > 1e-9 or abs(init.boundary[1] - p) > 1e-9:
+            raise InputError(f"initial profile must have boundary values ({q}, {p})")
 
-    b, p, q = float(b), float(p), float(q)
-    bg = bg or background_potential("cotangent", b)
-    if bg.kind != "cotangent":
-        raise InputError("run_cotangent_flow needs a cotangent background")
-    if isinstance(init, str):
-        if init == "special":
-            init = special_cotangent_profile(b, p, q, cfg.grid_size + 1)
-        elif init == "steady":
-            cert0 = one_point_blowup_certificate(b, p, q)
-            s_star = max(cert0.slope, q)
-            prof = sample_steady_profile_dhym(b, p, s_star, cfg.grid_size + 1)
-            vals = prof.values.copy()
-            vals[0] = q
-            init = MomentProfile(prof.grid, vals, (q, p))
-        else:
-            raise InputError(f"unknown cotangent initial profile {init!r}")
-    if abs(init.grid[0] - 1.0) > 1e-12 or abs(init.grid[-1] - b) > 1e-9:
-        raise InputError("initial profile must live on [1, b]")
-    if abs(init.boundary[0] - q) > 1e-9 or abs(init.boundary[1] - p) > 1e-9:
-        raise InputError(f"initial profile must have boundary values ({q}, {p})")
+        self.reference_constant = cert.slope
+        self.x = x = init.grid.copy()
+        self.psi = init.values.copy()
+        self.h = _uniform_spacing(x)
+        self.bpq = (b, p, q)
+        self.Qx = bg.Q(x[1:-1])
+        self.boundary = (q, p)
+        self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
+        self.ref[0], self.ref[-1] = s_star, p
+        self.ref_boundary = (self.ref[0], p)
+        self.window = (1.0 + COMPACT_MARGIN, b - COMPACT_MARGIN)
+        self.xh = 0.5 * (x[1:] + x[:-1])
+        self.meta = {"bpq": [b, p, q], "verdict": cert.verdict, "c0": cert.topological_slope, "h": self.h}
 
-    cert = one_point_blowup_certificate(b, p, q)
-    c_ref = cert.slope
-    s_star = max(c_ref, q)
-    monitors = cfg.monitors
-    if monitors is None:
-        monitors = COT_MONITORS
-        if cert.verdict == STABLE:
-            monitors = tuple(mn for mn in monitors if mn not in ("monotone", "comparison"))
+    def Q(self, pv: np.ndarray) -> np.ndarray:
+        return self.Qx
 
-    x = init.grid.copy()
-    psi = init.values.copy()
-    h = _uniform_spacing(x)
-    xi = x[1:-1]
-    Qx = bg.Q(xi)
-    from .calabi_profiles import steady_profile_dhym
+    def explicit_dt(self, pv: np.ndarray, cfl: float) -> float:
+        _, a_half, b_half = self.linear_flux(pv)
+        h = self.h
+        stiff = self.Q(pv) * ((a_half[1:] + a_half[:-1]) / h**2 + (b_half[1:] + b_half[:-1]) / (2 * h))
+        return cfl / float(np.max(stiff))
 
-    ref_vals = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
-    ref_vals[0], ref_vals[-1] = s_star, p
+    def flux(self, pv: np.ndarray) -> np.ndarray:
+        return self.linear_flux(pv, partials=False)[0]
 
-    from .energy_functionals import dhym_volume
-
-    track_volume = "volume" in monitors
-
-    def cot_theta(pv: np.ndarray) -> np.ndarray:
-        d = np.empty_like(pv)
-        d[1:-1] = (pv[2:] - pv[:-2]) / (2 * h)
-        d[0] = (pv[1] - pv[0]) / h
-        d[-1] = (pv[-1] - pv[-2]) / h
-        return (pv * d - x) / (x * d + pv)
-
-    def theta_range(pv: np.ndarray) -> tuple[float, float]:
-        d = np.gradient(pv, x)
-        th = (0.5 * math.pi - np.arctan(d)) + (0.5 * math.pi - np.arctan(pv / x))
-        return float(np.min(th)), float(np.max(th))
-
-    xh = 0.5 * (x[1:] + x[:-1])
-    x1 = x[1]
-
-    def half_flux(pv: np.ndarray, partials: bool = True):
+    def linear_flux(self, pv: np.ndarray, partials: bool = True):
         """cot(theta) at half nodes and its partials in (delta, mean).
 
         c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
@@ -579,7 +439,8 @@ def run_cotangent_flow(
         puncture trace.  The jump flux is exact along the entire singular
         steady profile, so the discrete steady state locks onto it.
         """
-        delta = (pv[1:] - pv[:-1]) / h
+        xh, x1 = self.xh, self.x[1]
+        delta = (pv[1:] - pv[:-1]) / self.h
         mean = 0.5 * (pv[1:] + pv[:-1])
         den = xh * delta + mean
         if np.any(den <= 0):
@@ -605,95 +466,104 @@ def run_cotangent_flow(
                 dc_dmean[0] = (1 - wgt) * dc_dmean[0] + 2.0 * wgt * dc_jump
         return c, dc_ddelta, dc_dmean
 
-    def rate_and_coeffs(pv: np.ndarray):
-        c, a_half, b_half = half_flux(pv)
-        rate = Qx * (c[1:] - c[:-1]) / h
-        return rate, c, a_half, b_half
+    def diagnostic(self, pv: np.ndarray) -> np.ndarray:
+        return _angle_field(self.x, pv, _gradient(pv, self.h))[0]
 
-    t = 0.0
-    steps = 0
-    quiet = 0
-    converged = False
+    def admissible(self, pv: np.ndarray) -> bool:
+        """x psi' + psi > 0, checked as monotonicity of x psi."""
+        return bool(np.diff(self.x * pv).min() > -ADMISSIBILITY_TOL)
+
+    def decay_value(self, pv: np.ndarray) -> float:
+        from .energy_functionals import dhym_volume  # keeps it out of the CLI's import
+
+        return dhym_volume(MomentProfile(self.x.copy(), pv.copy(), self.boundary), *self.bpq).value
+
+    def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
+        theta = _angle_field(self.x, pv, _gradient(pv, self.h))[1]
+        tmin, tmax = float(np.min(theta)), float(np.max(theta))
+        if tmin <= 0 or tmax >= math.pi:
+            raise MonitorViolationError(f"angle left (0, pi) at t={t:.6g}")
+        return {"comparison_gap": float(np.min(self.ref - pv)), "theta_min": tmin, "theta_max": tmax}
+
+
+def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
+    """Step a scheme from its initial profile until convergence or t_max.
+
+    Stops when sup |d psi/dt| stays below the tolerance for CONVERGENCE_STEPS
+    consecutive steps.  Checkpoints record the profile and the monitor
+    diagnostics; a profile that loses admissibility raises at once.
+    """
+    x, h, psi = scheme.x, scheme.h, scheme.psi
+    lo, hi = scheme.window
+    # stable limits are smooth: no monotone approach, no barrier to compare with
+    stable = scheme.meta["verdict"] == STABLE
+    monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
+    implicit = cfg.dt_policy == "implicit"
+    dt = cfg.dt if implicit else None
+    banded = np.zeros((3, x.size - 2))
     ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
-    next_ck = 0.0
-    times: list[float] = []
-    checkpoints: list[Checkpoint] = []
-    profiles: list[MomentProfile] = []
-    run_max_rate = -np.inf
-    run_min_rate = np.inf
-    volume_prev = None
-    volume_violation = 0.0
-    banded = np.zeros((3, x.size - 2)) if cfg.dt_policy == "implicit" else None
+    t, steps, quiet, converged = 0.0, 0, 0, False
+    times, checkpoints, profiles = [], [], []
+    run_max_rate, run_min_rate = -np.inf, np.inf
+    decay_now, decay_violation = None, 0.0
+
+    def track_decay():
+        nonlocal decay_now, decay_violation
+        value = scheme.decay_value(psi)
+        if decay_now is not None:
+            decay_violation = max(decay_violation, value - decay_now)
+        decay_now = value
 
     def checkpoint(rate: np.ndarray):
-        nonlocal run_max_rate, run_min_rate, volume_prev, volume_violation
-        prof = MomentProfile(x.copy(), psi.copy(), (q, p))
-        ct = cot_theta(psi)
-        lo, hi = 1.0 + cfg.compact_margin, b - cfg.compact_margin
-        plateau, tv = _plateau(x, ct, lo, hi)
-        tmin, tmax = theta_range(psi)
-        vol = None
-        if track_volume:
-            vol = dhym_volume(prof, b, p, q).value
-            if volume_prev is not None:
-                volume_violation = max(volume_violation, vol - volume_prev)
-            volume_prev = vol
-        adm = bool(np.all(np.diff(x * psi) > -ADMISSIBILITY_TOL))
+        nonlocal run_max_rate, run_min_rate
+        plateau, tv = _plateau(x, scheme.diagnostic(psi), lo, hi)
+        if not scheme.decay_every_step:
+            track_decay()
+        fields = {"energy": None, **scheme.checkpoint_fields(psi, t), scheme.decay: decay_now}
         ck = Checkpoint(
             t=t,
             sup_rate=float(np.max(np.abs(rate))),
             max_rate=float(max(run_max_rate, np.max(rate))),
             min_rate=float(min(run_min_rate, np.min(rate))),
-            energy=None,
-            admissible=adm,
-            comparison_gap=float(np.min(ref_vals - psi)),
+            admissible=scheme.admissible(psi),
             plateau=plateau,
             slope_total_variation=tv,
-            theta_min=tmin,
-            theta_max=tmax,
-            volume=vol,
+            **fields,
         )
         times.append(t)
         checkpoints.append(ck)
-        profiles.append(prof)
-        run_max_rate = -np.inf
-        run_min_rate = np.inf
-        if not adm and "admissible" in monitors:
-            raise MonitorViolationError(f"dHYM admissibility lost at t={t:.6g}")
-        if (tmin <= 0 or tmax >= math.pi) and "angle" in monitors:
-            raise MonitorViolationError(f"angle left (0, pi) at t={t:.6g}")
+        profiles.append(MomentProfile(x.copy(), psi.copy(), scheme.boundary))
+        run_max_rate, run_min_rate = -np.inf, np.inf
+        if not ck.admissible:
+            raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
 
-    rate, _, _, _ = rate_and_coeffs(psi)
-    checkpoint(rate)
+    if scheme.decay_every_step:
+        track_decay()
+    c = scheme.flux(psi)
+    checkpoint(scheme.Q(psi) * (c[1:] - c[:-1]) / h)
     next_ck = ck_interval
-    dt = None
 
     while t < cfg.t_max and not converged:
-        if cfg.dt_policy == "explicit":
-            # the stability bound drifts slowly; refresh it periodically
-            if dt is None or steps % 16 == 0:
-                rate, c_half, a_half, b_half = rate_and_coeffs(psi)
-                stiff = Qx * ((a_half[1:] + a_half[:-1]) / h**2
-                              + (b_half[1:] + b_half[:-1]) / (2 * h))
-                dt = cfg.cfl / float(np.max(stiff))
-            else:
-                c_half, _, _ = half_flux(psi, partials=False)
-                rate = Qx * (c_half[1:] - c_half[:-1]) / h
-            psi[1:-1] += dt * rate
+        if implicit:
+            # (I - dt Q dc) delta = dt rate, each half flux linearized
+            c, dc_ddelta, dc_dmean = scheme.linear_flux(psi)
+            d_h, m_2 = dc_ddelta / h, dc_dmean / 2
+            # sensitivity of each half flux to its right and left node, over h
+            right, left = (d_h + m_2) / h, (d_h - m_2) / h
+            Qv = scheme.Q(psi)
+            rate = Qv * (c[1:] - c[:-1]) / h
+            banded[0, 1:] = -dt * Qv[:-1] * right[1:-1]
+            banded[1, :] = 1 + dt * Qv * (left[1:] + right[:-1])
+            banded[2, :-1] = -dt * Qv[1:] * left[1:-1]
+            delta = solve_banded((1, 1), banded, dt * rate)
+            rate = delta / dt
         else:
-            rate, c_half, a_half, b_half = rate_and_coeffs(psi)
-            dt = cfg.dt
-            # linearize each half flux around the current state
-            upper = Qx * (a_half[1:] / h + b_half[1:] / 2) / h
-            lower = Qx * (a_half[:-1] / h - b_half[:-1] / 2) / h
-            diag_m = Qx * ((a_half[1:] / h - b_half[1:] / 2)
-                           + (a_half[:-1] / h + b_half[:-1] / 2)) / h
-            banded[0, 1:] = -dt * upper[:-1]
-            banded[1, :] = 1 + dt * diag_m
-            banded[2, :-1] = -dt * lower[1:]
-            delta_psi = solve_banded((1, 1), banded, dt * rate)
-            rate = delta_psi / dt
-            psi[1:-1] = psi[1:-1] + delta_psi
+            if dt is None or (scheme.cfl_refresh and steps % scheme.cfl_refresh == 0):
+                dt = scheme.explicit_dt(psi, cfg.cfl)
+            c = scheme.flux(psi)
+            rate = scheme.Q(psi) * (c[1:] - c[:-1]) / h
+            delta = dt * rate
+        psi[1:-1] += delta
         t += dt
         steps += 1
         sup = float(np.max(np.abs(rate)))
@@ -701,50 +571,83 @@ def run_cotangent_flow(
             raise TimeStepError(f"non-finite update at t={t:.6g}; time step too large")
         run_max_rate = max(run_max_rate, float(np.max(rate)))
         run_min_rate = min(run_min_rate, float(np.min(rate)))
-        if np.any(np.diff(x * psi) <= -ADMISSIBILITY_TOL):
-            raise MonitorViolationError(f"dHYM admissibility lost at t={t:.6g}")
+        if not scheme.admissible(psi):
+            raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
+        if scheme.decay_every_step:
+            track_decay()
         quiet = quiet + 1 if sup < cfg.convergence_tol else 0
-        if quiet >= cfg.convergence_steps:
-            converged = True
+        converged = quiet >= CONVERGENCE_STEPS
         if t >= next_ck or converged or t >= cfg.t_max:
             checkpoint(rate)
             next_ck += ck_interval
 
-    terminal = MomentProfile(x.copy(), psi.copy(), (q, p))
-    ct = cot_theta(psi)
-    plateau, _ = _plateau(x, ct, 1.0 + cfg.compact_margin, b - cfg.compact_margin)
-    sel = x >= 1.0 + cfg.compact_margin
-    sup_err = float(np.max(np.abs(psi[sel] - ref_vals[sel])))
+    terminal = MomentProfile(x.copy(), psi.copy(), scheme.boundary)
+    plateau, _ = _plateau(x, scheme.diagnostic(psi), lo, hi)
     trace = FlowTrace(
-        kind="cotangent",
+        kind=scheme.kind,
         times=times,
         checkpoints=checkpoints,
         profiles=profiles,
         terminal_profile=terminal,
         terminal_constant=plateau,
-        reference_constant=c_ref,
-        reference_profile=MomentProfile(x.copy(), ref_vals.copy(), (ref_vals[0], p)),
-        sup_error_on_compact=sup_err,
-        lambda_estimate=None,
+        reference_constant=scheme.reference_constant,
+        reference_profile=MomentProfile(x.copy(), scheme.ref.copy(), scheme.ref_boundary),
+        sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[x >= lo]))),
+        lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,
         steps=steps,
-        volume_max_violation=volume_violation if track_volume else None,
-        meta={
-            "bpq": [b, p, q],
-            "verdict": cert.verdict,
-            "c0": cert.topological_slope,
-            "monitors": list(monitors),
-            "mono_tol": cfg.mono_tol,
-            "comp_tol": cfg.comp_tol,
-            "energy_slack": cfg.energy_slack,
-            "h": h,
-        },
+        meta={**scheme.meta, "monitors": monitors},
+        **{f"{scheme.decay}_max_violation": decay_violation},
     )
     trace.monitor_report = monitor_suite(trace)
     return trace
 
 
-def monitor_suite(trace: FlowTrace, references: dict | None = None) -> MonitorReport:
+def run_j_flow(
+    params: BundleParams,
+    init: MomentProfile | str,
+    bg: BackgroundPotential | None = None,
+    cfg: FlowConfig | None = None,
+) -> FlowTrace:
+    """Integrate the reduced inverse-trace flow with pinned endpoints.
+
+    d psi/dt = Q(psi) (psi'' + (m/x + n/(1+x)) psi'
+                       - (m/x^2 + n/(1+x)^2) psi - n/(1+x)^2)
+
+    with psi(0) = 0 and psi(a) = b; the diffusion coefficient vanishes at the
+    endpoint values, consistent with the pinning.  Stops when the sup of
+    |d psi/dt| stays below the tolerance for CONVERGENCE_STEPS steps, or at
+    t_max.  Returns the terminal profile, the plateau value of the
+    pointwise slope on the compact away from the puncture, and checkpointed
+    monitor diagnostics.
+    """
+    cfg = cfg or FlowConfig()
+    return _integrate(_JScheme(params, init, bg, cfg), cfg)
+
+
+def run_cotangent_flow(
+    b,
+    p,
+    q,
+    init: MomentProfile | str,
+    bg: BackgroundPotential | None = None,
+    cfg: FlowConfig | None = None,
+) -> FlowTrace:
+    """Integrate the reduced cotangent flow with pinned endpoints.
+
+    d psi/dt = Q(x) ((x^2+psi^2) psi'' + (1+psi'^2)(x psi' - psi))
+               / (x psi' + psi)^2
+
+    on [1, b] with psi(1) = q, psi(b) = p.  The prefactor is csc^2(theta)
+    over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum; the time
+    step adapts to the current diffusion coefficient.  Classifies the run by
+    the trichotomy in sign(q - c0) and measures the plateau of cot(theta).
+    """
+    cfg = cfg or FlowConfig()
+    return _integrate(_CotScheme(b, p, q, init, bg, cfg), cfg)
+
+
+def monitor_suite(trace: FlowTrace) -> MonitorReport:
     """Evaluate the per-checkpoint monitor verdicts recorded along a trace.
 
     For the inverse-trace flow: profiles decrease in time and stay above the
@@ -756,9 +659,7 @@ def monitor_suite(trace: FlowTrace, references: dict | None = None) -> MonitorRe
     """
     cks = trace.checkpoints
     monitors = trace.meta.get("monitors", [])
-    mono_tol = trace.meta.get("mono_tol", 1e-8)
-    comp_tol = trace.meta.get("comp_tol", 1e-8)
-    slack = trace.meta.get("energy_slack", 1e-10)
+    j = trace.kind == "j"
     entries: dict[str, dict] = {}
 
     def scan(name, series, ok):
@@ -778,42 +679,31 @@ def monitor_suite(trace: FlowTrace, references: dict | None = None) -> MonitorRe
             else {"checkpoint": first_fail, "t": cks[first_fail].t},
         }
 
-    if trace.kind == "j":
-        if "monotone" in monitors:
-            scan("monotone_decreasing", [c.max_rate for c in cks], lambda v: v <= mono_tol)
-        if "comparison" in monitors:
-            scan("above_singular_limit", [c.comparison_gap for c in cks], lambda v: v >= -comp_tol)
-        if "derivative" in monitors:
-            scan("forward_differences_nonnegative", [c.min_forward_diff for c in cks], lambda v: v >= -ADMISSIBILITY_TOL)
-            scan("derivative_bounded", [c.max_derivative for c in cks], lambda v: v < 1e6)
-        if "energy" in monitors:
-            v = trace.energy_max_violation
-            entries["energy_nonincreasing"] = {
+    if "monotone" in monitors:
+        if j:
+            scan("monotone_decreasing", [c.max_rate for c in cks], lambda v: v <= MONO_TOL)
+        else:
+            scan("monotone_increasing", [c.min_rate for c in cks], lambda v: v >= -MONO_TOL)
+    if "comparison" in monitors:
+        name = "above_singular_limit" if j else "below_steady_limit"
+        scan(name, [c.comparison_gap for c in cks], lambda v: v >= -COMP_TOL)
+    if "derivative" in monitors:
+        scan("forward_differences_nonnegative", [c.min_forward_diff for c in cks], lambda v: v >= -ADMISSIBILITY_TOL)
+        scan("derivative_bounded", [c.max_derivative for c in cks], lambda v: v < 1e6)
+    if "angle" in monitors:
+        scan("angle_above_zero", [c.theta_min for c in cks], lambda v: v > 0)
+        scan("angle_below_pi", [c.theta_max for c in cks], lambda v: v < math.pi)
+    # the calibration volume is only measured to quadrature accuracy; the
+    # sharpening boundary layer makes that drift like h^(3/2)
+    vol_slack = max(ENERGY_SLACK, trace.meta.get("h", 0.0) ** 1.5)
+    for decay, slack in (("energy", ENERGY_SLACK), ("volume", vol_slack)):
+        if decay in monitors:
+            v = getattr(trace, f"{decay}_max_violation")
+            entries[f"{decay}_nonincreasing"] = {
                 "passed": v is not None and v <= slack,
                 "worst": v,
                 "first_violation": None,
             }
-        if "admissible" in monitors:
-            scan("admissible", [1.0 if c.admissible else -1.0 for c in cks], lambda v: v > 0)
-    else:
-        if "monotone" in monitors:
-            scan("monotone_increasing", [c.min_rate for c in cks], lambda v: v >= -mono_tol)
-        if "comparison" in monitors:
-            scan("below_steady_limit", [c.comparison_gap for c in cks], lambda v: v >= -comp_tol)
-        if "angle" in monitors:
-            scan("angle_above_zero", [c.theta_min for c in cks], lambda v: v > 0)
-            scan("angle_below_pi", [c.theta_max for c in cks], lambda v: v < math.pi)
-        if "volume" in monitors:
-            # the calibration volume is only measured to quadrature accuracy;
-            # the sharpening boundary layer makes that drift like h^(3/2)
-            v = trace.volume_max_violation
-            h_grid = trace.meta.get("h", 0.0)
-            vol_slack = max(slack, h_grid**1.5)
-            entries["volume_nonincreasing"] = {
-                "passed": v is not None and v <= vol_slack,
-                "worst": v,
-                "first_violation": None,
-            }
-        if "admissible" in monitors:
-            scan("admissible", [1.0 if c.admissible else -1.0 for c in cks], lambda v: v > 0)
+    if "admissible" in monitors:
+        scan("admissible", [1.0 if c.admissible else -1.0 for c in cks], lambda v: v > 0)
     return MonitorReport(entries=entries)

@@ -1,8 +1,8 @@
 """Fast flow-engine checks: stationarity, short-run monitors, configs.
 
 The long convergence runs against the closed-form limits live in the
-acceptance suite; here we verify scheme consistency and plumbing at small
-grids and short horizons.
+acceptance suite, test_flow_limits.py; here we verify scheme consistency
+and plumbing at small grids and short horizons.
 """
 
 import math
@@ -132,6 +132,23 @@ def test_implicit_matches_explicit_j(stable):
     tr_e = run_j_flow(stable, "line", cfg=cfg_e)
     tr_i = run_j_flow(stable, "line", cfg=cfg_i)
     assert np.max(np.abs(tr_e.terminal_profile.values - tr_i.terminal_profile.values)) < 5e-4
+
+
+def test_implicit_j_step_solves_backward_euler(unstable):
+    """The chord flux is linear in psi, so one implicit step with Q lagged is
+    exact backward Euler; this pins the tridiagonal assembly."""
+    dt = 0.5
+    cfg = FlowConfig(grid_size=64, t_max=dt, dt_policy="implicit", dt=dt, checkpoint_interval=dt)
+    tr = run_j_flow(unstable, "line", cfg=cfg)
+    assert tr.steps == 1
+    x = tr.profiles[0].grid
+    psi0, psi1 = tr.profiles[0].values, tr.profiles[-1].values
+    h = x[1] - x[0]
+    xh = 0.5 * (x[1:] + x[:-1])
+    chord = np.diff(psi1) / h + 0.5 * (psi1[1:] + psi1[:-1]) / (1 + xh) + 1 / (1 + xh)
+    q0 = psi0[1:-1] * (1 - psi0[1:-1])  # Q(psi) = psi (b - psi)/b with b = 1
+    residual = (psi1[1:-1] - psi0[1:-1]) / dt - q0 * np.diff(chord) / h
+    assert np.max(np.abs(residual)) < 1e-10
 
 
 def test_implicit_matches_explicit_cotangent():
