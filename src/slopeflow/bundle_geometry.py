@@ -314,7 +314,12 @@ class BundleSlopeCertificate:
         }
 
 
-def min_slope_certificate(params: BundleParams, tol: float = 1e-14) -> BundleSlopeCertificate:
+#: relative width to which the puncture root is bisected; its polynomial has
+#: degree n + m + 1 and no closed-form root
+PUNCTURE_TOL = Fraction(1, 10**14)
+
+
+def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
     """Minimizer of the slope function over punctures and the invariant slope.
 
     Stable when mu0 > n (no puncture), semistable when mu0 = n (puncture 0),
@@ -348,7 +353,7 @@ def min_slope_certificate(params: BundleParams, tol: float = 1e-14) -> BundleSlo
     poly = critical_polynomial(params)
     lo, hi = Fraction(0), params.a
     assert _eval_poly(poly, lo) < 0 < _eval_poly(poly, hi)
-    while hi - lo > Fraction(repr(tol)) * max(hi, Fraction(1)):
+    while hi - lo > PUNCTURE_TOL * max(hi, Fraction(1)):
         mid = (lo + hi) / 2
         v = _eval_poly(poly, mid)
         if v == 0:

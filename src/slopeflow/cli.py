@@ -37,7 +37,7 @@ from .bundle_geometry import (
 )
 from .errors import InputError
 from .flow_engine import FlowConfig, run_cotangent_flow, run_j_flow
-from .surface_lattice import DivisorClass, load_surface_model
+from .surface_lattice import DivisorClass, _read_ini, load_surface_model
 from .surface_slopes import (
     dhym_slope_certificate,
     j_slope_certificate,
@@ -73,21 +73,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        sections: dict[str, dict] = {"experiment": {}, "geometry": {}, "solver": {}, "output": {}}
-        section = "experiment"
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip().lower()
-                    sections.setdefault(section, {})
-                    continue
-                if "=" not in line:
-                    raise InputError(f"malformed config line {raw!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                sections[section][key.lower()] = val
+            sections = _read_ini(fh.read(), "experiment")
         command = sections["experiment"].get("command")
         if not command:
             raise InputError("experiment config needs a 'command' entry")

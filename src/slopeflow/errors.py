@@ -21,10 +21,6 @@ class ModelInconsistencyError(RuntimeError):
     """Surface data violates structural assumptions (Hodge index, curve Gram)."""
 
 
-class RootBracketError(RuntimeError):
-    """A guaranteed sign change could not be bracketed; the model is inconsistent."""
-
-
 class TimeStepError(RuntimeError):
     """Time-step policy violated (CFL failure or non-finite update)."""
 

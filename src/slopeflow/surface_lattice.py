@@ -9,6 +9,7 @@ Z^2 through the iterative support-growing decomposition.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -103,6 +104,8 @@ class SurfaceModel:
     def __post_init__(self):
         k = len(self.basis_labels)
         self.form = tuple(tuple(to_fraction(v) for v in row) for row in self.form)
+        # the nonzero entries (i, j, v) of the form, all that intersect() reads
+        self._entries = tuple((i, j, v) for i, row in enumerate(self.form) for j, v in enumerate(row) if v)
         if any(len(row) != k for row in self.form) or len(self.form) != k:
             raise InputError("intersection form must be square over the basis")
         for i in range(k):
@@ -144,10 +147,7 @@ class ZariskiDecomposition:
     negative: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
     def negative_class(self, model: SurfaceModel) -> DivisorClass:
-        acc = DivisorClass(tuple(Fraction(0) for _ in range(model.rank)))
-        for idx, w in self.negative:
-            acc = acc + w * model.curves[idx]
-        return acc
+        return _curve_sum(self.negative, model)
 
     def reconstruct(self, model: SurfaceModel) -> DivisorClass:
         return self.positive + self.negative_class(model)
@@ -157,13 +157,8 @@ def intersect(a: DivisorClass, b: DivisorClass, model: SurfaceModel) -> Fraction
     """Exact bilinear pairing a . b through the model's intersection form."""
     if len(a.coeffs) != model.rank or len(b.coeffs) != model.rank:
         raise InputError("divisor coefficient length does not match the model basis")
-    total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = model.form[i]
-        total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj != 0)
-    return total
+    x, y = a.coeffs, b.coeffs
+    return sum((v * x[i] * y[j] for i, j, v in model._entries if x[i] and y[j]), Fraction(0))
 
 
 def is_nef(a: DivisorClass, model: SurfaceModel) -> bool:
@@ -227,6 +222,14 @@ def _det_rational(mat: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def _curve_sum(pairs: Iterable[tuple[int, Fraction]], model: SurfaceModel) -> DivisorClass:
+    """The class sum of w C_i over (i, w) pairs of curve indices and weights."""
+    acc = DivisorClass(tuple(Fraction(0) for _ in range(model.rank)))
+    for idx, w in pairs:
+        acc = acc + w * model.curves[idx]
+    return acc
+
+
 def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition | None:
     """Iterative support growth; None when the result certifies a is not big.
 
@@ -236,30 +239,12 @@ def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition |
     curve list is finite and the support only grows.
     """
     support: list[int] = [i for i, c in enumerate(model.curves) if intersect(a, c, model) < 0]
-    weights: list[Fraction] = []
     while True:
-        if support:
-            gram = [
-                [intersect(model.curves[i], model.curves[j], model) for j in support]
-                for i in support
-            ]
-            if not _is_negative_definite(gram):
-                # Either a is not big or the model's curve data is degenerate;
-                # distinguish via duplicated rows which are a data error.
-                if _det_rational(gram) == 0 and len(set(support)) != len(support):
-                    raise ModelInconsistencyError("degenerate curve support Gram matrix")
-                return None
-            rhs = [intersect(a, model.curves[i], model) for i in support]
-            sol = _solve_rational(gram, rhs)
-            if sol is None:
-                return None
-            weights = sol
-        else:
-            weights = []
-        neg = DivisorClass(tuple(Fraction(0) for _ in range(model.rank)))
-        for idx, w in zip(support, weights):
-            neg = neg + w * model.curves[idx]
-        z = a - neg
+        gram = [[intersect(model.curves[i], model.curves[j], model) for j in support] for i in support]
+        if not _is_negative_definite(gram):
+            return None
+        weights = _solve_rational(gram, [intersect(a, model.curves[i], model) for i in support])
+        z = a - _curve_sum(zip(support, weights), model)
         to_add = [
             i
             for i, c in enumerate(model.curves)
@@ -275,6 +260,77 @@ def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition |
         return None
     pairs = tuple((i, w) for i, w in zip(support, weights) if w != 0)
     return ZariskiDecomposition(positive=z, negative=pairs)
+
+
+def _sign(u: Fraction, v: Fraction, d: Fraction) -> int:
+    """Exact sign of u + v sqrt(d) for rationals u, v and d >= 0."""
+    su = (u > 0) - (u < 0)
+    sv = (v > 0) - (v < 0) if d else 0
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    gap = u * u - v * v * d
+    return su if gap > 0 else (sv if gap < 0 else 0)
+
+
+def _volume_root(alpha, beta, model, t0, quad):
+    """First root t >= t0 of vol(alpha - t beta) = A + B t + C t^2, walked exactly.
+
+    On a Zariski chamber with negative-part support S the Gram systems for
+    alpha and beta give the positive part as an affine class P0 - t P1, so the
+    equation is the exact quadratic (P0 - t P1)^2 = A + B t + C t^2 there.
+    At t0 the support grows from nothing as in _try_zariski; then a chamber
+    ends at the first wall P0.C / P1.C of a curve C outside S with P1.C > 0,
+    where C joins S, and beta nef keeps every weight growing.  Returns the
+    root as (r, s, d), meaning r + s sqrt(d), and the chamber's negative part
+    as the pair (N_alpha, N_beta) with N(t) = N_alpha - t N_beta.
+    """
+    A, B, C = quad
+    curves = model.curves
+    support: list[int] = []
+    lo = t0
+    while True:
+        gram = [[intersect(curves[i], curves[j], model) for j in support] for i in support]
+        if not _is_negative_definite(gram):
+            raise ModelInconsistencyError(f"alpha - t beta is not big at t = {lo}")
+        rhs = [[intersect(cls, curves[i], model) for i in support] for cls in (alpha, beta)]
+        n_alpha, n_beta = (_curve_sum(zip(support, _solve_rational(gram, v)), model) for v in rhs)
+        p0, p1 = alpha - n_alpha, beta - n_beta
+        outside = [j for j in range(len(curves)) if j not in support]
+        pairings = {j: (intersect(p0, curves[j], model), intersect(p1, curves[j], model)) for j in outside}
+        grow = [j for j, (u, v) in pairings.items() if u - lo * v < 0]
+        if grow:
+            support += grow
+            continue
+        # (P0 - t P1)^2 - (A + B t + C t^2) = a t^2 + b t + c
+        a = intersect(p1, p1, model) - C
+        b = -2 * intersect(p0, p1, model) - B
+        c = intersect(p0, p0, model) - A
+        q_lo = a * lo * lo + b * lo + c
+        if q_lo < 0:
+            raise ModelInconsistencyError(f"vol(alpha - {lo} beta) lies below the volume equation")
+        if q_lo == 0:
+            return (lo, Fraction(0), Fraction(0)), (n_alpha, n_beta)
+        walls = {}
+        for j, (u, v) in pairings.items():
+            if v > 0:
+                walls.setdefault(u / v, []).append(j)
+        hi = min(walls, default=None)
+        # q(lo) > 0, so the first crossing after lo is (-b - sqrt(b^2 - 4ac)) / 2a
+        if a:
+            disc = b * b - 4 * a * c
+            root = (-b / (2 * a), -1 / (2 * a), disc) if disc >= 0 else None
+        else:
+            root = (-c / b, Fraction(0), Fraction(0)) if b else None
+        if root is not None:
+            r, s, d = root
+            if _sign(r - lo, s, d) > 0 and (hi is None or _sign(r - hi, s, d) <= 0):
+                return root, (n_alpha, n_beta)
+        if hi is None:
+            raise ModelInconsistencyError("the volume equation has no root on this model")
+        support += walls[hi]
+        lo = hi
 
 
 def zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition:
@@ -302,6 +358,28 @@ def _parse_rows(text: str) -> list[list[Fraction]]:
     return rows
 
 
+def _read_ini(text: str, head: str) -> dict[str, dict[str, str]]:
+    """Sections of INI text by lowercased name, keys lowercased, values raw.
+
+    Lines before the first section header belong to section ``head``; ``#``
+    starts a comment and the last duplicate key wins.
+    """
+    import configparser
+
+    parser = configparser.ConfigParser(
+        interpolation=None,
+        strict=False,
+        delimiters=("=",),
+        comment_prefixes=("#",),
+        inline_comment_prefixes=("#",),
+    )
+    try:
+        parser.read_string(f"[{head}]\n{text}")
+    except configparser.Error as exc:
+        raise InputError(f"malformed config: {exc}") from exc
+    return {name.lower(): dict(parser[name]) for name in parser.sections()}
+
+
 def load_surface_model(source: str) -> SurfaceModel:
     """Load a SurfaceModel from a flat sectioned config file or literal text.
 
@@ -317,30 +395,16 @@ def load_surface_model(source: str) -> SurfaceModel:
     (``-0.3`` and ``1/3`` both work).  ``source`` may be a path or the text
     itself.
     """
-    import os
-
     text = source
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    entries: dict[str, str] = {}
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            continue
-        if "=" not in line:
-            raise InputError(f"malformed config line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        entries[f"{section}.{key.lower()}" if section else key.lower()] = val
+    entries = _read_ini(text, "surface")["surface"]
     try:
-        basis = tuple(tok.strip() for tok in entries["surface.basis"].split(","))
-        form = tuple(tuple(r) for r in _parse_rows(entries["surface.form"]))
-        curves = tuple(DivisorClass(tuple(r)) for r in _parse_rows(entries["surface.curves"]))
-        kahler = DivisorClass(tuple(_parse_rows(entries["surface.kahler"])[0]))
+        basis = tuple(tok.strip() for tok in entries["basis"].split(","))
+        form = tuple(tuple(r) for r in _parse_rows(entries["form"]))
+        curves = tuple(DivisorClass(tuple(r)) for r in _parse_rows(entries["curves"]))
+        kahler = DivisorClass(tuple(_parse_rows(entries["kahler"])[0]))
     except KeyError as exc:
         raise InputError(f"surface config missing field {exc}") from exc
     return SurfaceModel(basis_labels=basis, form=form, curves=curves, kahler_ref=kahler)

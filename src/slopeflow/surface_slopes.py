@@ -1,11 +1,13 @@
 """Slope certificates for the J-equation and the dHYM equation on surfaces.
 
-The minimal J-slope is the root of vol(alpha - beta/xi) = beta^2/xi^2 and the
-dHYM slope is the root of vol(alpha - t beta) = (1 + t^2) beta^2; both roots
-are bracketed by monotonicity/convexity of the volume and found by bisection
-with exact rational volume evaluations at dyadic rational points.  The
-negative part of the Zariski decomposition at the root is the witness divisor
-achieving the slope.
+Both slopes are read off one volume equation vol(alpha - t beta) = A + B t +
+C t^2: the minimal J-slope xi solves it for t = 1/xi with (A, B, C) = (0, 0,
+beta^2), the dHYM slope with (beta^2, 0, beta^2), and the bigness threshold
+with (0, 0, 0).  The volume along the ray is piecewise quadratic between the
+walls where the support of the Zariski negative part grows, so the root is
+found exactly, as r + s sqrt(d) with rational r, s and d, by walking those
+chambers.  The negative part at the root is the witness divisor achieving the
+slope.
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, RootBracketError
+from .errors import InputError, ModelInconsistencyError
 from .surface_lattice import (
     DivisorClass,
     SurfaceModel,
+    _sign,
+    _volume_root,
     intersect,
     is_kahler,
     is_nef,
     volume,
-    zariski,
 )
 
 __all__ = [
@@ -41,17 +44,14 @@ STABLE = "Stable"
 SEMISTABLE = "Semistable"
 UNSTABLE = "Unstable"
 
-#: relative bracket width for bisection and the residual certificate scale
-BRACKET_TOL = 1e-12
-RESIDUAL_TOL = 1e-10
-
 
 @dataclass
 class SlopeCertificate:
-    """Result of a slope root-finding run.
+    """An exact slope root, rounded to a float and bracketed by floats.
 
     slope             root of the volume equation (zeta_min or zeta_H)
-    bracket           interval certified to contain the exact root
+    bracket           the adjacent floats below and above the exact root
+                      (equal when the root is a float)
     witness           negative part of the Zariski decomposition at the root,
                       None when the decomposition has no negative part
     verdict           Stable / Semistable / Unstable
@@ -86,165 +86,123 @@ class SlopeCertificate:
         }
 
 
-def _bisect_exact(f, lo: Fraction, hi: Fraction, tol: float) -> tuple[Fraction, Fraction]:
-    """Bisect a sign change of f (exact rational values) to relative width tol.
+def _approx_root(r: Fraction, s: Fraction, d: Fraction) -> Fraction:
+    """r + s sqrt(d) to within 2^-64 relative, exactly when sqrt(d) is rational.
 
-    Requires f(lo) > 0 > f(hi).  Midpoints are dyadic refinements of the
-    endpoints so every evaluation stays exact.
+    sqrt(d) comes from math.isqrt; when r and s sqrt(d) have opposite signs the
+    root is taken as (r^2 - s^2 d) / (r - s sqrt(d)) so nothing cancels.
     """
-    flo, fhi = f(lo), f(hi)
-    if not (flo > 0 and fhi < 0):
-        raise RootBracketError("bracket endpoints do not straddle the root")
-    scale = max(abs(hi), Fraction(1))
-    while hi - lo > Fraction(repr(tol)) * scale:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid, mid
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    n = d.numerator * d.denominator
+    k = max(0, 65 - n.bit_length() // 2)
+    m = math.isqrt(n << 2 * k)
+    root_d = Fraction(2 * m + (m * m != n << 2 * k), d.denominator << k + 1)
+    return r + s * root_d if r * s >= 0 else (r * r - s * s * d) / (r - s * root_d)
 
 
-def j_slope_certificate(
-    alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel, tol: float = BRACKET_TOL
-) -> SlopeCertificate:
+def _float_bracket(r: Fraction, s: Fraction, d: Fraction, x: float) -> tuple[float, float]:
+    """The floats lo <= r + s sqrt(d) <= hi next to x, a float within 1 ulp of it."""
+    side = _sign(Fraction(x) - r, -s, d)
+    return (
+        x if side <= 0 else math.nextafter(x, -math.inf),
+        x if side >= 0 else math.nextafter(x, math.inf),
+    )
+
+
+def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -> Fraction:
+    """mu = 2 a.b/a^2 for J, c0 = (a^2 - b^2)/(2 a.b) for dHYM."""
+    a2, ab = intersect(a, a, model), intersect(a, b, model)
+    if equation == "j":
+        return 2 * ab / a2
+    return (a2 - intersect(b, b, model)) / (2 * ab)
+
+
+def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCertificate:
+    """Walk the chambers to the exact root and check it against volume().
+
+    J solves vol(alpha - t beta) = t^2 beta^2 for t = 1/xi from t = 1/mu;
+    dHYM solves vol(alpha - t beta) = (1 + t^2) beta^2 for t = xi from c0.
+    """
+    b2 = intersect(beta, beta, model)
+    if equation == "j":
+        quad, t0, to_t = (0, 0, b2), 1 / topological, lambda xi: 1 / xi
+    else:
+        quad, t0, to_t = (b2, 0, b2), topological, lambda xi: xi
+    (r, s, d), (n_alpha, n_beta) = _volume_root(alpha, beta, model, t0, quad)
+    if equation == "j":  # xi = 1/t, still in Q(sqrt d)
+        norm = r * r - s * s * d
+        r, s = r / norm, -s / norm
+    approx = _approx_root(r, s, d)
+    slope = float(approx)
+    bracket = _float_bracket(r, s, d, slope)
+    gaps = {}
+    for xi in bracket:
+        t = to_t(Fraction(xi))
+        gaps[xi] = volume(alpha - t * beta, model) - (quad[0] + quad[1] * t + quad[2] * t * t)
+    if gaps[bracket[0]] * gaps[bracket[1]] > 0:
+        raise ModelInconsistencyError(f"{equation} bracket {bracket} does not straddle the volume equation")
+    # the exact root when it is rational (the walk solved the equation there),
+    # else the float it rounds to, one end of the bracket
+    exact = _sign(approx - r, -s, d) == 0
+    xi_hat = approx if exact else Fraction(slope)
+    negative = n_alpha - to_t(xi_hat) * n_beta
+    return SlopeCertificate(
+        equation=equation,
+        slope=slope,
+        bracket=bracket,
+        witness=None if negative.is_zero() else negative,
+        verdict=verdict,
+        topological_slope=float(topological),
+        residual=0.0 if exact else float(abs(gaps[slope])),
+        witness_slope=float(_topological_slope(equation, alpha - negative, beta, model)),
+    )
+
+
+def j_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel) -> SlopeCertificate:
     """Minimal J-slope certificate for two Kahler classes on a surface.
 
-    The root xi of vol(alpha - beta/xi) = beta^2/xi^2 is located in
-    (mu0, mu]; the function s -> vol(alpha - s beta) - s^2 beta^2 of s = 1/xi
-    is positive at s = 1/mu (with equality exactly in the non-unstable case)
-    and eventually negative, so a sign change brackets the root.  The verdict
+    The root xi of vol(alpha - beta/xi) = beta^2/xi^2 lies in (0, mu], with
+    xi = mu exactly when alpha - beta/mu satisfies the equation.  The verdict
     compares curve slopes (beta.C)/(alpha.C) with mu over the curve list.
     """
     if not is_kahler(alpha, model):
         raise InputError("alpha is not Kahler on this model")
     if not is_kahler(beta, model):
         raise InputError("beta is not Kahler on this model")
-    a2 = intersect(alpha, alpha, model)
-    ab = intersect(alpha, beta, model)
-    b2 = intersect(beta, beta, model)
-    mu = 2 * ab / a2
-
-    curve_slopes = []
-    for c in model.curves:
-        ac = intersect(alpha, c, model)
-        bc = intersect(beta, c, model)
-        curve_slopes.append(bc / ac)
+    mu = _topological_slope("j", alpha, beta, model)
+    curve_slopes = [intersect(beta, c, model) / intersect(alpha, c, model) for c in model.curves]
     if all(cs < mu for cs in curve_slopes):
         verdict = STABLE
     elif all(cs <= mu for cs in curve_slopes):
         verdict = SEMISTABLE
     else:
         verdict = UNSTABLE
-
-    def g(s: Fraction) -> Fraction:
-        return volume(alpha - s * beta, model) - s * s * b2
-
-    s_mu = 1 / mu
-    g0 = g(s_mu)
-    if g0 < 0:
-        raise RootBracketError("vol(alpha - beta/mu) < beta^2/mu^2; inconsistent model")
-    if g0 == 0:
-        # alpha - beta/mu is nef: the root is exactly mu.
-        xi = mu
-        dec = zariski(alpha - s_mu * beta, model)
-        witness = dec.negative_class(model)
-        witness = None if witness.is_zero() else witness
-        cert = SlopeCertificate(
-            equation="j",
-            slope=float(xi),
-            bracket=(float(xi), float(xi)),
-            witness=witness,
-            verdict=verdict,
-            topological_slope=float(mu),
-            residual=0.0,
-        )
-        cert.witness_slope = _j_witness_slope(alpha, beta, model, witness)
-        return cert
-
-    s_hi = s_mu
-    for _ in range(200):
-        s_hi = 2 * s_hi
-        if g(s_hi) < 0:
-            break
-    else:
-        raise RootBracketError("could not bracket the J volume equation root")
-    lo, hi = _bisect_exact(g, s_mu, s_hi, tol)
-    s_root = (lo + hi) / 2
-    xi_lo, xi_hi = 1 / hi, 1 / lo
-    xi = float(1 / s_root)
-
-    dec = zariski(alpha - s_root * beta, model)
-    witness = dec.negative_class(model)
-    witness = None if witness.is_zero() else witness
-    residual = abs(float(g(s_root)))
-    cert = SlopeCertificate(
-        equation="j",
-        slope=xi,
-        bracket=(float(xi_lo), float(xi_hi)),
-        witness=witness,
-        verdict=verdict,
-        topological_slope=float(mu),
-        residual=residual,
-    )
-    cert.witness_slope = _j_witness_slope(alpha, beta, model, witness)
-    if residual > RESIDUAL_TOL * float(b2):
-        raise RootBracketError(f"J root residual {residual} exceeds certificate tolerance")
-    return cert
+    return _certificate("j", alpha, beta, model, verdict, mu)
 
 
-def _j_witness_slope(alpha, beta, model, witness) -> float:
-    ap = alpha if witness is None else alpha - witness
-    return float(2 * intersect(ap, beta, model) / intersect(ap, ap, model))
-
-
-def bigness_threshold(
-    alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel, tol: float = BRACKET_TOL
-) -> float:
-    """sup{t : alpha - t beta is big}, located by bisection on the volume."""
-    t_lo = Fraction(0)
+def bigness_threshold(alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel) -> float:
+    """sup{t : alpha - t beta is big} for a nef beta, the root of vol = 0."""
     if volume(alpha, model) <= 0:
         raise InputError("alpha itself is not big; no positive threshold")
-    t_hi = Fraction(1)
-    for _ in range(200):
-        if volume(alpha - t_hi * beta, model) == 0:
-            break
-        t_lo = t_hi
-        t_hi *= 2
-    else:
-        raise RootBracketError("alpha - t beta stays big for unreasonably large t")
-    while t_hi - t_lo > Fraction(repr(tol)) * max(t_hi, Fraction(1)):
-        mid = (t_lo + t_hi) / 2
-        if volume(alpha - mid * beta, model) > 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return float((t_lo + t_hi) / 2)
+    if not is_nef(beta, model) or beta.is_zero():
+        raise InputError("beta is not a nonzero nef class on this model")
+    root, _ = _volume_root(alpha, beta, model, Fraction(0), (0, 0, 0))
+    return float(_approx_root(*root))
 
 
-def dhym_slope_certificate(
-    alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel, tol: float = BRACKET_TOL
-) -> SlopeCertificate:
+def dhym_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel) -> SlopeCertificate:
     """dHYM slope certificate: the root of vol(alpha - t beta) = (1+t^2) beta^2.
 
     f(t) = vol(alpha - t beta) - (1+t^2) beta^2 is convex with f(c0) >= 0
     (equality exactly when alpha - c0 beta is nef) and f < 0 beyond the
-    bigness threshold, so the root in [c0, t0) is unique.  Verdict: Stable if
-    alpha - c0 beta is Kahler, Semistable if it is nef but not Kahler,
-    Unstable otherwise.
+    bigness threshold, so the root in [c0, threshold) is unique.  Verdict:
+    Stable if alpha - c0 beta is Kahler, Semistable if it is nef but not
+    Kahler, Unstable otherwise.
     """
     if not is_kahler(beta, model):
         raise InputError("beta is not Kahler on this model")
-    ab = intersect(alpha, beta, model)
-    if ab <= 0:
+    if intersect(alpha, beta, model) <= 0:
         raise InputError("alpha.beta <= 0; replace alpha by -alpha and retry")
-    a2 = intersect(alpha, alpha, model)
-    b2 = intersect(beta, beta, model)
-    c0 = (a2 - b2) / (2 * ab)
-
+    c0 = _topological_slope("dhym", alpha, beta, model)
     gamma0 = alpha - c0 * beta
     if is_kahler(gamma0, model):
         verdict = STABLE
@@ -252,67 +210,7 @@ def dhym_slope_certificate(
         verdict = SEMISTABLE
     else:
         verdict = UNSTABLE
-
-    def f(t: Fraction) -> Fraction:
-        return volume(alpha - t * beta, model) - (1 + t * t) * b2
-
-    f0 = f(c0)
-    if f0 < 0:
-        raise RootBracketError("vol(alpha - c0 beta) < (1+c0^2) beta^2; inconsistent model")
-    if f0 == 0:
-        xi = c0
-        dec = zariski(alpha - c0 * beta, model)
-        witness = dec.negative_class(model)
-        witness = None if witness.is_zero() else witness
-        cert = SlopeCertificate(
-            equation="dhym",
-            slope=float(xi),
-            bracket=(float(xi), float(xi)),
-            witness=witness,
-            verdict=verdict,
-            topological_slope=float(c0),
-            residual=0.0,
-        )
-        cert.witness_slope = _dhym_witness_slope(alpha, beta, model, witness)
-        return cert
-
-    # f(c0) > 0: back off from the bigness threshold until f < 0.
-    t0 = Fraction(repr(bigness_threshold(alpha, beta, model, tol)))
-    t_hi = None
-    for k in range(60):
-        cand = t0 - (t0 - c0) * Fraction(1, 2**k)
-        if cand > c0 and f(cand) < 0:
-            t_hi = cand
-            break
-    if t_hi is None:
-        raise RootBracketError("could not find a negative endpoint below the bigness threshold")
-    lo, hi = _bisect_exact(f, c0, t_hi, tol)
-    t_root = (lo + hi) / 2
-    xi = float(t_root)
-
-    dec = zariski(alpha - t_root * beta, model)
-    witness = dec.negative_class(model)
-    witness = None if witness.is_zero() else witness
-    residual = abs(float(f(t_root)))
-    cert = SlopeCertificate(
-        equation="dhym",
-        slope=xi,
-        bracket=(float(lo), float(hi)),
-        witness=witness,
-        verdict=verdict,
-        topological_slope=float(c0),
-        residual=residual,
-    )
-    cert.witness_slope = _dhym_witness_slope(alpha, beta, model, witness)
-    if residual > RESIDUAL_TOL * float(b2):
-        raise RootBracketError(f"dHYM root residual {residual} exceeds certificate tolerance")
-    return cert
-
-
-def _dhym_witness_slope(alpha, beta, model, witness) -> float:
-    ap = alpha if witness is None else alpha - witness
-    b2 = intersect(beta, beta, model)
-    return float((intersect(ap, ap, model) - b2) / (2 * intersect(ap, beta, model)))
+    return _certificate("dhym", alpha, beta, model, verdict, c0)
 
 
 def blowup_plane_model() -> SurfaceModel:

@@ -68,3 +68,25 @@ def test_run_config_drives_a_flow(capsys, tmp_path):
     code, out = _run(capsys, ["run", "--config", str(cfg)])
     assert code == 0
     assert '"converged": true' in out
+
+
+def test_run_config_reader_conventions(capsys, tmp_path):
+    # a top-level command before any section, mixed-case keys and sections,
+    # inline comments and a duplicate key whose last value wins
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text(
+        "Command = bundle slopes  # dispatched verbatim\n"
+        "[Geometry]\n"
+        "params = 1,2\n"
+        "PARAMS = 0,1,4,1\n"
+    )
+    code, out = _run(capsys, ["run", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["verdict"] == UNSTABLE
+
+
+def test_run_config_malformed_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text("[experiment]\ncommand = bundle slopes\nparams 0,1,4,1\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "malformed config" in capsys.readouterr().err

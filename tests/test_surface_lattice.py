@@ -26,28 +26,6 @@ def blp2():
     return blowup_plane_model()
 
 
-@pytest.fixture(scope="module")
-def two_point():
-    """Plane blown up in two points, basis (H, -E1, -E2)."""
-    one, zero = F(1), F(0)
-    return SurfaceModel(
-        basis_labels=("H", "-E1", "-E2"),
-        form=(
-            (one, zero, zero),
-            (zero, -one, zero),
-            (zero, zero, -one),
-        ),
-        curves=(
-            DivisorClass((zero, -one, zero)),   # E1
-            DivisorClass((zero, zero, -one)),   # E2
-            DivisorClass((one, one, one)),      # H - E1 - E2
-            DivisorClass((one, one, zero)),     # H - E1
-            DivisorClass((one, zero, one)),     # H - E2
-        ),
-        kahler_ref=DivisorClass((F(3), one, one)),
-    )
-
-
 def test_bilinear_evaluation(blp2):
     a = DivisorClass.of(2, "0.3")     # 2H - 0.3E
     b = DivisorClass.of(3, 1)         # 3H - E

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slopeflow.errors import InputError
-from slopeflow.surface_lattice import DivisorClass, intersect, volume
+from slopeflow.surface_lattice import DivisorClass, intersect, volume, zariski
 from slopeflow.surface_slopes import (
     SEMISTABLE,
     STABLE,
@@ -31,7 +31,7 @@ def test_j_unstable_closed_form_root(blp2):
     cert = j_slope_certificate(alpha, beta, blp2)
     # oracle: root of (2-3s)^2 = 8 s^2 gives xi = (3 + 2 sqrt 2)/2
     xi_exact = (3 + 2 * math.sqrt(2)) / 2
-    assert abs(cert.slope - xi_exact) < 1e-9
+    assert abs(cert.slope - xi_exact) < 1e-14
     assert cert.verdict == UNSTABLE
     assert cert.topological_slope == pytest.approx(11.4 / 3.91, rel=1e-14)
     assert cert.slope < cert.topological_slope
@@ -39,8 +39,8 @@ def test_j_unstable_closed_form_root(blp2):
     # witness divisor is (5.7 - 4 sqrt 2) E, negative part of the Zariski split
     assert cert.witness is not None
     w = -float(cert.witness.coeffs[1])  # E-multiple in the (H, -E) basis
-    assert abs(w - (5.7 - 4 * math.sqrt(2))) < 1e-9
-    assert abs(cert.witness_slope - xi_exact) < 1e-9
+    assert abs(w - (5.7 - 4 * math.sqrt(2))) < 1e-14
+    assert abs(cert.witness_slope - xi_exact) < 1e-14
 
 
 def test_j_witness_realizes_slope_exactly(blp2):
@@ -109,11 +109,11 @@ def test_dhym_unstable_root(blp2):
     beta = DivisorClass.of(2, 1)
     cert = dhym_slope_certificate(alpha, beta, blp2)
     xi_exact = 6 - math.sqrt(30)  # root of t^2 - 12t + 6 = 0
-    assert abs(cert.slope - xi_exact) < 1e-9
+    assert abs(cert.slope - xi_exact) < 1e-14
     assert cert.verdict == UNSTABLE
     assert cert.topological_slope == pytest.approx(0.5, abs=1e-15)
     assert cert.slope >= cert.topological_slope
-    assert abs(cert.witness_slope - cert.slope) < 1e-9
+    assert abs(cert.witness_slope - cert.slope) < 1e-14
 
 
 def test_dhym_alpha_equals_beta(blp2):
@@ -153,7 +153,7 @@ def test_bigness_threshold(blp2):
     alpha = DivisorClass.of(3, 0)
     beta = DivisorClass.of(2, 1)
     # alpha - t beta = (3-2t)H + tE is big for t < 3/2
-    assert bigness_threshold(alpha, beta, blp2) == pytest.approx(1.5, abs=1e-9)
+    assert bigness_threshold(alpha, beta, blp2) == 1.5
 
 
 def test_closed_form_matches_paper_example():
@@ -206,8 +206,9 @@ def test_closed_form_agrees_with_volume_solver(blp2):
         alpha = DivisorClass((p, q))
         beta = DivisorClass((b, F(1)))
         general = dhym_slope_certificate(alpha, beta, blp2)
-        assert abs(closed.slope - general.slope) < 1e-9, (b, p, q)
+        assert abs(closed.slope - general.slope) < 1e-12, (b, p, q)
         assert closed.verdict == general.verdict, (b, p, q)
+        _assert_exact(general, alpha, beta, blp2)
         agree += 1
 
 
@@ -217,3 +218,65 @@ def test_certificate_serialization(blp2):
     assert d["schema"] == 1
     assert d["verdict"] == UNSTABLE
     assert isinstance(d["witness"]["coeffs"][1], float)
+
+
+def _volume_gap(equation, alpha, beta, model, xi):
+    """f(xi) of the certificate's volume equation, exactly: J in xi = 1/t."""
+    xi = F(xi)
+    b2 = intersect(beta, beta, model)
+    if equation == "j":
+        return volume(alpha - (1 / xi) * beta, model) - b2 / (xi * xi)
+    return volume(alpha - xi * beta, model) - (1 + xi * xi) * b2
+
+
+def _assert_exact(cert, alpha, beta, model):
+    """The bracket is at most 2 ulps wide and straddles the volume equation."""
+    lo, hi = cert.bracket
+    assert lo <= cert.slope <= hi
+    assert hi <= math.nextafter(math.nextafter(lo, math.inf), math.inf)
+    f_lo = _volume_gap(cert.equation, alpha, beta, model, lo)
+    f_hi = _volume_gap(cert.equation, alpha, beta, model, hi)
+    # J: f < 0 below the root and > 0 above; dHYM: the other way round
+    sign = -1 if cert.equation == "j" else 1
+    assert sign * f_lo >= 0 >= sign * f_hi
+
+
+WALL_CROSSING = ("dhym", "two_point", "1,-4,-1", "3,1,1")
+
+EXACT_CASES = [
+    ("j", "blp2", "2,0.3", "3,1"),
+    ("j", "blp2", "2,1", "3,1"),
+    ("j", "blp2", "2,0.5", "2,0.5"),
+    ("dhym", "blp2", "3,0", "2,1"),
+    ("dhym", "blp2", "2,1", "2,1"),
+    ("dhym", "blp2", "3,1", "2,1"),
+    WALL_CROSSING,
+]
+
+
+@pytest.mark.parametrize("equation,model_name,alpha,beta", EXACT_CASES)
+def test_certificate_bracket_is_exact(equation, model_name, alpha, beta, request):
+    model = request.getfixturevalue(model_name)
+    alpha, beta = DivisorClass.parse(alpha), DivisorClass.parse(beta)
+    solve = j_slope_certificate if equation == "j" else dhym_slope_certificate
+    _assert_exact(solve(alpha, beta, model), alpha, beta, model)
+
+
+def test_dhym_root_past_a_chamber_wall(two_point):
+    # alpha = H + 4E1 + E2, beta = 3H - E1 - E2: the negative part of
+    # alpha - t beta is supported on E1 at c0 and on E1 + E2 at the root,
+    # where the volume equation reads t^2 - 3t - 3 = 0
+    _, _, alpha, beta = WALL_CROSSING
+    alpha, beta = DivisorClass.parse(alpha), DivisorClass.parse(beta)
+    cert = dhym_slope_certificate(alpha, beta, two_point)
+    c0 = F(-23, 16)
+    assert cert.topological_slope == float(c0)
+    assert [i for i, _ in zariski(alpha - c0 * beta, two_point).negative] == [0]
+    assert cert.verdict == UNSTABLE
+    assert cert.witness.coeffs[0] == 0
+    assert cert.witness.coeffs[1] < 0 and cert.witness.coeffs[2] < 0
+    # (3 - sqrt 21)/2 lies in the bracket: compare (3 - 2x)^2 with 21 exactly
+    lo, hi = (F(x) for x in cert.bracket)
+    assert 3 - 2 * lo > 0 and (3 - 2 * lo) ** 2 >= 21 >= (3 - 2 * hi) ** 2
+    assert cert.slope == pytest.approx((3 - math.sqrt(21)) / 2, abs=1e-15)
+    assert abs(cert.witness_slope - cert.slope) < 1e-14
