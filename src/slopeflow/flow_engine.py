@@ -5,13 +5,14 @@ conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
 `_integrate`, owns the time loop, checkpoints, convergence test, runtime
 monitors and backward-Euler step.  A small scheme per equation supplies the
 half-node flux c (the pointwise slope for the J flow, cot(theta) for the
-cotangent flow) and its partials in (delta, mean), Q at the interior nodes,
+cotangent flow) and its node sensitivities, Q at the interior nodes,
 the explicit CFL step, the admissibility predicate, the checkpoint fields,
 and the reference profile with its plateau window.
 
 Explicit Euler steps under a CFL bound are the default.  The implicit step
 is backward Euler in delta form, (I - dt Q dc) delta = dt rate, with each
-half flux linearized and Q lagged: one tridiagonal solve.  Implicit J
+half flux linearized and Q lagged: one tridiagonal solve by LAPACK gtsv,
+called directly; scipy is imported on the first such solve.  Implicit J
 linearizes the plain chord flux, without the contact-flux blend of the
 explicit J flux: fed the blended flux, that step leaves semistable J flows
 unconverged at t = 100.  Monitors track monotonicity and comparison with the
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bundle_geometry import BundleParams, min_slope_certificate
 from .calabi_profiles import (
@@ -178,8 +178,8 @@ class FlowTrace:
                     diag = _slope_field(x, psi, d, self.meta["params"]["n"], self.meta["params"]["m"])
                 else:
                     diag = _angle_field(x, psi, d)[0]
-                for xv, v, dg in zip(x, psi, diag):
-                    fh.write(f"{t:.10g},{xv:.17g},{v:.17g},{dg:.17g}\n")
+                row = f"{t:.10g},%.17g,%.17g,%.17g\n"
+                fh.write("".join(map(row.__mod__, zip(x.tolist(), psi.tolist(), diag.tolist()))))
 
     def save_summary(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -229,6 +229,30 @@ def _lambda_estimate(prof: MomentProfile, threshold: float = 1e-4) -> float:
     return float(prof.grid[np.nonzero(below)[0][-1]])
 
 
+_gtsv = None
+
+
+def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system by LAPACK gtsv, in place: the caller must not
+    use its four arrays afterwards.  A singular or non-finite matrix, seen in
+    the diagonal of its U factor, raises TimeStepError."""
+    global _gtsv
+    if _gtsv is None:
+        from scipy.linalg.lapack import dgtsv as _gtsv
+    _, u, _, x, info = _gtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info or not math.isfinite(u.sum()):
+        raise TimeStepError(f"singular or non-finite implicit system (gtsv info {info})")
+    return x
+
+
+def _node_sensitivities(dc_ddelta, dc_dmean, h: float):
+    """Sensitivity of each half flux to its right and left node, over h, and
+    their sum at each interior node: the implicit step's matrix entries."""
+    d_h, m_2 = dc_ddelta / h, dc_dmean / 2
+    right, left = (d_h + m_2) / h, (d_h - m_2) / h
+    return right, left, left[1:] + right[:-1]
+
+
 class _JScheme:
     """The scheme of `run_j_flow`: Q(psi) = psi (b - psi)/b and the flux
     sigma = psi' + (m/x + n/(1+x)) psi + n/(1+x), the pointwise slope."""
@@ -273,6 +297,8 @@ class _JScheme:
         xh = 0.5 * (x[1:] + x[:-1])
         self.p_h = n / (1 + xh) + (m / xh if m else 0.0)
         self.g_h = n / (1 + xh)
+        # the chord flux is linear, so its implicit-step entries are fixed
+        self.sensitivities = _node_sensitivities(1.0, self.p_h, h)
         # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
         tw = np.full_like(x, h)
         tw[0] = tw[-1] = h / 2
@@ -293,9 +319,9 @@ class _JScheme:
         return cfl / (self.b / 4.0 * (2 / self.h**2 + np.max(np.abs(self.p_h)) / self.h))
 
     def linear_flux(self, pv: np.ndarray):
-        """The chord flux, linear in psi, with its (delta, mean) partials."""
+        """The chord flux, linear in psi, with its fixed `_node_sensitivities`."""
         c = (pv[1:] - pv[:-1]) / self.h + self.p_h * 0.5 * (pv[1:] + pv[:-1]) + self.g_h
-        return c, 1.0, self.p_h
+        return (c, *self.sensitivities)
 
     def flux(self, pv: np.ndarray) -> np.ndarray:
         """The chord flux, blended toward the contact flux near a contact.
@@ -351,7 +377,7 @@ class _JScheme:
 
     def admissible(self, pv: np.ndarray) -> bool:
         """Nonnegative and nondecreasing up to the admissibility slack."""
-        return bool(pv.min() >= -ADMISSIBILITY_TOL and np.diff(pv).min() >= -ADMISSIBILITY_TOL)
+        return bool(pv.min() >= -ADMISSIBILITY_TOL and (pv[1:] - pv[:-1]).min() >= -ADMISSIBILITY_TOL)
 
     def decay_value(self, pv: np.ndarray) -> float:
         s = self.diagnostic(pv)
@@ -409,21 +435,22 @@ class _CotScheme:
         self.ref_boundary = (self.ref[0], p)
         self.window = (1.0 + COMPACT_MARGIN, b - COMPACT_MARGIN)
         self.xh = 0.5 * (x[1:] + x[:-1])
+        self.xh2 = self.xh**2
         self.meta = {"bpq": [b, p, q], "verdict": cert.verdict, "c0": cert.topological_slope, "h": self.h}
 
     def Q(self, pv: np.ndarray) -> np.ndarray:
         return self.Qx
 
     def explicit_dt(self, pv: np.ndarray, cfl: float) -> float:
-        _, a_half, b_half = self.linear_flux(pv)
+        _, a_half, b_half = self.half_flux(pv)
         h = self.h
         stiff = self.Q(pv) * ((a_half[1:] + a_half[:-1]) / h**2 + (b_half[1:] + b_half[:-1]) / (2 * h))
         return cfl / float(np.max(stiff))
 
     def flux(self, pv: np.ndarray) -> np.ndarray:
-        return self.linear_flux(pv, partials=False)[0]
+        return self.half_flux(pv, partials=False)[0]
 
-    def linear_flux(self, pv: np.ndarray, partials: bool = True):
+    def half_flux(self, pv: np.ndarray, partials: bool = True):
         """cot(theta) at half nodes and its partials in (delta, mean).
 
         c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
@@ -443,13 +470,14 @@ class _CotScheme:
         delta = (pv[1:] - pv[:-1]) / self.h
         mean = 0.5 * (pv[1:] + pv[:-1])
         den = xh * delta + mean
-        if np.any(den <= 0):
+        if den.min() <= 0:
             raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
         c = (mean * delta - xh) / den
         dc_ddelta = dc_dmean = None
         if partials:
-            dc_ddelta = (mean**2 + xh**2) / den**2
-            dc_dmean = xh * (1 + delta**2) / den**2
+            den2 = den**2
+            dc_ddelta = (mean**2 + self.xh2) / den2
+            dc_dmean = xh * (1 + delta**2) / den2
         # wall-cell regime switch: ratio of first to second cell increments
         jump = pv[1] - pv[0]
         step2 = max(pv[2] - pv[1], 1e-300)
@@ -466,12 +494,18 @@ class _CotScheme:
                 dc_dmean[0] = (1 - wgt) * dc_dmean[0] + 2.0 * wgt * dc_jump
         return c, dc_ddelta, dc_dmean
 
+    def linear_flux(self, pv: np.ndarray):
+        """The flux with its `_node_sensitivities`."""
+        c, dc_ddelta, dc_dmean = self.half_flux(pv)
+        return (c, *_node_sensitivities(dc_ddelta, dc_dmean, self.h))
+
     def diagnostic(self, pv: np.ndarray) -> np.ndarray:
         return _angle_field(self.x, pv, _gradient(pv, self.h))[0]
 
     def admissible(self, pv: np.ndarray) -> bool:
         """x psi' + psi > 0, checked as monotonicity of x psi."""
-        return bool(np.diff(self.x * pv).min() > -ADMISSIBILITY_TOL)
+        xp = self.x * pv
+        return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
 
     def decay_value(self, pv: np.ndarray) -> float:
         from .energy_functionals import dhym_volume  # keeps it out of the CLI's import
@@ -500,7 +534,6 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
     implicit = cfg.dt_policy == "implicit"
     dt = cfg.dt if implicit else None
-    banded = np.zeros((3, x.size - 2))
     ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
     t, steps, quiet, converged = 0.0, 0, 0, False
     times, checkpoints, profiles = [], [], []
@@ -546,16 +579,11 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     while t < cfg.t_max and not converged:
         if implicit:
             # (I - dt Q dc) delta = dt rate, each half flux linearized
-            c, dc_ddelta, dc_dmean = scheme.linear_flux(psi)
-            d_h, m_2 = dc_ddelta / h, dc_dmean / 2
-            # sensitivity of each half flux to its right and left node, over h
-            right, left = (d_h + m_2) / h, (d_h - m_2) / h
+            c, right, left, mid = scheme.linear_flux(psi)
             Qv = scheme.Q(psi)
             rate = Qv * (c[1:] - c[:-1]) / h
-            banded[0, 1:] = -dt * Qv[:-1] * right[1:-1]
-            banded[1, :] = 1 + dt * Qv * (left[1:] + right[:-1])
-            banded[2, :-1] = -dt * Qv[1:] * left[1:-1]
-            delta = solve_banded((1, 1), banded, dt * rate)
+            dtQ = dt * Qv
+            delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], dt * rate)
             rate = delta / dt
         else:
             if dt is None or (scheme.cfl_refresh and steps % scheme.cfl_refresh == 0):
@@ -566,11 +594,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         psi[1:-1] += delta
         t += dt
         steps += 1
-        sup = float(np.max(np.abs(rate)))
+        rmax, rmin = float(rate.max()), float(rate.min())
+        sup = max(rmax, -rmin)
         if not math.isfinite(sup):
             raise TimeStepError(f"non-finite update at t={t:.6g}; time step too large")
-        run_max_rate = max(run_max_rate, float(np.max(rate)))
-        run_min_rate = min(run_min_rate, float(np.min(rate)))
+        run_max_rate = max(run_max_rate, rmax)
+        run_min_rate = min(run_min_rate, rmin)
         if not scheme.admissible(psi):
             raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
         if scheme.decay_every_step:

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from slopeflow.cli import main
+from slopeflow.errors import MonitorViolationError
 from slopeflow.flow_engine import COMPACT_MARGIN
 from slopeflow.surface_slopes import UNSTABLE
 
@@ -90,3 +92,36 @@ def test_run_config_malformed_exits_1(capsys, tmp_path):
     cfg.write_text("[experiment]\ncommand = bundle slopes\nparams 0,1,4,1\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "malformed config" in capsys.readouterr().err
+
+
+def test_energy_infimum_exits_0(capsys):
+    code, out = _run(capsys, ["energy", "infimum", "--params", "0,1,4,1"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == pytest.approx(rep["interior"] + rep["bubble"], rel=1e-12)
+
+
+def test_slope_dhym_exits_0(capsys, tmp_path):
+    surface = tmp_path / "blowup.ini"
+    surface.write_text("[surface]\nbasis = H, -E\nform = 1, 0; 0, -1\ncurves = 0, -1; 1, 1; 1, 0\nkahler = 3, 1\n")
+    code, out = _run(capsys, ["slope", "dhym", "--surface", str(surface), "--alpha", "3,-1/2", "--beta", "2,1"])
+    assert code == 0
+    cert = json.loads(out)
+    # the unstable blow-up pair (b, p) = (2, 3) has slope bp - sqrt((p^2+1)(b^2-1))
+    assert cert["verdict"] == UNSTABLE
+    assert cert["slope"] == pytest.approx(6 - math.sqrt(30), abs=1e-15)
+
+
+def test_verify_identities_exits_0(capsys):
+    code, out = _run(capsys, ["verify", "identities", "--max-mn", "1", "--max-sq", "4"])
+    assert code == 0
+    assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
+def test_monitor_violation_exits_2(capsys, monkeypatch):
+    def violate(*args, **kwargs):
+        raise MonitorViolationError("J-admissibility lost at t=1")
+
+    monkeypatch.setattr("slopeflow.cli.run_j_flow", violate)
+    assert main(["flow", "j", "--params", "0,1,1,2"] + FLOW_ARGS) == 2
+    assert "J-admissibility lost" in capsys.readouterr().err

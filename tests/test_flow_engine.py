@@ -6,21 +6,34 @@ and plumbing at small grids and short horizons.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slopeflow
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
 from slopeflow.calabi_profiles import (
     MomentProfile,
+    _angle_field,
+    _slope_field,
     background_potential,
     sample_steady_profile_dhym,
     sample_steady_profile_j,
     special_cotangent_profile,
     straight_line_profile,
 )
-from slopeflow.errors import InputError
-from slopeflow.flow_engine import FlowConfig, monitor_suite, run_cotangent_flow, run_j_flow
+from slopeflow.errors import InputError, TimeStepError
+from slopeflow.flow_engine import (
+    FlowConfig,
+    _gradient,
+    monitor_suite,
+    run_cotangent_flow,
+    run_j_flow,
+    solve_banded,
+)
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +225,96 @@ def test_trace_csv_and_summary(tmp_path, unstable):
     payload = json.loads(js.read_text())
     assert payload["schema"] == 1
     assert payload["kind"] == "j"
+
+
+def _old_csv(trace, path):
+    """The per-row f-string writer that `FlowTrace.to_csv` replaced: the byte reference."""
+    h = trace.meta["h"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,psi,diagnostic\n")
+        for t, prof in zip(trace.times, trace.profiles):
+            x, psi = prof.grid, prof.values
+            d = _gradient(psi, h)
+            if trace.kind == "j":
+                diag = _slope_field(x, psi, d, trace.meta["params"]["n"], trace.meta["params"]["m"])
+            else:
+                diag = _angle_field(x, psi, d)[0]
+            for xv, v, dg in zip(x, psi, diag):
+                fh.write(f"{t:.10g},{xv:.17g},{v:.17g},{dg:.17g}\n")
+
+
+@pytest.mark.parametrize("flow", ["j", "cotangent"])
+def test_trace_csv_matches_per_row_writer(tmp_path, flow):
+    cfg = FlowConfig(grid_size=64, t_max=2.0, dt_policy="implicit", dt=0.05, checkpoint_interval=0.25)
+    if flow == "j":
+        tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=2), "line", cfg=cfg)
+    else:
+        tr = run_cotangent_flow(2, 3, 1, "special", cfg=cfg)
+    tr.to_csv(str(tmp_path / "new.csv"))
+    _old_csv(tr, str(tmp_path / "old.csv"))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert len(tr.times) > 5 and new.count(b"\n") == 1 + 65 * len(tr.times)
+    assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def _tridiagonal(n, seed):
+    """A random strictly diagonally dominant system: the three diagonals, the
+    right-hand side and the dense matrix."""
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1)
+    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.1, 3.0, n)
+    rhs = rng.uniform(-1, 1, n)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    return lower, diag, upper, rhs, dense
+
+
+@pytest.mark.parametrize("n", [63, 127, 511])
+def test_solve_banded_matches_dense_solve(n):
+    lower, diag, upper, rhs, dense = _tridiagonal(n, n)
+    x = solve_banded(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
+    ref = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        [1.0, 2.0, 1.0],  # [[1, 1, 0], [1, 2, 1], [0, 1, 1]]: an exactly zero pivot
+        [1.0, np.inf, 1.0],  # gtsv returns a finite solution for this one
+        [1.0, np.nan, 1.0],
+    ],
+)
+def test_solve_banded_singular_or_non_finite_raises(diag):
+    with pytest.raises(TimeStepError):
+        solve_banded(np.ones(2), np.array(diag), np.ones(2), np.array([1.0, 2.0, 3.0]))
+
+
+def test_solve_banded_consumes_its_arguments():
+    """gtsv works in place: the caller's diagonals hold the factorization
+    afterwards, and writing over them leaves the solution intact."""
+    lower, diag, upper, rhs, dense = _tridiagonal(127, 0)
+    args = lower.copy(), diag.copy(), upper.copy(), rhs.copy()
+    x = solve_banded(*args)
+    assert not np.array_equal(args[1], diag)
+    for arr in args[:3]:
+        arr[:] = np.nan
+    ref = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_scipy_loads_on_first_implicit_step():
+    """Importing the CLI leaves scipy unloaded; one implicit flow loads it."""
+    code = (
+        "import sys\n"
+        "import slopeflow.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from slopeflow.bundle_geometry import BundleParams\n"
+        "from slopeflow.flow_engine import FlowConfig, run_j_flow\n"
+        "cfg = FlowConfig(grid_size=64, dt_policy='implicit', dt=0.05, t_max=0.1)\n"
+        "run_j_flow(BundleParams(n=1, m=0, a=1, b=2), 'line', cfg=cfg)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slopeflow.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "True"]
