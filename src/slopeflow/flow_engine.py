@@ -2,7 +2,7 @@
 
 Both flows evolve a pinned momentum profile on a uniform grid in the
 conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
-`_integrate`, owns the time loop, checkpoints, convergence test, runtime
+`_integrate`, owns the time loop, checkpoints, residual stop, runtime
 monitors and backward-Euler step.  A small scheme per equation supplies the
 half-node flux c (the pointwise slope for the J flow, cot(theta) for the
 cotangent flow) and its node sensitivities, Q at the interior nodes,
@@ -12,7 +12,13 @@ and the reference profile with its plateau window.
 Explicit Euler steps under a CFL bound are the default.  The implicit step
 is backward Euler in delta form, (I - dt Q dc) delta = dt rate, with each
 half flux linearized and Q lagged: one tridiagonal solve by LAPACK gtsv,
-called directly; scipy is imported on the first such solve.  Implicit J
+called directly; scipy is imported on the first such solve.  Implicit runs
+are pseudo-transient continuation: the first step is the configured dt, and
+each later step is scaled by the fall of the steady residual since the last
+(switched evolution relaxation, Mulder & van Leer 1985), never below the
+first step nor above one checkpoint interval.  Both policies stop once the
+steady residual sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance,
+or at t_max.  Implicit J
 linearizes the plain chord flux, without the contact-flux blend of the
 explicit J flux: fed the blended flux, that step leaves semistable J flows
 unconverged at t = 100.  Monitors track monotonicity and comparison with the
@@ -58,9 +64,6 @@ __all__ = [
 J_MONITORS = ("admissible", "monotone", "comparison", "derivative", "energy")
 COT_MONITORS = ("admissible", "monotone", "comparison", "angle", "volume")
 
-#: a run has converged once sup |d psi/dt| stays below the tolerance for
-#: this many consecutive steps
-CONVERGENCE_STEPS = 100
 #: slack of the monotonicity and comparison monitors
 MONO_TOL = 1e-8
 COMP_TOL = 1e-8
@@ -72,7 +75,13 @@ COMPACT_MARGIN = 0.1
 
 @dataclass
 class FlowConfig:
-    """Discretization and stopping policy for a flow run."""
+    """Discretization and stopping policy for a flow run.
+
+    `dt` is the first implicit step and the smallest; later implicit steps
+    grow as the steady residual falls, up to the checkpoint interval
+    (default t_max / 200).  Explicit steps follow the CFL bound.  A run has
+    converged once its steady residual drops below `convergence_tol`.
+    """
 
     grid_size: int = 512
     dt_policy: str = "explicit"
@@ -90,7 +99,7 @@ class FlowConfig:
         if not (0.0 < self.cfl < 1.0):
             raise InputError("CFL factor must lie in (0, 1)")
         if self.dt_policy == "implicit" and (self.dt is None or self.dt <= 0):
-            raise InputError("implicit stepping needs a positive fixed dt")
+            raise InputError("implicit stepping needs a positive initial dt")
         for name, v in (("t_max", self.t_max), ("convergence_tol", self.convergence_tol)):
             if v <= 0:
                 raise InputError(f"{name} must be positive")
@@ -131,7 +140,13 @@ class MonitorReport:
 
 @dataclass
 class FlowTrace:
-    """Checkpointed history of a flow run plus terminal measurements."""
+    """Checkpointed history of a flow run plus terminal measurements.
+
+    `meta` carries the scheme's parameters, the grid step `h`, the monitors
+    run, the smallest and largest steps taken (`dt_min`, `dt_max`; 0 for a
+    run that took none) and `residual`, the steady residual sup |d psi/dt|
+    of the final profile.  J runs also carry `dt`, their first step.
+    """
 
     kind: str
     times: list[float]
@@ -213,12 +228,11 @@ def _gradient(psi: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _plateau(x: np.ndarray, values: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """Mean and total variation of a sampled function restricted to [lo, hi]."""
-    sel = (x >= lo) & (x <= hi)
-    if not np.any(sel):
+def _plateau(values: np.ndarray, window: slice) -> tuple[float, float]:
+    """Mean and total variation of a sampled function over a window of nodes."""
+    v = values[window]
+    if not v.size:
         return float("nan"), float("nan")
-    v = values[sel]
     return float(np.mean(v)), float(np.sum(np.abs(np.diff(v))))
 
 
@@ -307,6 +321,7 @@ class _JScheme:
             "params": {"n": n, "m": m, "a": a, "b": b, "d": float(params.d)},
             "verdict": cert.verdict,
             "lambda_ref": lam,
+            # the first step; only implicit steps grow after it
             "dt": cfg.dt if cfg.dt_policy == "implicit" else self.explicit_dt(None, cfg.cfl),
             "h": h,
         }
@@ -507,10 +522,11 @@ class _CotScheme:
         xp = self.x * pv
         return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
 
-    def decay_value(self, pv: np.ndarray) -> float:
+    def decay_value(self, prof: MomentProfile) -> float:
+        """The calibration volume of a checkpoint's profile."""
         from .energy_functionals import dhym_volume  # keeps it out of the CLI's import
 
-        return dhym_volume(MomentProfile(self.x.copy(), pv.copy(), self.boundary), *self.bpq).value
+        return dhym_volume(prof, *self.bpq).value
 
     def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
         theta = _angle_field(self.x, pv, _gradient(pv, self.h))[1]
@@ -523,35 +539,40 @@ class _CotScheme:
 def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     """Step a scheme from its initial profile until convergence or t_max.
 
-    Stops when sup |d psi/dt| stays below the tolerance for CONVERGENCE_STEPS
-    consecutive steps.  Checkpoints record the profile and the monitor
-    diagnostics; a profile that loses admissibility raises at once.
+    Stops once the steady residual sup |d psi/dt| at the current profile is
+    below the tolerance, or at t_max, which the last step never passes.
+    Checkpoints record the profile and the monitor diagnostics; a profile
+    that loses admissibility raises at once.
     """
     x, h, psi = scheme.x, scheme.h, scheme.psi
+    # the plateau window [lo, hi] as a slice of the sorted grid
     lo, hi = scheme.window
+    window = slice(int(np.searchsorted(x, lo)), int(np.searchsorted(x, hi, side="right")))
     # stable limits are smooth: no monotone approach, no barrier to compare with
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
     implicit = cfg.dt_policy == "implicit"
     dt = cfg.dt if implicit else None
     ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
-    t, steps, quiet, converged = 0.0, 0, 0, False
+    t, steps, converged = 0.0, 0, False
+    dt_min, dt_max, res_prev = math.inf, 0.0, None
     times, checkpoints, profiles = [], [], []
     run_max_rate, run_min_rate = -np.inf, np.inf
     decay_now, decay_violation = None, 0.0
 
-    def track_decay():
+    def track_decay(state):
         nonlocal decay_now, decay_violation
-        value = scheme.decay_value(psi)
+        value = scheme.decay_value(state)
         if decay_now is not None:
             decay_violation = max(decay_violation, value - decay_now)
         decay_now = value
 
     def checkpoint(rate: np.ndarray):
         nonlocal run_max_rate, run_min_rate
-        plateau, tv = _plateau(x, scheme.diagnostic(psi), lo, hi)
+        plateau, tv = _plateau(scheme.diagnostic(psi), window)
+        prof = MomentProfile(x.copy(), psi.copy(), scheme.boundary)
         if not scheme.decay_every_step:
-            track_decay()
+            track_decay(prof)
         fields = {"energy": None, **scheme.checkpoint_fields(psi, t), scheme.decay: decay_now}
         ck = Checkpoint(
             t=t,
@@ -565,67 +586,88 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         )
         times.append(t)
         checkpoints.append(ck)
-        profiles.append(MomentProfile(x.copy(), psi.copy(), scheme.boundary))
+        profiles.append(prof)
         run_max_rate, run_min_rate = -np.inf, np.inf
         if not ck.admissible:
             raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
 
     if scheme.decay_every_step:
-        track_decay()
+        track_decay(psi)
     c = scheme.flux(psi)
     checkpoint(scheme.Q(psi) * (c[1:] - c[:-1]) / h)
     next_ck = ck_interval
 
-    while t < cfg.t_max and not converged:
+    while True:
+        # the steady residual: sup |d psi/dt| at the current profile
+        if implicit:
+            c, right, left, mid = scheme.linear_flux(psi)
+        else:
+            c = scheme.flux(psi)
+        Qv = scheme.Q(psi)
+        rate = Qv * (c[1:] - c[:-1]) / h
+        res = float(np.max(np.abs(rate)))
+        if res < cfg.convergence_tol:
+            converged = True
+            if times[-1] < t:
+                checkpoint(rate)
+            break
+        if t >= cfg.t_max:
+            break
+        if implicit:
+            if res_prev is not None:
+                # switched evolution relaxation: dt grows as the residual falls
+                dt = max(cfg.dt, min(dt * res_prev / res, ck_interval))
+            res_prev = res
+        elif dt is None or (scheme.cfl_refresh and steps % scheme.cfl_refresh == 0):
+            dt = scheme.explicit_dt(psi, cfg.cfl)
+        last = t + dt >= cfg.t_max
+        step = cfg.t_max - t if last else dt
         if implicit:
             # (I - dt Q dc) delta = dt rate, each half flux linearized
-            c, right, left, mid = scheme.linear_flux(psi)
-            Qv = scheme.Q(psi)
-            rate = Qv * (c[1:] - c[:-1]) / h
-            dtQ = dt * Qv
-            delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], dt * rate)
-            rate = delta / dt
+            dtQ = step * Qv
+            delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate)
+            rate = delta / step
         else:
-            if dt is None or (scheme.cfl_refresh and steps % scheme.cfl_refresh == 0):
-                dt = scheme.explicit_dt(psi, cfg.cfl)
-            c = scheme.flux(psi)
-            rate = scheme.Q(psi) * (c[1:] - c[:-1]) / h
-            delta = dt * rate
+            delta = step * rate
         psi[1:-1] += delta
-        t += dt
+        t = cfg.t_max if last else t + step
         steps += 1
+        dt_min, dt_max = min(dt_min, step), max(dt_max, step)
         rmax, rmin = float(rate.max()), float(rate.min())
-        sup = max(rmax, -rmin)
-        if not math.isfinite(sup):
+        if not math.isfinite(max(rmax, -rmin)):
             raise TimeStepError(f"non-finite update at t={t:.6g}; time step too large")
         run_max_rate = max(run_max_rate, rmax)
         run_min_rate = min(run_min_rate, rmin)
         if not scheme.admissible(psi):
             raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
         if scheme.decay_every_step:
-            track_decay()
-        quiet = quiet + 1 if sup < cfg.convergence_tol else 0
-        converged = quiet >= CONVERGENCE_STEPS
-        if t >= next_ck or converged or t >= cfg.t_max:
+            track_decay(psi)
+        if t >= next_ck or last:
             checkpoint(rate)
             next_ck += ck_interval
 
-    terminal = MomentProfile(x.copy(), psi.copy(), scheme.boundary)
-    plateau, _ = _plateau(x, scheme.diagnostic(psi), lo, hi)
+    # every run ends on a checkpoint of its final profile
+    terminal = profiles[-1]
     trace = FlowTrace(
         kind=scheme.kind,
         times=times,
         checkpoints=checkpoints,
         profiles=profiles,
         terminal_profile=terminal,
-        terminal_constant=plateau,
+        terminal_constant=checkpoints[-1].plateau,
         reference_constant=scheme.reference_constant,
         reference_profile=MomentProfile(x.copy(), scheme.ref.copy(), scheme.ref_boundary),
-        sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[x >= lo]))),
+        sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[window.start :]))),
         lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,
         steps=steps,
-        meta={**scheme.meta, "monitors": monitors},
+        meta={
+            **scheme.meta,
+            "monitors": monitors,
+            "dt_min": dt_min if steps else 0.0,
+            "dt_max": dt_max,
+            "residual": res,
+        },
         **{f"{scheme.decay}_max_violation": decay_violation},
     )
     trace.monitor_report = monitor_suite(trace)
@@ -644,11 +686,10 @@ def run_j_flow(
                        - (m/x^2 + n/(1+x)^2) psi - n/(1+x)^2)
 
     with psi(0) = 0 and psi(a) = b; the diffusion coefficient vanishes at the
-    endpoint values, consistent with the pinning.  Stops when the sup of
-    |d psi/dt| stays below the tolerance for CONVERGENCE_STEPS steps, or at
-    t_max.  Returns the terminal profile, the plateau value of the
-    pointwise slope on the compact away from the puncture, and checkpointed
-    monitor diagnostics.
+    endpoint values, consistent with the pinning.  Stops once the steady
+    residual sup |d psi/dt| falls below the tolerance, or at t_max.  Returns
+    the terminal profile, the plateau value of the pointwise slope on the
+    compact away from the puncture, and checkpointed monitor diagnostics.
     """
     cfg = cfg or FlowConfig()
     return _integrate(_JScheme(params, init, bg, cfg), cfg)
@@ -668,9 +709,11 @@ def run_cotangent_flow(
                / (x psi' + psi)^2
 
     on [1, b] with psi(1) = q, psi(b) = p.  The prefactor is csc^2(theta)
-    over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum; the time
-    step adapts to the current diffusion coefficient.  Classifies the run by
-    the trichotomy in sign(q - c0) and measures the plateau of cot(theta).
+    over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum; the
+    explicit step adapts to the current diffusion coefficient.  Stops once
+    the steady residual falls below the tolerance, or at t_max.  Classifies
+    the run by the trichotomy in sign(q - c0) and measures the plateau of
+    cot(theta).
     """
     cfg = cfg or FlowConfig()
     return _integrate(_CotScheme(b, p, q, init, bg, cfg), cfg)

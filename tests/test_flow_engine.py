@@ -247,7 +247,9 @@ def _old_csv(trace, path):
 def test_trace_csv_matches_per_row_writer(tmp_path, flow):
     cfg = FlowConfig(grid_size=64, t_max=2.0, dt_policy="implicit", dt=0.05, checkpoint_interval=0.25)
     if flow == "j":
-        tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=2), "line", cfg=cfg)
+        # (1, 1, 2, 2) would not do: its straight line is an exact discrete
+        # steady state, so that run stops at t = 0 on one checkpoint
+        tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=1), "line", cfg=cfg)
     else:
         tr = run_cotangent_flow(2, 3, 1, "special", cfg=cfg)
     tr.to_csv(str(tmp_path / "new.csv"))
@@ -255,6 +257,31 @@ def test_trace_csv_matches_per_row_writer(tmp_path, flow):
     new = (tmp_path / "new.csv").read_bytes()
     assert len(tr.times) > 5 and new.count(b"\n") == 1 + 65 * len(tr.times)
     assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def test_flow_from_a_steady_state_takes_no_step():
+    """The straight line of (1, 1, 2, 2) is a discrete steady state: the run
+    converges at t = 0 and writes its one checkpoint once."""
+    cfg = FlowConfig(grid_size=128, dt_policy="implicit", dt=0.05)
+    tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=2), "line", cfg=cfg)
+    assert tr.steps == 0 and tr.converged
+    assert tr.times == [0.0] and len(tr.checkpoints) == len(tr.profiles) == 1
+    assert tr.meta["residual"] < cfg.convergence_tol and tr.meta["dt_max"] == 0.0
+
+
+@pytest.mark.parametrize("policy", ["explicit", "implicit"])
+def test_last_step_lands_on_t_max(unstable, policy):
+    """An unconverged run stops exactly at t_max, checkpointed once there,
+    and reports the steady residual of that final profile."""
+    cfg = FlowConfig(grid_size=64, t_max=0.33, dt_policy=policy, dt=0.05 if policy == "implicit" else None)
+    tr = run_j_flow(unstable, "line", cfg=cfg)
+    assert not tr.converged
+    assert tr.times[-1] == 0.33 and all(np.diff(tr.times) > 0)
+    assert tr.meta["residual"] >= cfg.convergence_tol
+    summary = tr.summary()
+    assert summary["t_final"] == 0.33
+    assert summary["meta"]["residual"] == tr.meta["residual"]
+    assert summary["meta"]["dt_max"] == tr.meta["dt_max"] > 0
 
 
 def _tridiagonal(n, seed):

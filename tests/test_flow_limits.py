@@ -1,10 +1,10 @@
 """Acceptance suite: both flows run to convergence and land on the limits
 their certificates predict.
 
-Every run is implicit (dt 0.05) on a 128-cell grid.  Plateau and sup error
-on the compact must sit within 2 h^2 of the certificate's constant; for
-semistable J pairs the puncture estimate must reach 0 within 2 h.  The
-unstable J flow stays out until its monotonicity defect is fixed.
+Every run is implicit (first step 0.05) on a 128-cell grid.  Plateau and
+sup error on the compact must sit within 2 h^2 of the certificate's
+constant; for semistable J pairs the puncture estimate must reach 0 within
+2 h.  The unstable J flow stays out until its monotonicity defect is fixed.
 """
 
 import math
@@ -63,3 +63,33 @@ def test_cotangent_flow_reaches_certified_limit(bpq, verdict):
     tr = run_cotangent_flow(*bpq, "special", cfg=CFG)
     assert tr.reference_constant == cert.slope
     _assert_limit(tr, (bpq[0] - 1) / GRID)
+
+
+#: a semistable J pair and an unstable cotangent pair, run from two first steps
+PSEUDO_TRANSIENT_CASES = [
+    ("j", (1, 0, 2, Fraction(2, 3))),
+    ("cotangent", (2, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("flow,args", PSEUDO_TRANSIENT_CASES)
+def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
+    """The step grows from cfg.dt with the falling residual, stays within one
+    checkpoint interval, and the limit does not depend on the first step."""
+    plateaus = []
+    for dt in (0.02, 0.05):
+        cfg = FlowConfig(grid_size=GRID, dt_policy="implicit", dt=dt)
+        if flow == "j":
+            params = BundleParams(*args)
+            tr = run_j_flow(params, "line", cfg=cfg)
+            h = float(params.a) / GRID
+        else:
+            tr = run_cotangent_flow(*args, "special", cfg=cfg)
+            h = (args[0] - 1) / GRID
+        _assert_limit(tr, h)
+        assert tr.meta["residual"] < cfg.convergence_tol
+        assert dt == tr.meta["dt_min"] < tr.meta["dt_max"] <= cfg.t_max / 200
+        assert all(b > a for a, b in zip(tr.times, tr.times[1:])) and tr.times[-1] <= cfg.t_max
+        assert tr.steps < 400
+        plateaus.append(tr.terminal_constant)
+    assert abs(plateaus[0] - plateaus[1]) <= 2 * h * h
