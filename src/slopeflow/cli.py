@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         f.add_argument("--grid", dest="grid_size", type=int, default=512)
         f.add_argument("--t-max", dest="t_max", type=float)
         f.add_argument("--dt-policy", dest="dt_policy", choices=("explicit", "implicit"))
-        f.add_argument("--dt", type=float, help="first implicit step; later steps grow as the steady residual falls")
+        f.add_argument("--dt", type=float, help="first implicit step; later steps grow as the steady residual falls, up to 0.5")
         f.add_argument("--cfl", type=float)
         f.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=float)
         f.add_argument("--out")

@@ -15,15 +15,15 @@ half flux linearized and Q lagged: one tridiagonal solve by LAPACK gtsv,
 called directly; scipy is imported on the first such solve.  Implicit runs
 are pseudo-transient continuation: the first step is the configured dt, and
 each later step is scaled by the fall of the steady residual since the last
-(switched evolution relaxation, Mulder & van Leer 1985), never below the
-first step nor above one checkpoint interval.  Both policies stop once the
-steady residual sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance,
-or at t_max.  Implicit J
-linearizes the plain chord flux, without the contact-flux blend of the
-explicit J flux: fed the blended flux, that step leaves semistable J flows
-unconverged at t = 100.  Monitors track monotonicity and comparison with the
-singular limit, energy or calibration-volume decay, admissibility and the
-angle range.
+(switched evolution relaxation, Mulder & van Leer 1985) and kept in
+[dt, max(dt, min(checkpoint interval, DT_CAP))], except that the last step
+may be shortened to land on t_max.  Both policies stop once the steady
+residual sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at
+t_max.  Implicit J linearizes the plain chord flux, without the
+contact-flux blend of the explicit J flux: fed the blended flux, that step
+leaves semistable J flows unconverged at t = 100.  Monitors track
+monotonicity and comparison with the singular limit, energy or
+calibration-volume decay, admissibility and the angle range.
 """
 
 from __future__ import annotations
@@ -71,16 +71,21 @@ COMP_TOL = 1e-8
 ENERGY_SLACK = 1e-10
 #: plateau and sup error are measured this far inside the puncture and ends
 COMPACT_MARGIN = 0.1
+#: the largest implicit step; without reject-and-halve, unstable J runs
+#: lose admissibility at caps of 1-2
+DT_CAP = 0.5
 
 
 @dataclass
 class FlowConfig:
     """Discretization and stopping policy for a flow run.
 
-    `dt` is the first implicit step and the smallest; later implicit steps
-    grow as the steady residual falls, up to the checkpoint interval
-    (default t_max / 200).  Explicit steps follow the CFL bound.  A run has
-    converged once its steady residual drops below `convergence_tol`.
+    `dt` is the first implicit step; later implicit steps grow as the
+    steady residual falls and lie in [dt, max(dt, min(checkpoint interval,
+    DT_CAP))], except that the last step may be shortened to land on t_max.
+    The checkpoint interval defaults to t_max / 200.  Explicit steps follow
+    the CFL bound.  A run has converged once its steady residual drops below
+    `convergence_tol`.
     """
 
     grid_size: int = 512
@@ -143,9 +148,9 @@ class FlowTrace:
     """Checkpointed history of a flow run plus terminal measurements.
 
     `meta` carries the scheme's parameters, the grid step `h`, the monitors
-    run, the smallest and largest steps taken (`dt_min`, `dt_max`; 0 for a
-    run that took none) and `residual`, the steady residual sup |d psi/dt|
-    of the final profile.  J runs also carry `dt`, their first step.
+    run, `dt`, the first step, `dt_max`, the largest step taken (0 for a run
+    that took none), and `residual`, the steady residual sup |d psi/dt| of
+    the final profile.
     """
 
     kind: str
@@ -273,8 +278,8 @@ class _JScheme:
 
     kind, monitors = "j", J_MONITORS
     admissibility_lost = "J-admissibility lost"
-    #: the decaying functional: its Checkpoint field, and how often it is measured
-    decay, decay_every_step = "energy", True
+    #: the decaying functional's Checkpoint field; it is measured every step
+    decay, checkpoint_decay = "energy", None
     cfl_refresh = 0  # the CFL bound is fixed
 
     def __init__(self, params: BundleParams, init, bg: BackgroundPotential | None, cfg: FlowConfig):
@@ -321,8 +326,6 @@ class _JScheme:
             "params": {"n": n, "m": m, "a": a, "b": b, "d": float(params.d)},
             "verdict": cert.verdict,
             "lambda_ref": lam,
-            # the first step; only implicit steps grow after it
-            "dt": cfg.dt if cfg.dt_policy == "implicit" else self.explicit_dt(None, cfg.cfl),
             "h": h,
         }
 
@@ -394,7 +397,8 @@ class _JScheme:
         """Nonnegative and nondecreasing up to the admissibility slack."""
         return bool(pv.min() >= -ADMISSIBILITY_TOL and (pv[1:] - pv[:-1]).min() >= -ADMISSIBILITY_TOL)
 
-    def decay_value(self, pv: np.ndarray) -> float:
+    def step_decay(self, pv: np.ndarray) -> float:
+        """The J energy of a profile."""
         s = self.diagnostic(pv)
         return float(np.dot(s * s, self.tw))
 
@@ -413,7 +417,8 @@ class _CotScheme:
 
     kind, monitors = "cotangent", COT_MONITORS
     admissibility_lost = "dHYM admissibility lost"
-    decay, decay_every_step = "volume", False
+    #: the decaying functional's Checkpoint field; it is measured per checkpoint
+    decay, step_decay = "volume", None
     cfl_refresh = 16  # steps between CFL refreshes; the bound drifts slowly
 
     def __init__(self, b, p, q, init, bg: BackgroundPotential | None, cfg: FlowConfig):
@@ -522,7 +527,7 @@ class _CotScheme:
         xp = self.x * pv
         return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
 
-    def decay_value(self, prof: MomentProfile) -> float:
+    def checkpoint_decay(self, prof: MomentProfile) -> float:
         """The calibration volume of a checkpoint's profile."""
         from .energy_functionals import dhym_volume  # keeps it out of the CLI's import
 
@@ -552,17 +557,18 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
     implicit = cfg.dt_policy == "implicit"
-    dt = cfg.dt if implicit else None
+    dt = cfg.dt if implicit else scheme.explicit_dt(psi, cfg.cfl)
+    dt_first = dt
     ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
+    dt_cap = min(ck_interval, DT_CAP)
     t, steps, converged = 0.0, 0, False
-    dt_min, dt_max, res_prev = math.inf, 0.0, None
+    dt_max, res_prev = 0.0, None
     times, checkpoints, profiles = [], [], []
     run_max_rate, run_min_rate = -np.inf, np.inf
     decay_now, decay_violation = None, 0.0
 
-    def track_decay(state):
+    def track_decay(value: float):
         nonlocal decay_now, decay_violation
-        value = scheme.decay_value(state)
         if decay_now is not None:
             decay_violation = max(decay_violation, value - decay_now)
         decay_now = value
@@ -571,8 +577,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         nonlocal run_max_rate, run_min_rate
         plateau, tv = _plateau(scheme.diagnostic(psi), window)
         prof = MomentProfile(x.copy(), psi.copy(), scheme.boundary)
-        if not scheme.decay_every_step:
-            track_decay(prof)
+        if scheme.checkpoint_decay:
+            track_decay(scheme.checkpoint_decay(prof))
         fields = {"energy": None, **scheme.checkpoint_fields(psi, t), scheme.decay: decay_now}
         ck = Checkpoint(
             t=t,
@@ -591,8 +597,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         if not ck.admissible:
             raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
 
-    if scheme.decay_every_step:
-        track_decay(psi)
+    if scheme.step_decay:
+        track_decay(scheme.step_decay(psi))
     c = scheme.flux(psi)
     checkpoint(scheme.Q(psi) * (c[1:] - c[:-1]) / h)
     next_ck = ck_interval
@@ -616,9 +622,9 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         if implicit:
             if res_prev is not None:
                 # switched evolution relaxation: dt grows as the residual falls
-                dt = max(cfg.dt, min(dt * res_prev / res, ck_interval))
+                dt = max(cfg.dt, min(dt * res_prev / res, dt_cap))
             res_prev = res
-        elif dt is None or (scheme.cfl_refresh and steps % scheme.cfl_refresh == 0):
+        elif scheme.cfl_refresh and steps and steps % scheme.cfl_refresh == 0:
             dt = scheme.explicit_dt(psi, cfg.cfl)
         last = t + dt >= cfg.t_max
         step = cfg.t_max - t if last else dt
@@ -632,7 +638,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         psi[1:-1] += delta
         t = cfg.t_max if last else t + step
         steps += 1
-        dt_min, dt_max = min(dt_min, step), max(dt_max, step)
+        dt_max = max(dt_max, step)
         rmax, rmin = float(rate.max()), float(rate.min())
         if not math.isfinite(max(rmax, -rmin)):
             raise TimeStepError(f"non-finite update at t={t:.6g}; time step too large")
@@ -640,8 +646,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         run_min_rate = min(run_min_rate, rmin)
         if not scheme.admissible(psi):
             raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
-        if scheme.decay_every_step:
-            track_decay(psi)
+        if scheme.step_decay:
+            track_decay(scheme.step_decay(psi))
         if t >= next_ck or last:
             checkpoint(rate)
             next_ck += ck_interval
@@ -664,7 +670,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         meta={
             **scheme.meta,
             "monitors": monitors,
-            "dt_min": dt_min if steps else 0.0,
+            "dt": dt_first,
             "dt_max": dt_max,
             "residual": res,
         },

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
-from slopeflow.flow_engine import FlowConfig, run_cotangent_flow, run_j_flow
+from slopeflow.flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_flow
 from slopeflow.surface_slopes import SEMISTABLE, STABLE, UNSTABLE, one_point_blowup_certificate
 
 GRID = 128
@@ -72,6 +72,15 @@ PSEUDO_TRANSIENT_CASES = [
 ]
 
 
+def _run(flow, args, cfg):
+    """Run a J pair from its straight line or a cotangent triple from its
+    special profile; return the trace and the grid step."""
+    if flow == "j":
+        params = BundleParams(*args)
+        return run_j_flow(params, "line", cfg=cfg), float(params.a) / cfg.grid_size
+    return run_cotangent_flow(*args, "special", cfg=cfg), (args[0] - 1) / cfg.grid_size
+
+
 @pytest.mark.parametrize("flow,args", PSEUDO_TRANSIENT_CASES)
 def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
     """The step grows from cfg.dt with the falling residual, stays within one
@@ -79,17 +88,24 @@ def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
     plateaus = []
     for dt in (0.02, 0.05):
         cfg = FlowConfig(grid_size=GRID, dt_policy="implicit", dt=dt)
-        if flow == "j":
-            params = BundleParams(*args)
-            tr = run_j_flow(params, "line", cfg=cfg)
-            h = float(params.a) / GRID
-        else:
-            tr = run_cotangent_flow(*args, "special", cfg=cfg)
-            h = (args[0] - 1) / GRID
+        tr, h = _run(flow, args, cfg)
         _assert_limit(tr, h)
         assert tr.meta["residual"] < cfg.convergence_tol
-        assert dt == tr.meta["dt_min"] < tr.meta["dt_max"] <= cfg.t_max / 200
+        assert tr.meta["dt"] == dt < tr.meta["dt_max"] <= cfg.t_max / 200
         assert all(b > a for a, b in zip(tr.times, tr.times[1:])) and tr.times[-1] <= cfg.t_max
         assert tr.steps < 400
         plateaus.append(tr.terminal_constant)
     assert abs(plateaus[0] - plateaus[1]) <= 2 * h * h
+
+
+@pytest.mark.parametrize("output", [{"t_max": 400.0}, {"checkpoint_interval": 2.0}])
+@pytest.mark.parametrize("flow,args", PSEUDO_TRANSIENT_CASES + [("j", (1, 0, 4, 1))])
+def test_step_cap_ignores_output_settings(flow, args, output):
+    """A later t_max or sparser checkpoints leave the largest step at DT_CAP:
+    at a cap of 2 the unstable J pair (1, 0, 4, 1) loses admissibility."""
+    cfg = FlowConfig(grid_size=GRID, dt_policy="implicit", dt=0.05, **output)
+    tr, h = _run(flow, args, cfg)
+    assert tr.meta["dt_max"] == DT_CAP == 0.5
+    assert all(ck.admissible for ck in tr.checkpoints) and tr.times[-1] <= cfg.t_max
+    if args != (1, 0, 4, 1):  # the unstable J flow's known defect fails its monitors
+        _assert_limit(tr, h)
