@@ -64,7 +64,7 @@ class MomentProfile:
             raise InputError("grid and values must be 1-d arrays of equal length")
         if self.grid.size < 3:
             raise InputError("need at least three sample points")
-        if not np.all(np.diff(self.grid) > 0):
+        if not (self.grid[1:] > self.grid[:-1]).all():
             raise InputError("grid must be strictly increasing")
         lo, hi = self.boundary
         if abs(self.values[0] - lo) > 1e-9 or abs(self.values[-1] - hi) > 1e-9:

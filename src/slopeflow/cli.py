@@ -166,7 +166,7 @@ def _cmd_energy(ns) -> int:
         rows = []
         for k in range(ns.k_min, ns.k + 1, ns.k_step):
             _, e = minimizing_profile(params, k)
-            rows.append({"k": k, "energy": e, "rel_error": abs(e - ref) / ref})
+            rows.append({"k": k, "energy": e, "rel_error": abs(e - ref) / ref, "signed_error": (e - ref) / ref})
         _emit(
             {"schema": 1, "reference": ref, "sequence": rows},
             os.path.join(out, "minimizing_seq.json") if out else None,

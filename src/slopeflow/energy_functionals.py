@@ -419,6 +419,26 @@ _GAUSS_WEIGHTS = np.array(
 )
 
 
+def _volume_geometry(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid-only half of `dhym_volume`'s cellwise Gauss rule: the nodes,
+    their offsets from each cell's left end, half-width times weight, and the
+    cell widths.  A flow builds it once per solve."""
+    x0 = grid[:-1]
+    dx = grid[1:] - x0
+    half = 0.5 * dx
+    nodes = x0[:, None] + half[:, None] * (1.0 + _GAUSS_NODES[None, :])
+    return nodes, nodes - x0[:, None], half[:, None] * _GAUSS_WEIGHTS[None, :], dx
+
+
+def _volume_value(values: np.ndarray, geometry) -> float:
+    """The calibration volume of node values on a `_volume_geometry`, unchecked."""
+    nodes, offsets, weights, dx = geometry
+    s = ((values[1:] - values[:-1]) / dx)[:, None]
+    psi = values[:-1, None] + s * offsets
+    f = np.sqrt((nodes * s + psi) ** 2 + (psi * s - nodes) ** 2)
+    return 2.0 * float((weights * f).sum())
+
+
 def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
     """Calibration volume 2 int sqrt((x psi' + psi)^2 + (psi psi' - x)^2) dx.
 
@@ -431,15 +451,7 @@ def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
     """
     require_admissible_dhym(profile)
     b, p, q = float(b), float(p), float(q)
-    x0 = profile.grid[:-1]
-    x1 = profile.grid[1:]
-    v0 = profile.values[:-1]
-    s = np.diff(profile.values) / np.diff(profile.grid)
-    half = 0.5 * (x1 - x0)
-    nodes = x0[:, None] + half[:, None] * (1.0 + _GAUSS_NODES[None, :])
-    psi = v0[:, None] + s[:, None] * (nodes - x0[:, None])
-    f = np.sqrt((nodes * s[:, None] + psi) ** 2 + (psi * s[:, None] - nodes) ** 2)
-    value = 2.0 * float(np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * f))
+    value = _volume_value(profile.values, _volume_geometry(profile.grid))
     c0 = steady_cot_slope(b, p, q)
     reference = 2.0 * math.sqrt(1.0 + c0 * c0) * (b * p - q)
     return EnergyReport(

@@ -24,6 +24,22 @@ contact-flux blend of the explicit J flux: fed the blended flux, that step
 leaves semistable J flows unconverged at t = 100.  Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, admissibility and the angle range.
+
+A checkpoint is one pass over the current profile, and each item it
+records is computed once there:
+- a copy of the profile;
+- the sampled rate's sup and, since the last checkpoint, its max and min,
+  all from the extrema of each rate;
+- the plateau (mean) and total variation of the diagnostic field over the
+  compact window; the J slope field is the one the step's energy just
+  evaluated, and the cotangent field comes with theta from one angle
+  evaluation;
+- the distance to the reference profile, and the forward-difference and
+  derivative bounds (J) or the angle range (cotangent);
+- the decaying functional: the J energy of the step, or the calibration
+  volume, from `dhym_volume`'s quadrature on a geometry built once per solve;
+- admissibility, which the constructor checks for the initial profile and
+  the step loop for every later one.
 """
 
 from __future__ import annotations
@@ -42,6 +58,8 @@ from .calabi_profiles import (
     _angle_field,
     _slope_field,
     background_potential,
+    require_admissible_dhym,
+    require_admissible_j,
     sample_steady_profile_dhym,
     singular_limit_profile_j,
     special_cotangent_profile,
@@ -171,6 +189,7 @@ class FlowTrace:
     meta: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
+        """The run record; `stop_reason` is "converged" or "t_max"."""
         return {
             "schema": 1,
             "kind": self.kind,
@@ -179,6 +198,7 @@ class FlowTrace:
             "sup_error_on_compact": self.sup_error_on_compact,
             "lambda_estimate": self.lambda_estimate,
             "converged": self.converged,
+            "stop_reason": "converged" if self.converged else "t_max",
             "steps": self.steps,
             "t_final": self.times[-1] if self.times else 0.0,
             "monitor_report": None if self.monitor_report is None else self.monitor_report.to_dict(),
@@ -238,7 +258,7 @@ def _plateau(values: np.ndarray, window: slice) -> tuple[float, float]:
     v = values[window]
     if not v.size:
         return float("nan"), float("nan")
-    return float(np.mean(v)), float(np.sum(np.abs(np.diff(v))))
+    return float(v.sum() / v.size), float(np.abs(v[1:] - v[:-1]).sum())
 
 
 def _lambda_estimate(prof: MomentProfile, threshold: float = 1e-4) -> float:
@@ -298,6 +318,7 @@ class _JScheme:
             raise InputError("initial profile must live on [0, a]")
         if abs(init.boundary[0]) > 1e-12 or abs(init.boundary[1] - b) > 1e-9:
             raise InputError("initial profile must have boundary values (0, b)")
+        require_admissible_j(init)
 
         cert = min_slope_certificate(params)
         lam = cert.lam if cert.lam is not None else 0.0
@@ -390,24 +411,24 @@ class _JScheme:
             x0 = max(x_r - u, 0.0)
         return n / (1.0 + x0)
 
-    def diagnostic(self, pv: np.ndarray) -> np.ndarray:
-        return _slope_field(self.x, pv, _gradient(pv, self.h), self.n, self.m)
-
     def admissible(self, pv: np.ndarray) -> bool:
         """Nonnegative and nondecreasing up to the admissibility slack."""
         return bool(pv.min() >= -ADMISSIBILITY_TOL and (pv[1:] - pv[:-1]).min() >= -ADMISSIBILITY_TOL)
 
-    def step_decay(self, pv: np.ndarray) -> float:
-        """The J energy of a profile."""
-        s = self.diagnostic(pv)
-        return float(np.dot(s * s, self.tw))
+    def step_decay(self, pv: np.ndarray) -> tuple[float, np.ndarray]:
+        """The J energy of a profile, and the slope field it integrates."""
+        s = _slope_field(self.x, pv, _gradient(pv, self.h), self.n, self.m)
+        return float(np.dot(s * s, self.tw)), s
 
-    def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
-        diffs = np.diff(pv)
-        return {
-            "comparison_gap": float(np.min(pv - self.ref)),
-            "min_forward_diff": float(np.min(diffs)),
-            "max_derivative": float(np.max(np.abs(diffs)) / self.h),
+    def checkpoint_fields(self, pv: np.ndarray, t: float, sigma: np.ndarray):
+        """The slope field, which `step_decay` has just evaluated on this
+        profile, and the J-only Checkpoint fields."""
+        diffs = pv[1:] - pv[:-1]
+        dmin, dmax = diffs.min(), diffs.max()
+        return sigma, {
+            "comparison_gap": float((pv - self.ref).min()),
+            "min_forward_diff": float(dmin),
+            "max_derivative": float(max(dmax, -dmin) / self.h),
         }
 
 
@@ -442,12 +463,12 @@ class _CotScheme:
             raise InputError("initial profile must live on [1, b]")
         if abs(init.boundary[0] - q) > 1e-9 or abs(init.boundary[1] - p) > 1e-9:
             raise InputError(f"initial profile must have boundary values ({q}, {p})")
+        require_admissible_dhym(init)
 
         self.reference_constant = cert.slope
         self.x = x = init.grid.copy()
         self.psi = init.values.copy()
         self.h = _uniform_spacing(x)
-        self.bpq = (b, p, q)
         self.Qx = bg.Q(x[1:-1])
         self.boundary = (q, p)
         self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
@@ -456,6 +477,9 @@ class _CotScheme:
         self.window = (1.0 + COMPACT_MARGIN, b - COMPACT_MARGIN)
         self.xh = 0.5 * (x[1:] + x[:-1])
         self.xh2 = self.xh**2
+        from .energy_functionals import _volume_geometry  # keeps it out of the CLI's import
+
+        self.volume_geometry = _volume_geometry(x)
         self.meta = {"bpq": [b, p, q], "verdict": cert.verdict, "c0": cert.topological_slope, "h": self.h}
 
     def Q(self, pv: np.ndarray) -> np.ndarray:
@@ -519,26 +543,26 @@ class _CotScheme:
         c, dc_ddelta, dc_dmean = self.half_flux(pv)
         return (c, *_node_sensitivities(dc_ddelta, dc_dmean, self.h))
 
-    def diagnostic(self, pv: np.ndarray) -> np.ndarray:
-        return _angle_field(self.x, pv, _gradient(pv, self.h))[0]
-
     def admissible(self, pv: np.ndarray) -> bool:
         """x psi' + psi > 0, checked as monotonicity of x psi."""
         xp = self.x * pv
         return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
 
     def checkpoint_decay(self, prof: MomentProfile) -> float:
-        """The calibration volume of a checkpoint's profile."""
-        from .energy_functionals import dhym_volume  # keeps it out of the CLI's import
+        """The calibration volume of a checkpoint's profile: `dhym_volume`'s
+        value, on the quadrature geometry built once per solve."""
+        from .energy_functionals import _volume_value
 
-        return dhym_volume(prof, *self.bpq).value
+        return _volume_value(prof.values, self.volume_geometry)
 
-    def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
-        theta = _angle_field(self.x, pv, _gradient(pv, self.h))[1]
-        tmin, tmax = float(np.min(theta)), float(np.max(theta))
+    def checkpoint_fields(self, pv: np.ndarray, t: float, sigma=None):
+        """cot(theta) and the cotangent-only Checkpoint fields, from one
+        angle evaluation."""
+        cot, theta = _angle_field(self.x, pv, _gradient(pv, self.h))
+        tmin, tmax = float(theta.min()), float(theta.max())
         if tmin <= 0 or tmax >= math.pi:
             raise MonitorViolationError(f"angle left (0, pi) at t={t:.6g}")
-        return {"comparison_gap": float(np.min(self.ref - pv)), "theta_min": tmin, "theta_max": tmax}
+        return cot, {"comparison_gap": float((self.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
 
 
 def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
@@ -573,34 +597,40 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             decay_violation = max(decay_violation, value - decay_now)
         decay_now = value
 
-    def checkpoint(rate: np.ndarray):
+    def measure_step():
+        """Track the per-step decay of psi; returns the field it evaluated."""
+        if scheme.step_decay:
+            value, field = scheme.step_decay(psi)
+            track_decay(value)
+            return field
+
+    def checkpoint(rate: np.ndarray, field):
         nonlocal run_max_rate, run_min_rate
-        plateau, tv = _plateau(scheme.diagnostic(psi), window)
         prof = MomentProfile(x.copy(), psi.copy(), scheme.boundary)
         if scheme.checkpoint_decay:
             track_decay(scheme.checkpoint_decay(prof))
-        fields = {"energy": None, **scheme.checkpoint_fields(psi, t), scheme.decay: decay_now}
+        field, fields = scheme.checkpoint_fields(psi, t, field)
+        plateau, tv = _plateau(field, window)
+        rmax, rmin = rate.max(), rate.min()
         ck = Checkpoint(
             t=t,
-            sup_rate=float(np.max(np.abs(rate))),
-            max_rate=float(max(run_max_rate, np.max(rate))),
-            min_rate=float(min(run_min_rate, np.min(rate))),
-            admissible=scheme.admissible(psi),
+            sup_rate=float(max(rmax, -rmin)),
+            max_rate=float(max(run_max_rate, rmax)),
+            min_rate=float(min(run_min_rate, rmin)),
+            # the constructor checked the initial profile, the step loop every later one
+            admissible=True,
             plateau=plateau,
             slope_total_variation=tv,
-            **fields,
+            **{"energy": None, **fields, scheme.decay: decay_now},
         )
         times.append(t)
         checkpoints.append(ck)
         profiles.append(prof)
         run_max_rate, run_min_rate = -np.inf, np.inf
-        if not ck.admissible:
-            raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
 
-    if scheme.step_decay:
-        track_decay(scheme.step_decay(psi))
+    field = measure_step()
     c = scheme.flux(psi)
-    checkpoint(scheme.Q(psi) * (c[1:] - c[:-1]) / h)
+    checkpoint(scheme.Q(psi) * (c[1:] - c[:-1]) / h, field)
     next_ck = ck_interval
 
     while True:
@@ -611,11 +641,11 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             c = scheme.flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
-        res = float(np.max(np.abs(rate)))
+        res = float(np.abs(rate).max())
         if res < cfg.convergence_tol:
             converged = True
             if times[-1] < t:
-                checkpoint(rate)
+                checkpoint(rate, field)
             break
         if t >= cfg.t_max:
             break
@@ -646,10 +676,9 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         run_min_rate = min(run_min_rate, rmin)
         if not scheme.admissible(psi):
             raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
-        if scheme.step_decay:
-            track_decay(scheme.step_decay(psi))
+        field = measure_step()
         if t >= next_ck or last:
-            checkpoint(rate)
+            checkpoint(rate, field)
             next_ck += ck_interval
 
     # every run ends on a checkpoint of its final profile

@@ -3,16 +3,41 @@
 import csv
 import json
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from slopeflow.bundle_geometry import BundleParams
+from slopeflow.calabi_profiles import special_cotangent_profile
 from slopeflow.cli import main
+from slopeflow.energy_functionals import (
+    dhym_volume,
+    dhym_volume_split,
+    energy_infimum,
+    futaki_invariant,
+    l2_slope_deviation,
+    minimizing_profile,
+    pl_limit_hamiltonian,
+)
 from slopeflow.errors import MonitorViolationError
 from slopeflow.flow_engine import COMPACT_MARGIN
-from slopeflow.surface_slopes import UNSTABLE
+from slopeflow.surface_lattice import DivisorClass, load_surface_model
+from slopeflow.surface_slopes import UNSTABLE, j_slope_certificate
 
 FLOW_ARGS = ["--grid", "64", "--dt-policy", "implicit", "--dt", "0.05"]
+
+
+@pytest.fixture
+def blowup(tmp_path):
+    """The plane blown up in one point, basis (H, -E), as a surface config file."""
+    path = tmp_path / "blowup.ini"
+    path.write_text("[surface]\nbasis = H, -E\nform = 1, 0; 0, -1\ncurves = 0, -1; 1, 1; 1, 0\nkahler = 3, 1\n")
+    return str(path)
+
+
+def _as_json(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
 
 
 def _run(capsys, argv):
@@ -101,15 +126,53 @@ def test_energy_infimum_exits_0(capsys):
     assert rep["value"] == pytest.approx(rep["interior"] + rep["bubble"], rel=1e-12)
 
 
-def test_slope_dhym_exits_0(capsys, tmp_path):
-    surface = tmp_path / "blowup.ini"
-    surface.write_text("[surface]\nbasis = H, -E\nform = 1, 0; 0, -1\ncurves = 0, -1; 1, 1; 1, 0\nkahler = 3, 1\n")
-    code, out = _run(capsys, ["slope", "dhym", "--surface", str(surface), "--alpha", "3,-1/2", "--beta", "2,1"])
+def test_slope_dhym_exits_0(capsys, blowup):
+    code, out = _run(capsys, ["slope", "dhym", "--surface", blowup, "--alpha", "3,-1/2", "--beta", "2,1"])
     assert code == 0
     cert = json.loads(out)
     # the unstable blow-up pair (b, p) = (2, 3) has slope bp - sqrt((p^2+1)(b^2-1))
     assert cert["verdict"] == UNSTABLE
     assert cert["slope"] == pytest.approx(6 - math.sqrt(30), abs=1e-15)
+
+
+def test_slope_j_matches_library(capsys, blowup):
+    code, out = _run(capsys, ["slope", "j", "--surface", blowup, "--alpha", "2,3/10", "--beta", "3,1"])
+    assert code == 0
+    cert = j_slope_certificate(DivisorClass.parse("2,3/10"), DivisorClass.parse("3,1"), load_surface_model(blowup))
+    assert cert.verdict == UNSTABLE
+    assert json.loads(out) == _as_json(cert.to_dict())
+
+
+def test_energy_futaki_matches_library(capsys):
+    code, out = _run(capsys, ["energy", "futaki", "--params", "0,1,4,1", "--breakpoints", "16"])
+    assert code == 0
+    params = BundleParams(n=1, m=0, a=4, b=1)
+    rep = futaki_invariant(pl_limit_hamiltonian(params, 16), params).to_dict()
+    rep["l2_slope_deviation"] = l2_slope_deviation(params)
+    assert json.loads(out) == _as_json(rep)
+
+
+def test_energy_minimizing_seq_matches_library(capsys):
+    code, out = _run(capsys, ["energy", "minimizing-seq", "--params", "0,1,4,1", "--k-min", "4", "--k", "8"])
+    assert code == 0
+    rep = json.loads(out)
+    params = BundleParams(n=1, m=0, a=4, b=1)
+    ref = energy_infimum(params).value
+    assert rep["reference"] == ref
+    assert [row["k"] for row in rep["sequence"]] == [4, 8]
+    for row in rep["sequence"]:
+        assert row["energy"] == minimizing_profile(params, row["k"])[1]
+        assert abs(row["signed_error"]) == row["rel_error"]
+        assert math.copysign(1.0, row["signed_error"]) == math.copysign(1.0, row["energy"] - ref)
+
+
+def test_energy_dhym_volume_matches_library(capsys):
+    code, out = _run(capsys, ["energy", "dhym-volume", "--bpq", "2,3,0", "--profile", "special", "--grid", "128"])
+    assert code == 0
+    b, p, q = F(2), F(3), F(0)
+    rep = dhym_volume(special_cotangent_profile(b, p, q, 129), b, p, q).to_dict()
+    rep["split"] = dhym_volume_split(b, p, q).to_dict()
+    assert json.loads(out) == _as_json(rep)
 
 
 def test_verify_identities_exits_0(capsys):

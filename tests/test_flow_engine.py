@@ -25,10 +25,13 @@ from slopeflow.calabi_profiles import (
     special_cotangent_profile,
     straight_line_profile,
 )
-from slopeflow.errors import InputError, TimeStepError
+from slopeflow.energy_functionals import dhym_volume
+from slopeflow.errors import AdmissibilityError, InputError, TimeStepError
 from slopeflow.flow_engine import (
+    COMPACT_MARGIN,
     FlowConfig,
     _gradient,
+    _plateau,
     monitor_suite,
     run_cotangent_flow,
     run_j_flow,
@@ -211,6 +214,48 @@ def test_input_validation_cotangent():
         run_cotangent_flow(2, 3, 0, prof)  # boundary mismatch
 
 
+@pytest.mark.parametrize("flow", ["j", "cotangent"])
+def test_inadmissible_initial_profile_is_an_input_error(unstable, flow):
+    """An initial profile that breaks admissibility is bad input: it raises
+    AdmissibilityError, not a monitor violation at t = 0."""
+    init = straight_line_profile(unstable, 65) if flow == "j" else special_cotangent_profile(2, 3, 0, 65)
+    x, vals = init.grid, init.values.copy()
+    vals[20] = vals[19] * x[19] / x[20] - 0.01  # psi and x psi both fall across one cell
+    bad = MomentProfile(x, vals, init.boundary)
+    cfg = FlowConfig(grid_size=64, dt_policy="implicit", dt=0.05, t_max=1.0)
+    with pytest.raises(AdmissibilityError):
+        if flow == "j":
+            run_j_flow(unstable, bad, cfg=cfg)
+        else:
+            run_cotangent_flow(2, 3, 0, bad, cfg=cfg)
+
+
+def test_checkpoint_volume_is_dhym_volume():
+    """Each checkpoint's volume is `dhym_volume` of its profile, bit for bit."""
+    cfg = FlowConfig(grid_size=128, dt_policy="implicit", dt=0.05, t_max=5.0)
+    tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    assert len(tr.checkpoints) > 5
+    for ck, prof in zip(tr.checkpoints, tr.profiles):
+        assert ck.volume == dhym_volume(prof, 2, 3, 0).value
+
+
+def test_checkpoint_plateau_is_the_slope_field_plateau():
+    """Each J checkpoint's plateau and total variation are those of the slope
+    field of its profile over the compact window."""
+    params = BundleParams(n=1, m=1, a=2, b=1)
+    cfg = FlowConfig(grid_size=64, dt_policy="implicit", dt=0.05, t_max=2.0, checkpoint_interval=0.25)
+    tr = run_j_flow(params, "line", cfg=cfg)
+    assert len(tr.checkpoints) > 5
+    h = tr.meta["h"]
+    for ck, prof in zip(tr.checkpoints, tr.profiles):
+        x, psi = prof.grid, prof.values
+        lo = np.searchsorted(x, tr.meta["lambda_ref"] + COMPACT_MARGIN)
+        window = slice(int(lo), int(np.searchsorted(x, 2 - COMPACT_MARGIN, side="right")))
+        plateau, tv = _plateau(_slope_field(x, psi, _gradient(psi, h), 1, 1), window)
+        assert ck.plateau == pytest.approx(plateau, abs=1e-12)
+        assert ck.slope_total_variation == pytest.approx(tv, abs=1e-12)
+
+
 def test_trace_csv_and_summary(tmp_path, unstable):
     cfg = FlowConfig(grid_size=64, t_max=0.5, checkpoint_interval=0.25)
     tr = run_j_flow(unstable, "line", cfg=cfg)
@@ -267,6 +312,7 @@ def test_flow_from_a_steady_state_takes_no_step():
     assert tr.steps == 0 and tr.converged
     assert tr.times == [0.0] and len(tr.checkpoints) == len(tr.profiles) == 1
     assert tr.meta["residual"] < cfg.convergence_tol and tr.meta["dt_max"] == 0.0
+    assert tr.summary()["stop_reason"] == "converged"
 
 
 @pytest.mark.parametrize("policy", ["explicit", "implicit"])
@@ -280,6 +326,7 @@ def test_last_step_lands_on_t_max(unstable, policy):
     assert tr.meta["residual"] >= cfg.convergence_tol
     summary = tr.summary()
     assert summary["t_final"] == 0.33
+    assert summary["stop_reason"] == "t_max"
     assert summary["meta"]["residual"] == tr.meta["residual"]
     assert summary["meta"]["dt_max"] == tr.meta["dt_max"] > 0
 
