@@ -8,9 +8,9 @@ Subcommands
     verify identities         exact intersection-theory identity sweeps
     run                       drive any of the above from an experiment config
 
-Exit codes: 0 success, 1 input error, 2 solver or monitor failure.  All
-floating output is printed with 15 significant digits; JSON artifacts are
-deterministic for a fixed configuration.
+Exit codes: 0 success, 1 input error (a usage error included), 2 solver or
+monitor failure.  Floats are printed in Python's shortest round-trip form;
+JSON artifacts are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -47,15 +47,8 @@ from .surface_slopes import (
 __all__ = ["ExperimentConfig", "run", "build_parser", "main"]
 
 
-def _fmt(x):
-    """15-significant-digit rendering for console output."""
-    if isinstance(x, float):
-        return format(x, ".15g")
-    return x
-
-
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_fmt)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -87,7 +80,7 @@ class ExperimentConfig:
 
 
 def _flow_config(ns) -> FlowConfig:
-    flags = ("grid_size", "t_max", "dt_policy", "dt", "cfl", "checkpoint_interval")
+    flags = ("grid_size", "t_max", "dt", "checkpoint_interval")
     return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None)})
 
 
@@ -244,8 +237,16 @@ def run(config: ExperimentConfig) -> int:
     return main(argv)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError (exit 1), not
+    SystemExit(2), which would read as a solver failure."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="slopeflow", description=__doc__)
+    ap = _Parser(prog="slopeflow", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sl = sub.add_parser("slope", help="surface slope certificates")
@@ -276,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in (fj, fc):
         f.add_argument("--grid", dest="grid_size", type=int, default=512)
         f.add_argument("--t-max", dest="t_max", type=float)
-        f.add_argument("--dt-policy", dest="dt_policy", choices=("explicit", "implicit"))
-        f.add_argument("--dt", type=float, help="first implicit step; later steps grow as the steady residual falls, up to 0.5")
-        f.add_argument("--cfl", type=float)
+        f.add_argument("--dt", type=float, help="first backward-Euler step (default 0.05); later steps grow up to 0.5")
         f.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=float)
         f.add_argument("--out")
         f.set_defaults(func=_cmd_flow)

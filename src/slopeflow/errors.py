@@ -22,7 +22,7 @@ class ModelInconsistencyError(RuntimeError):
 
 
 class TimeStepError(RuntimeError):
-    """Time-step policy violated (CFL failure or non-finite update)."""
+    """A time step failed: a singular implicit system or a non-finite update."""
 
 
 class MonitorViolationError(RuntimeError):

@@ -5,23 +5,20 @@ conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
 `_integrate`, owns the time loop, checkpoints, residual stop, runtime
 monitors and backward-Euler step.  A small scheme per equation supplies the
 half-node flux c (the pointwise slope for the J flow, cot(theta) for the
-cotangent flow) and its node sensitivities, Q at the interior nodes,
-the explicit CFL step, the admissibility predicate, the checkpoint fields,
-and the reference profile with its plateau window.
+cotangent flow) with its node sensitivities, Q at the interior nodes, the
+admissibility predicate, the checkpoint fields, and the reference profile
+with its plateau window.
 
-Explicit Euler steps under a CFL bound are the default.  The implicit step
-is backward Euler in delta form, (I - dt Q dc) delta = dt rate, with each
-half flux linearized and Q lagged: one tridiagonal solve by LAPACK gtsv,
-called directly; scipy is imported on the first such solve.  Implicit runs
-are pseudo-transient continuation: the first step is the configured dt, and
-each later step is scaled by the fall of the steady residual since the last
+Every step is backward Euler in delta form, (I - dt Q dc) delta = dt rate,
+with each half flux linearized and Q lagged: one tridiagonal solve by LAPACK
+gtsv, called directly; scipy is imported on the first such solve.  A run is
+pseudo-transient continuation: the first step is the configured dt, and each
+later step is scaled by the fall of the steady residual since the last
 (switched evolution relaxation, Mulder & van Leer 1985) and kept in
 [dt, max(dt, min(checkpoint interval, DT_CAP))], except that the last step
-may be shortened to land on t_max.  Both policies stop once the steady
-residual sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at
-t_max.  Implicit J linearizes the plain chord flux, without the
-contact-flux blend of the explicit J flux: fed the blended flux, that step
-leaves semistable J flows unconverged at t = 100.  Monitors track
+may be shortened to land on t_max.  A run stops once the steady residual
+sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
+The J flux is the plain chord flux, linear in psi.  Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, admissibility and the angle range.
 
@@ -89,7 +86,7 @@ COMP_TOL = 1e-8
 ENERGY_SLACK = 1e-10
 #: plateau and sup error are measured this far inside the puncture and ends
 COMPACT_MARGIN = 0.1
-#: the largest implicit step; without reject-and-halve, unstable J runs
+#: the largest step; without reject-and-halve, unstable J runs
 #: lose admissibility at caps of 1-2
 DT_CAP = 0.5
 
@@ -98,18 +95,17 @@ DT_CAP = 0.5
 class FlowConfig:
     """Discretization and stopping policy for a flow run.
 
-    `dt` is the first implicit step; later implicit steps grow as the
-    steady residual falls and lie in [dt, max(dt, min(checkpoint interval,
-    DT_CAP))], except that the last step may be shortened to land on t_max.
-    The checkpoint interval defaults to t_max / 200.  Explicit steps follow
-    the CFL bound.  A run has converged once its steady residual drops below
-    `convergence_tol`.
+    Every run takes backward-Euler steps.  `dt` is the first step; later
+    steps grow as the steady residual falls and lie in [dt, max(dt,
+    min(checkpoint interval, DT_CAP))], except that the last step may be
+    shortened to land on t_max.  The checkpoint interval defaults to
+    t_max / 200.  A run has converged once its steady residual drops below
+    `convergence_tol`.  `dt_policy` accepts only "implicit".
     """
 
     grid_size: int = 512
-    dt_policy: str = "explicit"
-    cfl: float = 0.8
-    dt: float | None = None
+    dt_policy: str = "implicit"
+    dt: float = 0.05
     t_max: float = 100.0
     convergence_tol: float = 1e-8
     checkpoint_interval: float | None = None
@@ -117,14 +113,10 @@ class FlowConfig:
     def __post_init__(self):
         if self.grid_size < 64:
             raise InputError("grid_size must be at least 64")
-        if self.dt_policy not in ("explicit", "implicit"):
-            raise InputError("dt_policy must be 'explicit' or 'implicit'")
-        if not (0.0 < self.cfl < 1.0):
-            raise InputError("CFL factor must lie in (0, 1)")
-        if self.dt_policy == "implicit" and (self.dt is None or self.dt <= 0):
-            raise InputError("implicit stepping needs a positive initial dt")
-        for name, v in (("t_max", self.t_max), ("convergence_tol", self.convergence_tol)):
-            if v <= 0:
+        if self.dt_policy != "implicit":
+            raise InputError(f"dt_policy must be 'implicit' (explicit stepping was removed), not {self.dt_policy!r}")
+        for name, v in (("dt", self.dt), ("t_max", self.t_max), ("convergence_tol", self.convergence_tol)):
+            if not v > 0:
                 raise InputError(f"{name} must be positive")
 
 
@@ -300,7 +292,6 @@ class _JScheme:
     admissibility_lost = "J-admissibility lost"
     #: the decaying functional's Checkpoint field; it is measured every step
     decay, checkpoint_decay = "energy", None
-    cfl_refresh = 0  # the CFL bound is fixed
 
     def __init__(self, params: BundleParams, init, bg: BackgroundPotential | None, cfg: FlowConfig):
         bg = bg or background_potential("j_flow", params.b)
@@ -327,7 +318,7 @@ class _JScheme:
         self.psi = init.values.copy()
         self.h = h = _uniform_spacing(x)
         n, m = params.n, params.m
-        self.n, self.m, self.b = n, m, b
+        self.n, self.m = n, m
         self.bg = bg
         self.boundary = self.ref_boundary = (0.0, b)
         ref = singular_limit_profile_j(params, x.size, lam=lam)
@@ -353,63 +344,10 @@ class _JScheme:
     def Q(self, pv: np.ndarray) -> np.ndarray:
         return self.bg.Q(pv[1:-1])
 
-    def explicit_dt(self, pv, cfl: float) -> float:
-        """Fixed CFL bound from the largest value b/4 of Q."""
-        return cfl / (self.b / 4.0 * (2 / self.h**2 + np.max(np.abs(self.p_h)) / self.h))
-
     def linear_flux(self, pv: np.ndarray):
         """The chord flux, linear in psi, with its fixed `_node_sensitivities`."""
         c = (pv[1:] - pv[:-1]) / self.h + self.p_h * 0.5 * (pv[1:] + pv[:-1]) + self.g_h
         return (c, *self.sensitivities)
-
-    def flux(self, pv: np.ndarray) -> np.ndarray:
-        """The chord flux, blended toward the contact flux near a contact.
-
-        A cell whose left value has flattened to zero while its right value
-        fits the quadratic contact profile (inferred contact offset within a
-        few cells) blends toward `_contact_flux`.  Profiles that pass
-        through zero with positive slope infer an offset of order sqrt(h)
-        and never trigger.
-        """
-        s = self.linear_flux(pv)[0]
-        left, right = pv[:-1], pv[1:]
-        flat_tol = 1e-6 * self.b
-        # only the few transition cells: flat on the left, visible on the right
-        cand = np.nonzero(
-            (left < 3.0 * flat_tol) & (right > 2.0 * flat_tol) & (right < 0.2 * self.b)
-        )[0]
-        for i in cand:
-            x_r = self.x[i + 1]
-            c2 = self.n / (2.0 * (1.0 + x_r) ** 2)
-            u = math.sqrt(right[i] / c2)
-            w_flat = 1.0 - _smooth_switch((left[i] / flat_tol - 1.5) / 1.0)
-            w_near = 1.0 - _smooth_switch((u / self.h - 2.5) / 1.0)
-            w = w_flat * w_near
-            if w > 0.0:
-                s[i] = (1.0 - w) * s[i] + w * self._contact_flux(x_r, right[i])
-        return s
-
-    def _contact_flux(self, x_r: float, psi_r: float) -> float:
-        """Slope constant of the degenerate-contact profile through (x_r, psi_r).
-
-        Near a contact point x0 the punctured steady profile behaves like
-        c2 (x-x0)^2 + c3 (x-x0)^3 with c2 = n/(2(1+x0)^2) and its slope
-        functional is the constant n/(1+x0).  Inverting that expansion from
-        a nearby sample fixes the discrete steady state's contact point to
-        the true one, which the plain chord flux misses at O(h^2); without
-        it the discrete limit undershoots the maximal member of the steady
-        family near the contact.
-        """
-        n, m = self.n, self.m
-        x0 = x_r
-        for _ in range(3):
-            c2 = n / (2.0 * (1.0 + x0) ** 2)
-            p0 = n / (1.0 + x0) + (m / x0 if m and x0 > 0 else 0.0)
-            c3 = (-2.0 * n / (1.0 + x0) ** 3 - p0 * n / (1.0 + x0) ** 2) / 6.0
-            u1 = math.sqrt(max(psi_r, 0.0) / c2)
-            u = u1 * (1.0 - 0.5 * (c3 / c2) * u1)
-            x0 = max(x_r - u, 0.0)
-        return n / (1.0 + x0)
 
     def admissible(self, pv: np.ndarray) -> bool:
         """Nonnegative and nondecreasing up to the admissibility slack."""
@@ -440,7 +378,6 @@ class _CotScheme:
     admissibility_lost = "dHYM admissibility lost"
     #: the decaying functional's Checkpoint field; it is measured per checkpoint
     decay, step_decay = "volume", None
-    cfl_refresh = 16  # steps between CFL refreshes; the bound drifts slowly
 
     def __init__(self, b, p, q, init, bg: BackgroundPotential | None, cfg: FlowConfig):
         b, p, q = float(b), float(p), float(q)
@@ -485,17 +422,8 @@ class _CotScheme:
     def Q(self, pv: np.ndarray) -> np.ndarray:
         return self.Qx
 
-    def explicit_dt(self, pv: np.ndarray, cfl: float) -> float:
-        _, a_half, b_half = self.half_flux(pv)
-        h = self.h
-        stiff = self.Q(pv) * ((a_half[1:] + a_half[:-1]) / h**2 + (b_half[1:] + b_half[:-1]) / (2 * h))
-        return cfl / float(np.max(stiff))
-
-    def flux(self, pv: np.ndarray) -> np.ndarray:
-        return self.half_flux(pv, partials=False)[0]
-
-    def half_flux(self, pv: np.ndarray, partials: bool = True):
-        """cot(theta) at half nodes and its partials in (delta, mean).
+    def linear_flux(self, pv: np.ndarray):
+        """cot(theta) at half nodes with its `_node_sensitivities`.
 
         c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
         difference quotient delta, which makes the flux-difference update a
@@ -517,11 +445,9 @@ class _CotScheme:
         if den.min() <= 0:
             raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
         c = (mean * delta - xh) / den
-        dc_ddelta = dc_dmean = None
-        if partials:
-            den2 = den**2
-            dc_ddelta = (mean**2 + self.xh2) / den2
-            dc_dmean = xh * (1 + delta**2) / den2
+        den2 = den**2
+        dc_ddelta = (mean**2 + self.xh2) / den2
+        dc_dmean = xh * (1 + delta**2) / den2
         # wall-cell regime switch: ratio of first to second cell increments
         jump = pv[1] - pv[0]
         step2 = max(pv[2] - pv[1], 1e-300)
@@ -529,18 +455,12 @@ class _CotScheme:
         if wgt > 0.0:
             c_jump = x1 * pv[1] - math.sqrt((x1 * x1 - 1.0) * (pv[1] * pv[1] + 1.0))
             c[0] = (1 - wgt) * c[0] + wgt * c_jump
-            if partials:
-                dc_jump = x1 - math.sqrt(x1 * x1 - 1.0) * pv[1] / math.sqrt(pv[1] * pv[1] + 1.0)
-                # fold the psi1-sensitivity of the jump flux into the mean
-                # slot (the assembly halves the mean sensitivity, hence the
-                # factor 2; the pinned wall node is never an unknown)
-                dc_ddelta[0] = (1 - wgt) * dc_ddelta[0]
-                dc_dmean[0] = (1 - wgt) * dc_dmean[0] + 2.0 * wgt * dc_jump
-        return c, dc_ddelta, dc_dmean
-
-    def linear_flux(self, pv: np.ndarray):
-        """The flux with its `_node_sensitivities`."""
-        c, dc_ddelta, dc_dmean = self.half_flux(pv)
+            dc_jump = x1 - math.sqrt(x1 * x1 - 1.0) * pv[1] / math.sqrt(pv[1] * pv[1] + 1.0)
+            # fold the psi1-sensitivity of the jump flux into the mean slot
+            # (the assembly halves the mean sensitivity, hence the factor 2;
+            # the pinned wall node is never an unknown)
+            dc_ddelta[0] = (1 - wgt) * dc_ddelta[0]
+            dc_dmean[0] = (1 - wgt) * dc_dmean[0] + 2.0 * wgt * dc_jump
         return (c, *_node_sensitivities(dc_ddelta, dc_dmean, self.h))
 
     def admissible(self, pv: np.ndarray) -> bool:
@@ -580,12 +500,10 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     # stable limits are smooth: no monotone approach, no barrier to compare with
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
-    implicit = cfg.dt_policy == "implicit"
-    dt = cfg.dt if implicit else scheme.explicit_dt(psi, cfg.cfl)
-    dt_first = dt
+    dt = cfg.dt
     ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
     dt_cap = min(ck_interval, DT_CAP)
-    t, steps, converged = 0.0, 0, False
+    t, steps = 0.0, 0
     dt_max, res_prev = 0.0, None
     times, checkpoints, profiles = [], [], []
     run_max_rate, run_min_rate = -np.inf, np.inf
@@ -629,42 +547,30 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         run_max_rate, run_min_rate = -np.inf, np.inf
 
     field = measure_step()
-    c = scheme.flux(psi)
-    checkpoint(scheme.Q(psi) * (c[1:] - c[:-1]) / h, field)
     next_ck = ck_interval
 
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
-        if implicit:
-            c, right, left, mid = scheme.linear_flux(psi)
-        else:
-            c = scheme.flux(psi)
+        c, right, left, mid = scheme.linear_flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
-        if res < cfg.convergence_tol:
-            converged = True
-            if times[-1] < t:
-                checkpoint(rate, field)
+        converged = res < cfg.convergence_tol
+        # the first profile, and a converged one the last step did not record
+        if not times or converged and times[-1] < t:
+            checkpoint(rate, field)
+        if converged or t >= cfg.t_max:
             break
-        if t >= cfg.t_max:
-            break
-        if implicit:
-            if res_prev is not None:
-                # switched evolution relaxation: dt grows as the residual falls
-                dt = max(cfg.dt, min(dt * res_prev / res, dt_cap))
-            res_prev = res
-        elif scheme.cfl_refresh and steps and steps % scheme.cfl_refresh == 0:
-            dt = scheme.explicit_dt(psi, cfg.cfl)
+        if res_prev is not None:
+            # switched evolution relaxation: dt grows as the residual falls
+            dt = max(cfg.dt, min(dt * res_prev / res, dt_cap))
+        res_prev = res
         last = t + dt >= cfg.t_max
         step = cfg.t_max - t if last else dt
-        if implicit:
-            # (I - dt Q dc) delta = dt rate, each half flux linearized
-            dtQ = step * Qv
-            delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate)
-            rate = delta / step
-        else:
-            delta = step * rate
+        # (I - dt Q dc) delta = dt rate, each half flux linearized
+        dtQ = step * Qv
+        delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate)
+        rate = delta / step
         psi[1:-1] += delta
         t = cfg.t_max if last else t + step
         steps += 1
@@ -699,7 +605,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         meta={
             **scheme.meta,
             "monitors": monitors,
-            "dt": dt_first,
+            "dt": cfg.dt,
             "dt_max": dt_max,
             "residual": res,
         },
@@ -744,8 +650,7 @@ def run_cotangent_flow(
                / (x psi' + psi)^2
 
     on [1, b] with psi(1) = q, psi(b) = p.  The prefactor is csc^2(theta)
-    over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum; the
-    explicit step adapts to the current diffusion coefficient.  Stops once
+    over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum.  Stops once
     the steady residual falls below the tolerance, or at t_max.  Classifies
     the run by the trichotomy in sign(q - c0) and measures the plateau of
     cot(theta).

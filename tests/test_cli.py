@@ -25,7 +25,7 @@ from slopeflow.flow_engine import COMPACT_MARGIN
 from slopeflow.surface_lattice import DivisorClass, load_surface_model
 from slopeflow.surface_slopes import UNSTABLE, j_slope_certificate
 
-FLOW_ARGS = ["--grid", "64", "--dt-policy", "implicit", "--dt", "0.05"]
+FLOW_ARGS = ["--grid", "64", "--dt", "0.05"]
 
 
 @pytest.fixture
@@ -89,12 +89,47 @@ def test_run_config_drives_a_flow(capsys, tmp_path):
         "params = 0,1,1,2\n"
         "[solver]\n"
         "grid = 64\n"
-        "dt_policy = implicit\n"
         "dt = 0.05\n"
     )
     code, out = _run(capsys, ["run", "--config", str(cfg)])
     assert code == 0
     assert '"converged": true' in out
+
+
+def test_flow_without_step_flags_takes_implicit_steps(capsys):
+    code, out = _run(capsys, ["flow", "j", "--params", "0,1,1,2", "--grid", "64"])
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["converged"] and summary["meta"]["dt"] == 0.05
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "j", "--params", "0,1,1,2", "--bogus"],
+        ["flow", "j", "--params", "0,1,1,2", "--cfl", "0.5"],
+        ["flow", "cotangent", "--bpq", "2,3,1", "--dt-policy", "explicit"],
+        ["flow", "j", "--grid", "64"],
+        ["flow", "j", "--params", "0,1,1,2", "--grid", "sixty-four"],
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_run_config_with_a_removed_option_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text("[experiment]\ncommand = flow j\n[geometry]\nparams = 0,1,1,2\n[solver]\ndt_policy = explicit\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "unrecognized arguments: --dt-policy explicit" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "j", "--help"])
+    assert exc.value.code == 0
+    assert "--dt" in capsys.readouterr().out
 
 
 def test_run_config_reader_conventions(capsys, tmp_path):

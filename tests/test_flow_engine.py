@@ -30,7 +30,9 @@ from slopeflow.errors import AdmissibilityError, InputError, TimeStepError
 from slopeflow.flow_engine import (
     COMPACT_MARGIN,
     FlowConfig,
+    _CotScheme,
     _gradient,
+    _JScheme,
     _plateau,
     monitor_suite,
     run_cotangent_flow,
@@ -53,12 +55,18 @@ def test_config_validation():
     with pytest.raises(InputError):
         FlowConfig(grid_size=32)
     with pytest.raises(InputError):
-        FlowConfig(cfl=1.5)
-    with pytest.raises(InputError):
-        FlowConfig(dt_policy="implicit")  # needs dt
+        FlowConfig(dt=0)
     with pytest.raises(InputError):
         FlowConfig(dt_policy="rk4")
-    FlowConfig(dt_policy="implicit", dt=1e-3)
+    with pytest.raises(InputError, match="explicit stepping was removed"):
+        FlowConfig(dt_policy="explicit")
+    FlowConfig(dt=1e-3)
+
+
+def test_config_defaults_to_implicit_steps():
+    cfg = FlowConfig()
+    assert cfg.dt_policy == "implicit" and cfg.dt == 0.05
+    assert not hasattr(cfg, "cfl")
 
 
 def test_steady_init_is_stationary_j(stable):
@@ -140,21 +148,29 @@ def test_cotangent_self_convergence_on_compact():
     assert e1 / e2 > 2.5
 
 
+def _forward_euler(scheme, t_end: float, dt: float) -> np.ndarray:
+    """Reference solution: fixed forward-Euler steps psi += dt Q dc / h on
+    the scheme's own flux (the chord flux for J, the wall-ramped cot(theta)
+    for the cotangent flow); dt must respect the CFL bound ~ h^2."""
+    psi = scheme.psi.copy()
+    for _ in range(round(t_end / dt)):
+        c = scheme.linear_flux(psi)[0]
+        psi[1:-1] += dt * scheme.Q(psi) * (c[1:] - c[:-1]) / scheme.h
+    return psi
+
+
 def test_implicit_matches_explicit_j(stable):
-    cfg_e = FlowConfig(grid_size=128, t_max=1.0, checkpoint_interval=1.0)
-    cfg_i = FlowConfig(
-        grid_size=128, t_max=1.0, dt_policy="implicit", dt=2e-4, checkpoint_interval=1.0
-    )
-    tr_e = run_j_flow(stable, "line", cfg=cfg_e)
-    tr_i = run_j_flow(stable, "line", cfg=cfg_i)
-    assert np.max(np.abs(tr_e.terminal_profile.values - tr_i.terminal_profile.values)) < 5e-4
+    cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4, checkpoint_interval=1.0)
+    tr = run_j_flow(stable, "line", cfg=cfg)
+    ref = _forward_euler(_JScheme(stable, "line", None, cfg), 1.0, 4e-5)
+    assert np.max(np.abs(ref - tr.terminal_profile.values)) < 5e-4
 
 
 def test_implicit_j_step_solves_backward_euler(unstable):
     """The chord flux is linear in psi, so one implicit step with Q lagged is
     exact backward Euler; this pins the tridiagonal assembly."""
     dt = 0.5
-    cfg = FlowConfig(grid_size=64, t_max=dt, dt_policy="implicit", dt=dt, checkpoint_interval=dt)
+    cfg = FlowConfig(grid_size=64, t_max=dt, dt=dt, checkpoint_interval=dt)
     tr = run_j_flow(unstable, "line", cfg=cfg)
     assert tr.steps == 1
     x = tr.profiles[0].grid
@@ -168,13 +184,10 @@ def test_implicit_j_step_solves_backward_euler(unstable):
 
 
 def test_implicit_matches_explicit_cotangent():
-    cfg_e = FlowConfig(grid_size=128, t_max=1.0, checkpoint_interval=1.0)
-    cfg_i = FlowConfig(
-        grid_size=128, t_max=1.0, dt_policy="implicit", dt=2e-4, checkpoint_interval=1.0
-    )
-    tr_e = run_cotangent_flow(2, 3, 1, "special", cfg=cfg_e)
-    tr_i = run_cotangent_flow(2, 3, 1, "special", cfg=cfg_i)
-    assert np.max(np.abs(tr_e.terminal_profile.values - tr_i.terminal_profile.values)) < 5e-4
+    cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4, checkpoint_interval=1.0)
+    tr = run_cotangent_flow(2, 3, 1, "special", cfg=cfg)
+    ref = _forward_euler(_CotScheme(2, 3, 1, "special", None, cfg), 1.0, 1e-4)
+    assert np.max(np.abs(ref - tr.terminal_profile.values)) < 5e-4
 
 
 def test_monitor_report_structure(unstable):
@@ -222,7 +235,7 @@ def test_inadmissible_initial_profile_is_an_input_error(unstable, flow):
     x, vals = init.grid, init.values.copy()
     vals[20] = vals[19] * x[19] / x[20] - 0.01  # psi and x psi both fall across one cell
     bad = MomentProfile(x, vals, init.boundary)
-    cfg = FlowConfig(grid_size=64, dt_policy="implicit", dt=0.05, t_max=1.0)
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=1.0)
     with pytest.raises(AdmissibilityError):
         if flow == "j":
             run_j_flow(unstable, bad, cfg=cfg)
@@ -232,7 +245,7 @@ def test_inadmissible_initial_profile_is_an_input_error(unstable, flow):
 
 def test_checkpoint_volume_is_dhym_volume():
     """Each checkpoint's volume is `dhym_volume` of its profile, bit for bit."""
-    cfg = FlowConfig(grid_size=128, dt_policy="implicit", dt=0.05, t_max=5.0)
+    cfg = FlowConfig(grid_size=128, dt=0.05, t_max=5.0)
     tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
     assert len(tr.checkpoints) > 5
     for ck, prof in zip(tr.checkpoints, tr.profiles):
@@ -243,7 +256,7 @@ def test_checkpoint_plateau_is_the_slope_field_plateau():
     """Each J checkpoint's plateau and total variation are those of the slope
     field of its profile over the compact window."""
     params = BundleParams(n=1, m=1, a=2, b=1)
-    cfg = FlowConfig(grid_size=64, dt_policy="implicit", dt=0.05, t_max=2.0, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0, checkpoint_interval=0.25)
     tr = run_j_flow(params, "line", cfg=cfg)
     assert len(tr.checkpoints) > 5
     h = tr.meta["h"]
@@ -290,7 +303,7 @@ def _old_csv(trace, path):
 
 @pytest.mark.parametrize("flow", ["j", "cotangent"])
 def test_trace_csv_matches_per_row_writer(tmp_path, flow):
-    cfg = FlowConfig(grid_size=64, t_max=2.0, dt_policy="implicit", dt=0.05, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=64, t_max=2.0, dt=0.05, checkpoint_interval=0.25)
     if flow == "j":
         # (1, 1, 2, 2) would not do: its straight line is an exact discrete
         # steady state, so that run stops at t = 0 on one checkpoint
@@ -307,7 +320,7 @@ def test_trace_csv_matches_per_row_writer(tmp_path, flow):
 def test_flow_from_a_steady_state_takes_no_step():
     """The straight line of (1, 1, 2, 2) is a discrete steady state: the run
     converges at t = 0 and writes its one checkpoint once."""
-    cfg = FlowConfig(grid_size=128, dt_policy="implicit", dt=0.05)
+    cfg = FlowConfig(grid_size=128, dt=0.05)
     tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=2), "line", cfg=cfg)
     assert tr.steps == 0 and tr.converged
     assert tr.times == [0.0] and len(tr.checkpoints) == len(tr.profiles) == 1
@@ -315,11 +328,10 @@ def test_flow_from_a_steady_state_takes_no_step():
     assert tr.summary()["stop_reason"] == "converged"
 
 
-@pytest.mark.parametrize("policy", ["explicit", "implicit"])
-def test_last_step_lands_on_t_max(unstable, policy):
+def test_last_step_lands_on_t_max(unstable):
     """An unconverged run stops exactly at t_max, checkpointed once there,
     and reports the steady residual of that final profile."""
-    cfg = FlowConfig(grid_size=64, t_max=0.33, dt_policy=policy, dt=0.05 if policy == "implicit" else None)
+    cfg = FlowConfig(grid_size=64, t_max=0.33)
     tr = run_j_flow(unstable, "line", cfg=cfg)
     assert not tr.converged
     assert tr.times[-1] == 0.33 and all(np.diff(tr.times) > 0)
@@ -384,7 +396,7 @@ def test_scipy_loads_on_first_implicit_step():
         "print('scipy' in sys.modules)\n"
         "from slopeflow.bundle_geometry import BundleParams\n"
         "from slopeflow.flow_engine import FlowConfig, run_j_flow\n"
-        "cfg = FlowConfig(grid_size=64, dt_policy='implicit', dt=0.05, t_max=0.1)\n"
+        "cfg = FlowConfig(grid_size=64, dt=0.05, t_max=0.1)\n"
         "run_j_flow(BundleParams(n=1, m=0, a=1, b=2), 'line', cfg=cfg)\n"
         "print('scipy' in sys.modules)\n"
     )

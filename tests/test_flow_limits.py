@@ -17,7 +17,7 @@ from slopeflow.flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_
 from slopeflow.surface_slopes import SEMISTABLE, STABLE, UNSTABLE, one_point_blowup_certificate
 
 GRID = 128
-CFG = FlowConfig(grid_size=GRID, dt_policy="implicit", dt=0.05)
+CFG = FlowConfig(grid_size=GRID, dt=0.05)
 
 J_CASES = [
     ((1, 0, 1, 2), STABLE),
@@ -87,7 +87,7 @@ def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
     checkpoint interval, and the limit does not depend on the first step."""
     plateaus = []
     for dt in (0.02, 0.05):
-        cfg = FlowConfig(grid_size=GRID, dt_policy="implicit", dt=dt)
+        cfg = FlowConfig(grid_size=GRID, dt=dt)
         tr, h = _run(flow, args, cfg)
         _assert_limit(tr, h)
         assert tr.meta["residual"] < cfg.convergence_tol
@@ -103,7 +103,7 @@ def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
 def test_step_cap_ignores_output_settings(flow, args, output):
     """A later t_max or sparser checkpoints leave the largest step at DT_CAP:
     at a cap of 2 the unstable J pair (1, 0, 4, 1) loses admissibility."""
-    cfg = FlowConfig(grid_size=GRID, dt_policy="implicit", dt=0.05, **output)
+    cfg = FlowConfig(grid_size=GRID, dt=0.05, **output)
     tr, h = _run(flow, args, cfg)
     assert tr.meta["dt_max"] == DT_CAP == 0.5
     assert all(ck.admissible for ck in tr.checkpoints) and tr.times[-1] <= cfg.t_max
