@@ -36,7 +36,7 @@ from .bundle_geometry import (
     steady_slope_chow,
 )
 from .errors import InputError
-from .flow_engine import FlowConfig, run_cotangent_flow, run_j_flow
+from .flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_flow
 from .surface_lattice import DivisorClass, _read_ini, load_surface_model
 from .surface_slopes import (
     dhym_slope_certificate,
@@ -81,7 +81,7 @@ class ExperimentConfig:
 
 def _flow_config(ns) -> FlowConfig:
     flags = ("grid_size", "t_max", "dt", "checkpoint_interval")
-    return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None)})
+    return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None) is not None})
 
 
 def _outdir(ns) -> str | None:
@@ -277,7 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     for f in (fj, fc):
         f.add_argument("--grid", dest="grid_size", type=int, default=512)
         f.add_argument("--t-max", dest="t_max", type=float)
-        f.add_argument("--dt", type=float, help="first backward-Euler step (default 0.05); later steps grow up to 0.5")
+        f.add_argument(
+            "--dt",
+            type=float,
+            help=f"first backward-Euler step (default 0.05); later steps grow up to {DT_CAP:g}",
+        )
         f.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=float)
         f.add_argument("--out")
         f.set_defaults(func=_cmd_flow)

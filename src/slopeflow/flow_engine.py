@@ -15,8 +15,15 @@ gtsv, called directly; scipy is imported on the first such solve.  A run is
 pseudo-transient continuation: the first step is the configured dt, and each
 later step is scaled by the fall of the steady residual since the last
 (switched evolution relaxation, Mulder & van Leer 1985) and kept in
-[dt, max(dt, min(checkpoint interval, DT_CAP))], except that the last step
-may be shortened to land on t_max.  A run stops once the steady residual
+[dt, max(dt, DT_CAP)], except that the last step may be shortened to land on
+t_max.  Each step is solved into a candidate profile.  A candidate that
+breaks admissibility is rejected: dt is halved, down to the configured dt,
+and the step is solved again from the same linearization (Kelley & Keyes
+1998).  A step that is inadmissible at the configured dt raises.  Rejected
+steps are counted apart and feed no monitor.  The step does not depend on
+the checkpoint interval: a checkpoint is taken after the first step that
+reaches or passes the next checkpoint time, so a step longer than the
+interval gives one checkpoint.  A run stops once the steady residual
 sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
 The J flux is the plain chord flux, linear in psi.  Monitors track
 monotonicity and comparison with the singular limit, energy or
@@ -24,7 +31,8 @@ calibration-volume decay, admissibility and the angle range.
 
 A checkpoint is one pass over the current profile, and each item it
 records is computed once there:
-- a copy of the profile;
+- a copy of the profile, on a read-only grid shared by every checkpoint
+  and the reference profile of the solve;
 - the sampled rate's sup and, since the last checkpoint, its max and min,
   all from the extrema of each rate;
 - the plateau (mean) and total variation of the diagnostic field over the
@@ -36,7 +44,7 @@ records is computed once there:
 - the decaying functional: the J energy of the step, or the calibration
   volume, from `dhym_volume`'s quadrature on a geometry built once per solve;
 - admissibility, which the constructor checks for the initial profile and
-  the step loop for every later one.
+  the step loop for every accepted step.
 """
 
 from __future__ import annotations
@@ -86,9 +94,9 @@ COMP_TOL = 1e-8
 ENERGY_SLACK = 1e-10
 #: plateau and sup error are measured this far inside the puncture and ends
 COMPACT_MARGIN = 0.1
-#: the largest step; without reject-and-halve, unstable J runs
-#: lose admissibility at caps of 1-2
-DT_CAP = 0.5
+#: the largest step; backward Euler lags on the slow mode (e-folding time
+#: about 5), so at a cap of 4 the slowest solves only just converge by t = 100
+DT_CAP = 2.0
 
 
 @dataclass
@@ -97,10 +105,13 @@ class FlowConfig:
 
     Every run takes backward-Euler steps.  `dt` is the first step; later
     steps grow as the steady residual falls and lie in [dt, max(dt,
-    min(checkpoint interval, DT_CAP))], except that the last step may be
-    shortened to land on t_max.  The checkpoint interval defaults to
-    t_max / 200.  A run has converged once its steady residual drops below
-    `convergence_tol`.  `dt_policy` accepts only "implicit".
+    DT_CAP)], except that the last step may be shortened to land on t_max.
+    A step whose profile breaks admissibility is rejected and retried at
+    half the step, down to `dt`; at `dt` it raises MonitorViolationError.
+    The checkpoint interval, t_max / 200 by default, sets how often the
+    profile is recorded and never the step.  A run has converged once its
+    steady residual drops below `convergence_tol`.  `dt_policy` accepts
+    only "implicit".
     """
 
     grid_size: int = 512
@@ -118,6 +129,8 @@ class FlowConfig:
         for name, v in (("dt", self.dt), ("t_max", self.t_max), ("convergence_tol", self.convergence_tol)):
             if not v > 0:
                 raise InputError(f"{name} must be positive")
+        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
+            raise InputError("checkpoint_interval must be positive")
 
 
 @dataclass
@@ -159,8 +172,10 @@ class FlowTrace:
 
     `meta` carries the scheme's parameters, the grid step `h`, the monitors
     run, `dt`, the first step, `dt_max`, the largest step taken (0 for a run
-    that took none), and `residual`, the steady residual sup |d psi/dt| of
-    the final profile.
+    that took none), `rejected`, the number of steps rejected for breaking
+    admissibility and retried at half the step (`steps` counts only accepted
+    ones), and `residual`, the steady residual sup |d psi/dt| of the final
+    profile.
     """
 
     kind: str
@@ -216,17 +231,6 @@ class FlowTrace:
     def save_summary(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.summary(), fh, indent=2, sort_keys=True)
-
-
-def _smooth_switch(s: float) -> float:
-    """C-infinity ramp: 0 for s <= -1, 1 for s >= 1."""
-    if s <= -1.0:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / (s + 1.0))
-    b = math.exp(-1.0 / (1.0 - s))
-    return a / (a + b)
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:
@@ -330,6 +334,11 @@ class _JScheme:
         self.g_h = n / (1 + xh)
         # the chord flux is linear, so its implicit-step entries are fixed
         self.sensitivities = _node_sensitivities(1.0, self.p_h, h)
+        # grid-only terms of the slope field: n/(1+x), and for m >= 1 the
+        # divisor of psi/x with x = 0 replaced (sigma takes psi' there)
+        self.g = n / (1 + x)
+        self.x_pos = x > 0
+        self.x_safe = np.where(self.x_pos, x, 1.0)
         # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
         tw = np.full_like(x, h)
         tw[0] = tw[-1] = h / 2
@@ -354,8 +363,12 @@ class _JScheme:
         return bool(pv.min() >= -ADMISSIBILITY_TOL and (pv[1:] - pv[:-1]).min() >= -ADMISSIBILITY_TOL)
 
     def step_decay(self, pv: np.ndarray) -> tuple[float, np.ndarray]:
-        """The J energy of a profile, and the slope field it integrates."""
-        s = _slope_field(self.x, pv, _gradient(pv, self.h), self.n, self.m)
+        """The J energy of a profile, and the slope field it integrates:
+        `_slope_field`, bit for bit, on the grid terms built once per solve."""
+        d = _gradient(pv, self.h)
+        s = d + pv * self.g + self.g
+        if self.m:
+            s = s + self.m * np.where(self.x_pos, pv / self.x_safe, d)
         return float(np.dot(s * s, self.tw)), s
 
     def checkpoint_fields(self, pv: np.ndarray, t: float, sigma: np.ndarray):
@@ -430,13 +443,16 @@ class _CotScheme:
         monotone scheme and preserves admissibility and the comparison
         principle at the discrete level.
 
-        The first half node switches to the constant-angle jump flux
-        x1 psi1 - sqrt((x1^2-1)(psi1^2+1)) once the wall cell is steeper
-        than the neighboring cell can explain: a pinned boundary value below
-        the singular limit concentrates into an unresolved jump there, and
-        the mean-value flux through such a jump equilibrates at the wrong
-        puncture trace.  The jump flux is exact along the entire singular
-        steady profile, so the discrete steady state locks onto it.
+        The first half node takes the constant-angle jump flux
+        c_jump = x1 psi1 - sqrt((x1^2-1)(psi1^2+1)) exactly when c_jump
+        exceeds the pinned wall value q, and the mean-value flux otherwise.
+        A pinned value below the singular limit concentrates into an
+        unresolved jump at the wall, and the mean-value flux through it
+        equilibrates at the wrong puncture trace; in the viscosity sense the
+        wall trace is max(q, c) (Crandall, Ishii & Lions 1992, section 7),
+        and the two fluxes meet where the jump member's trace equals q.  The
+        jump flux is exact along the entire singular steady profile, so the
+        discrete steady state locks onto it.
         """
         xh, x1 = self.xh, self.x[1]
         delta = (pv[1:] - pv[:-1]) / self.h
@@ -448,19 +464,15 @@ class _CotScheme:
         den2 = den**2
         dc_ddelta = (mean**2 + self.xh2) / den2
         dc_dmean = xh * (1 + delta**2) / den2
-        # wall-cell regime switch: ratio of first to second cell increments
-        jump = pv[1] - pv[0]
-        step2 = max(pv[2] - pv[1], 1e-300)
-        wgt = float(_smooth_switch((jump / step2 - 5.0) / 2.0))
-        if wgt > 0.0:
-            c_jump = x1 * pv[1] - math.sqrt((x1 * x1 - 1.0) * (pv[1] * pv[1] + 1.0))
-            c[0] = (1 - wgt) * c[0] + wgt * c_jump
-            dc_jump = x1 - math.sqrt(x1 * x1 - 1.0) * pv[1] / math.sqrt(pv[1] * pv[1] + 1.0)
-            # fold the psi1-sensitivity of the jump flux into the mean slot
-            # (the assembly halves the mean sensitivity, hence the factor 2;
-            # the pinned wall node is never an unknown)
-            dc_ddelta[0] = (1 - wgt) * dc_ddelta[0]
-            dc_dmean[0] = (1 - wgt) * dc_dmean[0] + 2.0 * wgt * dc_jump
+        psi1 = float(pv[1])
+        c_jump = x1 * psi1 - math.sqrt((x1 * x1 - 1.0) * (psi1 * psi1 + 1.0))
+        if c_jump > pv[0]:
+            c[0] = c_jump
+            # the jump flux depends on psi1 alone: put its sensitivity in the
+            # mean slot (the assembly halves it, hence the factor 2; the
+            # pinned wall node is never an unknown)
+            dc_ddelta[0] = 0.0
+            dc_dmean[0] = 2.0 * (x1 - math.sqrt(x1 * x1 - 1.0) * psi1 / math.sqrt(psi1 * psi1 + 1.0))
         return (c, *_node_sensitivities(dc_ddelta, dc_dmean, self.h))
 
     def admissible(self, pv: np.ndarray) -> bool:
@@ -490,10 +502,14 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     Stops once the steady residual sup |d psi/dt| at the current profile is
     below the tolerance, or at t_max, which the last step never passes.
-    Checkpoints record the profile and the monitor diagnostics; a profile
-    that loses admissibility raises at once.
+    Each step is solved into a candidate; one that breaks admissibility is
+    retried at half the step, and raises once the step is down to cfg.dt.
+    Checkpoints record the profile and the monitor diagnostics.
     """
     x, h, psi = scheme.x, scheme.h, scheme.psi
+    # one read-only grid for every profile the trace keeps
+    grid = x.copy()
+    grid.flags.writeable = False
     # the plateau window [lo, hi] as a slice of the sorted grid
     lo, hi = scheme.window
     window = slice(int(np.searchsorted(x, lo)), int(np.searchsorted(x, hi, side="right")))
@@ -501,10 +517,10 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
     dt = cfg.dt
-    ck_interval = cfg.checkpoint_interval or cfg.t_max / 200.0
-    dt_cap = min(ck_interval, DT_CAP)
-    t, steps = 0.0, 0
+    ck_interval = cfg.t_max / 200.0 if cfg.checkpoint_interval is None else cfg.checkpoint_interval
+    t, steps, rejected = 0.0, 0, 0
     dt_max, res_prev = 0.0, None
+    cand = psi.copy()  # the pinned ends never change
     times, checkpoints, profiles = [], [], []
     run_max_rate, run_min_rate = -np.inf, np.inf
     decay_now, decay_violation = None, 0.0
@@ -524,7 +540,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     def checkpoint(rate: np.ndarray, field):
         nonlocal run_max_rate, run_min_rate
-        prof = MomentProfile(x.copy(), psi.copy(), scheme.boundary)
+        prof = MomentProfile(grid, psi.copy(), scheme.boundary)
         if scheme.checkpoint_decay:
             track_decay(scheme.checkpoint_decay(prof))
         field, fields = scheme.checkpoint_fields(psi, t, field)
@@ -563,29 +579,37 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             break
         if res_prev is not None:
             # switched evolution relaxation: dt grows as the residual falls
-            dt = max(cfg.dt, min(dt * res_prev / res, dt_cap))
+            dt = max(cfg.dt, min(dt * res_prev / res, DT_CAP))
         res_prev = res
-        last = t + dt >= cfg.t_max
-        step = cfg.t_max - t if last else dt
-        # (I - dt Q dc) delta = dt rate, each half flux linearized
-        dtQ = step * Qv
-        delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate)
+        while True:
+            last = t + dt >= cfg.t_max
+            step = cfg.t_max - t if last else dt
+            # (I - dt Q dc) delta = dt rate, each half flux linearized
+            dtQ = step * Qv
+            delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate)
+            if not math.isfinite(delta.sum()):
+                raise TimeStepError(f"non-finite update at t={t + step:.6g}; time step too large")
+            np.add(psi[1:-1], delta, out=cand[1:-1])
+            if scheme.admissible(cand):
+                break
+            if step <= cfg.dt:
+                raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t + step:.6g}")
+            # reject: retry from the same linearization at half the step
+            dt = max(cfg.dt, step / 2)
+            rejected += 1
+        psi, cand = cand, psi
         rate = delta / step
-        psi[1:-1] += delta
         t = cfg.t_max if last else t + step
         steps += 1
         dt_max = max(dt_max, step)
         rmax, rmin = float(rate.max()), float(rate.min())
-        if not math.isfinite(max(rmax, -rmin)):
-            raise TimeStepError(f"non-finite update at t={t:.6g}; time step too large")
         run_max_rate = max(run_max_rate, rmax)
         run_min_rate = min(run_min_rate, rmin)
-        if not scheme.admissible(psi):
-            raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t:.6g}")
         field = measure_step()
         if t >= next_ck or last:
             checkpoint(rate, field)
-            next_ck += ck_interval
+            # the first checkpoint time after t: one checkpoint per step
+            next_ck += ck_interval * (math.floor((t - next_ck) / ck_interval) + 1)
 
     # every run ends on a checkpoint of its final profile
     terminal = profiles[-1]
@@ -597,7 +621,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         terminal_profile=terminal,
         terminal_constant=checkpoints[-1].plateau,
         reference_constant=scheme.reference_constant,
-        reference_profile=MomentProfile(x.copy(), scheme.ref.copy(), scheme.ref_boundary),
+        reference_profile=MomentProfile(grid, scheme.ref.copy(), scheme.ref_boundary),
         sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[window.start :]))),
         lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,
@@ -607,6 +631,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             "monitors": monitors,
             "dt": cfg.dt,
             "dt_max": dt_max,
+            "rejected": rejected,
             "residual": res,
         },
         **{f"{scheme.decay}_max_violation": decay_violation},

@@ -118,6 +118,14 @@ def test_usage_error_exits_1(capsys, argv):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("flag", ["--dt", "--t-max", "--checkpoint-interval", "--grid"])
+def test_zero_step_setting_exits_1(capsys, flag):
+    """A zero step setting is passed on and rejected, not replaced by its default."""
+    argv = ["flow", "j", "--params", "0,1,1,2", "--grid", "64", flag, "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_run_config_with_a_removed_option_exits_1(capsys, tmp_path):
     cfg = tmp_path / "experiment.ini"
     cfg.write_text("[experiment]\ncommand = flow j\n[geometry]\nparams = 0,1,1,2\n[solver]\ndt_policy = explicit\n")

@@ -26,9 +26,11 @@ from slopeflow.calabi_profiles import (
     straight_line_profile,
 )
 from slopeflow.energy_functionals import dhym_volume
-from slopeflow.errors import AdmissibilityError, InputError, TimeStepError
+from slopeflow import flow_engine
+from slopeflow.errors import AdmissibilityError, InputError, MonitorViolationError, TimeStepError
 from slopeflow.flow_engine import (
     COMPACT_MARGIN,
+    DT_CAP,
     FlowConfig,
     _CotScheme,
     _gradient,
@@ -60,6 +62,9 @@ def test_config_validation():
         FlowConfig(dt_policy="rk4")
     with pytest.raises(InputError, match="explicit stepping was removed"):
         FlowConfig(dt_policy="explicit")
+    for interval in (0.0, -0.5):
+        with pytest.raises(InputError, match="checkpoint_interval must be positive"):
+            FlowConfig(checkpoint_interval=interval)
     FlowConfig(dt=1e-3)
 
 
@@ -150,8 +155,8 @@ def test_cotangent_self_convergence_on_compact():
 
 def _forward_euler(scheme, t_end: float, dt: float) -> np.ndarray:
     """Reference solution: fixed forward-Euler steps psi += dt Q dc / h on
-    the scheme's own flux (the chord flux for J, the wall-ramped cot(theta)
-    for the cotangent flow); dt must respect the CFL bound ~ h^2."""
+    the scheme's own flux (the chord flux for J, cot(theta) with the wall
+    jump flux for the cotangent flow); dt must respect the CFL bound ~ h^2."""
     psi = scheme.psi.copy()
     for _ in range(round(t_end / dt)):
         c = scheme.linear_flux(psi)[0]
@@ -199,6 +204,60 @@ def test_monitor_report_structure(unstable):
     d = rep.to_dict()
     assert set(d) == {"passed", "monitors"}
     assert all(np.diff(tr.times) > 0)
+
+
+def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
+    """A step that breaks admissibility at cfg.dt cannot be halved further:
+    the run raises on its first solve."""
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve_banded(*args)
+
+    monkeypatch.setattr(flow_engine, "solve_banded", counting_solve)
+    cfg = FlowConfig(grid_size=128, dt=5.0)
+    with pytest.raises(MonitorViolationError, match="J-admissibility lost at t=5"):
+        run_j_flow(unstable, "line", cfg=cfg)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("interval", [1e-3, 1e-12])
+def test_a_step_longer_than_the_interval_gives_one_checkpoint(interval):
+    """Checkpoints follow the steps, never shorten them: with an interval
+    below the first step every accepted step is checkpointed once."""
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=20.0, checkpoint_interval=interval)
+    tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    assert tr.meta["dt_max"] == DT_CAP
+    assert len(tr.checkpoints) == len(tr.profiles) == tr.steps + 1
+    assert all(np.diff(tr.times) > 0) and tr.times[-1] == 20.0
+
+
+def test_trace_profiles_share_one_read_only_grid():
+    """Every kept profile and the reference sit on one read-only copy of the
+    initial grid; the caller's profile is left as it was."""
+    init = special_cotangent_profile(2, 3, 0, 65)
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0, checkpoint_interval=0.25)
+    tr = run_cotangent_flow(2, 3, 0, init, cfg=cfg)
+    grid = tr.reference_profile.grid
+    assert len(tr.profiles) > 5
+    assert all(prof.grid is grid for prof in tr.profiles + [tr.terminal_profile])
+    assert not grid.flags.writeable and init.grid.flags.writeable
+    assert grid is not init.grid and np.array_equal(grid, init.grid)
+
+
+@pytest.mark.parametrize("nm", [(1, 0), (1, 1), (2, 2)])
+def test_j_step_decay_is_the_slope_field_bit_for_bit(nm):
+    """The J scheme's per-step slope field and energy, on grid terms built
+    once per solve, equal `_slope_field` and its weighted square exactly."""
+    params = BundleParams(n=nm[0], m=nm[1], a=2, b=1)
+    scheme = _JScheme(params, "line", None, FlowConfig(grid_size=64))
+    x, h = scheme.x, scheme.h
+    for pv in (scheme.psi, x**2 / 4, np.sqrt(x / 2)):
+        energy, field = scheme.step_decay(pv)
+        ref = _slope_field(x, pv, _gradient(pv, h), *nm)
+        assert np.array_equal(field, ref)
+        assert energy == float(np.dot(ref * ref, scheme.tw))
 
 
 def test_checkpoint_profiles_admissible(unstable):

@@ -10,10 +10,13 @@ constant; for semistable J pairs the puncture estimate must reach 0 within
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from slopeflow import flow_engine
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
-from slopeflow.flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_flow
+from slopeflow.calabi_profiles import admissible_j
+from slopeflow.flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_flow, solve_banded
 from slopeflow.surface_slopes import SEMISTABLE, STABLE, UNSTABLE, one_point_blowup_certificate
 
 GRID = 128
@@ -31,6 +34,10 @@ COT_CASES = [
     ((2, 3, 3), STABLE),
     ((3, 1, -1), SEMISTABLE),
     ((2, 3, 0), UNSTABLE),
+    # pinned just below the singular limit: the wall cell takes the jump flux
+    ((2, 3, Fraction(1, 2)), UNSTABLE),
+    ((2, 3, Fraction(1, 4)), UNSTABLE),
+    ((Fraction(9, 4), 3, Fraction(1, 8)), UNSTABLE),
 ]
 
 
@@ -83,15 +90,15 @@ def _run(flow, args, cfg):
 
 @pytest.mark.parametrize("flow,args", PSEUDO_TRANSIENT_CASES)
 def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
-    """The step grows from cfg.dt with the falling residual, stays within one
-    checkpoint interval, and the limit does not depend on the first step."""
+    """The step grows from cfg.dt with the falling residual up to DT_CAP,
+    and the limit does not depend on the first step."""
     plateaus = []
     for dt in (0.02, 0.05):
         cfg = FlowConfig(grid_size=GRID, dt=dt)
         tr, h = _run(flow, args, cfg)
         _assert_limit(tr, h)
         assert tr.meta["residual"] < cfg.convergence_tol
-        assert tr.meta["dt"] == dt < tr.meta["dt_max"] <= cfg.t_max / 200
+        assert tr.meta["dt"] == dt < tr.meta["dt_max"] == DT_CAP
         assert all(b > a for a, b in zip(tr.times, tr.times[1:])) and tr.times[-1] <= cfg.t_max
         assert tr.steps < 400
         plateaus.append(tr.terminal_constant)
@@ -101,11 +108,36 @@ def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
 @pytest.mark.parametrize("output", [{"t_max": 400.0}, {"checkpoint_interval": 2.0}])
 @pytest.mark.parametrize("flow,args", PSEUDO_TRANSIENT_CASES + [("j", (1, 0, 4, 1))])
 def test_step_cap_ignores_output_settings(flow, args, output):
-    """A later t_max or sparser checkpoints leave the largest step at DT_CAP:
-    at a cap of 2 the unstable J pair (1, 0, 4, 1) loses admissibility."""
+    """A later t_max or sparser checkpoints leave the largest step at DT_CAP
+    and every step as it was: a run that converges at the default settings
+    takes the same steps to the same terminal profile."""
     cfg = FlowConfig(grid_size=GRID, dt=0.05, **output)
     tr, h = _run(flow, args, cfg)
-    assert tr.meta["dt_max"] == DT_CAP == 0.5
+    base, _ = _run(flow, args, CFG)
+    assert tr.meta["dt_max"] == DT_CAP == 2.0
     assert all(ck.admissible for ck in tr.checkpoints) and tr.times[-1] <= cfg.t_max
+    if base.converged:
+        assert (tr.steps, tr.meta["rejected"]) == (base.steps, base.meta["rejected"])
+        assert np.array_equal(tr.terminal_profile.values, base.terminal_profile.values)
+        assert tr.terminal_constant == base.terminal_constant
     if args != (1, 0, 4, 1):  # the unstable J flow's known defect fails its monitors
         _assert_limit(tr, h)
+
+
+def test_inadmissible_steps_are_rejected_and_halved(monkeypatch):
+    """The unstable J pair (1, 0, 4, 1) overshoots at steps near DT_CAP: those
+    steps are retried at half the step, so the run finishes, every recorded
+    profile is admissible, and `steps` counts only the accepted solves."""
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve_banded(*args)
+
+    monkeypatch.setattr(flow_engine, "solve_banded", counting_solve)
+    cfg = FlowConfig(grid_size=GRID, dt=0.05, t_max=400.0)
+    tr = run_j_flow(BundleParams(1, 0, 4, 1), "line", cfg=cfg)
+    assert tr.converged and tr.meta["rejected"] >= 1
+    assert tr.summary()["meta"]["rejected"] == tr.meta["rejected"]
+    assert all(admissible_j(prof) for prof in tr.profiles)
+    assert len(solves) == tr.steps + tr.meta["rejected"]
