@@ -2,16 +2,15 @@
 
 Under the symmetric ansatz every metric is encoded by a momentum profile: an
 increasing function psi on the fiber-height interval.  This module provides
-the closed-form steady profiles for both equations, the background potentials
-whose degenerate diffusion coefficients drive the flows, the pointwise slope
-and angle evaluations, admissibility predicates and small grid utilities.
+the closed-form steady profiles for both equations, the pointwise slope and
+angle evaluations and the admissibility predicates.  The flow schemes call
+the same slope field and predicates on their arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from .surface_lattice import to_fraction
 
 __all__ = [
     "MomentProfile",
-    "BackgroundPotential",
-    "background_potential",
     "admissible_j",
     "admissible_dhym",
     "require_admissible_j",
@@ -38,14 +35,11 @@ __all__ = [
     "pointwise_angle",
     "straight_line_profile",
     "special_cotangent_profile",
-    "graded_grid",
-    "quadratic_contact_report",
     "invert_steady_profile_j",
 ]
 
-#: default slack when checking monotonicity of sampled profiles; the singular
-#: limits are flat on part of the interval, so exact strictness is reserved
-#: for closed-form samples.
+#: slack of every admissibility check; the singular limits are flat on part
+#: of the interval, so a flat stretch must pass
 ADMISSIBILITY_TOL = 1e-10
 
 
@@ -75,81 +69,40 @@ class MomentProfile:
         """Centered first derivative at interior nodes, one-sided at the ends."""
         return np.gradient(self.values, self.grid)
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,psi\n")
-            for x, v in zip(self.grid, self.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "boundary": list(self.boundary),
-            "x": self.grid.tolist(),
-            "psi": self.values.tolist(),
-        }
+def _admissible_j(values: np.ndarray) -> bool:
+    """`admissible_j` on node values, for the flow schemes; NaN fails."""
+    return bool(values.min() >= -ADMISSIBILITY_TOL and (values[1:] - values[:-1]).min() >= -ADMISSIBILITY_TOL)
 
 
-def admissible_j(profile: MomentProfile, tol: float = ADMISSIBILITY_TOL) -> bool:
-    """Nonnegative and monotone increasing up to `tol` slack.
+def _admissible_dhym(grid: np.ndarray, values: np.ndarray) -> bool:
+    """`admissible_dhym` on node values, for the flow schemes; NaN fails."""
+    xp = grid * values
+    return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
+
+
+def admissible_j(profile: MomentProfile) -> bool:
+    """Nonnegative and monotone increasing up to ADMISSIBILITY_TOL slack.
 
     The singular limits are identically zero on part of the interval, so the
     numerically meaningful predicate allows flat stretches within tolerance.
     """
-    return bool(
-        np.all(profile.values >= -tol) and np.all(np.diff(profile.values) >= -tol)
-    )
+    return _admissible_j(profile.values)
 
 
-def admissible_dhym(profile: MomentProfile, tol: float = ADMISSIBILITY_TOL) -> bool:
+def admissible_dhym(profile: MomentProfile) -> bool:
     """x psi' + psi > 0 in the interior, checked as monotonicity of x*psi."""
-    return bool(np.all(np.diff(profile.grid * profile.values) > -tol))
+    return _admissible_dhym(profile.grid, profile.values)
 
 
-def require_admissible_j(profile: MomentProfile, tol: float = ADMISSIBILITY_TOL) -> None:
-    if not admissible_j(profile, tol):
+def require_admissible_j(profile: MomentProfile) -> None:
+    if not admissible_j(profile):
         raise AdmissibilityError("profile is not monotone-nonnegative")
 
 
-def require_admissible_dhym(profile: MomentProfile, tol: float = ADMISSIBILITY_TOL) -> None:
-    if not admissible_dhym(profile, tol):
+def require_admissible_dhym(profile: MomentProfile) -> None:
+    if not admissible_dhym(profile):
         raise AdmissibilityError("profile violates x psi' + psi > 0")
-
-
-@dataclass
-class BackgroundPotential:
-    """Degenerate diffusion coefficient of the reduced parabolic equation.
-
-    For kind "j_flow" the coefficient is a function of the momentum value y
-    on [0, b]; for kind "cotangent" it is a function of the space variable x
-    on [1, b].  Both come from the canonical sigmoid potentials and vanish
-    simply at the endpoints.
-    """
-
-    kind: str
-    b: float
-    Q: Callable[[np.ndarray], np.ndarray]
-
-
-def background_potential(kind: str, b) -> BackgroundPotential:
-    b = float(b)
-    if kind == "j_flow":
-        if b <= 0:
-            raise InputError("need b > 0")
-
-        def Q(y):
-            return y * (b - y) / b
-
-    elif kind == "cotangent":
-        if b <= 1:
-            raise InputError("need b > 1")
-
-        def Q(x):
-            return (x - 1.0) * (b - x) / (b - 1.0)
-
-    else:
-        raise InputError(f"unknown background kind {kind!r}")
-    return BackgroundPotential(kind=kind, b=b, Q=Q)
 
 
 def _weight_poly_coeffs(m: int, n: int, s: float) -> np.ndarray:
@@ -252,13 +205,11 @@ def invert_steady_profile_j(params: BundleParams, s, y):
     return float(x) if np.ndim(y) == 0 else x
 
 
-def sample_steady_profile_j(
-    params: BundleParams, s, num: int, graded: bool = False
-) -> MomentProfile:
+def sample_steady_profile_j(params: BundleParams, s, num: int) -> MomentProfile:
     """Steady profile sampled on [s, a] at arbitrary resolution."""
     a, b = float(params.a), float(params.b)
     s = float(s)
-    grid = graded_grid(s, a, num, focus=s) if graded else np.linspace(s, a, num)
+    grid = np.linspace(s, a, num)
     vals = steady_profile_j(params, s, grid)
     vals = np.asarray(vals, dtype=float)
     vals[0], vals[-1] = 0.0, b
@@ -316,9 +267,9 @@ def steady_profile_dhym(b, p, s, x):
     return out
 
 
-def sample_steady_profile_dhym(b, p, s, num: int, graded: bool = False) -> MomentProfile:
+def sample_steady_profile_dhym(b, p, s, num: int) -> MomentProfile:
     b, p, s = float(b), float(p), float(s)
-    grid = graded_grid(1.0, b, num, focus=1.0) if graded else np.linspace(1.0, b, num)
+    grid = np.linspace(1.0, b, num)
     vals = np.asarray(steady_profile_dhym(b, p, s, grid), dtype=float)
     vals[0], vals[-1] = s, p
     return MomentProfile(grid=grid, values=vals, boundary=(s, p))
@@ -331,7 +282,7 @@ def pointwise_slope(profile: MomentProfile, params: BundleParams) -> np.ndarray:
     m/x factor is continued by m psi'(0) at x = 0 where psi vanishes.
     """
     require_admissible_j(profile)
-    return _slope_field(profile.grid, profile.values, profile.derivative(), params.n, params.m)
+    return _slope_field(profile.values, profile.derivative(), params.m, _slope_grid(profile.grid, params.n))
 
 
 def pointwise_angle(profile: MomentProfile) -> np.ndarray:
@@ -340,14 +291,20 @@ def pointwise_angle(profile: MomentProfile) -> np.ndarray:
     return _angle_field(profile.grid, profile.values, profile.derivative())[1]
 
 
-def _slope_field(x: np.ndarray, psi: np.ndarray, d: np.ndarray, n: int, m: int) -> np.ndarray:
-    """sigma from samples psi and derivative samples d, unchecked."""
-    g = n / (1 + x)
+def _slope_grid(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid-only terms of `_slope_field`: n/(1+x), the mask x > 0, and
+    the divisor of psi/x with x = 0 replaced by 1 (sigma takes psi' there)."""
+    pos = x > 0
+    return n / (1 + x), pos, np.where(pos, x, 1.0)
+
+
+def _slope_field(psi: np.ndarray, d: np.ndarray, m: int, grid_terms) -> np.ndarray:
+    """sigma from samples psi and derivative samples d on `_slope_grid`
+    terms, unchecked."""
+    g, pos, safe = grid_terms
     out = d + psi * g + g
     if m:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(x > 0, psi / np.where(x > 0, x, 1.0), d)
-        out = out + m * ratio
+        out = out + m * np.where(pos, psi / safe, d)
     return out
 
 
@@ -384,58 +341,3 @@ def special_cotangent_profile(b, p, q, num: int) -> MomentProfile:
     vals = lam / grid + mu * grid
     vals[0], vals[-1] = q, p
     return MomentProfile(grid=grid, values=vals, boundary=(q, p))
-
-
-def graded_grid(lo: float, hi: float, num: int, focus: float, strength: float = 2.0) -> np.ndarray:
-    """Grid on [lo, hi] refined near `focus` by a power-law stretching."""
-    if not lo <= focus <= hi:
-        raise InputError("focus must lie inside the interval")
-    u = np.linspace(0.0, 1.0, num)
-    span = hi - lo
-    pivot = (focus - lo) / span if span > 0 else 0.0
-    left = u <= pivot if pivot > 0 else np.zeros_like(u, dtype=bool)
-    out = np.empty_like(u)
-    if pivot > 0:
-        t = u[left] / pivot
-        out[left] = pivot - pivot * (1 - t) ** strength
-    if pivot < 1:
-        t = (u[~left] - pivot) / (1 - pivot)
-        out[~left] = pivot + (1 - pivot) * t**strength
-    grid = lo + span * out
-    grid[0], grid[-1] = lo, hi
-    return np.unique(grid)
-
-
-def quadratic_contact_report(params: BundleParams, eps_grid=None) -> dict:
-    """Measure psi(x)/(x - lam)^2 as x -> lam+ and compare both candidates.
-
-    Differentiating the steady equation gives psi''(lam) = n/(1+lam)^2, so
-    the quadratic Taylor coefficient is half of that; the literature also
-    quotes the full n/(1+lam)^2 as the coefficient.  This reports the
-    measured limit and which constant it matches, rather than resolving the
-    discrepancy analytically.
-    """
-    cert = min_slope_certificate(params)
-    if cert.lam is None or cert.lam == 0.0:
-        raise InputError("quadratic contact is only defined for an interior puncture")
-    lam = cert.lam
-    n = params.n
-    full = n / (1 + lam) ** 2
-    half = 0.5 * full
-    if eps_grid is None:
-        eps_grid = [1e-3, 1e-4, 1e-5]
-    measured = []
-    for eps in eps_grid:
-        x = lam + eps
-        val = steady_profile_j(params, lam, x)
-        measured.append(val / eps**2)
-    m = measured[-1]
-    matches = "half" if abs(m - half) < abs(m - full) else "full"
-    return {
-        "lambda": lam,
-        "measured": measured,
-        "ode_half_coefficient": half,
-        "ode_full_coefficient": full,
-        "matches": matches,
-        "factor_two_flag": matches == "half",
-    }

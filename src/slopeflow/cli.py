@@ -66,8 +66,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        """Read a config; a section other than these four, or a key other
+        than `command` in [experiment], is an input error."""
         with open(path, "r", encoding="utf-8") as fh:
             sections = _read_ini(fh.read(), "experiment")
+        known = ("experiment", "geometry", "solver", "output")
+        unknown = [f"section [{name}]" for name in sections if name not in known]
+        unknown += [f"key {key!r} in [experiment]" for key in sections["experiment"] if key != "command"]
+        if unknown:
+            raise InputError(f"experiment config has an unknown {', '.join(unknown)}")
         command = sections["experiment"].get("command")
         if not command:
             raise InputError("experiment config needs a 'command' entry")
@@ -154,6 +161,8 @@ def _cmd_energy(ns) -> int:
         rep["l2_slope_deviation"] = l2_slope_deviation(params)
         _emit(rep, os.path.join(out, "futaki.json") if out else None)
     elif ns.energy == "minimizing-seq":
+        if ns.k_step < 1 or ns.k < ns.k_min:
+            raise InputError("minimizing-seq needs --k-step >= 1 and --k >= --k-min")
         params = BundleParams.parse(ns.params)
         ref = energy_infimum(params).value
         rows = []

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -83,18 +82,11 @@ def _energy_constant(params: BundleParams) -> float:
     return float((params.n + params.m + 1) * math.comb(params.n + params.m, params.n) * params.d)
 
 
-def moment_energy(profile: MomentProfile, params: BundleParams, centered: bool = False) -> float:
-    """Composite-trapezoid quadrature of c_{n,m} int sigma[psi]^2 x^m (1+x)^n dx.
-
-    With ``centered=True`` the integrand is (sigma - mu_0)^2 without the
-    normalizing constant, the form compared against Futaki invariants.
-    """
+def moment_energy(profile: MomentProfile, params: BundleParams) -> float:
+    """Composite-trapezoid quadrature of c_{n,m} int sigma[psi]^2 x^m (1+x)^n dx."""
     sigma = pointwise_slope(profile, params)
     x = profile.grid
     w = x**params.m * (1 + x) ** params.n
-    if centered:
-        mu0 = float(steady_slope(params, 0))
-        return float(np.trapezoid((sigma - mu0) ** 2 * w, x))
     return _energy_constant(params) * float(np.trapezoid(sigma**2 * w, x))
 
 
@@ -261,7 +253,10 @@ def futaki_invariant(cfg: PLTestConfig, params: BundleParams) -> FutakiReport:
 
 def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestConfig:
     """PL approximation of the limit Hamiltonian n/(1+x) - mu0 capped at the
-    puncture value, with the kink placed exactly at the puncture."""
+    puncture value, with the kink placed exactly at the puncture; at least
+    two breakpoints fall on each side of it."""
+    if num_breakpoints < 4:
+        raise InputError(f"need at least 4 breakpoints, not {num_breakpoints}")
     cert = min_slope_certificate(params)
     if cert.lam is None:
         raise InputError("stable pairs have no capped limit Hamiltonian")
@@ -271,8 +266,8 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
     lam = to_fraction(repr(cert.lam))
     if lam == 0:
         raise InputError("semistable pairs have a constant limit Hamiltonian")
-    left = max(num_breakpoints // 2, 2)
-    right = max(num_breakpoints - left, 2)
+    left = num_breakpoints // 2
+    right = num_breakpoints - left
     bps: list[Fraction] = [lam * Fraction(i, left) for i in range(left)]
     bps += [lam + (a - lam) * Fraction(i, right) for i in range(right + 1)]
     values = [
@@ -282,11 +277,12 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
     return PLTestConfig(breakpoints=tuple(bps), values=tuple(values))
 
 
-def l2_slope_deviation(params: BundleParams, quad_points: int = 20001) -> float:
+def l2_slope_deviation(params: BundleParams) -> float:
     """Weighted L2 distance of the limit slope profile from mu0, by quadrature.
 
     The limit slope is n/(1+x) up to the puncture and the minimal slope
-    beyond it; the second piece integrates exactly, the first by Simpson.
+    beyond it; the second piece integrates exactly, the first by Simpson
+    on 20001 points.
     """
     cert = min_slope_certificate(params)
     if cert.lam is None or cert.lam == 0.0:
@@ -294,7 +290,7 @@ def l2_slope_deviation(params: BundleParams, quad_points: int = 20001) -> float:
     n, m = params.n, params.m
     mu0 = float(cert.mu0)
     lam = cert.lam
-    x = np.linspace(0.0, lam, quad_points if quad_points % 2 == 1 else quad_points + 1)
+    x = np.linspace(0.0, lam, 20001)
     f = (n / (1 + x) - mu0) ** 2 * x**m * (1 + x) ** n
     h = x[1] - x[0]
     first = h / 3 * (f[0] + f[-1] + 4 * np.sum(f[1:-1:2]) + 2 * np.sum(f[2:-1:2]))
@@ -338,13 +334,7 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
     return num / (num + bump(1.0 - s))
 
 
-def minimizing_profile(
-    params: BundleParams,
-    k: float,
-    base_profile: tuple[Callable, Callable] | None = None,
-    rho_step: float = 0.02,
-    rho_margin: float = 35.0,
-) -> tuple[RadialProfile, float]:
+def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, float]:
     """The k-th member of the explicit energy-minimizing sequence.
 
     Glues the singular-limit potential to a bubble potential translated k
@@ -353,7 +343,8 @@ def minimizing_profile(
     weight integral on the cumulative density, so the gluing solves the
     prescribed Monge-Ampere density exactly at the sample points; its energy
     is evaluated by trapezoidal quadrature in the log-radial coordinate and
-    converges to the closed-form infimum as k grows.
+    converges to the closed-form infimum as k grows.  The base potential is
+    the sigmoid, sampled at steps of 0.02 in rho on [-k - 35, 35].
     """
     cert = min_slope_certificate(params)
     if cert.verdict == STABLE:
@@ -365,13 +356,7 @@ def minimizing_profile(
     a, b = float(params.a), float(params.b)
     height = a - lam
 
-    if base_profile is None:
-        zeta1 = lambda r: lam * _sigmoid(r)
-        zeta2 = lambda r: lam * _sigmoid(r) * (1.0 - _sigmoid(r))
-    else:
-        zeta1, zeta2 = base_profile
-
-    rho = np.arange(-k - rho_margin, rho_margin + rho_step, rho_step)
+    rho = np.arange(-k - 35.0, 35.0 + 0.02, 0.02)
     sig = _sigmoid(rho)
     u1 = b * sig
     u2 = b * sig * (1.0 - sig)
@@ -398,8 +383,9 @@ def minimizing_profile(
     theta1 = np.interp(cum, I_tab, y_tab)
     theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
 
-    v1 = theta1 + zeta1(rho + k)
-    v2 = theta2 + zeta2(rho + k)
+    base = _sigmoid(rho + k)
+    v1 = theta1 + lam * base
+    v2 = theta2 + lam * base * (1.0 - base)
     sigma = u2 / v2 + n * (1 + u1) / (1 + v1)
     if m:
         sigma = sigma + m * u1 / v1

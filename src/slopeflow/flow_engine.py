@@ -6,8 +6,8 @@ conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
 monitors and backward-Euler step.  A small scheme per equation supplies the
 half-node flux c (the pointwise slope for the J flow, cot(theta) for the
 cotangent flow) with its node sensitivities, Q at the interior nodes, the
-admissibility predicate, the checkpoint fields, and the reference profile
-with its plateau window.
+checkpoint fields, and the reference profile with its plateau window; its
+admissibility test and slope field are those of `calabi_profiles`.
 
 Every step is backward Euler in delta form, (I - dt Q dc) delta = dt rate,
 with each half flux linearized and Q lagged: one tridiagonal solve by LAPACK
@@ -58,11 +58,12 @@ import numpy as np
 from .bundle_geometry import BundleParams, min_slope_certificate
 from .calabi_profiles import (
     ADMISSIBILITY_TOL,
-    BackgroundPotential,
     MomentProfile,
+    _admissible_dhym,
+    _admissible_j,
     _angle_field,
     _slope_field,
-    background_potential,
+    _slope_grid,
     require_admissible_dhym,
     require_admissible_j,
     sample_steady_profile_dhym,
@@ -222,7 +223,8 @@ class FlowTrace:
                 x, psi = prof.grid, prof.values
                 d = _gradient(psi, h)
                 if self.kind == "j":
-                    diag = _slope_field(x, psi, d, self.meta["params"]["n"], self.meta["params"]["m"])
+                    params = self.meta["params"]
+                    diag = _slope_field(psi, d, params["m"], _slope_grid(x, params["n"]))
                 else:
                     diag = _angle_field(x, psi, d)[0]
                 row = f"{t:.10g},%.17g,%.17g,%.17g\n"
@@ -257,8 +259,9 @@ def _plateau(values: np.ndarray, window: slice) -> tuple[float, float]:
     return float(v.sum() / v.size), float(np.abs(v[1:] - v[:-1]).sum())
 
 
-def _lambda_estimate(prof: MomentProfile, threshold: float = 1e-4) -> float:
-    below = prof.values <= threshold
+def _lambda_estimate(prof: MomentProfile) -> float:
+    """The last node where the profile is at most 1e-4, or 0."""
+    below = prof.values <= 1e-4
     if not below.any():
         return 0.0
     return float(prof.grid[np.nonzero(below)[0][-1]])
@@ -297,10 +300,7 @@ class _JScheme:
     #: the decaying functional's Checkpoint field; it is measured every step
     decay, checkpoint_decay = "energy", None
 
-    def __init__(self, params: BundleParams, init, bg: BackgroundPotential | None, cfg: FlowConfig):
-        bg = bg or background_potential("j_flow", params.b)
-        if bg.kind != "j_flow":
-            raise InputError("run_j_flow needs a j_flow background")
+    def __init__(self, params: BundleParams, init, cfg: FlowConfig):
         a, b = float(params.a), float(params.b)
         if isinstance(init, str):
             if init == "line":
@@ -322,8 +322,7 @@ class _JScheme:
         self.psi = init.values.copy()
         self.h = h = _uniform_spacing(x)
         n, m = params.n, params.m
-        self.n, self.m = n, m
-        self.bg = bg
+        self.m, self.b = m, b
         self.boundary = self.ref_boundary = (0.0, b)
         ref = singular_limit_profile_j(params, x.size, lam=lam)
         self.ref = np.interp(x, ref.grid, ref.values)
@@ -334,11 +333,7 @@ class _JScheme:
         self.g_h = n / (1 + xh)
         # the chord flux is linear, so its implicit-step entries are fixed
         self.sensitivities = _node_sensitivities(1.0, self.p_h, h)
-        # grid-only terms of the slope field: n/(1+x), and for m >= 1 the
-        # divisor of psi/x with x = 0 replaced (sigma takes psi' there)
-        self.g = n / (1 + x)
-        self.x_pos = x > 0
-        self.x_safe = np.where(self.x_pos, x, 1.0)
+        self.slope_grid = _slope_grid(x, n)
         # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
         tw = np.full_like(x, h)
         tw[0] = tw[-1] = h / 2
@@ -351,7 +346,8 @@ class _JScheme:
         }
 
     def Q(self, pv: np.ndarray) -> np.ndarray:
-        return self.bg.Q(pv[1:-1])
+        y = pv[1:-1]
+        return y * (self.b - y) / self.b
 
     def linear_flux(self, pv: np.ndarray):
         """The chord flux, linear in psi, with its fixed `_node_sensitivities`."""
@@ -359,16 +355,12 @@ class _JScheme:
         return (c, *self.sensitivities)
 
     def admissible(self, pv: np.ndarray) -> bool:
-        """Nonnegative and nondecreasing up to the admissibility slack."""
-        return bool(pv.min() >= -ADMISSIBILITY_TOL and (pv[1:] - pv[:-1]).min() >= -ADMISSIBILITY_TOL)
+        return _admissible_j(pv)
 
     def step_decay(self, pv: np.ndarray) -> tuple[float, np.ndarray]:
-        """The J energy of a profile, and the slope field it integrates:
-        `_slope_field`, bit for bit, on the grid terms built once per solve."""
-        d = _gradient(pv, self.h)
-        s = d + pv * self.g + self.g
-        if self.m:
-            s = s + self.m * np.where(self.x_pos, pv / self.x_safe, d)
+        """The J energy of a profile, and the slope field it integrates,
+        on the grid terms built once per solve."""
+        s = _slope_field(pv, _gradient(pv, self.h), self.m, self.slope_grid)
         return float(np.dot(s * s, self.tw)), s
 
     def checkpoint_fields(self, pv: np.ndarray, t: float, sigma: np.ndarray):
@@ -392,11 +384,8 @@ class _CotScheme:
     #: the decaying functional's Checkpoint field; it is measured per checkpoint
     decay, step_decay = "volume", None
 
-    def __init__(self, b, p, q, init, bg: BackgroundPotential | None, cfg: FlowConfig):
+    def __init__(self, b, p, q, init, cfg: FlowConfig):
         b, p, q = float(b), float(p), float(q)
-        bg = bg or background_potential("cotangent", b)
-        if bg.kind != "cotangent":
-            raise InputError("run_cotangent_flow needs a cotangent background")
         cert = one_point_blowup_certificate(b, p, q)
         s_star = max(cert.slope, q)
         if isinstance(init, str):
@@ -419,7 +408,8 @@ class _CotScheme:
         self.x = x = init.grid.copy()
         self.psi = init.values.copy()
         self.h = _uniform_spacing(x)
-        self.Qx = bg.Q(x[1:-1])
+        xi = x[1:-1]
+        self.Qx = (xi - 1.0) * (b - xi) / (b - 1.0)
         self.boundary = (q, p)
         self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
         self.ref[0], self.ref[-1] = s_star, p
@@ -476,9 +466,7 @@ class _CotScheme:
         return (c, *_node_sensitivities(dc_ddelta, dc_dmean, self.h))
 
     def admissible(self, pv: np.ndarray) -> bool:
-        """x psi' + psi > 0, checked as monotonicity of x psi."""
-        xp = self.x * pv
-        return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
+        return _admissible_dhym(self.x, pv)
 
     def checkpoint_decay(self, prof: MomentProfile) -> float:
         """The calibration volume of a checkpoint's profile: `dhym_volume`'s
@@ -643,7 +631,6 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 def run_j_flow(
     params: BundleParams,
     init: MomentProfile | str,
-    bg: BackgroundPotential | None = None,
     cfg: FlowConfig | None = None,
 ) -> FlowTrace:
     """Integrate the reduced inverse-trace flow with pinned endpoints.
@@ -658,7 +645,7 @@ def run_j_flow(
     compact away from the puncture, and checkpointed monitor diagnostics.
     """
     cfg = cfg or FlowConfig()
-    return _integrate(_JScheme(params, init, bg, cfg), cfg)
+    return _integrate(_JScheme(params, init, cfg), cfg)
 
 
 def run_cotangent_flow(
@@ -666,7 +653,6 @@ def run_cotangent_flow(
     p,
     q,
     init: MomentProfile | str,
-    bg: BackgroundPotential | None = None,
     cfg: FlowConfig | None = None,
 ) -> FlowTrace:
     """Integrate the reduced cotangent flow with pinned endpoints.
@@ -681,7 +667,7 @@ def run_cotangent_flow(
     cot(theta).
     """
     cfg = cfg or FlowConfig()
-    return _integrate(_CotScheme(b, p, q, init, bg, cfg), cfg)
+    return _integrate(_CotScheme(b, p, q, init, cfg), cfg)
 
 
 def monitor_suite(trace: FlowTrace) -> MonitorReport:

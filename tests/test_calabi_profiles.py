@@ -1,4 +1,4 @@
-"""Steady profiles, backgrounds, slope/angle functionals, admissibility."""
+"""Steady profiles, slope/angle functionals, admissibility."""
 
 import math
 from fractions import Fraction as F
@@ -11,12 +11,9 @@ from slopeflow.calabi_profiles import (
     MomentProfile,
     admissible_dhym,
     admissible_j,
-    background_potential,
-    graded_grid,
     invert_steady_profile_j,
     pointwise_angle,
     pointwise_slope,
-    quadratic_contact_report,
     sample_steady_profile_dhym,
     sample_steady_profile_j,
     singular_limit_profile_j,
@@ -60,10 +57,7 @@ def test_quadratic_contact_matches_half_coefficient(unstable, lam):
     for eps in (1e-3, 1e-4, 1e-5):
         val = steady_profile_j(unstable, lam, lam + eps) / eps**2
         assert abs(val - target) < 0.01 * target or eps > 1e-4
-    report = quadratic_contact_report(unstable)
-    assert report["matches"] == "half"
-    assert report["factor_two_flag"] is True
-    assert report["measured"][-1] == pytest.approx(target, rel=1e-4)
+    assert val == pytest.approx(target, rel=1e-4)
 
 
 def test_steady_ode_residual_second_order(unstable, lam):
@@ -225,19 +219,6 @@ def test_angle_stays_in_range():
     assert np.all(th > 0) and np.all(th < math.pi)
 
 
-def test_background_potentials():
-    qj = background_potential("j_flow", 1)
-    assert qj.Q(np.array(0.5)) == pytest.approx(0.25)
-    assert qj.Q(np.array(0.0)) == 0 and qj.Q(np.array(1.0)) == 0
-    qc = background_potential("cotangent", 2)
-    assert qc.Q(np.array(1.5)) == pytest.approx(0.25)
-    assert qc.Q(np.array(1.0)) == 0 and qc.Q(np.array(2.0)) == 0
-    with pytest.raises(InputError):
-        background_potential("cotangent", 1)
-    with pytest.raises(InputError):
-        background_potential("nope", 2)
-
-
 def test_admissibility_predicates():
     grid = np.linspace(0, 4, 33)
     rising = MomentProfile(grid, grid / 4, (0.0, 1.0))
@@ -257,25 +238,6 @@ def test_singular_limit_profile(unstable, lam):
     assert np.all(prof.values[below] == 0)
     assert prof.values[-1] == 1.0
     assert admissible_j(prof)
-
-
-def test_graded_grid_refines_focus():
-    g = graded_grid(1.0, 2.0, 101, focus=1.0, strength=2.5)
-    assert g[0] == 1.0 and g[-1] == 2.0
-    d = np.diff(g)
-    assert d[0] < d[-1] / 5
-    assert np.all(d > 0)
-
-
-def test_profile_serialization_roundtrip(tmp_path, unstable):
-    prof = straight_line_profile(unstable, 65)
-    csv = tmp_path / "prof.csv"
-    prof.to_csv(str(csv))
-    data = np.loadtxt(str(csv), delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 0], prof.grid)
-    assert np.allclose(data[:, 1], prof.values)
-    d = prof.to_json()
-    assert d["schema"] == 1 and len(d["x"]) == 65
 
 
 def test_profile_validation():

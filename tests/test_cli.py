@@ -162,6 +162,42 @@ def test_run_config_malformed_exits_1(capsys, tmp_path):
     assert "malformed config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,offender",
+    [
+        (
+            "[experiment]\ncommand = flow j\n[geometry]\nparams = 0,1,1,2\n[solvr]\ngrid = 64\ndt = 0\n",
+            "unknown section [solvr]",
+        ),
+        ("[experiment]\ncommand = bundle slopes\nparams = 0,1,4,1\n", "unknown key 'params' in [experiment]"),
+    ],
+    ids=["section", "key"],
+)
+def test_run_config_with_an_unknown_section_or_key_exits_1(capsys, tmp_path, text, offender):
+    """A misspelled section or a stray [experiment] key is reported, not
+    dropped: the flow above would otherwise run at the default grid."""
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert offender in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "futaki", "--params", "0,1,4,1", "--breakpoints", count]
+        for count in ("-5", "0", "3")
+    ]
+    + [
+        ["energy", "minimizing-seq", "--params", "0,1,4,1"] + flags
+        for flags in (["--k-step", "0"], ["--k-step", "-4"], ["--k", "2", "--k-min", "4"])
+    ],
+)
+def test_energy_counts_it_cannot_honour_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_energy_infimum_exits_0(capsys):
     code, out = _run(capsys, ["energy", "infimum", "--params", "0,1,4,1"])
     assert code == 0

@@ -16,10 +16,13 @@ import pytest
 import slopeflow
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
 from slopeflow.calabi_profiles import (
+    ADMISSIBILITY_TOL,
     MomentProfile,
     _angle_field,
     _slope_field,
-    background_potential,
+    _slope_grid,
+    admissible_dhym,
+    admissible_j,
     sample_steady_profile_dhym,
     sample_steady_profile_j,
     special_cotangent_profile,
@@ -167,7 +170,7 @@ def _forward_euler(scheme, t_end: float, dt: float) -> np.ndarray:
 def test_implicit_matches_explicit_j(stable):
     cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4, checkpoint_interval=1.0)
     tr = run_j_flow(stable, "line", cfg=cfg)
-    ref = _forward_euler(_JScheme(stable, "line", None, cfg), 1.0, 4e-5)
+    ref = _forward_euler(_JScheme(stable, "line", cfg), 1.0, 4e-5)
     assert np.max(np.abs(ref - tr.terminal_profile.values)) < 5e-4
 
 
@@ -191,7 +194,7 @@ def test_implicit_j_step_solves_backward_euler(unstable):
 def test_implicit_matches_explicit_cotangent():
     cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4, checkpoint_interval=1.0)
     tr = run_cotangent_flow(2, 3, 1, "special", cfg=cfg)
-    ref = _forward_euler(_CotScheme(2, 3, 1, "special", None, cfg), 1.0, 1e-4)
+    ref = _forward_euler(_CotScheme(2, 3, 1, "special", cfg), 1.0, 1e-4)
     assert np.max(np.abs(ref - tr.terminal_profile.values)) < 5e-4
 
 
@@ -246,18 +249,64 @@ def test_trace_profiles_share_one_read_only_grid():
     assert grid is not init.grid and np.array_equal(grid, init.grid)
 
 
+def _slope_reference(x, psi, d, n, m):
+    """sigma = psi' + psi (n/(1+x) + m/x) + n/(1+x), with m psi' at x = 0,
+    written out in full: the bitwise reference for the shared slope field."""
+    g = n / (1 + x)
+    out = d + psi * g + g
+    if m:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(x > 0, psi / np.where(x > 0, x, 1.0), d)
+        out = out + m * ratio
+    return out
+
+
 @pytest.mark.parametrize("nm", [(1, 0), (1, 1), (2, 2)])
 def test_j_step_decay_is_the_slope_field_bit_for_bit(nm):
     """The J scheme's per-step slope field and energy, on grid terms built
-    once per solve, equal `_slope_field` and its weighted square exactly."""
+    once per solve, and `_slope_field` all equal the written-out formula
+    exactly."""
     params = BundleParams(n=nm[0], m=nm[1], a=2, b=1)
-    scheme = _JScheme(params, "line", None, FlowConfig(grid_size=64))
+    scheme = _JScheme(params, "line", FlowConfig(grid_size=64))
     x, h = scheme.x, scheme.h
     for pv in (scheme.psi, x**2 / 4, np.sqrt(x / 2)):
+        d = _gradient(pv, h)
+        ref = _slope_reference(x, pv, d, *nm)
         energy, field = scheme.step_decay(pv)
-        ref = _slope_field(x, pv, _gradient(pv, h), *nm)
         assert np.array_equal(field, ref)
+        assert np.array_equal(_slope_field(pv, d, nm[1], _slope_grid(x, nm[0])), ref)
         assert energy == float(np.dot(ref * ref, scheme.tw))
+
+
+def test_scheme_diffusion_coefficients():
+    """Q(y) = y (b - y)/b of the J scheme and Q(x) = (x-1)(b-x)/(b-1) of the
+    cotangent scheme: their values, and their simple zeros at the ends."""
+    cfg = FlowConfig(grid_size=64)
+    j = _JScheme(BundleParams(n=1, m=0, a=1, b=1), "line", cfg)
+    assert np.array_equal(j.Q(np.array([9.0, 0.5, 0.0, 1.0, 9.0])), [0.25, 0.0, 0.0])
+    cot = _CotScheme(2, 3, 1, "special", cfg)
+    qc, h = cot.Q(None), cot.h
+    assert cot.x[32] == pytest.approx(1.5) and qc[31] == pytest.approx(0.25)
+    assert qc[0] == pytest.approx(h * (1 - h)) == qc[-1]
+    with pytest.raises(InputError, match="need b > 1"):
+        run_cotangent_flow(1, 3, 0, "special", cfg=cfg)
+
+
+def test_admissibility_predicates_agree():
+    """`admissible_j`, `admissible_dhym` and both schemes' `admissible` give
+    one verdict: a dip of half the slack passes, a NaN or a dip of twice the
+    slack fails."""
+    cfg = FlowConfig(grid_size=64)
+    j = _JScheme(BundleParams(n=1, m=0, a=4, b=1), "line", cfg)
+    cot = _CotScheme(2, 3, 0, "special", cfg)
+    for scheme, predicate in ((j, admissible_j), (cot, admissible_dhym)):
+        # w psi is the sequence each predicate keeps nondecreasing
+        w = np.ones_like(scheme.x) if scheme is j else scheme.x
+        for dip, ok in ((math.nan, False), (2 * ADMISSIBILITY_TOL, False), (ADMISSIBILITY_TOL / 2, True)):
+            vals = scheme.psi.copy()
+            vals[20] = (w[19] * vals[19] - dip) / w[20]
+            assert scheme.admissible(vals) is ok
+            assert predicate(MomentProfile(scheme.x, vals, scheme.boundary)) is ok
 
 
 def test_checkpoint_profiles_admissible(unstable):
@@ -273,9 +322,6 @@ def test_input_validation_j(unstable):
         run_j_flow(unstable, bad)
     with pytest.raises(InputError):
         run_j_flow(unstable, "sawtooth")
-    wrong_bg = background_potential("cotangent", 2)
-    with pytest.raises(InputError):
-        run_j_flow(unstable, "line", bg=wrong_bg)
 
 
 def test_input_validation_cotangent():
@@ -323,7 +369,7 @@ def test_checkpoint_plateau_is_the_slope_field_plateau():
         x, psi = prof.grid, prof.values
         lo = np.searchsorted(x, tr.meta["lambda_ref"] + COMPACT_MARGIN)
         window = slice(int(lo), int(np.searchsorted(x, 2 - COMPACT_MARGIN, side="right")))
-        plateau, tv = _plateau(_slope_field(x, psi, _gradient(psi, h), 1, 1), window)
+        plateau, tv = _plateau(_slope_reference(x, psi, _gradient(psi, h), 1, 1), window)
         assert ck.plateau == pytest.approx(plateau, abs=1e-12)
         assert ck.slope_total_variation == pytest.approx(tv, abs=1e-12)
 
@@ -353,7 +399,7 @@ def _old_csv(trace, path):
             x, psi = prof.grid, prof.values
             d = _gradient(psi, h)
             if trace.kind == "j":
-                diag = _slope_field(x, psi, d, trace.meta["params"]["n"], trace.meta["params"]["m"])
+                diag = _slope_reference(x, psi, d, trace.meta["params"]["n"], trace.meta["params"]["m"])
             else:
                 diag = _angle_field(x, psi, d)[0]
             for xv, v, dg in zip(x, psi, diag):
