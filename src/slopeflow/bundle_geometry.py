@@ -6,11 +6,17 @@ are reduced against that relation and paired in the top degree.  The same
 recursion on the exceptional divisor of the zero-section blow-up gives the
 closed forms for the slope function of punctured steady profiles, its convex
 minimizer, and the invariant minimal slope.
+
+Everything exact runs on Python integers: ring elements are integer
+numerators over one denominator, and the puncture, a root of a polynomial
+with no closed form, is bracketed by adjacent floats at which the exact sign
+of that polynomial, cleared of denominators, changes.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -102,75 +108,109 @@ def weight_integral(m: int, n: int, s, x) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _eta_power(r: int, l: int) -> tuple[tuple[int, int], ...]:
+    """eta^l reduced against the relation of degree r: the pairs (j, c), j
+    ascending, with eta^l = sum c h^j eta^(l-j) and l - j < r."""
+    if l < r:
+        return ((0, 1),)
+    out: dict[int, int] = {}
+    for j, c in _eta_power(r, l - 1):
+        if l - j < r:
+            out[j] = out.get(j, 0) + c
+        else:  # eta^r = sum_i (-1)^(i-1) C(r-1, i) h^i eta^(r-i)
+            for i in range(1, r):
+                out[j + i] = out.get(j + i, 0) + (-1) ** (i - 1) * _binom(r - 1, i) * c
+    return tuple((j, c) for j, c in sorted(out.items()) if c)
+
+
+def _reduce(params: BundleParams, terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Integer terms {(k, l): c} of any degree rewritten in the basis
+    h^k eta^l, k <= n, l < r; zero coefficients dropped."""
+    n, r = params.n, params.r
+    out: dict[tuple[int, int], int] = {}
+    for (k, l), c in terms.items():
+        if not c or k > n:
+            continue
+        for j, t in _eta_power(r, l):
+            if k + j > n:
+                break
+            key = (k + j, l - j)
+            out[key] = out.get(key, 0) + t * c
+    return {key: c for key, c in out.items() if c}
+
+
 class ChowElement:
     """Polynomial in the base hyperplane class h and the fiber class eta.
 
     Coefficients are stored reduced: powers of h above n vanish and eta^r is
     rewritten through the defining relation
     eta^r = sum_j (-1)^(j-1) C(r-1, j) h^j eta^(r-j).
+    They are held as integer numerators over one common denominator, and a
+    product is reduced against the cached integer powers of eta; `coeffs`
+    gives them as Fractions.
     """
 
     def __init__(self, params: BundleParams, coeffs: dict[tuple[int, int], Fraction] | None = None):
+        values = {key: to_fraction(v) for key, v in (coeffs or {}).items()}
+        den = math.lcm(*(v.denominator for v in values.values()))
         self.params = params
-        self.coeffs: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (k, l), v in coeffs.items():
-                if v != 0:
-                    self.coeffs[(k, l)] = self.coeffs.get((k, l), Fraction(0)) + to_fraction(v)
-        self._reduce()
+        self._num = _reduce(params, {key: v.numerator * (den // v.denominator) for key, v in values.items()})
+        self._den = den
+
+    @classmethod
+    def _of(cls, params: BundleParams, num: dict[tuple[int, int], int], den: int) -> "ChowElement":
+        """The element num/den, num already reduced, den > 0."""
+        out = cls.__new__(cls)
+        out.params, out._num, out._den = params, num, den
+        return out
 
     @classmethod
     def one(cls, params: BundleParams) -> "ChowElement":
-        return cls(params, {(0, 0): Fraction(1)})
+        return cls._of(params, {(0, 0): 1}, 1)
 
     @classmethod
     def hyperplane(cls, params: BundleParams) -> "ChowElement":
-        return cls(params, {(1, 0): Fraction(1)})
+        return cls._of(params, {(1, 0): 1}, 1)
 
     @classmethod
     def infinity(cls, params: BundleParams) -> "ChowElement":
-        return cls(params, {(0, 1): Fraction(1)})
+        return cls._of(params, {(0, 1): 1}, 1)
 
     @classmethod
     def fiber_class(cls, params: BundleParams, height) -> "ChowElement":
-        """h + height * eta, the class at fiber height `height`."""
-        return cls(params, {(1, 0): Fraction(1), (0, 1): to_fraction(height)})
+        """h + height * eta, the class at fiber height `height`: (Q h + P eta)/Q."""
+        height = to_fraction(height)
+        q = height.denominator
+        return cls._of(params, _reduce(params, {(1, 0): q, (0, 1): height.numerator}), q)
 
-    def _reduce(self) -> None:
-        n, r = self.params.n, self.params.r
-        work = self.coeffs
-        out: dict[tuple[int, int], Fraction] = {}
-        while work:
-            pending: dict[tuple[int, int], Fraction] = {}
-            for (k, l), v in work.items():
-                if v == 0 or k > n:
-                    continue
-                if l < r:
-                    out[(k, l)] = out.get((k, l), Fraction(0)) + v
-                    continue
-                for j in range(1, r):
-                    sign = Fraction((-1) ** (j - 1))
-                    key = (k + j, l - j)
-                    pending[key] = pending.get(key, Fraction(0)) + sign * _binom(r - 1, j) * v
-            work = pending
-        self.coeffs = {key: v for key, v in out.items() if v != 0}
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        return {key: Fraction(c, self._den) for key, c in self._num.items()}
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + v
-        return ChowElement(self.params, out)
+        den = math.lcm(self._den, other._den)
+        out = {key: c * (den // self._den) for key, c in self._num.items()}
+        scale = den // other._den
+        for key, c in other._num.items():
+            out[key] = out.get(key, 0) + c * scale
+        return ChowElement._of(self.params, {key: c for key, c in out.items() if c}, den)
 
     def __mul__(self, other) -> "ChowElement":
         if isinstance(other, ChowElement):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (k1, l1), v1 in self.coeffs.items():
-                for (k2, l2), v2 in other.coeffs.items():
-                    key = (k1 + k2, l1 + l2)
-                    out[key] = out.get(key, Fraction(0)) + v1 * v2
-            return ChowElement(self.params, out)
-        return ChowElement(
-            self.params, {k: v * to_fraction(other) for k, v in self.coeffs.items()}
+            n = self.params.n
+            out: dict[tuple[int, int], int] = {}
+            for (k1, l1), v1 in self._num.items():
+                for (k2, l2), v2 in other._num.items():
+                    if k1 + k2 <= n:
+                        key = (k1 + k2, l1 + l2)
+                        out[key] = out.get(key, 0) + v1 * v2
+            return ChowElement._of(self.params, _reduce(self.params, out), self._den * other._den)
+        f = to_fraction(other)
+        return ChowElement._of(
+            self.params,
+            {key: c * f.numerator for key, c in self._num.items()} if f else {},
+            self._den * f.denominator,
         )
 
     __rmul__ = __mul__
@@ -186,11 +226,11 @@ class ChowElement:
         return out
 
     def degrees(self) -> set[int]:
-        return {k + l for k, l in self.coeffs}
+        return {k + l for k, l in self._num}
 
     def top_coefficient(self) -> Fraction:
         """Coefficient of h^n eta^(r-1), the only monomial of top degree."""
-        return self.coeffs.get((self.params.n, self.params.r - 1), Fraction(0))
+        return Fraction(self._num.get((self.params.n, self.params.r - 1), 0), self._den)
 
 
 def intersection_number(factors, params: BundleParams) -> Fraction:
@@ -281,21 +321,104 @@ def critical_polynomial(params: BundleParams) -> list[Fraction]:
     return coeffs
 
 
-def _eval_poly(coeffs: list[Fraction], s: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _eval_poly(coeffs: list[int], num: int, den: int) -> int:
+    """den^deg p(num/den) for the integer coefficients (ascending) of p: its
+    sign is the exact sign of p(num/den) for den > 0."""
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * s + c
+        acc = acc * num + c * scale
+        scale *= den
     return acc
+
+
+def _newton(coeffs: list[float], lo: float, hi: float) -> float:
+    """Float Newton on an increasing polynomial, kept inside (lo, hi), which
+    the float sign of p narrows; a step that would leave it bisects instead."""
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        p = dp = 0.0
+        for c in reversed(coeffs):
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0:
+            return x
+        if p < 0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - p / dp if dp > 0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 1e-16 * x:
+            return nxt
+        x = nxt
+    return x
+
+
+def _float_bits(x: float) -> int:
+    """The bit pattern of a nonnegative float, an integer increasing with x."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k))[0]
+
+
+def _straddle(coeffs: list[int], x: float, top: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi with p(lo) < 0 <= p(hi), exactly, for p
+    increasing on [0, top] with p(0) < 0 <= p(top).
+
+    Gallops from x in steps of 1, 2, 4, ... floats until the exact sign
+    changes, then halves; a start within an ulp of the root costs two signs.
+    """
+
+    def negative(k: int) -> bool:
+        return _eval_poly(coeffs, *_bits_float(k).as_integer_ratio()) < 0
+
+    lo, hi = 0, _float_bits(top)
+    k, step = min(max(_float_bits(x), lo), hi), 1
+    if negative(k):
+        lo = k
+        while hi - lo > 1:
+            k = min(lo + step, hi - 1)
+            if not negative(k):
+                hi = k
+                break
+            lo, step = k, 2 * step
+    else:
+        hi = k
+        while hi - lo > 1:
+            k = max(hi - step, lo + 1)
+            if negative(k):
+                lo = k
+                break
+            hi, step = k, 2 * step
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if negative(k):
+            lo = k
+        else:
+            hi = k
+    return _bits_float(lo), _bits_float(hi)
 
 
 @dataclass
 class BundleSlopeCertificate:
-    """Verdict and singular-limit data for the symmetric pair on the bundle."""
+    """Verdict and singular-limit data for the symmetric pair on the bundle.
+
+    lam      the puncture: None when stable, 0.0 when semistable, else the
+             float nearest the exact root of the critical polynomial
+    bracket  the adjacent floats lo < hi with p(lo) < 0 <= p(hi), so the
+             exact root lies in (lo, hi]; (0.0, 0.0) when semistable, None
+             when stable
+    residual |p(lam)| of the critical polynomial, rounded from its exact value
+    """
 
     mu0: Fraction
     n: int
     verdict: str
     lam: float | None
+    bracket: tuple[float, float] | None
     zeta_inv: float
     residual: float
     alpha_lambda_top_power: float
@@ -308,15 +431,11 @@ class BundleSlopeCertificate:
             "n": self.n,
             "verdict": self.verdict,
             "lambda": self.lam,
+            "bracket": None if self.bracket is None else list(self.bracket),
             "zeta_inv": self.zeta_inv,
             "residual": self.residual,
             "alpha_lambda_top_power": self.alpha_lambda_top_power,
         }
-
-
-#: relative width to which the puncture root is bisected; its polynomial has
-#: degree n + m + 1 and no closed-form root
-PUNCTURE_TOL = Fraction(1, 10**14)
 
 
 def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
@@ -324,60 +443,49 @@ def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
 
     Stable when mu0 > n (no puncture), semistable when mu0 = n (puncture 0),
     unstable when mu0 < n: then the puncture is the unique root of the
-    increasing polynomial p in (0, a) and the minimal slope is n/(1+root).
+    polynomial p, increasing on (0, a), and the minimal slope is n/(1+root).
+    Float Newton finds the root; the exact sign of p at adjacent floats then
+    brackets it, and lam is the end of that bracket nearer the root.  The
+    exact straddle p(lo) < 0 <= p(hi) is the certificate: no tolerance enters.
     """
     from .surface_slopes import SEMISTABLE, STABLE, UNSTABLE
 
     n = params.n
     mu0 = steady_slope(params, 0)
-    if mu0 > n:
+    if mu0 >= n:
+        stable = mu0 > n
         return BundleSlopeCertificate(
             mu0=mu0,
             n=n,
-            verdict=STABLE,
-            lam=None,
+            verdict=STABLE if stable else SEMISTABLE,
+            lam=None if stable else 0.0,
+            bracket=None if stable else (0.0, 0.0),
             zeta_inv=float(mu0),
             residual=0.0,
             alpha_lambda_top_power=float(blowup_top_power(params, 0)),
         )
-    if mu0 == n:
-        return BundleSlopeCertificate(
-            mu0=mu0,
-            n=n,
-            verdict=SEMISTABLE,
-            lam=0.0,
-            zeta_inv=float(n),
-            residual=0.0,
-            alpha_lambda_top_power=float(blowup_top_power(params, 0)),
-        )
     poly = critical_polynomial(params)
-    lo, hi = Fraction(0), params.a
-    assert _eval_poly(poly, lo) < 0 < _eval_poly(poly, hi)
-    while hi - lo > PUNCTURE_TOL * max(hi, Fraction(1)):
-        mid = (lo + hi) / 2
-        v = _eval_poly(poly, mid)
-        if v == 0:
-            lo = hi = mid
-            break
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = (lo + hi) / 2
-    zeta = Fraction(n) / (1 + lam)
-    residual = abs(float(_eval_poly(poly, lam)))
-    scale = float(weight_integral(params.m, params.n, 0, params.a))
-    if residual > 1e-12 * max(scale, 1.0):
-        raise InputError(f"puncture root residual {residual} too large")
+    scale = math.lcm(*(c.denominator for c in poly))
+    coeffs = [c.numerator * (scale // c.denominator) for c in poly]
+    top = float(params.a)
+    if top < params.a:
+        top = math.nextafter(top, math.inf)
+    lo, hi = _straddle(coeffs, _newton([float(c) for c in poly], 0.0, top), top)
+    # the midpoint of the bracket decides which end is nearer the root
+    (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    lam = lo if _eval_poly(coeffs, n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi) > 0 else hi
+    num, den = lam.as_integer_ratio()
+    zeta = Fraction(n * den, den + num)
     assert zeta < mu0, "minimal slope must undercut the topological slope when unstable"
     return BundleSlopeCertificate(
         mu0=mu0,
         n=n,
         verdict=UNSTABLE,
-        lam=float(lam),
+        lam=lam,
+        bracket=(lo, hi),
         zeta_inv=float(zeta),
-        residual=residual,
-        alpha_lambda_top_power=float(blowup_top_power(params, lam)),
+        residual=abs(_eval_poly(coeffs, num, den)) / (scale * den ** (len(coeffs) - 1)),
+        alpha_lambda_top_power=float(blowup_top_power(params, Fraction(num, den))),
     )
 
 

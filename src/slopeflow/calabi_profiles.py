@@ -53,7 +53,7 @@ class MomentProfile:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)  # a copy: the ends are pinned below
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise InputError("grid and values must be 1-d arrays of equal length")
         if self.grid.size < 3:

@@ -16,6 +16,7 @@ JSON artifacts are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,8 +239,11 @@ def _cmd_verify(ns) -> int:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Dispatch a parsed experiment; returns the process exit status."""
+    """Dispatch a parsed experiment; returns the process exit status.  A
+    config may not run another config, so `run` cannot recurse."""
     argv = config.command.split()
+    if argv[:1] == ["run"]:
+        raise InputError("an experiment config cannot run another config")
     for section in (config.geometry, config.solver, config.output):
         for key, val in section.items():
             argv += [f"--{key.replace('_', '-')}", str(val)]
@@ -254,7 +258,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The slopeflow parser, built once: parsing leaves it unchanged, so every
+    `main` call, `run --config` included, shares it."""
     ap = _Parser(prog="slopeflow", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -13,13 +13,15 @@ by the topological angle and splits the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .bundle_geometry import (
     BundleParams,
+    _eval_poly,
     blowup_top_power,
     min_slope_certificate,
     steady_slope,
@@ -124,37 +126,7 @@ def energy_infimum(params: BundleParams) -> EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# exact piecewise-polynomial integration for PL test data
-
-
-def _binomial_poly(m: int, k: int) -> list[Fraction]:
-    """Ascending coefficients of x^m (1+x)^k."""
-    out = [Fraction(0)] * (m + k + 1)
-    for j in range(k + 1):
-        out[m + j] = Fraction(math.comb(k, j))
-    return out
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_int(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    total = Fraction(0)
-    lo_pow, hi_pow = lo, hi
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            total += c * (hi_pow - lo_pow) / (k + 1)
-        lo_pow *= lo
-        hi_pow *= hi
-    return total
+# exact integration of PL test data against the polynomial weights
 
 
 @dataclass
@@ -162,11 +134,13 @@ class PLTestConfig:
     """Continuous convex piecewise-linear data with rational slopes on [0, a].
 
     Values are pinned at the breakpoints; convexity (nondecreasing slopes)
-    and a flat final segment are validated exactly.
+    and a flat final segment are validated exactly.  `slopes` holds the slope
+    of each segment, computed once here.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.breakpoints = tuple(to_fraction(x) for x in self.breakpoints)
@@ -175,19 +149,16 @@ class PLTestConfig:
             raise InputError("need matching breakpoints and values, at least two")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise InputError("breakpoints must increase strictly")
-        slopes = self.slopes()
-        if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
-            raise InputError("slopes must be nondecreasing (convexity)")
-        if slopes[-1] != 0:
-            raise InputError("the final segment must be flat")
-
-    def slopes(self) -> list[Fraction]:
-        return [
+        self.slopes = tuple(
             (v2 - v1) / (b2 - b1)
             for (b1, b2, v1, v2) in zip(
                 self.breakpoints, self.breakpoints[1:], self.values, self.values[1:]
             )
-        ]
+        )
+        if any(s2 < s1 for s1, s2 in zip(self.slopes, self.slopes[1:])):
+            raise InputError("slopes must be nondecreasing (convexity)")
+        if self.slopes[-1] != 0:
+            raise InputError("the final segment must be flat")
 
     def __call__(self, x: float) -> float:
         return float(
@@ -199,16 +170,65 @@ class PLTestConfig:
         )
 
 
-def _integrate_pl(cfg: PLTestConfig, weight: list[Fraction], square: bool = False) -> Fraction:
-    """Exact integral of h (or h^2) against a polynomial weight."""
-    total = Fraction(0)
-    for b1, b2, v1, v2 in zip(cfg.breakpoints, cfg.breakpoints[1:], cfg.values, cfg.values[1:]):
-        s = (v2 - v1) / (b2 - b1)
-        seg = [v1 - s * b1, s]  # h(x) = v1 + s (x - b1)
-        if square:
-            seg = _poly_mul(seg, seg)
-        total += _poly_int(_poly_mul(seg, weight), b1, b2)
-    return total
+@lru_cache(maxsize=None)
+def _antiderivative(m: int, k: int, q: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients c (ascending) and a denominator L such that
+    sum c_i x^i / L is the q-th antiderivative of x^m (1+x)^k vanishing at 0."""
+    coeffs = [Fraction(0)] * (m + k + q + 1)
+    for j in range(k + 1):
+        p = m + j
+        coeffs[p + q] = Fraction(math.comb(k, j) * math.factorial(p), math.factorial(p + q))
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _antiderivative_at(m: int, k: int, q: int, x: Fraction) -> tuple[int, int]:
+    """The q-th antiderivative of x^m (1+x)^k at x, as an unreduced (num, den)."""
+    coeffs, den = _antiderivative(m, k, q)
+    return _eval_poly(coeffs, x.numerator, x.denominator), den * x.denominator ** (len(coeffs) - 1)
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """Sum of (num, den) pairs, den > 0, added pairwise in a balanced tree over
+    common denominators and reduced once at the end."""
+    while len(terms) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            merged.append((a * (d // g) + c * (b // g), b // g * d))
+        terms = merged + terms[len(merged) * 2 :]
+    return Fraction(*terms[0])
+
+
+def _pl_integrals(cfg: PLTestConfig, m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact int h w, int h v and int h^2 w over [0, a], where h is the PL data,
+    w = x^m (1+x)^n and v = x^m (1+x)^(n-1), summed by parts.
+
+    With W_q the q-th antiderivative of w vanishing at 0, s_i the slope right
+    of breakpoint x_i (zero outside [0, a]) and J_i = s_i - s_(i-1):
+        int h w   = h(a) W_1(a) + sum_i J_i W_2(x_i)
+        int h^2 w = h(a)^2 W_1(a) + 2 sum_i J_i (h(x_i) W_2(x_i) - (s_i + s_(i-1)) W_3(x_i))
+    and likewise for v, so only breakpoints where the slope jumps contribute.
+    """
+    a, ha = cfg.breakpoints[-1], cfg.values[-1]
+    (w1, dw1), (v1, dv1) = _antiderivative_at(m, n, 1, a), _antiderivative_at(m, n - 1, 1, a)
+    first = [(ha.numerator * w1, ha.denominator * dw1)]
+    tail = [(ha.numerator * v1, ha.denominator * dv1)]
+    square = [(ha.numerator**2 * w1, ha.denominator**2 * dw1)]
+    slopes = (Fraction(0), *cfg.slopes, Fraction(0))
+    for i, (x, h) in enumerate(zip(cfg.breakpoints, cfg.values)):
+        jump = slopes[i + 1] - slopes[i]
+        if not jump:
+            continue
+        s_sum = slopes[i + 1] + slopes[i]
+        w2, dw2 = _antiderivative_at(m, n, 2, x)
+        w3, dw3 = _antiderivative_at(m, n, 3, x)
+        v2, dv2 = _antiderivative_at(m, n - 1, 2, x)
+        first.append((jump.numerator * w2, jump.denominator * dw2))
+        tail.append((jump.numerator * v2, jump.denominator * dv2))
+        num = h.numerator * w2 * s_sum.denominator * dw3 - s_sum.numerator * w3 * h.denominator * dw2
+        square.append((2 * jump.numerator * num, jump.denominator * h.denominator * dw2 * s_sum.denominator * dw3))
+    return _exact_sum(first), _exact_sum(tail), _exact_sum(square)
 
 
 @dataclass
@@ -236,18 +256,18 @@ def futaki_invariant(cfg: PLTestConfig, params: BundleParams) -> FutakiReport:
     and the invariant is mu0 b0 - b0'.  The sign is fixed so destabilizing
     configurations are negative: -fut/norm is the Rayleigh quotient whose
     supremum is the L2 slope deviation, attained along PL approximations of
-    the limit Hamiltonian.  norm is the weighted L2 norm of h.
+    the limit Hamiltonian.  norm is the weighted L2 norm of h.  The integrals
+    are exact, summed by parts over the breakpoints where the slope jumps
+    (see `_pl_integrals`).
     """
     n, m, a, b = params.n, params.m, params.a, params.b
     if cfg.breakpoints[0] != 0 or cfg.breakpoints[-1] != a:
         raise InputError("PL data must span [0, a]")
-    w_n = _binomial_poly(m, n)
-    w_n1 = _binomial_poly(m, n - 1)
-    b0 = _integrate_pl(cfg, w_n)
-    b0p = n * _integrate_pl(cfg, w_n1) + cfg.values[-1] * a**m * (1 + a) ** n * b
+    b0, tail, square = _pl_integrals(cfg, m, n)
+    b0p = n * tail + cfg.values[-1] * a**m * (1 + a) ** n * b
     mu0 = steady_slope(params, 0)
     fut = mu0 * b0 - b0p
-    norm = math.sqrt(float(_integrate_pl(cfg, w_n, square=True)))
+    norm = math.sqrt(float(square))
     return FutakiReport(b0=b0, b0_prime=b0p, fut=fut, norm=norm)
 
 

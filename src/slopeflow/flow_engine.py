@@ -528,7 +528,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     def checkpoint(rate: np.ndarray, field):
         nonlocal run_max_rate, run_min_rate
-        prof = MomentProfile(grid, psi.copy(), scheme.boundary)
+        prof = MomentProfile(grid, psi, scheme.boundary)
         if scheme.checkpoint_decay:
             track_decay(scheme.checkpoint_decay(prof))
         field, fields = scheme.checkpoint_fields(psi, t, field)
@@ -609,7 +609,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         terminal_profile=terminal,
         terminal_constant=checkpoints[-1].plateau,
         reference_constant=scheme.reference_constant,
-        reference_profile=MomentProfile(grid, scheme.ref.copy(), scheme.ref_boundary),
+        reference_profile=MomentProfile(grid, scheme.ref, scheme.ref_boundary),
         sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[window.start :]))),
         lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,

@@ -245,3 +245,10 @@ def test_profile_validation():
         MomentProfile(np.array([0.0, 1.0, 0.5]), np.zeros(3), (0.0, 0.0))
     with pytest.raises(InputError):
         MomentProfile(np.linspace(0, 1, 9), np.linspace(0, 1, 9), (0.0, 2.0))
+
+
+def test_profile_pins_its_own_copy_of_the_values():
+    v = np.array([1e-10, 0.5, 1 - 1e-10])
+    prof = MomentProfile(np.array([0.0, 1.0, 2.0]), v, (0.0, 1.0))
+    assert v.tolist() == [1e-10, 0.5, 1 - 1e-10]
+    assert prof.values.tolist() == [0.0, 0.5, 1.0]

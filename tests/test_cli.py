@@ -155,6 +155,27 @@ def test_run_config_reader_conventions(capsys, tmp_path):
     assert json.loads(out)["verdict"] == UNSTABLE
 
 
+def test_run_config_that_runs_a_config_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "self.ini"
+    cfg.write_text(f"[experiment]\ncommand = run --config {cfg}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "cannot run another config" in capsys.readouterr().err
+
+
+def test_main_calls_in_a_row_parse_independently(capsys, tmp_path):
+    """The parser is built once and shared; no argument of one call leaks
+    into the next."""
+    out_dir = tmp_path / "out"
+    code, first = _run(capsys, ["bundle", "slopes", "--params", "0,1,4,1", "--out", str(out_dir)])
+    assert code == 0 and (out_dir / "bundle_slopes.json").exists()
+    (out_dir / "bundle_slopes.json").unlink()
+    code, second = _run(capsys, ["bundle", "slopes", "--params", "0,1,3,1"])
+    assert code == 0 and not (out_dir / "bundle_slopes.json").exists()
+    assert json.loads(first)["lambda"] != json.loads(second)["lambda"]
+    code, third = _run(capsys, ["bundle", "slopes", "--params", "0,1,4,1"])
+    assert code == 0 and third == first
+
+
 def test_run_config_malformed_exits_1(capsys, tmp_path):
     cfg = tmp_path / "experiment.ini"
     cfg.write_text("[experiment]\ncommand = bundle slopes\nparams 0,1,4,1\n")
@@ -255,7 +276,7 @@ def test_energy_dhym_volume_matches_library(capsys):
 
 
 def test_verify_identities_exits_0(capsys):
-    code, out = _run(capsys, ["verify", "identities", "--max-mn", "1", "--max-sq", "4"])
+    code, out = _run(capsys, ["verify", "identities"])
     assert code == 0
     assert all(check["passed"] for check in json.loads(out)["checks"])
 
