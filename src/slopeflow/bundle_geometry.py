@@ -7,6 +7,11 @@ recursion on the exceptional divisor of the zero-section blow-up gives the
 closed forms for the slope function of punctured steady profiles, its convex
 minimizer, and the invariant minimal slope.
 
+Every quantity on the bundle integrates the weight x^m (1+x)^k, and only
+this module expands it: every closed-form integral of it, here and in the
+energy and profile modules, reads the exact antiderivative table
+`_antiderivative`.
+
 Everything exact runs on Python integers: ring elements are integer
 numerators over one denominator, and the puncture, a root of a polynomial
 with no closed form, is bracketed by adjacent floats at which the exact sign
@@ -94,18 +99,49 @@ class BundleParams:
         return cls(n=n, m=m, a=a, b=b, d=d)
 
 
+def _eval_poly(coeffs: list[int], num: int, den: int) -> int:
+    """den^deg p(num/den) for the integer coefficients (ascending) of p: its
+    sign is the exact sign of p(num/den) for den > 0."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _antiderivative(m: int, k: int, q: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients c (ascending) and a denominator L such that
+    sum c_i x^i / L is the q-th antiderivative of x^m (1+x)^k vanishing at 0."""
+    coeffs = [Fraction(0)] * (m + k + q + 1)
+    for j in range(k + 1):
+        p = m + j
+        coeffs[p + q] = Fraction(math.comb(k, j) * math.factorial(p), math.factorial(p + q))
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _antiderivative_at(m: int, k: int, q: int, x: Fraction) -> tuple[int, int]:
+    """The q-th antiderivative of x^m (1+x)^k at x, as an unreduced (num, den)."""
+    coeffs, den = _antiderivative(m, k, q)
+    return _eval_poly(coeffs, x.numerator, x.denominator), den * x.denominator ** (len(coeffs) - 1)
+
+
 def weight_integral(m: int, n: int, s, x) -> Fraction:
-    """Exact integral of (1+t)^n t^m from s to x, by binomial expansion."""
+    """Exact integral of (1+t)^n t^m from s to x: W(x) - W(s) for the
+    antiderivative W of the weight that vanishes at 0."""
     if m < 0 or n < 0:
         raise InputError("need m >= 0 and n >= 0")
     s, x = to_fraction(s), to_fraction(x)
     if s > x:
         raise InputError("need s <= x")
-    total = Fraction(0)
-    for k in range(n + 1):
-        p = m + k + 1
-        total += Fraction(_binom(n, k), p) * (x**p - s**p)
-    return total
+    return Fraction(*_antiderivative_at(m, n, 1, x)) - Fraction(*_antiderivative_at(m, n, 1, s))
+
+
+def _energy_constant(params: BundleParams) -> Fraction:
+    """c_{n,m} d = (n+m+1) C(n+m, n) d, the normalization of the energies and
+    of the top power of the blow-up class."""
+    return params.dim * _binom(params.dim - 1, params.n) * params.d
 
 
 @lru_cache(maxsize=None)
@@ -298,37 +334,22 @@ def critical_polynomial(params: BundleParams) -> list[Fraction]:
 
     p is a degree n+m+1 polynomial, strictly increasing on (0, a), negative
     at 0 exactly in the unstable case and positive at a; its root is the
-    puncture location of the singular limit.
+    puncture location of the singular limit.  With W_k the antiderivative of
+    x^m (1+x)^k vanishing at 0 and C = (1+a)^n a^m b + n W_(n-1)(a),
+    p(s) = (1+s) (C - n W_(n-1)(s)) - n (W_n(a) - W_n(s)).
     """
     n, m, a, b = params.n, params.m, params.a, params.b
-    N = params.dim
-    coeffs = [Fraction(0)] * (N + 1)
     const = (1 + a) ** n * a**m * b + n * weight_integral(m, n - 1, 0, a)
-    # (1+s) * const
-    coeffs[0] += const
+    upper, den = _antiderivative(m, n, 1)
+    coeffs = [Fraction(n * c, den) for c in upper]
+    coeffs[0] += const - n * weight_integral(m, n, 0, a)
     coeffs[1] += const
-    # -(1+s) * n * I_{m,n-1,0}(s): I(s) = sum_k C(n-1,k) s^(m+k+1)/(m+k+1)
-    for k in range(n):
-        p = m + k + 1
-        c = Fraction(n) * _binom(n - 1, k) / p
-        coeffs[p] -= c
-        coeffs[p + 1] -= c
-    # -n * I_{m,n,0}(a) + n * I_{m,n,0}(s)
-    coeffs[0] -= n * weight_integral(m, n, 0, a)
-    for k in range(n + 1):
-        p = m + k + 1
-        coeffs[p] += Fraction(n) * _binom(n, k) / p
+    lower, den = _antiderivative(m, n - 1, 1)
+    for i, c in enumerate(lower):
+        term = Fraction(n * c, den)
+        coeffs[i] -= term
+        coeffs[i + 1] -= term
     return coeffs
-
-
-def _eval_poly(coeffs: list[int], num: int, den: int) -> int:
-    """den^deg p(num/den) for the integer coefficients (ascending) of p: its
-    sign is the exact sign of p(num/den) for den > 0."""
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
 
 
 def _newton(coeffs: list[float], lo: float, hi: float) -> float:
@@ -491,9 +512,7 @@ def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
 
 def blowup_top_power(params: BundleParams, s) -> Fraction:
     """Top self-intersection of the blow-up class at puncture s, closed form."""
-    s = to_fraction(s)
-    N, n, m = params.dim, params.n, params.m
-    return params.d * N * _binom(N - 1, n) * weight_integral(m, n, s, params.a)
+    return _energy_constant(params) * weight_integral(params.m, params.n, to_fraction(s), params.a)
 
 
 def blowup_top_power_sum(params: BundleParams, s) -> Fraction:

@@ -5,16 +5,20 @@ increasing function psi on the fiber-height interval.  This module provides
 the closed-form steady profiles for both equations, the pointwise slope and
 angle evaluations and the admissibility predicates.  The flow schemes call
 the same slope field and predicates on their arrays.
+
+Each steady J profile is built once per puncture, its weight integrals
+rounded from the exact antiderivative table of `bundle_geometry`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bundle_geometry import BundleParams, min_slope_certificate, steady_slope
+from .bundle_geometry import BundleParams, _antiderivative, min_slope_certificate, steady_slope
 from .errors import AdmissibilityError, InputError, NoMonotoneSolutionError
 from .surface_lattice import to_fraction
 
@@ -105,24 +109,61 @@ def require_admissible_dhym(profile: MomentProfile) -> None:
         raise AdmissibilityError("profile violates x psi' + psi > 0")
 
 
-def _weight_poly_coeffs(m: int, n: int, s: float) -> np.ndarray:
-    """Ascending coefficients of the polynomial int_s^x (1+t)^n t^m dt."""
-    coeffs = np.zeros(m + n + 2)
-    const = 0.0
-    for k in range(n + 1):
-        p = m + k + 1
-        c = math.comb(n, k) / p
-        coeffs[p] = c
-        const += c * s**p
-    coeffs[0] = -const
-    return coeffs
+class _SteadyJ:
+    """The steady J profile punctured at s: the slope mu_s, the float
+    coefficients of I_{m,n,s} and I_{m,n-1,s} (highest degree first), each the
+    correctly rounded quotient of the exact antiderivative table, and the jet
+    (psi'(s), psi''(s)) at the puncture."""
+
+    def __init__(self, params: BundleParams, s: float):
+        n, m = params.n, params.m
+        self.n, self.m, self.a, self.s = n, m, float(params.a), s
+        self.mu = mu = float(steady_slope(params, to_fraction(repr(s))))
+        self.upper, self.lower = (self._shifted(m, k, s) for k in (n, n - 1))
+        # psi' = g - p psi, g = mu - n/(1+x), p = n/(1+x) + m/x, and psi(s) = 0 give
+        # psi'(s) = g(s), psi''(s) = g'(s) - p(s) psi'(s); at s = 0, m/x meets psi ~ x
+        gp = n / (1 + s) ** 2
+        if m and s == 0.0:
+            d1 = (mu - n) / (1 + m)
+            self.jet = d1, (gp - n * d1) / (1 + m / 2)
+        else:
+            d1 = mu - n / (1 + s)
+            self.jet = d1, gp - (n / (1 + s) + (m / s if m else 0.0)) * d1
+
+    @staticmethod
+    def _shifted(m: int, k: int, s: float) -> tuple[float, ...]:
+        """I_{m,k,s}: the rounded table, less its float value at s."""
+        ints, den = _antiderivative(m, k, 1)
+        coeffs = [c / den for c in ints]
+        const = 0.0
+        for p in range(m + 1, len(coeffs)):
+            const += coeffs[p] * s**p
+        coeffs[0] = -const
+        return tuple(reversed(coeffs))
+
+    def integral(self, x: np.ndarray, lower: bool = False) -> np.ndarray:
+        """I_{m,n,s}(x), or I_{m,n-1,s}(x) when `lower`, by Horner's rule."""
+        acc = np.zeros_like(x)
+        for c in self.lower if lower else self.upper:
+            acc = acc * x + c
+        return acc
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The profile at the points x of [s, a], unchecked."""
+        n, m, s = self.n, self.m, self.s
+        pos = x > s
+        den = (1 + x) ** n * np.where(pos, x, 1.0) ** m
+        out = np.where(pos, (self.mu * self.integral(x) - n * self.integral(x, lower=True)) / den, 0.0)
+        near = pos & (x < s + 1e-5 * max(self.a, 1.0))
+        if np.any(near):
+            d1, d2 = self.jet
+            dx = x[near] - s
+            out[near] = d1 * dx + 0.5 * d2 * dx * dx
+        return out
 
 
-def _polyval_ascending(coeffs: np.ndarray, x):
-    acc = np.zeros_like(np.asarray(x, dtype=float))
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+#: the builder of each (params, s), shared by every evaluation of that profile
+_steady_j = lru_cache(maxsize=128)(_SteadyJ)
 
 
 def steady_profile_j(params: BundleParams, s, x):
@@ -132,44 +173,13 @@ def steady_profile_j(params: BundleParams, s, x):
     x = s and equals b at x = a.  Near the puncture the formula loses digits
     to cancellation, so a quadratic Taylor expansion takes over there.
     """
-    a = float(params.a)
     s = float(s)
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < s - 1e-12) or np.any(x_arr > a + 1e-12):
+    if np.any(x_arr < s - 1e-12) or np.any(x_arr > float(params.a) + 1e-12):
         raise InputError("evaluation points must lie in [s, a]")
-    mu = float(steady_slope(params, to_fraction(repr(s))))
-    n, m = params.n, params.m
-    I1 = _polyval_ascending(_weight_poly_coeffs(m, n, s), x_arr)
-    I2 = _polyval_ascending(_weight_poly_coeffs(m, n - 1, s), x_arr) if n >= 1 else np.zeros_like(x_arr)
-    pos = x_arr > s
-    den = (1 + x_arr) ** n * np.where(pos, x_arr, 1.0) ** m
-    out = np.where(pos, (mu * I1 - n * I2) / den, 0.0)
-    near = pos & (x_arr < s + 1e-5 * max(a, 1.0))
-    if np.any(near):
-        d1, d2 = _steady_profile_j_jet(params, mu, s)
-        dx = x_arr[near] - s
-        out[near] = d1 * dx + 0.5 * d2 * dx * dx
+    out = _steady_j(params, s).values(x_arr)
     return float(out[0]) if scalar else out
-
-
-def _steady_profile_j_jet(params: BundleParams, mu: float, s: float) -> tuple[float, float]:
-    """(psi'(s), psi''(s)) of the punctured steady profile.
-
-    From psi' = g - p psi with g = mu - n/(1+x), p = n/(1+x) + m/x; at the
-    puncture psi vanishes, so psi' = g(s) and psi'' = g'(s) - p(s) psi'(s).
-    The case s = 0 with m > 0 balances the m/x factor against psi ~ x.
-    """
-    n, m = params.n, params.m
-    gp = n / (1 + s) ** 2
-    if m and s == 0.0:
-        d1 = (mu - n) / (1 + m)
-        d2 = (gp - n * d1) / (1 + m / 2)
-        return d1, d2
-    d1 = mu - n / (1 + s)
-    p = n / (1 + s) + (m / s if m else 0.0)
-    d2 = gp - p * d1
-    return d1, d2
 
 
 def steady_profile_j_derivative(params: BundleParams, s, x):
@@ -178,13 +188,13 @@ def steady_profile_j_derivative(params: BundleParams, s, x):
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     psi = np.atleast_1d(steady_profile_j(params, s, x_arr))
-    mu = float(steady_slope(params, to_fraction(repr(s))))
+    prof = _steady_j(params, s)
     n, m = params.n, params.m
-    d1, d2 = _steady_profile_j_jet(params, mu, s)
+    d1, d2 = prof.jet
     safe = x_arr > s + 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         p = n / (1 + x_arr) + (m / np.where(safe, x_arr, 1.0) if m else 0.0)
-    d = np.where(safe, mu - n / (1 + x_arr) - psi * p, d1 + d2 * (x_arr - s))
+    d = np.where(safe, prof.mu - n / (1 + x_arr) - psi * p, d1 + d2 * (x_arr - s))
     return float(d[0]) if scalar else d
 
 
@@ -193,12 +203,13 @@ def invert_steady_profile_j(params: BundleParams, s, y):
     array y; 80 simultaneous halvings of [s, a], which the monotone profile
     allows."""
     s = float(s)
+    prof = _steady_j(params, s)
     y_arr = np.asarray(y, dtype=float)
     lo = np.full_like(y_arr, s)
     hi = np.full_like(y_arr, float(params.a))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        below = steady_profile_j(params, s, mid) < y_arr
+        below = prof.values(mid) < y_arr
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
@@ -211,7 +222,6 @@ def sample_steady_profile_j(params: BundleParams, s, num: int) -> MomentProfile:
     s = float(s)
     grid = np.linspace(s, a, num)
     vals = steady_profile_j(params, s, grid)
-    vals = np.asarray(vals, dtype=float)
     vals[0], vals[-1] = 0.0, b
     return MomentProfile(grid=grid, values=vals, boundary=(0.0, b))
 

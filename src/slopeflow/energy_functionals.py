@@ -8,6 +8,9 @@ slopes encode algebraic degenerations whose normalized invariants recover
 the L2 slope deviation; an explicit gluing construction realizes the
 infimum.  For the dHYM side the calibration volume functional bounds below
 by the topological angle and splits the same way.
+
+The integrals of the weight x^m (1+x)^k are exact, from the antiderivative
+table of `bundle_geometry`; the only logarithm is the n = 1 bubble term.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .bundle_geometry import (
     BundleParams,
-    _eval_poly,
+    _antiderivative_at,
+    _energy_constant,
     blowup_top_power,
     min_slope_certificate,
     steady_slope,
@@ -29,6 +32,7 @@ from .bundle_geometry import (
 )
 from .calabi_profiles import (
     MomentProfile,
+    _steady_j,
     invert_steady_profile_j,
     pointwise_slope,
     require_admissible_dhym,
@@ -80,20 +84,19 @@ class EnergyReport:
         }
 
 
-def _energy_constant(params: BundleParams) -> float:
-    return float((params.n + params.m + 1) * math.comb(params.n + params.m, params.n) * params.d)
-
-
 def moment_energy(profile: MomentProfile, params: BundleParams) -> float:
     """Composite-trapezoid quadrature of c_{n,m} int sigma[psi]^2 x^m (1+x)^n dx."""
     sigma = pointwise_slope(profile, params)
     x = profile.grid
     w = x**params.m * (1 + x) ** params.n
-    return _energy_constant(params) * float(np.trapezoid(sigma**2 * w, x))
+    return float(_energy_constant(params)) * float(np.trapezoid(sigma**2 * w, x))
 
 
-def _log_weighted_integral(m: int, lam: float) -> float:
-    """int_0^lam x^m/(1+x) dx in closed form (polynomial part plus log)."""
+def _bubble_weight(m: int, n: int, lam: float) -> Fraction | float:
+    """int_0^lam x^m (1+x)^(n-2) dx: exact for n >= 2; for n = 1 the closed
+    form in floats, a polynomial part plus a logarithm."""
+    if n >= 2:
+        return weight_integral(m, n - 2, 0, to_fraction(repr(lam)))
     total = ((-1) ** m) * math.log1p(lam)
     for k in range(m):
         total += (-1) ** (m - 1 - k) * lam ** (k + 1) / (k + 1)
@@ -109,19 +112,14 @@ def energy_infimum(params: BundleParams) -> EnergyReport:
     stable pairs sit at the smooth solution with energy mu0^2 alpha^top.
     """
     cert = min_slope_certificate(params)
-    c = _energy_constant(params)
+    c = float(_energy_constant(params))
     n, m = params.n, params.m
     if cert.verdict == STABLE or cert.lam is None or cert.lam == 0.0:
         top = float(blowup_top_power(params, 0))
         value = float(cert.mu0) ** 2 * top
         return EnergyReport(value=value, interior=value, bubble=0.0)
-    lam = cert.lam
-    lam_frac = to_fraction(repr(lam))
-    interior = cert.zeta_inv**2 * c * float(weight_integral(m, n, lam_frac, params.a))
-    if n >= 2:
-        bubble = n**2 * c * float(weight_integral(m, n - 2, 0, lam_frac))
-    else:
-        bubble = n**2 * c * _log_weighted_integral(m, lam)
+    interior = cert.zeta_inv**2 * c * float(weight_integral(m, n, to_fraction(repr(cert.lam)), params.a))
+    bubble = n**2 * c * float(_bubble_weight(m, n, cert.lam))
     return EnergyReport(value=interior + bubble, interior=interior, bubble=bubble)
 
 
@@ -159,34 +157,6 @@ class PLTestConfig:
             raise InputError("slopes must be nondecreasing (convexity)")
         if self.slopes[-1] != 0:
             raise InputError("the final segment must be flat")
-
-    def __call__(self, x: float) -> float:
-        return float(
-            np.interp(
-                x,
-                [float(b) for b in self.breakpoints],
-                [float(v) for v in self.values],
-            )
-        )
-
-
-@lru_cache(maxsize=None)
-def _antiderivative(m: int, k: int, q: int) -> tuple[tuple[int, ...], int]:
-    """Integer coefficients c (ascending) and a denominator L such that
-    sum c_i x^i / L is the q-th antiderivative of x^m (1+x)^k vanishing at 0."""
-    coeffs = [Fraction(0)] * (m + k + q + 1)
-    for j in range(k + 1):
-        p = m + j
-        coeffs[p + q] = Fraction(math.comb(k, j) * math.factorial(p), math.factorial(p + q))
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
-def _antiderivative_at(m: int, k: int, q: int, x: Fraction) -> tuple[int, int]:
-    """The q-th antiderivative of x^m (1+x)^k at x, as an unreduced (num, den)."""
-    coeffs, den = _antiderivative(m, k, q)
-    return _eval_poly(coeffs, x.numerator, x.denominator), den * x.denominator ** (len(coeffs) - 1)
-
 
 def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
     """Sum of (num, den) pairs, den > 0, added pairwise in a balanced tree over
@@ -298,25 +268,23 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
 
 
 def l2_slope_deviation(params: BundleParams) -> float:
-    """Weighted L2 distance of the limit slope profile from mu0, by quadrature.
+    """Weighted L2 distance of the limit slope profile from mu0, in closed form.
 
     The limit slope is n/(1+x) up to the puncture and the minimal slope
-    beyond it; the second piece integrates exactly, the first by Simpson
-    on 20001 points.
+    beyond it.  On [0, lam] the squared distance times the weight w expands
+    as n^2 x^m (1+x)^(n-2) - 2 n mu0 x^m (1+x)^(n-1) + mu0^2 w, summed
+    exactly but for the logarithm of the bubble term when n = 1.
     """
     cert = min_slope_certificate(params)
     if cert.lam is None or cert.lam == 0.0:
         return 0.0
-    n, m = params.n, params.m
-    mu0 = float(cert.mu0)
-    lam = cert.lam
-    x = np.linspace(0.0, lam, 20001)
-    f = (n / (1 + x) - mu0) ** 2 * x**m * (1 + x) ** n
-    h = x[1] - x[0]
-    first = h / 3 * (f[0] + f[-1] + 4 * np.sum(f[1:-1:2]) + 2 * np.sum(f[2:-1:2]))
-    tail_weight = float(weight_integral(m, n, to_fraction(repr(lam)), params.a))
-    second = (cert.zeta_inv - mu0) ** 2 * tail_weight
-    return math.sqrt(first + second)
+    n, m, mu0 = params.n, params.m, cert.mu0
+    lam = to_fraction(repr(cert.lam))
+    first = n**2 * _bubble_weight(m, n, cert.lam) + (
+        mu0**2 * weight_integral(m, n, 0, lam) - 2 * n * mu0 * weight_integral(m, n - 1, 0, lam)
+    )
+    second = (cert.zeta_inv - float(mu0)) ** 2 * float(weight_integral(m, n, lam, params.a))
+    return math.sqrt(float(first) + second)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +365,7 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(rho))))
 
     y_tab = np.linspace(0.0, 1.0000001 * height, 50001)
-    from .calabi_profiles import _polyval_ascending, _weight_poly_coeffs
-
-    I_tab = _polyval_ascending(_weight_poly_coeffs(m, n, 0.0), y_tab)
+    I_tab = _steady_j(params, 0.0).integral(y_tab)
     theta1 = np.interp(cum, I_tab, y_tab)
     theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
 
@@ -410,7 +376,7 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     if m:
         sigma = sigma + m * u1 / v1
     integrand = sigma**2 * (1 + v1) ** n * v1**m * v2
-    energy = _energy_constant(params) * float(np.trapezoid(integrand, rho))
+    energy = float(_energy_constant(params)) * float(np.trapezoid(integrand, rho))
     return RadialProfile(rho=rho, dv=v1, d2v=v2), energy
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle_geometry import BundleParams, min_slope_certificate
+from .bundle_geometry import BundleParams, _energy_constant, min_slope_certificate
 from .calabi_profiles import (
     ADMISSIBILITY_TOL,
     MomentProfile,
@@ -217,14 +217,17 @@ class FlowTrace:
         """Checkpoint profiles as rows t,x,psi,diagnostic, where the
         diagnostic is the pointwise slope (J) or cot(theta) (cotangent)."""
         h = self.meta["h"]
+        if self.kind == "j":
+            params = self.meta["params"]
+            # every profile of a solve shares one grid
+            slope_grid = _slope_grid(self.terminal_profile.grid, params["n"])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,psi,diagnostic\n")
             for t, prof in zip(self.times, self.profiles):
                 x, psi = prof.grid, prof.values
                 d = _gradient(psi, h)
                 if self.kind == "j":
-                    params = self.meta["params"]
-                    diag = _slope_field(psi, d, params["m"], _slope_grid(x, params["n"]))
+                    diag = _slope_field(psi, d, params["m"], slope_grid)
                 else:
                     diag = _angle_field(x, psi, d)[0]
                 row = f"{t:.10g},%.17g,%.17g,%.17g\n"
@@ -337,7 +340,7 @@ class _JScheme:
         # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
         tw = np.full_like(x, h)
         tw[0] = tw[-1] = h / 2
-        self.tw = tw * (x**m * (1 + x) ** n * float((n + m + 1) * math.comb(n + m, n) * params.d))
+        self.tw = tw * (x**m * (1 + x) ** n * float(_energy_constant(params)))
         self.meta = {
             "params": {"n": n, "m": m, "a": a, "b": b, "d": float(params.d)},
             "verdict": cert.verdict,

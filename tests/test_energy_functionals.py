@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
+from slopeflow import calabi_profiles
+from slopeflow.bundle_geometry import BundleParams, min_slope_certificate, steady_slope
 from slopeflow.calabi_profiles import (
     MomentProfile,
     sample_steady_profile_dhym,
@@ -152,6 +153,19 @@ def test_minimizing_profile_structure():
     assert prof.dv[-1] == pytest.approx(4.0, abs=0.05)
     assert np.all(np.diff(prof.dv) > -1e-12)
     assert np.all(prof.d2v >= -1e-12)
+
+
+def test_minimizing_profile_builds_each_steady_profile_once(monkeypatch):
+    calls = []
+
+    def counted(params, s):
+        calls.append(s)
+        return steady_slope(params, s)
+
+    monkeypatch.setattr(calabi_profiles, "steady_slope", counted)
+    # a pair no other test evaluates: the puncture's profile, and the weight table at 0
+    minimizing_profile(BundleParams(n=2, m=0, a=3, b=F(15, 16)), 4)
+    assert len(calls) <= 2
 
 
 def test_minimizing_profile_refuses_stable():

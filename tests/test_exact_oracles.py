@@ -2,32 +2,47 @@
 
 Each oracle below is the straightforward Fraction computation: per-segment
 polynomial integration of PL data, the worklist reduction of the Chow ring,
-and direct evaluation of the critical polynomial.  The kernels in src/ must
-agree with them exactly.
+direct evaluation and binomial expansion of the critical polynomial and of
+the weight integral.  The kernels in src/ must agree with them exactly.  The
+float steady J profile is checked bit for bit against its binomial
+expansion, and the closed-form L2 slope deviation against Simpson's rule.
 """
 
 import itertools
 import math
 import warnings
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopeflow import energy_functionals
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
     critical_polynomial,
     intersection_number,
     min_slope_certificate,
+    steady_slope,
+    weight_integral,
+)
+from slopeflow.calabi_profiles import (
+    invert_steady_profile_j,
+    steady_profile_j,
+    steady_profile_j_derivative,
 )
 from slopeflow.energy_functionals import (
     PLTestConfig,
     _pl_integrals,
     futaki_invariant,
+    l2_slope_deviation,
+    minimizing_profile,
     pl_limit_hamiltonian,
 )
+from slopeflow.surface_lattice import to_fraction
 from slopeflow.surface_slopes import UNSTABLE
 
 # ---------------------------------------------------------------------------
@@ -207,3 +222,181 @@ def test_bundle_root_bracket_holds_closed_form():
     lo, hi = min_slope_certificate(BundleParams(n=1, m=0, a=4, b=1)).bracket
     below = [9 - F(x) > 0 and (9 - F(x)) ** 2 > 75 for x in (lo, hi)]
     assert below == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# the weight x^m (1+x)^n: binomial expansion term by term
+
+
+def _weight_integral_loop(m, n, s, x):
+    return sum((F(math.comb(n, k), m + k + 1) * (x ** (m + k + 1) - s ** (m + k + 1)) for k in range(n + 1)), F(0))
+
+
+def _critical_polynomial_loops(params):
+    """(1+s) C - (1+s) n I_{m,n-1,0}(s) - n I_{m,n,0}(a) + n I_{m,n,0}(s), expanded."""
+    n, m, a, b = params.n, params.m, params.a, params.b
+    coeffs = [F(0)] * (params.dim + 1)
+    const = (1 + a) ** n * a**m * b + n * _weight_integral_loop(m, n - 1, 0, a)
+    coeffs[0] += const - n * _weight_integral_loop(m, n, 0, a)
+    coeffs[1] += const
+    for k in range(n):
+        p = m + k + 1
+        c = F(n * math.comb(n - 1, k), p)
+        coeffs[p] -= c
+        coeffs[p + 1] -= c
+    for k in range(n + 1):
+        p = m + k + 1
+        coeffs[p] += F(n * math.comb(n, k), p)
+    return coeffs
+
+
+def test_weight_integral_and_critical_polynomial_match_loops_on_sweep():
+    s, x = F(2, 7), F(9, 4)
+    for m, n in itertools.product(range(4), range(5)):
+        assert weight_integral(m, n, s, x) == _weight_integral_loop(m, n, s, x)
+        assert weight_integral(m, n, 0, x) == _weight_integral_loop(m, n, 0, x)
+        if n:
+            params = BundleParams(n=n, m=m, a=F(5, 3), b=F(3, 8), d=F(2))
+            assert critical_polynomial(params) == _critical_polynomial_loops(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(0, 3),
+    n=st.integers(1, 4),
+    s=st.fractions(0, F(3), max_denominator=50),
+    width=st.fractions(0, F(3), max_denominator=50),
+    b=st.fractions(F(1, 20), F(4), max_denominator=20),
+)
+def test_weight_integral_and_critical_polynomial_match_loops(m, n, s, width, b):
+    assert weight_integral(m, n, s, s + width) == _weight_integral_loop(m, n, s, s + width)
+    if width:
+        params = BundleParams(n=n, m=m, a=s + width, b=b)
+        assert critical_polynomial(params) == _critical_polynomial_loops(params)
+
+
+# ---------------------------------------------------------------------------
+# the float steady J profile: binomial coefficients comb(n, k)/p, Horner's rule
+
+
+def _weight_poly_coeffs(m, n, s):
+    coeffs = np.zeros(m + n + 2)
+    const = 0.0
+    for k in range(n + 1):
+        p = m + k + 1
+        c = math.comb(n, k) / p
+        coeffs[p] = c
+        const += c * s**p
+    coeffs[0] = -const
+    return coeffs
+
+
+def _polyval_ascending(coeffs, x):
+    acc = np.zeros_like(np.asarray(x, dtype=float))
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _jet(params, mu, s):
+    n, m = params.n, params.m
+    gp = n / (1 + s) ** 2
+    if m and s == 0.0:
+        d1 = (mu - n) / (1 + m)
+        return d1, (gp - n * d1) / (1 + m / 2)
+    d1 = mu - n / (1 + s)
+    return d1, gp - (n / (1 + s) + (m / s if m else 0.0)) * d1
+
+
+def _profile_expanded(params, s, x):
+    a, s = float(params.a), float(s)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    mu = float(steady_slope(params, to_fraction(repr(s))))
+    n, m = params.n, params.m
+    I1 = _polyval_ascending(_weight_poly_coeffs(m, n, s), x)
+    I2 = _polyval_ascending(_weight_poly_coeffs(m, n - 1, s), x)
+    pos = x > s
+    out = np.where(pos, (mu * I1 - n * I2) / ((1 + x) ** n * np.where(pos, x, 1.0) ** m), 0.0)
+    near = pos & (x < s + 1e-5 * max(a, 1.0))
+    if np.any(near):
+        d1, d2 = _jet(params, mu, s)
+        dx = x[near] - s
+        out[near] = d1 * dx + 0.5 * d2 * dx * dx
+    return out
+
+
+def _derivative_expanded(params, s, x):
+    s = float(s)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    psi = _profile_expanded(params, s, x)
+    mu = float(steady_slope(params, to_fraction(repr(s))))
+    n, m = params.n, params.m
+    d1, d2 = _jet(params, mu, s)
+    safe = x > s + 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = n / (1 + x) + (m / np.where(safe, x, 1.0) if m else 0.0)
+    return np.where(safe, mu - n / (1 + x) - psi * p, d1 + d2 * (x - s))
+
+
+def _invert_expanded(params, s, y):
+    s = float(s)
+    y = np.asarray(y, dtype=float)
+    lo, hi = np.full_like(y, s), np.full_like(y, float(params.a))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = _profile_expanded(params, s, mid) < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+STEADY_PAIRS = [BundleParams(n=2, m=0, a=3, b=1), BundleParams(n=2, m=1, a=3, b=1), BundleParams(n=1, m=1, a=3, b=F(1, 2))]
+
+
+@pytest.mark.parametrize("params", STEADY_PAIRS)
+def test_steady_profile_j_matches_binomial_expansion_bitwise(params):
+    lam = min_slope_certificate(params).lam
+    a = float(params.a)
+    for s in (lam, 0.0):
+        # the Taylor window next to the puncture, the bulk, and both ends
+        x = np.concatenate(([s], s + np.geomspace(1e-9, 1e-4, 17), np.linspace(s, a, 257)[1:]))
+        assert steady_profile_j(params, s, x).tobytes() == _profile_expanded(params, s, x).tobytes()
+        assert steady_profile_j_derivative(params, s, x).tobytes() == _derivative_expanded(params, s, x).tobytes()
+        y = _profile_expanded(params, s, x)
+        assert invert_steady_profile_j(params, s, y).tobytes() == _invert_expanded(params, s, y).tobytes()
+        assert invert_steady_profile_j(params, s, float(y[40])) == _invert_expanded(params, s, y[40:41])[0]
+
+
+@pytest.mark.parametrize("params", STEADY_PAIRS[:2])
+def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypatch):
+    prof, energy = minimizing_profile(params, 2.0)
+    n, m = params.n, params.m
+    table = _weight_poly_coeffs(m, n, 0.0)
+    monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", _invert_expanded)
+    monkeypatch.setattr(energy_functionals, "steady_profile_j_derivative", _derivative_expanded)
+    monkeypatch.setattr(energy_functionals, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
+    ref, ref_energy = minimizing_profile(params, 2.0)
+    for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
+        assert got.tobytes() == want.tobytes()
+    assert energy == ref_energy
+
+
+# ---------------------------------------------------------------------------
+# L2 slope deviation: Simpson's rule on 20001 points up to the puncture
+
+
+def _l2_deviation_simpson(params):
+    cert = min_slope_certificate(params)
+    n, m, mu0, lam = params.n, params.m, float(cert.mu0), cert.lam
+    x = np.linspace(0.0, lam, 20001)
+    f = (n / (1 + x) - mu0) ** 2 * x**m * (1 + x) ** n
+    h = x[1] - x[0]
+    first = h / 3 * (f[0] + f[-1] + 4 * np.sum(f[1:-1:2]) + 2 * np.sum(f[2:-1:2]))
+    second = (cert.zeta_inv - mu0) ** 2 * float(weight_integral(m, n, to_fraction(repr(lam)), params.a))
+    return math.sqrt(first + second)
+
+
+@pytest.mark.parametrize("n,m,a,b", [(1, 0, 4, 1), (1, 1, 3, F(1, 2)), (2, 1, 3, 1), (2, 0, 2, 1)])
+def test_l2_slope_deviation_matches_simpson(n, m, a, b):
+    params = BundleParams(n=n, m=m, a=a, b=b)
+    want = _l2_deviation_simpson(params)
+    assert l2_slope_deviation(params) == pytest.approx(want, rel=1e-12, abs=0)
