@@ -534,8 +534,7 @@ def blowup_top_power_sum(params: BundleParams, s) -> Fraction:
 def blowup_mixed_power(params: BundleParams, s) -> Fraction:
     """Pairing of the (N-1)-st power of the blow-up class with the pullback."""
     s = to_fraction(s)
-    n, m, a, b, d = params.n, params.m, params.a, params.b, params.d
-    N = params.dim
+    n, m, a, b, d, N = params.n, params.m, params.a, params.b, params.d, params.dim
     return d * _binom(N - 1, n) * ((1 + a) ** n * a**m * b + n * weight_integral(m, n - 1, s, a))
 
 

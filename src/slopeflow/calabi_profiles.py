@@ -187,10 +187,9 @@ def steady_profile_j_derivative(params: BundleParams, s, x):
     s = float(s)
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = np.atleast_1d(steady_profile_j(params, s, x_arr))
+    psi = steady_profile_j(params, s, x_arr)
     prof = _steady_j(params, s)
-    n, m = params.n, params.m
-    d1, d2 = prof.jet
+    n, m, (d1, d2) = params.n, params.m, prof.jet
     safe = x_arr > s + 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         p = n / (1 + x_arr) + (m / np.where(safe, x_arr, 1.0) if m else 0.0)
@@ -229,8 +228,7 @@ def sample_steady_profile_j(params: BundleParams, s, num: int) -> MomentProfile:
 def singular_limit_profile_j(params: BundleParams, num: int, lam: float | None = None) -> MomentProfile:
     """The flow limit on [0, a]: zero up to the puncture, steady beyond it."""
     if lam is None:
-        cert = min_slope_certificate(params)
-        lam = cert.lam if cert.lam is not None else 0.0
+        lam = min_slope_certificate(params).lam or 0.0
     a, b = float(params.a), float(params.b)
     grid = np.linspace(0.0, a, num)
     vals = np.zeros_like(grid)
@@ -272,9 +270,7 @@ def steady_profile_dhym(b, p, s, x):
         raise InputError("evaluation points must lie in [1, b]")
     rad = np.maximum(A + (1.0 + c * c) * x_arr**2, 0.0)
     out = c * x_arr + np.sqrt(rad)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def sample_steady_profile_dhym(b, p, s, num: int) -> MomentProfile:

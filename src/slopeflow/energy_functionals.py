@@ -158,6 +158,7 @@ class PLTestConfig:
         if self.slopes[-1] != 0:
             raise InputError("the final segment must be flat")
 
+
 def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
     """Sum of (num, den) pairs, den > 0, added pairwise in a balanced tree over
     common denominators and reduced once at the end."""
@@ -250,9 +251,7 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
     cert = min_slope_certificate(params)
     if cert.lam is None:
         raise InputError("stable pairs have no capped limit Hamiltonian")
-    n = params.n
-    a = params.a
-    mu0 = cert.mu0
+    n, a, mu0 = params.n, params.a, cert.mu0
     lam = to_fraction(repr(cert.lam))
     if lam == 0:
         raise InputError("semistable pairs have a constant limit Hamiltonian")
@@ -260,31 +259,44 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
     right = num_breakpoints - left
     bps: list[Fraction] = [lam * Fraction(i, left) for i in range(left)]
     bps += [lam + (a - lam) * Fraction(i, right) for i in range(right + 1)]
-    values = [
-        Fraction(n) / (1 + x) - mu0 if x <= lam else Fraction(n) / (1 + lam) - mu0
-        for x in bps
-    ]
+    values = [n / (1 + min(x, lam)) - mu0 for x in bps]
     return PLTestConfig(breakpoints=tuple(bps), values=tuple(values))
+
+
+def _log_series(m: int, lam: Fraction, rest: Fraction) -> Fraction:
+    """rest + int_0^lam x^m/(1+x) dx, 0 < lam = p/q < 1/2, by the series
+    sum_j (-1)^j lam^(m+j+1)/(m+j+1).  Its partial sums bracket the integral,
+    so stopping once the next term is below 2^-64 of the positive total keeps
+    the total's relative error near 2^-64 however much rest cancels."""
+    p, q = lam.numerator, lam.denominator
+    num, den = rest.numerator * q**m, rest.denominator * q**m
+    pk, f, k, sign = p ** (m + 1), rest.denominator, m + 1, 1
+    # den = rest.denominator q^(k-1) (k-1)!/m!; the next term is pk f / (den q k)
+    while (pk * f) << 64 > abs(num) * q * k:
+        num, den = num * q * k + sign * pk * f, den * q * k
+        pk, f, k, sign = pk * p, f * k, k + 1, -sign
+    return Fraction(num, den)
 
 
 def l2_slope_deviation(params: BundleParams) -> float:
     """Weighted L2 distance of the limit slope profile from mu0, in closed form.
 
-    The limit slope is n/(1+x) up to the puncture and the minimal slope
-    beyond it.  On [0, lam] the squared distance times the weight w expands
-    as n^2 x^m (1+x)^(n-2) - 2 n mu0 x^m (1+x)^(n-1) + mu0^2 w, summed
-    exactly but for the logarithm of the bubble term when n = 1.
+    The limit slope is n/(1+x) up to the puncture lam and n/(1+lam) beyond.
+    On [0, lam] the squared distance times the weight w is n^2 x^m (1+x)^(n-2)
+    - 2 n mu0 x^m (1+x)^(n-1) + mu0^2 w, whose integrals nearly cancel near
+    semistability, so all is summed exactly.  For n = 1 the first integral has
+    a logarithm: its series when lam < 1/2, else log1p, where little cancels.
     """
     cert = min_slope_certificate(params)
     if cert.lam is None or cert.lam == 0.0:
         return 0.0
     n, m, mu0 = params.n, params.m, cert.mu0
     lam = to_fraction(repr(cert.lam))
-    first = n**2 * _bubble_weight(m, n, cert.lam) + (
-        mu0**2 * weight_integral(m, n, 0, lam) - 2 * n * mu0 * weight_integral(m, n - 1, 0, lam)
-    )
-    second = (cert.zeta_inv - float(mu0)) ** 2 * float(weight_integral(m, n, lam, params.a))
-    return math.sqrt(float(first) + second)
+    total = mu0**2 * weight_integral(m, n, 0, lam) - 2 * n * mu0 * weight_integral(m, n - 1, 0, lam)
+    total += (n / (1 + lam) - mu0) ** 2 * weight_integral(m, n, lam, params.a)
+    if n == 1 and lam < Fraction(1, 2):
+        return math.sqrt(_log_series(m, lam, total))
+    return math.sqrt(n**2 * _bubble_weight(m, n, cert.lam) + total)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +439,7 @@ def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
     c0 = steady_cot_slope(b, p, q)
     reference = 2.0 * math.sqrt(1.0 + c0 * c0) * (b * p - q)
     return EnergyReport(
-        value=value,
-        interior=value,
-        bubble=0.0,
-        reference=reference,
-        rel_error=(value - reference) / reference,
+        value=value, interior=value, bubble=0.0, reference=reference, rel_error=(value - reference) / reference
     )
 
 
@@ -453,6 +461,4 @@ def dhym_volume_split(b, p, q) -> EnergyReport:
         return y * math.sqrt(1.0 + y * y) + math.asinh(y)
 
     bubble = antider(s_star) - antider(q)
-    return EnergyReport(
-        value=interior + bubble, interior=interior, bubble=bubble, reference=None
-    )
+    return EnergyReport(value=interior + bubble, interior=interior, bubble=bubble)

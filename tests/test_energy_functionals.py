@@ -163,9 +163,10 @@ def test_minimizing_profile_builds_each_steady_profile_once(monkeypatch):
         return steady_slope(params, s)
 
     monkeypatch.setattr(calabi_profiles, "steady_slope", counted)
-    # a pair no other test evaluates: the puncture's profile, and the weight table at 0
+    calabi_profiles._steady_j.cache_clear()
+    # one build for the puncture's profile, one for the weight table at 0
     minimizing_profile(BundleParams(n=2, m=0, a=3, b=F(15, 16)), 4)
-    assert len(calls) <= 2
+    assert len(calls) == 2
 
 
 def test_minimizing_profile_refuses_stable():

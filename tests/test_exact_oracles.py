@@ -5,7 +5,8 @@ polynomial integration of PL data, the worklist reduction of the Chow ring,
 direct evaluation and binomial expansion of the critical polynomial and of
 the weight integral.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
-expansion, and the closed-form L2 slope deviation against Simpson's rule.
+expansion, and the closed-form L2 slope deviation against Simpson's rule
+and, near semistability, against its Taylor series summed in Fraction.
 """
 
 import itertools
@@ -395,8 +396,34 @@ def _l2_deviation_simpson(params):
     return math.sqrt(first + second)
 
 
-@pytest.mark.parametrize("n,m,a,b", [(1, 0, 4, 1), (1, 1, 3, F(1, 2)), (2, 1, 3, 1), (2, 0, 2, 1)])
+@pytest.mark.parametrize(
+    "n,m,a,b", [(1, 0, 4, 1), (1, 1, 3, F(1, 2)), (1, 1, 2, F(1, 8)), (2, 1, 3, 1), (2, 0, 2, 1)]
+)
 def test_l2_slope_deviation_matches_simpson(n, m, a, b):
     params = BundleParams(n=n, m=m, a=a, b=b)
     want = _l2_deviation_simpson(params)
     assert l2_slope_deviation(params) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _l2_deviation_taylor(params, terms=40):
+    """n = 1 near semistability: on [0, lam] the integrand x^m (1+x) (1/(1+x) - mu0)^2
+    is x^m ((1 - mu0)^2 + (mu0^2 - 1) x + sum_(j>=2) (-x)^j), integrated term by term
+    in Fraction; for lam near 1e-3 the 40-term tail, about lam^(m+41), is far below the ulp."""
+    cert = min_slope_certificate(params)
+    m, mu0 = params.m, cert.mu0
+    lam = to_fraction(repr(cert.lam))
+    coeffs = [(1 - mu0) ** 2, mu0**2 - 1] + [F((-1) ** j) for j in range(2, terms)]
+    first = sum(c * lam ** (m + j + 1) / (m + j + 1) for j, c in enumerate(coeffs))
+    second = (1 / (1 + lam) - mu0) ** 2 * weight_integral(m, 1, lam, params.a)
+    return math.sqrt(first + second)
+
+
+@pytest.mark.parametrize(
+    "m,b,lam",
+    [(2, F(511, 1536), 1.2e-3), (2, F(1365, 4096), 1.5e-4), (3, F(511, 1920), 1.2e-3), (3, F(273, 1024), 1.5e-4)],
+)
+def test_l2_slope_deviation_near_semistable_matches_taylor(m, b, lam):
+    # the three pieces of the integrand each integrate to about lam^(m+1), their sum to lam^(m+3)
+    params = BundleParams(n=1, m=m, a=2, b=b)
+    assert min_slope_certificate(params).lam == pytest.approx(lam, rel=0.05)
+    assert l2_slope_deviation(params) == pytest.approx(_l2_deviation_taylor(params), rel=1e-14, abs=0)
