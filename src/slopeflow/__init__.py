@@ -2,8 +2,10 @@
 
 Library layout:
 
-- surface_lattice:    exact intersection arithmetic, Zariski decomposition,
-                      volumes of big classes on Kahler surfaces
+- surface_lattice:    exact intersection arithmetic on integer views of the
+                      classes, Zariski decomposition with one fraction-free
+                      elimination per support, volumes of big classes on
+                      Kahler surfaces
 - surface_slopes:     minimal J-slope and dHYM slope certificates on surfaces
 - bundle_geometry:    exact intersection theory on symmetric projective
                       bundles and their zero-section blow-ups

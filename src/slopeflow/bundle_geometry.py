@@ -497,7 +497,9 @@ def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
     lam = lo if _eval_poly(coeffs, n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi) > 0 else hi
     num, den = lam.as_integer_ratio()
     zeta = Fraction(n * den, den + num)
-    assert zeta < mu0, "minimal slope must undercut the topological slope when unstable"
+    # p(hi) >= 0 puts the root at or below hi, so n / (1 + hi) < mu0 holds exactly;
+    # zeta, at lam = lo, can pass mu0 when mu0 - n / (1 + root) is below float resolution
+    assert Fraction(n * d_hi, d_hi + n_hi) < mu0, "minimal slope must undercut the topological slope when unstable"
     return BundleSlopeCertificate(
         mu0=mu0,
         n=n,

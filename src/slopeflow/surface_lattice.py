@@ -2,17 +2,21 @@
 
 A surface is described by a finite divisor basis, the symmetric intersection
 form on that basis, a finite list of irreducible curve classes generating the
-effective cone, and a designated Kahler reference class.  All arithmetic is
-carried out in exact rational numbers; volumes of big classes are computed as
-Z^2 through the iterative support-growing decomposition.
+effective cone, and a designated Kahler reference class.  Arithmetic is exact
+on integers: each class has an integer view (numerators over one positive
+denominator), the model clears its form and its curves' Gram matrix to
+integers once, a pairing makes one Fraction and a sign test none.  Volumes of
+big classes are Z^2 through the support-growing decomposition, each Gram
+system solved by one fraction-free elimination that tests definiteness too.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -46,9 +50,25 @@ def to_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """A (1,1) class given by rational coefficients over the model basis."""
+    """A (1,1) class given by rational coefficients over the model basis.
+
+    ``_view`` is ``(nums, den)``, the coefficients over their least common
+    denominator.  Each of coeffs and _view is made from the other on first use.
+    """
 
     coeffs: tuple[Fraction, ...]
+
+    def __getattr__(self, name):
+        known = self.__dict__
+        if name == "_view" and "coeffs" in known:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            value = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+        elif name == "coeffs" and "_view" in known:
+            value = tuple(Fraction(v, known["_view"][1]) for v in known["_view"][0])
+        else:
+            raise AttributeError(name)
+        known[name] = value
+        return value
 
     @classmethod
     def of(cls, *coeffs) -> "DivisorClass":
@@ -62,29 +82,38 @@ class DivisorClass:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse divisor class {text!r}: {exc}") from exc
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+    def __add__(self, other: "DivisorClass", sign: int = 1) -> "DivisorClass":
+        (x, dx), (y, dy) = self._view, other._view
+        return _from_view([u * dy + sign * v * dx for u, v in zip(x, y, strict=True)], dx * dy)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        return self.__add__(other, -1)
 
     def __mul__(self, t) -> "DivisorClass":
-        t = to_fraction(t)
-        return DivisorClass(tuple(t * a for a in self.coeffs))
+        t, (nums, den) = to_fraction(t), self._view
+        return _from_view([t.numerator * v for v in nums], t.denominator * den)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return self * -1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._view[0])
 
     def as_floats(self) -> list[float]:
         return [float(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
+
+
+def _from_view(nums: list[int], den: int) -> DivisorClass:
+    """The class nums / den for den > 0, its view in lowest terms."""
+    g = math.gcd(den, *nums)
+    cls = object.__new__(DivisorClass)
+    cls.__dict__["_view"] = (tuple([v // g for v in nums]), den // g)
+    return cls
 
 
 @dataclass
@@ -104,8 +133,6 @@ class SurfaceModel:
     def __post_init__(self):
         k = len(self.basis_labels)
         self.form = tuple(tuple(to_fraction(v) for v in row) for row in self.form)
-        # the nonzero entries (i, j, v) of the form, all that intersect() reads
-        self._entries = tuple((i, j, v) for i, row in enumerate(self.form) for j, v in enumerate(row) if v)
         if any(len(row) != k for row in self.form) or len(self.form) != k:
             raise InputError("intersection form must be square over the basis")
         for i in range(k):
@@ -117,6 +144,14 @@ class SurfaceModel:
                 raise InputError("curve coefficient length does not match basis")
         if len(self.kahler_ref.coeffs) != k:
             raise InputError("kahler_ref coefficient length does not match basis")
+        # the form's nonzero entries (i, j, v) over d_form, the curves' rows
+        # over d_c and their Gram matrix over d_c^2 d_form, all integers
+        d = self._dform = math.lcm(*(v.denominator for row in self.form for v in row))
+        form = [[v.numerator * (d // v.denominator) for v in row] for row in self.form]
+        self._entries = tuple((i, j, v) for i, row in enumerate(form) for j, v in enumerate(row) if v)
+        d = self._dc = math.lcm(*(c._view[1] for c in self.curves))
+        self._rows = tuple(tuple(v * (d // c._view[1]) for v in c._view[0]) for c in self.curves)
+        self._gram = tuple(tuple(_pair(r, row, self) for r in self._rows) for row in self._rows)
         # Hodge index: exactly one positive eigenvalue, none zero.
         eigs = np.linalg.eigvalsh(np.array(self.form, dtype=float))
         pos = int(np.sum(eigs > 1e-12))
@@ -127,9 +162,8 @@ class SurfaceModel:
             )
         if intersect(self.kahler_ref, self.kahler_ref, self) <= 0:
             raise ModelInconsistencyError("kahler_ref has non-positive self-intersection")
-        for c in self.curves:
-            if intersect(self.kahler_ref, c, self) <= 0:
-                raise ModelInconsistencyError("kahler_ref pairs non-positively with a curve")
+        if not all(v > 0 for v in _curve_nums(self.kahler_ref, self)):
+            raise ModelInconsistencyError("kahler_ref pairs non-positively with a curve")
 
     @property
     def rank(self) -> int:
@@ -147,87 +181,72 @@ class ZariskiDecomposition:
     negative: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
     def negative_class(self, model: SurfaceModel) -> DivisorClass:
-        return _curve_sum(self.negative, model)
+        return sum((w * model.curves[i] for i, w in self.negative), _from_view([0] * model.rank, 1))
 
     def reconstruct(self, model: SurfaceModel) -> DivisorClass:
         return self.positive + self.negative_class(model)
 
 
+def _pair(x, y, model: SurfaceModel) -> int:
+    """The numerator of x . y for integer vectors x, y, over d_form."""
+    return sum(v * x[i] * y[j] for i, j, v in model._entries)
+
+
+def _view_of(a: DivisorClass, model: SurfaceModel) -> tuple[tuple[int, ...], int]:
+    if len(a._view[0]) != model.rank:
+        raise InputError("divisor coefficient length does not match the model basis")
+    return a._view
+
+
+def _curve_nums(a: DivisorClass, model: SurfaceModel) -> list[int]:
+    """Numerators of a.C over the curve list, all over d_a d_c d_form."""
+    x = _view_of(a, model)[0]
+    return [_pair(x, row, model) for row in model._rows]
+
+
 def intersect(a: DivisorClass, b: DivisorClass, model: SurfaceModel) -> Fraction:
     """Exact bilinear pairing a . b through the model's intersection form."""
-    if len(a.coeffs) != model.rank or len(b.coeffs) != model.rank:
-        raise InputError("divisor coefficient length does not match the model basis")
-    x, y = a.coeffs, b.coeffs
-    return sum((v * x[i] * y[j] for i, j, v in model._entries if x[i] and y[j]), Fraction(0))
+    (x, dx), (y, dy) = _view_of(a, model), _view_of(b, model)
+    return Fraction(_pair(x, y, model), dx * dy * model._dform)
 
 
 def is_nef(a: DivisorClass, model: SurfaceModel) -> bool:
-    return all(intersect(a, c, model) >= 0 for c in model.curves)
+    return all(v >= 0 for v in _curve_nums(a, model))
 
 
 def is_kahler(a: DivisorClass, model: SurfaceModel) -> bool:
     """Numerical Kahler test: positive on every curve and positive square."""
-    return (
-        all(intersect(a, c, model) > 0 for c in model.curves)
-        and intersect(a, a, model) > 0
-    )
+    return all(v > 0 for v in _curve_nums(a, model)) and _pair(a._view[0], a._view[0], model) > 0
 
 
-def _solve_rational(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Fraction; None if the matrix is singular."""
-    k = len(rhs)
-    aug = [list(gram[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
+def _support_solve(support: list[int], cols: list[list[int]], model: SurfaceModel):
+    """One fraction-free (Bareiss) pass on the support curves' integer Gram matrix G.
+
+    Its pivots are G's leading principal minors: None unless they alternate in
+    sign from negative (G negative definite).  Clearing above and below each
+    pivot ends at det G times the identity: returns (|det G|, |det G| G^-1 cols).
+    """
+    k = len(support)
+    rows = [[model._gram[i][j] for j in support] + [col[i] for col in cols] for i in support]
+    prev = 1
+    for p in range(k):
+        piv = rows[p][p]
+        if piv == 0 or (piv > 0) != (p % 2 == 1):
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
         for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+            if r != p:
+                f = rows[r][p]
+                rows[r] = [(piv * v - f * w) // prev for v, w in zip(rows[r], rows[p])]
+        prev = piv
+    return abs(prev), [[row[c] if prev > 0 else -row[c] for row in rows] for c in range(k, k + len(cols))]
 
 
-def _is_negative_definite(gram: list[list[Fraction]]) -> bool:
-    """Sign-alternating leading principal minors, computed exactly."""
-    k = len(gram)
-    for size in range(1, k + 1):
-        sub = [row[:size] for row in gram[:size]]
-        det = _det_rational(sub)
-        if det == 0 or (det > 0) != (size % 2 == 0):
-            return False
-    return True
-
-
-def _det_rational(mat: list[list[Fraction]]) -> Fraction:
-    k = len(mat)
-    mat = [list(row) for row in mat]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, k):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
-    return det
-
-
-def _curve_sum(pairs: Iterable[tuple[int, Fraction]], model: SurfaceModel) -> DivisorClass:
-    """The class sum of w C_i over (i, w) pairs of curve indices and weights."""
-    acc = DivisorClass(tuple(Fraction(0) for _ in range(model.rank)))
-    for idx, w in pairs:
-        acc = acc + w * model.curves[idx]
-    return acc
+def _curve_sum(pairs: Iterable[tuple[int, int]], den: int, model: SurfaceModel) -> DivisorClass:
+    """The class sum of w R_i / den over (i, w) pairs, R_i the curves' integer rows."""
+    acc = [0] * model.rank
+    for i, w in pairs:
+        acc = [s + w * c for s, c in zip(acc, model._rows[i])]
+    return _from_view(acc, den)
 
 
 def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition | None:
@@ -236,29 +255,25 @@ def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition |
     Start from the curves a pairs negatively with, solve the orthogonality
     system on their span, and enlarge the support while the candidate nef part
     still pairs negatively with some curve.  The loop terminates because the
-    curve list is finite and the support only grows.
+    curve list is finite and the support only grows.  The weights come out as
+    y_i d_c / (d d_a), so the negative part is sum y_i R_i / (d d_a).
     """
-    support: list[int] = [i for i, c in enumerate(model.curves) if intersect(a, c, model) < 0]
+    nums, da = _curve_nums(a, model), a._view[1]
+    support = [i for i, v in enumerate(nums) if v < 0]
     while True:
-        gram = [[intersect(model.curves[i], model.curves[j], model) for j in support] for i in support]
-        if not _is_negative_definite(gram):
+        solved = _support_solve(support, [nums], model)
+        if solved is None:
             return None
-        weights = _solve_rational(gram, [intersect(a, model.curves[i], model) for i in support])
-        z = a - _curve_sum(zip(support, weights), model)
-        to_add = [
-            i
-            for i, c in enumerate(model.curves)
-            if i not in support and intersect(z, c, model) < 0
-        ]
+        det, (y,) = solved
+        z = a - _curve_sum(zip(support, y), det * da, model)
+        to_add = [i for i, v in enumerate(_curve_nums(z, model)) if v < 0 and i not in support]
         if not to_add:
             break
         support.extend(to_add)
-    if any(w < 0 for w in weights):
+    zx = z._view[0]
+    if any(v < 0 for v in y) or _pair(zx, zx, model) <= 0 or _pair(zx, model.kahler_ref._view[0], model) <= 0:
         return None
-    z_sq = intersect(z, z, model)
-    if z_sq <= 0 or intersect(z, model.kahler_ref, model) <= 0:
-        return None
-    pairs = tuple((i, w) for i, w in zip(support, weights) if w != 0)
+    pairs = tuple((i, Fraction(v * model._dc, det * da)) for i, v in zip(support, y) if v)
     return ZariskiDecomposition(positive=z, negative=pairs)
 
 
@@ -287,19 +302,19 @@ def _volume_root(alpha, beta, model, t0, quad):
     as the pair (N_alpha, N_beta) with N(t) = N_alpha - t N_beta.
     """
     A, B, C = quad
-    curves = model.curves
-    support: list[int] = []
-    lo = t0
+    nums = [_curve_nums(alpha, model), _curve_nums(beta, model)]
+    support, lo = [], t0
     while True:
-        gram = [[intersect(curves[i], curves[j], model) for j in support] for i in support]
-        if not _is_negative_definite(gram):
+        solved = _support_solve(support, nums, model)
+        if solved is None:
             raise ModelInconsistencyError(f"alpha - t beta is not big at t = {lo}")
-        rhs = [[intersect(cls, curves[i], model) for i in support] for cls in (alpha, beta)]
-        n_alpha, n_beta = (_curve_sum(zip(support, _solve_rational(gram, v)), model) for v in rhs)
+        det, ys = solved
+        n_alpha, n_beta = (_curve_sum(zip(support, y), det * c._view[1], model) for y, c in zip(ys, (alpha, beta)))
         p0, p1 = alpha - n_alpha, beta - n_beta
-        outside = [j for j in range(len(curves)) if j not in support]
-        pairings = {j: (intersect(p0, curves[j], model), intersect(p1, curves[j], model)) for j in outside}
-        grow = [j for j, (u, v) in pairings.items() if u - lo * v < 0]
+        # P0.C_j = u_j / (d0 e) and P1.C_j = v_j / (d1 e) with d0, d1, e > 0
+        u, v, d0, d1 = _curve_nums(p0, model), _curve_nums(p1, model), p0._view[1], p1._view[1]
+        outside = [j for j in range(len(model.curves)) if j not in support]
+        grow = [j for j in outside if u[j] * d1 * lo.denominator < lo.numerator * v[j] * d0]
         if grow:
             support += grow
             continue
@@ -313,9 +328,9 @@ def _volume_root(alpha, beta, model, t0, quad):
         if q_lo == 0:
             return (lo, Fraction(0), Fraction(0)), (n_alpha, n_beta)
         walls = {}
-        for j, (u, v) in pairings.items():
-            if v > 0:
-                walls.setdefault(u / v, []).append(j)
+        for j in outside:
+            if v[j] > 0:
+                walls.setdefault(Fraction(u[j] * d1, v[j] * d0), []).append(j)
         hi = min(walls, default=None)
         # q(lo) > 0, so the first crossing after lo is (-b - sqrt(b^2 - 4ac)) / 2a
         if a:
@@ -349,13 +364,11 @@ def volume(a: DivisorClass, model: SurfaceModel) -> Fraction:
     return intersect(dec.positive, dec.positive, model)
 
 
-def _parse_rows(text: str) -> list[list[Fraction]]:
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            rows.append([Fraction(tok.strip()) for tok in chunk.split(",")])
-    return rows
+def _parse_rows(text: str, key: str) -> list[list[Fraction]]:
+    try:
+        return [[Fraction(tok.strip()) for tok in chunk.split(",")] for chunk in text.split(";") if chunk.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"surface config field {key!r}: {exc}") from exc
 
 
 def _read_ini(text: str, head: str) -> dict[str, dict[str, str]]:
@@ -402,9 +415,10 @@ def load_surface_model(source: str) -> SurfaceModel:
     entries = _read_ini(text, "surface")["surface"]
     try:
         basis = tuple(tok.strip() for tok in entries["basis"].split(","))
-        form = tuple(tuple(r) for r in _parse_rows(entries["form"]))
-        curves = tuple(DivisorClass(tuple(r)) for r in _parse_rows(entries["curves"]))
-        kahler = DivisorClass(tuple(_parse_rows(entries["kahler"])[0]))
+        form, curves, kahler = (_parse_rows(entries[key], key) for key in ("form", "curves", "kahler"))
     except KeyError as exc:
         raise InputError(f"surface config missing field {exc}") from exc
-    return SurfaceModel(basis_labels=basis, form=form, curves=curves, kahler_ref=kahler)
+    if len(kahler) != 1:
+        raise InputError(f"surface config field 'kahler' needs one row, not {len(kahler)}")
+    curves, kahler = tuple(DivisorClass(tuple(r)) for r in curves), DivisorClass(tuple(kahler[0]))
+    return SurfaceModel(basis_labels=basis, form=tuple(map(tuple, form)), curves=curves, kahler_ref=kahler)

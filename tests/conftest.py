@@ -5,6 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from slopeflow.surface_lattice import DivisorClass, SurfaceModel
+from slopeflow.surface_slopes import blowup_plane_model
+
+
+@pytest.fixture(scope="module")
+def blp2():
+    """Plane blown up in one point, basis (H, -E)."""
+    return blowup_plane_model()
 
 
 @pytest.fixture(scope="module")

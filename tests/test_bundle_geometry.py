@@ -22,6 +22,7 @@ from slopeflow.bundle_geometry import (
     steady_slope_chow,
     weight_integral,
 )
+from slopeflow.energy_functionals import energy_infimum, l2_slope_deviation
 from slopeflow.errors import InputError
 from slopeflow.surface_slopes import SEMISTABLE, STABLE, UNSTABLE
 
@@ -123,6 +124,26 @@ def test_semistable_tuning():
     assert cert.verdict == SEMISTABLE
     assert cert.lam == 0.0
     assert cert.zeta_inv == 1.0
+
+
+#: (m, k) with n = 1, a = 2 and b = b*(1 - 2^-k) just below the semistable height
+#: b* = 4/(3(m+2)); mu0 - n/(1+root) is then below what one float step of the
+#: puncture resolves, so the minimal slope at the float puncture can pass mu0
+NEAR_SEMISTABLE = [(2, k) for k in (16, 18, 19, 21, 22, 23, 24, 25, 27)] + [
+    (3, k) for k in (11, 13, 19, 20, 22, 23, 24, 25, 26, 27)
+]
+
+
+@pytest.mark.parametrize("m,k", NEAR_SEMISTABLE)
+def test_near_semistable_certificate_and_energies(m, k):
+    params = BundleParams(n=1, m=m, a=2, b=F(4, 3 * (m + 2)) * (1 - F(1, 2**k)))
+    cert = min_slope_certificate(params)
+    assert cert.verdict == UNSTABLE
+    lo, hi = cert.bracket
+    assert 0 < lo < hi == math.nextafter(lo, math.inf) and cert.lam in (lo, hi)
+    assert cert.zeta_inv == pytest.approx(float(cert.mu0), rel=1e-6)
+    assert energy_infimum(params).value > 0
+    assert 0 <= l2_slope_deviation(params) < 1e-10
 
 
 def test_slope_function_convex_with_unique_minimum():

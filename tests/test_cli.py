@@ -80,6 +80,13 @@ def test_bundle_slopes_exit_codes(capsys):
     assert code == 1
 
 
+def test_bundle_slopes_near_semistable_exits_0(capsys):
+    """n = 1, m = 2, a = 2 and b just below 1/3, where mu0 = n."""
+    code, out = _run(capsys, ["bundle", "slopes", "--params", f"2,1,2,{F(1, 3) * (1 - F(1, 2**16))}"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == UNSTABLE
+
+
 def test_run_config_drives_a_flow(capsys, tmp_path):
     cfg = tmp_path / "experiment.ini"
     cfg.write_text(
@@ -233,6 +240,20 @@ def test_slope_dhym_exits_0(capsys, blowup):
     # the unstable blow-up pair (b, p) = (2, 3) has slope bp - sqrt((p^2+1)(b^2-1))
     assert cert["verdict"] == UNSTABLE
     assert cert["slope"] == pytest.approx(6 - math.sqrt(30), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["kahler =", "form = 1, 0; 0, 1/0", "form = 1, 0; 0, minus one", "kahler = 3, 1; 2, 1"],
+)
+def test_slope_with_a_bad_surface_config_exits_1(capsys, tmp_path, line):
+    """A missing row, a zero denominator or a bad number is an input error."""
+    key = line.split()[0]
+    lines = ["[surface]", "basis = H, -E", "form = 1, 0; 0, -1", "curves = 0, -1; 1, 1; 1, 0", "kahler = 3, 1"]
+    path = tmp_path / "bad.ini"
+    path.write_text("\n".join([line if row.startswith(key) else row for row in lines]) + "\n")
+    assert main(["slope", "dhym", "--surface", str(path), "--alpha", "2,1", "--beta", "2,1"]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_slope_j_matches_library(capsys, blowup):

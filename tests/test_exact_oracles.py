@@ -3,7 +3,9 @@
 Each oracle below is the straightforward Fraction computation: per-segment
 polynomial integration of PL data, the worklist reduction of the Chow ring,
 direct evaluation and binomial expansion of the critical polynomial and of
-the weight integral.  The kernels in src/ must agree with them exactly.  The
+the weight integral, and the Fraction pairing, eliminations and Zariski
+decomposition of the surface lattice, on which the surface certificates are
+also rerun.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
 expansion, and the closed-form L2 slope deviation against Simpson's rule
 and, near semistability, against its Taylor series summed in Fraction.
@@ -11,6 +13,7 @@ and, near semistability, against its Taylor series summed in Fraction.
 
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -43,8 +46,26 @@ from slopeflow.energy_functionals import (
     minimizing_profile,
     pl_limit_hamiltonian,
 )
-from slopeflow.surface_lattice import to_fraction
-from slopeflow.surface_slopes import UNSTABLE
+from slopeflow import surface_slopes
+from slopeflow.errors import NotBigError
+from slopeflow.surface_lattice import (
+    DivisorClass,
+    _sign,
+    intersect,
+    is_kahler,
+    is_nef,
+    to_fraction,
+    volume,
+    zariski,
+)
+from slopeflow.surface_slopes import (
+    SEMISTABLE,
+    STABLE,
+    UNSTABLE,
+    bigness_threshold,
+    dhym_slope_certificate,
+    j_slope_certificate,
+)
 
 # ---------------------------------------------------------------------------
 # PL integrals: one polynomial product and integral per segment
@@ -427,3 +448,281 @@ def test_l2_slope_deviation_near_semistable_matches_taylor(m, b, lam):
     params = BundleParams(n=1, m=m, a=2, b=b)
     assert min_slope_certificate(params).lam == pytest.approx(lam, rel=0.05)
     assert l2_slope_deviation(params) == pytest.approx(_l2_deviation_taylor(params), rel=1e-14, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# Surface lattice: the Fraction kernels the integer views replaced
+
+
+def _ref_intersect(a, b, model):
+    x, y = a.coeffs, b.coeffs
+    return sum((v * x[i] * y[j] for i, row in enumerate(model.form) for j, v in enumerate(row)), F(0))
+
+
+def _ref_is_nef(a, model):
+    return all(_ref_intersect(a, c, model) >= 0 for c in model.curves)
+
+
+def _ref_is_kahler(a, model):
+    return all(_ref_intersect(a, c, model) > 0 for c in model.curves) and _ref_intersect(a, a, model) > 0
+
+
+def _ref_solve_rational(gram, rhs):
+    """Gaussian elimination over Fraction; None if the matrix is singular."""
+    k = len(rhs)
+    aug = [list(gram[i]) + [rhs[i]] for i in range(k)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][k] for i in range(k)]
+
+
+def _ref_det_rational(mat):
+    k = len(mat)
+    mat = [list(row) for row in mat]
+    det = F(1)
+    for col in range(k):
+        piv = next((r for r in range(col, k) if mat[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, k):
+            f = mat[r][col] / mat[col][col]
+            mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
+    return det
+
+
+def _ref_is_negative_definite(gram):
+    """Sign-alternating leading principal minors, computed exactly."""
+    for size in range(1, len(gram) + 1):
+        det = _ref_det_rational([row[:size] for row in gram[:size]])
+        if det == 0 or (det > 0) != (size % 2 == 0):
+            return False
+    return True
+
+
+def _ref_minus(a, b, t=1):
+    """a - t b on the Fraction coefficients."""
+    return DivisorClass(tuple(u - t * v for u, v in zip(a.coeffs, b.coeffs, strict=True)))
+
+
+def _ref_curve_sum(pairs, model):
+    acc = DivisorClass(tuple(F(0) for _ in range(model.rank)))
+    for idx, w in pairs:
+        acc = _ref_minus(acc, model.curves[idx], -w)
+    return acc
+
+
+def _ref_try_zariski(a, model):
+    """(positive coefficients, negative pairs) by support growth, or None when a is not big."""
+    support = [i for i, c in enumerate(model.curves) if _ref_intersect(a, c, model) < 0]
+    while True:
+        gram = [[_ref_intersect(model.curves[i], model.curves[j], model) for j in support] for i in support]
+        if not _ref_is_negative_definite(gram):
+            return None
+        weights = _ref_solve_rational(gram, [_ref_intersect(a, model.curves[i], model) for i in support])
+        z = _ref_minus(a, _ref_curve_sum(zip(support, weights), model))
+        to_add = [
+            i for i, c in enumerate(model.curves) if i not in support and _ref_intersect(z, c, model) < 0
+        ]
+        if not to_add:
+            break
+        support.extend(to_add)
+    if any(w < 0 for w in weights):
+        return None
+    if _ref_intersect(z, z, model) <= 0 or _ref_intersect(z, model.kahler_ref, model) <= 0:
+        return None
+    return z.coeffs, tuple((i, w) for i, w in zip(support, weights) if w != 0)
+
+
+def _ref_volume(a, model):
+    dec = _ref_try_zariski(a, model)
+    if dec is None:
+        return F(0)
+    z = DivisorClass(dec[0])
+    return _ref_intersect(z, z, model)
+
+
+def _ref_volume_root(alpha, beta, model, t0, quad):
+    """The chamber walk of surface_lattice._volume_root on the Fraction kernels."""
+    A, B, C = quad
+    curves = model.curves
+    support, lo = [], t0
+    while True:
+        gram = [[_ref_intersect(curves[i], curves[j], model) for j in support] for i in support]
+        if not _ref_is_negative_definite(gram):
+            raise AssertionError(f"not big at t = {lo}")
+        rhs = [[_ref_intersect(cls, curves[i], model) for i in support] for cls in (alpha, beta)]
+        n_alpha, n_beta = (_ref_curve_sum(zip(support, _ref_solve_rational(gram, v)), model) for v in rhs)
+        p0, p1 = _ref_minus(alpha, n_alpha), _ref_minus(beta, n_beta)
+        outside = [j for j in range(len(curves)) if j not in support]
+        pairings = {j: (_ref_intersect(p0, curves[j], model), _ref_intersect(p1, curves[j], model)) for j in outside}
+        grow = [j for j, (u, v) in pairings.items() if u - lo * v < 0]
+        if grow:
+            support += grow
+            continue
+        a = _ref_intersect(p1, p1, model) - C
+        b = -2 * _ref_intersect(p0, p1, model) - B
+        c = _ref_intersect(p0, p0, model) - A
+        if a * lo * lo + b * lo + c == 0:
+            return (lo, F(0), F(0)), (n_alpha, n_beta)
+        walls = {}
+        for j, (u, v) in pairings.items():
+            if v > 0:
+                walls.setdefault(u / v, []).append(j)
+        hi = min(walls, default=None)
+        if a:
+            disc = b * b - 4 * a * c
+            root = (-b / (2 * a), -1 / (2 * a), disc) if disc >= 0 else None
+        else:
+            root = (-c / b, F(0), F(0)) if b else None
+        if root is not None:
+            r, s, d = root
+            if _sign(r - lo, s, d) > 0 and (hi is None or _sign(r - hi, s, d) <= 0):
+                return root, (n_alpha, n_beta)
+        support += walls[hi]
+        lo = hi
+
+
+#: what surface_slopes imports from surface_lattice, as Fraction kernels
+FRACTION_KERNELS = {
+    "intersect": _ref_intersect,
+    "is_nef": _ref_is_nef,
+    "is_kahler": _ref_is_kahler,
+    "volume": _ref_volume,
+    "_volume_root": _ref_volume_root,
+}
+
+
+def _surface_classes(model, seed, count):
+    """Random classes with small denominators, then for each curve C and class a
+    the class a - (a.C)/(h.C) h, h the Kahler reference, which pairs to 0 with C."""
+    rng = random.Random(seed)
+    out = [
+        DivisorClass(tuple(F(rng.randint(-8, 16), rng.choice((1, 2, 4, 3))) for _ in range(model.rank)))
+        for _ in range(count)
+    ]
+    h = model.kahler_ref
+    for a in out[: count // 2]:
+        for c in model.curves:
+            out.append(_ref_minus(a, h, _ref_intersect(a, c, model) / _ref_intersect(h, c, model)))
+    return out
+
+
+def _assert_lattice_matches(a, model, b):
+    """Every lattice answer for a (and its pairing with b) against the oracle; returns
+    the oracle's decomposition."""
+    assert intersect(a, b, model) == _ref_intersect(a, b, model)
+    assert intersect(a, a, model) == _ref_intersect(a, a, model)
+    assert is_nef(a, model) == _ref_is_nef(a, model)
+    assert is_kahler(a, model) == _ref_is_kahler(a, model)
+    assert volume(a, model) == _ref_volume(a, model)
+    ref = _ref_try_zariski(a, model)
+    if ref is None:
+        with pytest.raises(NotBigError):
+            zariski(a, model)
+    else:
+        dec = zariski(a, model)
+        assert (dec.positive.coeffs, dec.negative) == ref
+        assert all(type(w) is F for _, w in dec.negative)
+        assert dec.reconstruct(model) == a
+    return ref
+
+
+@pytest.mark.parametrize("model_name", ["blp2", "two_point"])
+def test_surface_lattice_matches_fraction_oracle(model_name, request):
+    model = request.getfixturevalue(model_name)
+    classes = _surface_classes(model, model_name, 40)
+    refs = [_assert_lattice_matches(a, model, b) for a, b in zip(classes, classes[1:] + classes[:1])]
+    # the sample holds zero pairings, classes that are not big and nontrivial negative parts
+    assert any(_ref_intersect(a, c, model) == 0 for a in classes for c in model.curves)
+    assert None in refs and any(ref and ref[1] for ref in refs)
+
+
+_quarters = st.fractions(-4, 6, max_denominator=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.tuples(_quarters, _quarters, _quarters), y=st.tuples(_quarters, _quarters, _quarters))
+def test_surface_lattice_matches_fraction_oracle_on_draws(blp2, two_point, x, y):
+    for model in (blp2, two_point):
+        k = model.rank
+        _assert_lattice_matches(DivisorClass(x[:k]), model, DivisorClass(y[:k]))
+
+
+def test_class_arithmetic_matches_fraction_coefficients():
+    a, b = DivisorClass.of(F(3, 4), -2, "0.3"), DivisorClass.of(F(-5, 6), F(1, 4), 0)
+    assert (a + b).coeffs == tuple(u + v for u, v in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple(u - v for u, v in zip(a.coeffs, b.coeffs))
+    assert (F(2, 9) * a).coeffs == (a * F(2, 9)).coeffs == tuple(F(2, 9) * u for u in a.coeffs)
+    assert (-a).coeffs == tuple(-u for u in a.coeffs)
+    assert all(type(c) is F for c in (a - b).coeffs)
+    # a class made by arithmetic equals, and hashes as, the one made from its coefficients
+    made = (a + b) - b
+    assert made == a and hash(made) == hash(a) and str(made) == str(a)
+    assert (a - a).is_zero() and not a.is_zero()
+    with pytest.raises(ValueError):
+        a + DivisorClass.of(1, 2)
+
+
+def _certificate_pairs(model, seed, count):
+    """(equation, alpha, beta) draws with beta Kahler: J pairs with alpha Kahler,
+    dHYM pairs with alpha.beta > 0 and alpha - c0 beta big."""
+    rng = random.Random(seed)
+
+    def draw():
+        return DivisorClass(tuple(F(rng.randint(-4, 24), rng.choice((1, 2, 4, 8))) for _ in range(model.rank)))
+
+    pairs = []
+    while len(pairs) < 2 * count:
+        alpha, beta = draw(), draw()
+        if not _ref_is_kahler(beta, model):
+            continue
+        if len(pairs) < count:
+            if _ref_is_kahler(alpha, model):
+                pairs.append(("j", alpha, beta))
+            continue
+        ab = _ref_intersect(alpha, beta, model)
+        if ab > 0:
+            c0 = (_ref_intersect(alpha, alpha, model) - _ref_intersect(beta, beta, model)) / (2 * ab)
+            if _ref_volume(_ref_minus(alpha, beta, c0), model) > 0:
+                pairs.append(("dhym", alpha, beta))
+    return pairs
+
+
+def _surface_outputs(model, pairs):
+    out = []
+    for equation, alpha, beta in pairs:
+        cert_of = j_slope_certificate if equation == "j" else dhym_slope_certificate
+        out.append(cert_of(alpha, beta, model).to_dict())
+        if _ref_volume(alpha, model) > 0:
+            out.append(bigness_threshold(alpha, beta, model))
+    return out
+
+
+@pytest.mark.parametrize("model_name", ["blp2", "two_point"])
+def test_certificates_and_threshold_match_fraction_oracle(model_name, request, monkeypatch):
+    model = request.getfixturevalue(model_name)
+    pairs = _certificate_pairs(model, model_name, 12 if model_name == "blp2" else 6)
+    if model_name == "blp2":
+        # semistable J (alpha.E / beta.E = mu) and dHYM (alpha - c0 beta = 4H pairs 0 with E)
+        pairs += [("j", DivisorClass.of(3, 1), DivisorClass.of(F(5, 3), 1))]
+        pairs += [("dhym", DivisorClass.of(1, -1), DivisorClass.of(3, 1))]
+    want = _surface_outputs(model, pairs)
+    assert {STABLE, UNSTABLE} <= {d["verdict"] for d in want if isinstance(d, dict)}
+    if model_name == "blp2":
+        assert [d["verdict"] for d in want if isinstance(d, dict)][-2:] == [SEMISTABLE, SEMISTABLE]
+    for name, ref in FRACTION_KERNELS.items():
+        monkeypatch.setattr(surface_slopes, name, ref)
+    assert _surface_outputs(model, pairs) == want

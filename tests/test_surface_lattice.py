@@ -21,11 +21,6 @@ from slopeflow.surface_lattice import (
 from slopeflow.surface_slopes import blowup_plane_model
 
 
-@pytest.fixture(scope="module")
-def blp2():
-    return blowup_plane_model()
-
-
 def test_bilinear_evaluation(blp2):
     a = DivisorClass.of(2, "0.3")     # 2H - 0.3E
     b = DivisorClass.of(3, 1)         # 3H - E

@@ -13,16 +13,10 @@ from slopeflow.surface_slopes import (
     STABLE,
     UNSTABLE,
     bigness_threshold,
-    blowup_plane_model,
     dhym_slope_certificate,
     j_slope_certificate,
     one_point_blowup_certificate,
 )
-
-
-@pytest.fixture(scope="module")
-def blp2():
-    return blowup_plane_model()
 
 
 def test_j_unstable_closed_form_root(blp2):
