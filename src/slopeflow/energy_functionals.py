@@ -93,10 +93,13 @@ def moment_energy(profile: MomentProfile, params: BundleParams) -> float:
 
 
 def _bubble_weight(m: int, n: int, lam: float) -> Fraction | float:
-    """int_0^lam x^m (1+x)^(n-2) dx: exact for n >= 2; for n = 1 the closed
-    form in floats, a polynomial part plus a logarithm."""
+    """int_0^lam x^m (1+x)^(n-2) dx: exact for n >= 2; for n = 1 and m >= 1
+    its series below lam = 1/2, where the closed form cancels; otherwise the
+    closed form in floats, a polynomial part plus a logarithm."""
     if n >= 2:
         return weight_integral(m, n - 2, 0, to_fraction(repr(lam)))
+    if m and lam < 0.5:
+        return _log_series(m, to_fraction(repr(lam)), Fraction(0))
     total = ((-1) ** m) * math.log1p(lam)
     for k in range(m):
         total += (-1) ** (m - 1 - k) * lam ** (k + 1) / (k + 1)
@@ -263,11 +266,12 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
     return PLTestConfig(breakpoints=tuple(bps), values=tuple(values))
 
 
-def _log_series(m: int, lam: Fraction, rest: Fraction) -> Fraction:
+def _log_series(m: int, lam: Fraction, rest: Fraction) -> float:
     """rest + int_0^lam x^m/(1+x) dx, 0 < lam = p/q < 1/2, by the series
     sum_j (-1)^j lam^(m+j+1)/(m+j+1).  Its partial sums bracket the integral,
     so stopping once the next term is below 2^-64 of the positive total keeps
-    the total's relative error near 2^-64 however much rest cancels."""
+    the total's relative error near 2^-64 however much rest cancels.  The sum
+    is rounded once, by int division, without reducing the fraction."""
     p, q = lam.numerator, lam.denominator
     num, den = rest.numerator * q**m, rest.denominator * q**m
     pk, f, k, sign = p ** (m + 1), rest.denominator, m + 1, 1
@@ -275,7 +279,7 @@ def _log_series(m: int, lam: Fraction, rest: Fraction) -> Fraction:
     while (pk * f) << 64 > abs(num) * q * k:
         num, den = num * q * k + sign * pk * f, den * q * k
         pk, f, k, sign = pk * p, f * k, k + 1, -sign
-    return Fraction(num, den)
+    return num / den
 
 
 def l2_slope_deviation(params: BundleParams) -> float:

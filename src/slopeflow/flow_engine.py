@@ -21,26 +21,28 @@ breaks admissibility is rejected: dt is halved, down to the configured dt,
 and the step is solved again from the same linearization (Kelley & Keyes
 1998).  A step that is inadmissible at the configured dt raises.  Rejected
 steps are counted apart and feed no monitor.  The step does not depend on
-the checkpoint interval: a checkpoint is taken after the first step that
-reaches or passes the next checkpoint time, so a step longer than the
-interval gives one checkpoint.  A run stops once the steady residual
+the checkpoint interval: a step longer than the interval gives one
+checkpoint.  A run stops once the steady residual
 sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
 The J flux is the plain chord flux, linear in psi.  Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, admissibility and the angle range.
 
-A checkpoint is one pass over the current profile, and each item it
-records is computed once there:
+A checkpoint is taken at the top of the time loop, where the residual has
+just evaluated the cell fluxes of the current profile: for the first
+profile, a converged one, the first profile at or past the next checkpoint
+time, and the profile at t_max.  It is one pass over that profile, and each
+item it records is computed once there:
 - a copy of the profile, on a read-only grid shared by every checkpoint
   and the reference profile of the solve;
 - the sampled rate's sup and, since the last checkpoint, its max and min,
-  all from the extrema of each rate;
-- the plateau (mean) and total variation of the diagnostic field over the
-  compact window; the J slope field is the one the step's energy just
-  evaluated, and the cotangent field comes with theta from one angle
-  evaluation;
+  all from the extrema of each rate: the step's rate for a timed
+  checkpoint, else the residual's;
+- the plateau and spread (mean and max - min) of the cell fluxes c the
+  scheme steps with, over the cells with both end nodes in the window;
 - the distance to the reference profile, and the forward-difference and
-  derivative bounds (J) or the angle range (cotangent);
+  derivative bounds (J) or the angle range (cotangent, from one angle
+  evaluation);
 - the decaying functional: the J energy of the step, or the calibration
   volume, from `dhym_volume`'s quadrature on a geometry built once per solve;
 - admissibility, which the constructor checks for the initial profile and
@@ -93,7 +95,8 @@ MONO_TOL = 1e-8
 COMP_TOL = 1e-8
 #: slack of the energy-decay monitor
 ENERGY_SLACK = 1e-10
-#: plateau and sup error are measured this far inside the puncture and ends
+#: the plateau window lies this far inside the puncture and the right end;
+#: the sup error runs from the window's left edge to the right end
 COMPACT_MARGIN = 0.1
 #: the largest step; backward Euler lags on the slow mode (e-folding time
 #: about 5), so at a cap of 4 the slowest solves only just converge by t = 100
@@ -147,7 +150,7 @@ class Checkpoint:
     admissible: bool
     comparison_gap: float | None
     plateau: float
-    slope_total_variation: float | None = None
+    plateau_spread: float | None = None
     theta_min: float | None = None
     theta_max: float | None = None
     volume: float | None = None
@@ -215,7 +218,9 @@ class FlowTrace:
 
     def to_csv(self, path: str) -> None:
         """Checkpoint profiles as rows t,x,psi,diagnostic, where the
-        diagnostic is the pointwise slope (J) or cot(theta) (cotangent)."""
+        diagnostic is the nodal pointwise slope (J) or cot(theta)
+        (cotangent) from centered differences; its mean over the window
+        differs from the flux plateau by O(h^2)."""
         h = self.meta["h"]
         if self.kind == "j":
             params = self.meta["params"]
@@ -254,12 +259,11 @@ def _gradient(psi: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _plateau(values: np.ndarray, window: slice) -> tuple[float, float]:
-    """Mean and total variation of a sampled function over a window of nodes."""
-    v = values[window]
-    if not v.size:
+def _plateau(flux: np.ndarray) -> tuple[float, float]:
+    """Mean and spread (max - min) of the cell fluxes over the window."""
+    if not flux.size:
         return float("nan"), float("nan")
-    return float(v.sum() / v.size), float(np.abs(v[1:] - v[:-1]).sum())
+    return float(flux.sum() / flux.size), float(flux.max() - flux.min())
 
 
 def _lambda_estimate(prof: MomentProfile) -> float:
@@ -360,18 +364,17 @@ class _JScheme:
     def admissible(self, pv: np.ndarray) -> bool:
         return _admissible_j(pv)
 
-    def step_decay(self, pv: np.ndarray) -> tuple[float, np.ndarray]:
-        """The J energy of a profile, and the slope field it integrates,
+    def step_decay(self, pv: np.ndarray) -> float:
+        """The J energy of a profile: the trapezoid of its nodal slope field,
         on the grid terms built once per solve."""
         s = _slope_field(pv, _gradient(pv, self.h), self.m, self.slope_grid)
-        return float(np.dot(s * s, self.tw)), s
+        return float(np.dot(s * s, self.tw))
 
-    def checkpoint_fields(self, pv: np.ndarray, t: float, sigma: np.ndarray):
-        """The slope field, which `step_decay` has just evaluated on this
-        profile, and the J-only Checkpoint fields."""
+    def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
+        """The J-only Checkpoint fields."""
         diffs = pv[1:] - pv[:-1]
         dmin, dmax = diffs.min(), diffs.max()
-        return sigma, {
+        return {
             "comparison_gap": float((pv - self.ref).min()),
             "min_forward_diff": float(dmin),
             "max_derivative": float(max(dmax, -dmin) / self.h),
@@ -478,14 +481,13 @@ class _CotScheme:
 
         return _volume_value(prof.values, self.volume_geometry)
 
-    def checkpoint_fields(self, pv: np.ndarray, t: float, sigma=None):
-        """cot(theta) and the cotangent-only Checkpoint fields, from one
-        angle evaluation."""
-        cot, theta = _angle_field(self.x, pv, _gradient(pv, self.h))
+    def checkpoint_fields(self, pv: np.ndarray, t: float) -> dict:
+        """The cotangent-only Checkpoint fields, from one angle evaluation."""
+        theta = _angle_field(self.x, pv, _gradient(pv, self.h))[1]
         tmin, tmax = float(theta.min()), float(theta.max())
         if tmin <= 0 or tmax >= math.pi:
             raise MonitorViolationError(f"angle left (0, pi) at t={t:.6g}")
-        return cot, {"comparison_gap": float((self.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
+        return {"comparison_gap": float((self.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
 
 
 def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
@@ -501,9 +503,10 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     # one read-only grid for every profile the trace keeps
     grid = x.copy()
     grid.flags.writeable = False
-    # the plateau window [lo, hi] as a slice of the sorted grid
+    # the plateau's cells: both end nodes in the window [lo, hi] of the sorted grid
     lo, hi = scheme.window
-    window = slice(int(np.searchsorted(x, lo)), int(np.searchsorted(x, hi, side="right")))
+    first = int(np.searchsorted(x, lo))
+    cells = slice(first, max(first, int(np.searchsorted(x, hi, side="right")) - 1))
     # stable limits are smooth: no monotone approach, no barrier to compare with
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
@@ -522,20 +525,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             decay_violation = max(decay_violation, value - decay_now)
         decay_now = value
 
-    def measure_step():
-        """Track the per-step decay of psi; returns the field it evaluated."""
-        if scheme.step_decay:
-            value, field = scheme.step_decay(psi)
-            track_decay(value)
-            return field
-
-    def checkpoint(rate: np.ndarray, field):
+    def checkpoint(rate: np.ndarray, flux: np.ndarray):
         nonlocal run_max_rate, run_min_rate
         prof = MomentProfile(grid, psi, scheme.boundary)
         if scheme.checkpoint_decay:
             track_decay(scheme.checkpoint_decay(prof))
-        field, fields = scheme.checkpoint_fields(psi, t, field)
-        plateau, tv = _plateau(field, window)
+        plateau, spread = _plateau(flux[cells])
         rmax, rmin = rate.max(), rate.min()
         ck = Checkpoint(
             t=t,
@@ -545,27 +540,33 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             # the constructor checked the initial profile, the step loop every later one
             admissible=True,
             plateau=plateau,
-            slope_total_variation=tv,
-            **{"energy": None, **fields, scheme.decay: decay_now},
+            plateau_spread=spread,
+            **{"energy": None, **scheme.checkpoint_fields(psi, t), scheme.decay: decay_now},
         )
         times.append(t)
         checkpoints.append(ck)
         profiles.append(prof)
         run_max_rate, run_min_rate = -np.inf, np.inf
 
-    field = measure_step()
-    next_ck = ck_interval
+    next_ck, step_rate = ck_interval, None
 
     while True:
+        if scheme.step_decay:
+            track_decay(scheme.step_decay(psi))
         # the steady residual: sup |d psi/dt| at the current profile
         c, right, left, mid = scheme.linear_flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
         converged = res < cfg.convergence_tol
-        # the first profile, and a converged one the last step did not record
-        if not times or converged and times[-1] < t:
-            checkpoint(rate, field)
+        # a timed checkpoint records the last step's rate, the first and a
+        # converged profile the residual's
+        timed = t >= next_ck or t >= cfg.t_max
+        if timed or converged or not times:
+            checkpoint(step_rate if timed else rate, c)
+        if timed:
+            # the first checkpoint time after t: one checkpoint per step
+            next_ck += ck_interval * (math.floor((t - next_ck) / ck_interval) + 1)
         if converged or t >= cfg.t_max:
             break
         if res_prev is not None:
@@ -589,18 +590,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             dt = max(cfg.dt, step / 2)
             rejected += 1
         psi, cand = cand, psi
-        rate = delta / step
+        step_rate = delta / step
         t = cfg.t_max if last else t + step
         steps += 1
         dt_max = max(dt_max, step)
-        rmax, rmin = float(rate.max()), float(rate.min())
-        run_max_rate = max(run_max_rate, rmax)
-        run_min_rate = min(run_min_rate, rmin)
-        field = measure_step()
-        if t >= next_ck or last:
-            checkpoint(rate, field)
-            # the first checkpoint time after t: one checkpoint per step
-            next_ck += ck_interval * (math.floor((t - next_ck) / ck_interval) + 1)
+        run_max_rate = max(run_max_rate, float(step_rate.max()))
+        run_min_rate = min(run_min_rate, float(step_rate.min()))
 
     # every run ends on a checkpoint of its final profile
     terminal = profiles[-1]
@@ -613,7 +608,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         terminal_constant=checkpoints[-1].plateau,
         reference_constant=scheme.reference_constant,
         reference_profile=MomentProfile(grid, scheme.ref, scheme.ref_boundary),
-        sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[window.start :]))),
+        sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[first:]))),
         lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,
         steps=steps,
@@ -644,8 +639,9 @@ def run_j_flow(
     with psi(0) = 0 and psi(a) = b; the diffusion coefficient vanishes at the
     endpoint values, consistent with the pinning.  Stops once the steady
     residual sup |d psi/dt| falls below the tolerance, or at t_max.  Returns
-    the terminal profile, the plateau value of the pointwise slope on the
-    compact away from the puncture, and checkpointed monitor diagnostics.
+    the terminal profile, the plateau of the chord flux (the pointwise slope
+    of each cell) on the compact away from the puncture, and checkpointed
+    monitor diagnostics.
     """
     cfg = cfg or FlowConfig()
     return _integrate(_JScheme(params, init, cfg), cfg)
@@ -666,8 +662,8 @@ def run_cotangent_flow(
     on [1, b] with psi(1) = q, psi(b) = p.  The prefactor is csc^2(theta)
     over (x^2+psi^2)(1+psi'^2), rewritten through the angle sum.  Stops once
     the steady residual falls below the tolerance, or at t_max.  Classifies
-    the run by the trichotomy in sign(q - c0) and measures the plateau of
-    cot(theta).
+    the run by the trichotomy in sign(q - c0) and measures the plateau as
+    the mean of the cell fluxes cot(theta) over the compact.
     """
     cfg = cfg or FlowConfig()
     return _integrate(_CotScheme(b, p, q, init, cfg), cfg)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .errors import InputError, ModelInconsistencyError, NotBigError
 
 __all__ = [
@@ -152,16 +150,17 @@ class SurfaceModel:
         d = self._dc = math.lcm(*(c._view[1] for c in self.curves))
         self._rows = tuple(tuple(v * (d // c._view[1]) for v in c._view[0]) for c in self.curves)
         self._gram = tuple(tuple(_pair(r, row, self) for r in self._rows) for row in self._rows)
-        # Hodge index: exactly one positive eigenvalue, none zero.
-        eigs = np.linalg.eigvalsh(np.array(self.form, dtype=float))
-        pos = int(np.sum(eigs > 1e-12))
-        zero = int(np.sum(np.abs(eigs) <= 1e-12))
-        if pos != 1 or zero != 0:
-            raise ModelInconsistencyError(
-                f"intersection form must have signature (1,{k - 1}); eigenvalues {eigs}"
-            )
-        if intersect(self.kahler_ref, self.kahler_ref, self) <= 0:
+        x = self.kahler_ref._view[0]
+        kk = _pair(x, x, self)
+        if kk <= 0:
             raise ModelInconsistencyError("kahler_ref has non-positive self-intersection")
+        # Hodge index: for the Kahler reference K, K.K > 0, the form G has signature
+        # (1, k-1) exactly when (K.K) G - 2 (GK)(GK)^T, which is -(K.K)^2 on K and
+        # (K.K) G on K's orthogonal complement, is negative definite
+        gk = [sum(v * c for v, c in zip(row, x)) for row in form]
+        hodge = [[kk * v - 2 * gi * gj for v, gj in zip(row, gk)] for row, gi in zip(form, gk)]
+        if _support_solve(list(range(k)), [], hodge) is None:
+            raise ModelInconsistencyError(f"intersection form must have signature (1,{k - 1})")
         if not all(v > 0 for v in _curve_nums(self.kahler_ref, self)):
             raise ModelInconsistencyError("kahler_ref pairs non-positively with a curve")
 
@@ -219,15 +218,16 @@ def is_kahler(a: DivisorClass, model: SurfaceModel) -> bool:
     return all(v > 0 for v in _curve_nums(a, model)) and _pair(a._view[0], a._view[0], model) > 0
 
 
-def _support_solve(support: list[int], cols: list[list[int]], model: SurfaceModel):
-    """One fraction-free (Bareiss) pass on the support curves' integer Gram matrix G.
+def _support_solve(support: list[int], cols: list[list[int]], gram):
+    """One fraction-free (Bareiss) pass on G, the integer matrix `gram` on `support`
+    (the curves' Gram matrix on the support curves, in the Zariski walks).
 
     Its pivots are G's leading principal minors: None unless they alternate in
     sign from negative (G negative definite).  Clearing above and below each
     pivot ends at det G times the identity: returns (|det G|, |det G| G^-1 cols).
     """
     k = len(support)
-    rows = [[model._gram[i][j] for j in support] + [col[i] for col in cols] for i in support]
+    rows = [[gram[i][j] for j in support] + [col[i] for col in cols] for i in support]
     prev = 1
     for p in range(k):
         piv = rows[p][p]
@@ -261,7 +261,7 @@ def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition |
     nums, da = _curve_nums(a, model), a._view[1]
     support = [i for i, v in enumerate(nums) if v < 0]
     while True:
-        solved = _support_solve(support, [nums], model)
+        solved = _support_solve(support, [nums], model._gram)
         if solved is None:
             return None
         det, (y,) = solved
@@ -305,7 +305,7 @@ def _volume_root(alpha, beta, model, t0, quad):
     nums = [_curve_nums(alpha, model), _curve_nums(beta, model)]
     support, lo = [], t0
     while True:
-        solved = _support_solve(support, nums, model)
+        solved = _support_solve(support, nums, model._gram)
         if solved is None:
             raise ModelInconsistencyError(f"alpha - t beta is not big at t = {lo}")
         det, ys = solved

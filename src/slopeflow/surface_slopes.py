@@ -25,6 +25,7 @@ from .surface_lattice import (
     intersect,
     is_kahler,
     is_nef,
+    to_fraction,
     volume,
 )
 
@@ -108,6 +109,17 @@ def _float_bracket(r: Fraction, s: Fraction, d: Fraction, x: float) -> tuple[flo
     )
 
 
+def _rounded_root(r: Fraction, s: Fraction, d: Fraction) -> tuple[float, tuple[float, float], Fraction]:
+    """r + s sqrt(d) as its float, the floats bracketing it, and the exact root
+    when it is rational, else its float (one end of the bracket) as a Fraction."""
+    approx = _approx_root(r, s, d)
+    x = float(approx)
+    # rational exactly when s = 0 or d, in lowest terms, is a square
+    n = d.numerator * d.denominator
+    exact = not s or math.isqrt(n) ** 2 == n
+    return x, _float_bracket(r, s, d, x), approx if exact else Fraction(x)
+
+
 def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -> Fraction:
     """mu = 2 a.b/a^2 for J, c0 = (a^2 - b^2)/(2 a.b) for dHYM."""
     a2, ab = intersect(a, a, model), intersect(a, b, model)
@@ -131,19 +143,13 @@ def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCer
     if equation == "j":  # xi = 1/t, still in Q(sqrt d)
         norm = r * r - s * s * d
         r, s = r / norm, -s / norm
-    approx = _approx_root(r, s, d)
-    slope = float(approx)
-    bracket = _float_bracket(r, s, d, slope)
+    slope, bracket, xi_hat = _rounded_root(r, s, d)
     gaps = {}
     for xi in bracket:
         t = to_t(Fraction(xi))
         gaps[xi] = volume(alpha - t * beta, model) - (quad[0] + quad[1] * t + quad[2] * t * t)
     if gaps[bracket[0]] * gaps[bracket[1]] > 0:
         raise ModelInconsistencyError(f"{equation} bracket {bracket} does not straddle the volume equation")
-    # the exact root when it is rational (the walk solved the equation there),
-    # else the float it rounds to, one end of the bracket
-    exact = _sign(approx - r, -s, d) == 0
-    xi_hat = approx if exact else Fraction(slope)
     negative = n_alpha - to_t(xi_hat) * n_beta
     return SlopeCertificate(
         equation=equation,
@@ -152,7 +158,8 @@ def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCer
         witness=None if negative.is_zero() else negative,
         verdict=verdict,
         topological_slope=float(topological),
-        residual=0.0 if exact else float(abs(gaps[slope])),
+        # 0 at a rational root, which the walk solved exactly (a float root has gap 0)
+        residual=0.0 if xi_hat != slope else float(abs(gaps[slope])),
         witness_slope=float(_topological_slope(equation, alpha - negative, beta, model)),
     )
 
@@ -239,43 +246,33 @@ def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
 
     For alpha = pH - qE and beta = bH - E with b > 1 and bp > q:
     c0 = (p^2 - q^2 - b^2 + 1)/(2(bp - q)); the slope is
-    bp - sqrt((p^2+1)(b^2-1)) whenever that value is >= q, and c0 otherwise;
-    the trichotomy verdict is the sign of q - c0.
+    bp - sqrt((p^2+1)(b^2-1)) whenever that value is >= q, which is exactly
+    when q <= c0, and c0 otherwise; it is rounded and bracketed by floats as
+    in `dhym_slope_certificate`.  The trichotomy verdict is the sign of q - c0.
     """
-    from .surface_lattice import to_fraction
-
     b, p, q = to_fraction(b), to_fraction(p), to_fraction(q)
     if b <= 1:
         raise InputError("need b > 1 so that beta = bH - E is Kahler")
     if b * p <= q:
         raise InputError("need bp > q so that alpha.beta > 0")
     c0 = (p * p - q * q - b * b + 1) / (2 * (b * p - q))
-    disc = float((p * p + 1) * (b * b - 1))
-    xi_big = float(b * p) - math.sqrt(disc)
-    if q < c0:
-        verdict = UNSTABLE
-    elif q == c0:
-        verdict = SEMISTABLE
-    else:
-        verdict = STABLE
-    witness_slope = None
-    if xi_big >= float(q):
-        xi = xi_big
+    if q <= c0:
+        verdict = UNSTABLE if q < c0 else SEMISTABLE
+        # bp - sqrt((p^2+1)(b^2-1)) >= q, squared and over 2(bp - q) > 0, is q <= c0
+        xi, bracket, xf = _rounded_root(b * p, Fraction(-1), (p * p + 1) * (b * b - 1))
         # (xi - q) E in the (H, -E) basis carries coefficient q - xi.
-        witness = DivisorClass((Fraction(0), Fraction(repr(float(q) - xi))))
-        xf = Fraction(repr(xi))
+        witness = None if xf == q else DivisorClass((Fraction(0), q - xf))
         witness_slope = float(
             (p * p - xf * xf - b * b + 1) / (2 * (b * p - xf))
         )
     else:
-        xi = float(c0)
-        witness = None
-        witness_slope = xi
-    width = 4 * abs(xi) * 2.3e-16 + 1e-15
+        verdict = STABLE
+        xi, bracket, _ = _rounded_root(c0, Fraction(0), Fraction(0))
+        witness, witness_slope = None, xi
     return SlopeCertificate(
         equation="dhym",
         slope=xi,
-        bracket=(xi - width, xi + width),
+        bracket=bracket,
         witness=witness,
         verdict=verdict,
         topological_slope=float(c0),

@@ -67,9 +67,12 @@ def test_flow_converges_and_csv_matches_plateau(capsys, tmp_path, argv, window):
     assert '"converged": true' in out
     summary = json.loads(out)
     assert summary == json.loads((tmp_path / "summary.json").read_text())
+    # the plateau is the mean cell flux; the CSV's nodal field is O(h^2) off
     x, diag = _last_checkpoint(tmp_path / "trace.csv")
     sel = (x >= window[0]) & (x <= window[1])
-    assert np.mean(diag[sel]) == pytest.approx(summary["terminal_constant"], abs=1e-9)
+    h, ref = summary["meta"]["h"], summary["reference_constant"]
+    assert abs(np.mean(diag[sel]) - ref) <= 2 * h * h
+    assert abs(summary["terminal_constant"] - ref) <= 1e-7
 
 
 def test_bundle_slopes_exit_codes(capsys):

@@ -27,6 +27,7 @@ from slopeflow import energy_functionals
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
+    _energy_constant,
     critical_polynomial,
     intersection_number,
     min_slope_certificate,
@@ -41,6 +42,7 @@ from slopeflow.calabi_profiles import (
 from slopeflow.energy_functionals import (
     PLTestConfig,
     _pl_integrals,
+    energy_infimum,
     futaki_invariant,
     l2_slope_deviation,
     minimizing_profile,
@@ -448,6 +450,25 @@ def test_l2_slope_deviation_near_semistable_matches_taylor(m, b, lam):
     params = BundleParams(n=1, m=m, a=2, b=b)
     assert min_slope_certificate(params).lam == pytest.approx(lam, rel=0.05)
     assert l2_slope_deviation(params) == pytest.approx(_l2_deviation_taylor(params), rel=1e-14, abs=0)
+
+
+def _bubble_series(m, lam, terms=80):
+    """int_0^lam x^m/(1+x) dx = sum_j (-1)^j lam^(m+j+1)/(m+j+1), summed in
+    Fraction; for lam below 0.34 the 80-term tail is far below the ulp."""
+    return sum(F((-1) ** j) * lam ** (m + j + 1) / (m + j + 1) for j in range(terms))
+
+
+@pytest.mark.parametrize(
+    "m,a,b",
+    [(1, 2, F(1, 4)), (2, 2, F(21, 64)), (3, 2, F(17, 64)), (5, 2, F(3, 16)), (5, 2, F(341, 1792))],
+)
+def test_energy_infimum_n1_bubble_matches_series(m, a, b):
+    # n = 1, m >= 1 below lam = 1/2: the float closed form cancels to lam^(m+1)/(m+1)
+    params = BundleParams(n=1, m=m, a=a, b=b)
+    lam = min_slope_certificate(params).lam
+    assert 0 < lam < 0.34
+    want = float(_energy_constant(params)) * float(_bubble_series(m, to_fraction(repr(lam))))
+    assert energy_infimum(params).bubble == pytest.approx(want, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------

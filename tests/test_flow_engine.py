@@ -32,13 +32,11 @@ from slopeflow.energy_functionals import dhym_volume
 from slopeflow import flow_engine
 from slopeflow.errors import AdmissibilityError, InputError, MonitorViolationError, TimeStepError
 from slopeflow.flow_engine import (
-    COMPACT_MARGIN,
     DT_CAP,
     FlowConfig,
     _CotScheme,
     _gradient,
     _JScheme,
-    _plateau,
     monitor_suite,
     run_cotangent_flow,
     run_j_flow,
@@ -263,19 +261,17 @@ def _slope_reference(x, psi, d, n, m):
 
 @pytest.mark.parametrize("nm", [(1, 0), (1, 1), (2, 2)])
 def test_j_step_decay_is_the_slope_field_bit_for_bit(nm):
-    """The J scheme's per-step slope field and energy, on grid terms built
-    once per solve, and `_slope_field` all equal the written-out formula
-    exactly."""
+    """The J scheme's per-step energy, on grid terms built once per solve,
+    is the trapezoid of the written-out slope formula exactly, and
+    `_slope_field` equals that formula."""
     params = BundleParams(n=nm[0], m=nm[1], a=2, b=1)
     scheme = _JScheme(params, "line", FlowConfig(grid_size=64))
     x, h = scheme.x, scheme.h
     for pv in (scheme.psi, x**2 / 4, np.sqrt(x / 2)):
         d = _gradient(pv, h)
         ref = _slope_reference(x, pv, d, *nm)
-        energy, field = scheme.step_decay(pv)
-        assert np.array_equal(field, ref)
         assert np.array_equal(_slope_field(pv, d, nm[1], _slope_grid(x, nm[0])), ref)
-        assert energy == float(np.dot(ref * ref, scheme.tw))
+        assert scheme.step_decay(pv) == float(np.dot(ref * ref, scheme.tw))
 
 
 def test_scheme_diffusion_coefficients():
@@ -357,21 +353,26 @@ def test_checkpoint_volume_is_dhym_volume():
         assert ck.volume == dhym_volume(prof, 2, 3, 0).value
 
 
-def test_checkpoint_plateau_is_the_slope_field_plateau():
-    """Each J checkpoint's plateau and total variation are those of the slope
-    field of its profile over the compact window."""
-    params = BundleParams(n=1, m=1, a=2, b=1)
+def test_checkpoint_plateau_is_the_flux_plateau():
+    """Each checkpoint's plateau and spread are the mean and max - min of its
+    profile's cell fluxes `linear_flux` over the cells whose two end nodes
+    lie in the compact window, for both schemes."""
     cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0, checkpoint_interval=0.25)
-    tr = run_j_flow(params, "line", cfg=cfg)
-    assert len(tr.checkpoints) > 5
-    h = tr.meta["h"]
-    for ck, prof in zip(tr.checkpoints, tr.profiles):
-        x, psi = prof.grid, prof.values
-        lo = np.searchsorted(x, tr.meta["lambda_ref"] + COMPACT_MARGIN)
-        window = slice(int(lo), int(np.searchsorted(x, 2 - COMPACT_MARGIN, side="right")))
-        plateau, tv = _plateau(_slope_reference(x, psi, _gradient(psi, h), 1, 1), window)
-        assert ck.plateau == pytest.approx(plateau, abs=1e-12)
-        assert ck.slope_total_variation == pytest.approx(tv, abs=1e-12)
+    params = BundleParams(n=1, m=1, a=2, b=1)
+    runs = [
+        (_JScheme(params, "line", cfg), run_j_flow(params, "line", cfg=cfg)),
+        (_CotScheme(2, 3, 0, "special", cfg), run_cotangent_flow(2, 3, 0, "special", cfg=cfg)),
+    ]
+    for scheme, tr in runs:
+        assert len(tr.checkpoints) > 5
+        x, (lo, hi) = scheme.x, scheme.window
+        cells = (x[:-1] >= lo) & (x[1:] <= hi)
+        assert 0 < cells.sum() < x.size - 1
+        for ck, prof in zip(tr.checkpoints, tr.profiles):
+            flux = scheme.linear_flux(prof.values)[0][cells]
+            assert ck.plateau == np.mean(flux)
+            assert ck.plateau_spread == flux.max() - flux.min()
+        assert tr.terminal_constant == tr.checkpoints[-1].plateau
 
 
 def test_trace_csv_and_summary(tmp_path, unstable):

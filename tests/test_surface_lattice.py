@@ -93,6 +93,28 @@ def test_hodge_index_enforced():
         )
 
 
+def test_hodge_index_is_exact():
+    """The signature test is exact: a form scaled to diag(1e-13, -1e-13) is
+    still the one-point blow-up, while a degenerate form and one of
+    signature (2,0) are rejected."""
+    s = F(1, 10**13)
+    small = SurfaceModel(
+        basis_labels=("H", "-E"),
+        form=((s, F(0)), (F(0), -s)),
+        curves=(DivisorClass.of(0, -1), DivisorClass.of(1, 1), DivisorClass.of(1, 0)),
+        kahler_ref=DivisorClass.of(3, 1),
+    )
+    assert volume(DivisorClass.of(3, 1), small) == F(8, 10**13)
+    for form in (((1, 0), (0, 0)), ((1, 0), (0, 1)), ((2, 1), (1, 1))):
+        with pytest.raises(ModelInconsistencyError, match="signature"):
+            SurfaceModel(
+                basis_labels=("A", "B"),
+                form=tuple(tuple(F(v) for v in row) for row in form),
+                curves=(),
+                kahler_ref=DivisorClass.of(1, 0),
+            )
+
+
 def test_asymmetric_form_rejected():
     with pytest.raises(ModelInconsistencyError):
         SurfaceModel(

@@ -200,7 +200,8 @@ def test_closed_form_agrees_with_volume_solver(blp2):
         alpha = DivisorClass((p, q))
         beta = DivisorClass((b, F(1)))
         general = dhym_slope_certificate(alpha, beta, blp2)
-        assert abs(closed.slope - general.slope) < 1e-12, (b, p, q)
+        assert (closed.slope, closed.bracket) == (general.slope, general.bracket), (b, p, q)
+        assert (closed.witness, closed.witness_slope) == (general.witness, general.witness_slope), (b, p, q)
         assert closed.verdict == general.verdict, (b, p, q)
         _assert_exact(general, alpha, beta, blp2)
         agree += 1
