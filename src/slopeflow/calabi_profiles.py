@@ -69,6 +69,14 @@ class MomentProfile:
             raise InputError("endpoint values do not match the pinned boundary")
         self.values[0], self.values[-1] = lo, hi
 
+    @classmethod
+    def _view(cls, grid: np.ndarray, values: np.ndarray, boundary: tuple[float, float]) -> MomentProfile:
+        """A profile on arrays already checked and pinned, neither copied nor
+        validated: the flows' checkpoint rows."""
+        prof = object.__new__(cls)
+        prof.grid, prof.values, prof.boundary = grid, values, boundary
+        return prof
+
     def derivative(self) -> np.ndarray:
         """Centered first derivative at interior nodes, one-sided at the ends."""
         return np.gradient(self.values, self.grid)

@@ -241,6 +241,15 @@ def blowup_plane_model() -> SurfaceModel:
     )
 
 
+def _blowup_residual(p: Fraction, b: Fraction, t: Fraction) -> float:
+    """|f(t)| of f(t) = vol(alpha - t beta) - (1 + t^2) beta^2
+    = (p - tb)^2 - (1 + t^2)(b^2 - 1) beyond q, as `_certificate` gives it
+    at an irrational root: one exact integer fraction, rounded once."""
+    pn, pd, bn, bd, tn, td = p.numerator, p.denominator, b.numerator, b.denominator, t.numerator, t.denominator
+    num = (pn * td * bd - tn * bn * pd) ** 2 - pd * pd * (td * td + tn * tn) * (bn * bn - bd * bd)
+    return abs(num) / (pd * td * bd) ** 2
+
+
 def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
     """Closed-form dHYM certificate on the one-point blow-up of the plane.
 
@@ -265,10 +274,12 @@ def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
         witness_slope = float(
             (p * p - xf * xf - b * b + 1) / (2 * (b * p - xf))
         )
+        # 0 at a rational root, as in `_certificate`
+        residual = 0.0 if xf != xi else _blowup_residual(p, b, xf)
     else:
         verdict = STABLE
         xi, bracket, _ = _rounded_root(c0, Fraction(0), Fraction(0))
-        witness, witness_slope = None, xi
+        witness, witness_slope, residual = None, xi, 0.0
     return SlopeCertificate(
         equation="dhym",
         slope=xi,
@@ -276,6 +287,6 @@ def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
         witness=witness,
         verdict=verdict,
         topological_slope=float(c0),
-        residual=0.0,
+        residual=residual,
         witness_slope=witness_slope,
     )

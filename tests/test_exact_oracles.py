@@ -9,6 +9,9 @@ also rerun.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
 expansion, and the closed-form L2 slope deviation against Simpson's rule
 and, near semistability, against its Taylor series summed in Fraction.
+The flows' checkpoint diagnostics, computed over blocks of stacked
+profiles, are checked bit for bit against the time loop that computed them
+one checkpoint at a time.
 """
 
 import itertools
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow import energy_functionals
+from slopeflow import energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
@@ -35,6 +38,8 @@ from slopeflow.bundle_geometry import (
     weight_integral,
 )
 from slopeflow.calabi_profiles import (
+    _angle_field,
+    _slope_field,
     invert_steady_profile_j,
     steady_profile_j,
     steady_profile_j_derivative,
@@ -42,6 +47,7 @@ from slopeflow.calabi_profiles import (
 from slopeflow.energy_functionals import (
     PLTestConfig,
     _pl_integrals,
+    _volume_geometry,
     energy_infimum,
     futaki_invariant,
     l2_slope_deviation,
@@ -747,3 +753,180 @@ def test_certificates_and_threshold_match_fraction_oracle(model_name, request, m
     for name, ref in FRACTION_KERNELS.items():
         monkeypatch.setattr(surface_slopes, name, ref)
     assert _surface_outputs(model, pairs) == want
+
+
+# ---------------------------------------------------------------------------
+# flow checkpoints: the per-checkpoint diagnostics the block kernels replaced
+
+
+def _ref_gradient(psi, h):
+    d = np.empty_like(psi)
+    d[1:-1] = (psi[2:] - psi[:-2]) / (2 * h)
+    d[0] = (psi[1] - psi[0]) / h
+    d[-1] = (psi[-1] - psi[-2]) / h
+    return d
+
+
+def _ref_volume_value(values, geometry):
+    nodes, offsets, weights, dx = geometry
+    s = ((values[1:] - values[:-1]) / dx)[:, None]
+    psi = values[:-1, None] + s * offsets
+    f = np.sqrt((nodes * s + psi) ** 2 + (psi * s - nodes) ** 2)
+    return 2.0 * float((weights * f).sum())
+
+
+def _ref_energy(scheme, pv):
+    s = _slope_field(pv, _ref_gradient(pv, scheme.h), scheme.m, scheme.slope_grid)
+    return float(np.dot(s * s, scheme.tw))
+
+
+def _ref_checkpoint_fields(scheme, pv, t):
+    if scheme.kind == "j":
+        diffs = pv[1:] - pv[:-1]
+        dmin, dmax = diffs.min(), diffs.max()
+        return {
+            "comparison_gap": float((pv - scheme.ref).min()),
+            "min_forward_diff": float(dmin),
+            "max_derivative": float(max(dmax, -dmin) / scheme.h),
+        }
+    theta = _angle_field(scheme.x, pv, _ref_gradient(pv, scheme.h))[1]
+    tmin, tmax = float(theta.min()), float(theta.max())
+    assert 0 < tmin and tmax < math.pi
+    return {"comparison_gap": float((scheme.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
+
+
+def _ref_integrate(scheme, cfg):
+    """The time loop with one pass of diagnostics per checkpoint, and the J
+    energy of every step one at a time: (times, checkpoints, profile values,
+    the decay series with its times, the largest rise)."""
+    x, h, psi = scheme.x, scheme.h, scheme.psi.copy()
+    lo, hi = scheme.window
+    first = int(np.searchsorted(x, lo))
+    cells = slice(first, max(first, int(np.searchsorted(x, hi, side="right")) - 1))
+    geometry = _volume_geometry(x)
+    dt = cfg.dt
+    ck_interval = cfg.t_max / 200.0 if cfg.checkpoint_interval is None else cfg.checkpoint_interval
+    t, res_prev, cand = 0.0, None, psi.copy()
+    times, checkpoints, profiles, series, series_t = [], [], [], [], []
+    run_max, run_min = -np.inf, np.inf
+    next_ck, step_rate = ck_interval, None
+    while True:
+        if scheme.kind == "j":
+            series.append(_ref_energy(scheme, psi))
+            series_t.append(t)
+        c, right, left, mid = scheme.linear_flux(psi)
+        Qv = scheme.Q(psi)
+        rate = Qv * (c[1:] - c[:-1]) / h
+        res = float(np.abs(rate).max())
+        converged = res < cfg.convergence_tol
+        timed = t >= next_ck or t >= cfg.t_max
+        if timed or converged or not times:
+            if scheme.kind != "j":
+                series.append(_ref_volume_value(psi, geometry))
+                series_t.append(t)
+            flux = c[cells]
+            sampled = step_rate if timed else rate
+            rmax, rmin = sampled.max(), sampled.min()
+            checkpoints.append(flow_engine.Checkpoint(
+                t=t,
+                sup_rate=float(max(rmax, -rmin)),
+                max_rate=float(max(run_max, rmax)),
+                min_rate=float(min(run_min, rmin)),
+                admissible=True,
+                plateau=float(flux.sum() / flux.size),
+                plateau_spread=float(flux.max() - flux.min()),
+                **{"energy": None, **_ref_checkpoint_fields(scheme, psi, t), scheme.decay: series[-1]},
+            ))
+            times.append(t)
+            profiles.append(psi.copy())
+            run_max, run_min = -np.inf, np.inf
+        if timed:
+            next_ck += ck_interval * (math.floor((t - next_ck) / ck_interval) + 1)
+        if converged or t >= cfg.t_max:
+            break
+        if res_prev is not None:
+            dt = max(cfg.dt, min(dt * res_prev / res, flow_engine.DT_CAP))
+        res_prev = res
+        while True:
+            last = t + dt >= cfg.t_max
+            step = cfg.t_max - t if last else dt
+            dtQ = step * Qv
+            delta = flow_engine.solve_banded(
+                -dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate
+            )
+            np.add(psi[1:-1], delta, out=cand[1:-1])
+            if scheme.admissible(cand):
+                break
+            dt = max(cfg.dt, step / 2)
+        psi, cand = cand, psi
+        step_rate = delta / step
+        t = cfg.t_max if last else t + step
+        run_max = max(run_max, float(step_rate.max()))
+        run_min = min(run_min, float(step_rate.min()))
+    rise = 0.0
+    for before, after in zip(series, series[1:]):
+        rise = max(rise, after - before)
+    return times, checkpoints, profiles, series, series_t, rise
+
+
+#: (flow, arguments, grid, FlowConfig overrides)
+FLOW_CHECKPOINT_CASES = [
+    ("j", (1, 0, 2, F(2, 3)), 64, {}),
+    ("j", (1, 1, 2, 1), 64, {}),
+    ("j", (2, 0, 2, 1), 64, {}),
+    # the energy of this unstable pair rises at grid 256
+    ("j", (2, 1, 3, 1), 256, {}),
+    ("cotangent", (2, 3, 1), 64, {}),
+    ("cotangent", (2, 3, 0), 128, {}),
+    # stopped at t_max, short of convergence
+    ("j", (1, 0, 4, 1), 64, {"t_max": 3.0}),
+    # a checkpoint at every step
+    ("cotangent", (2, 3, 0), 64, {"checkpoint_interval": 1e-12}),
+    # more checkpoints (and J steps) than a block holds
+    ("j", (1, 0, 2, F(2, 3)), 512, {}),
+    ("cotangent", (2, 3, 0), 512, {}),
+]
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("flow,args,grid,overrides", FLOW_CHECKPOINT_CASES)
+def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, grid, overrides):
+    """Every Checkpoint field, every kept profile, the decay violation and
+    its first rise above the slack are bit for bit those of the per-checkpoint
+    loop; the blocked trace's profiles are read-only rows on one grid."""
+    cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
+    if flow == "j":
+        params = BundleParams(*args)
+        scheme, trace = flow_engine._JScheme(params, "line", cfg), flow_engine.run_j_flow(params, "line", cfg=cfg)
+    else:
+        scheme = flow_engine._CotScheme(*args, "special", cfg)
+        trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
+    times, checkpoints, profiles, series, series_t, rise = _ref_integrate(scheme, cfg)
+    assert trace.times == times
+    assert len(trace.checkpoints) == len(checkpoints) == len(trace.profiles)
+    for got, want in zip(trace.checkpoints, checkpoints):
+        for name in flow_engine.Checkpoint.__dataclass_fields__:
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (name, got.t)
+    for prof, values in zip(trace.profiles, profiles):
+        assert prof.values.tobytes() == values.tobytes() and not prof.values.flags.writeable
+        assert prof.grid is trace.reference_profile.grid
+    assert trace.terminal_profile is trace.profiles[-1]
+    assert _bits(getattr(trace, f"{scheme.decay}_max_violation")) == _bits(rise)
+    slack = flow_engine._decay_slack(scheme.decay, scheme.h)
+    rises = [k for k in range(1, len(series)) if series[k] - series[k - 1] > slack]
+    label = "step" if flow == "j" else "checkpoint"
+    want = {label: rises[0], "t": series_t[rises[0]]} if rises else None
+    assert trace.decay_first_violation == want
+    assert trace.monitor_report.entries[f"{scheme.decay}_nonincreasing"]["first_violation"] == want
+    if args == (2, 1, 3, 1):
+        assert want is not None
+    if grid == 512:
+        rows = flow_engine.BLOCK_ELEMS // (grid + 1)
+        assert len(times) > rows and (flow != "j" or trace.steps > rows)
+    if "t_max" in overrides:
+        assert not trace.converged and times[-1] == cfg.t_max
+    if "checkpoint_interval" in overrides:
+        assert len(times) == trace.steps + 1

@@ -261,17 +261,23 @@ def _slope_reference(x, psi, d, n, m):
 
 @pytest.mark.parametrize("nm", [(1, 0), (1, 1), (2, 2)])
 def test_j_step_decay_is_the_slope_field_bit_for_bit(nm):
-    """The J scheme's per-step energy, on grid terms built once per solve,
-    is the trapezoid of the written-out slope formula exactly, and
-    `_slope_field` equals that formula."""
+    """The J scheme's per-step energy, evaluated over a block of stacked
+    profiles on grid terms built once per solve, is row by row the trapezoid
+    of the written-out slope formula exactly, and `_slope_field` equals that
+    formula on one profile and on the block."""
     params = BundleParams(n=nm[0], m=nm[1], a=2, b=1)
     scheme = _JScheme(params, "line", FlowConfig(grid_size=64))
     x, h = scheme.x, scheme.h
-    for pv in (scheme.psi, x**2 / 4, np.sqrt(x / 2)):
+    block = np.stack([scheme.psi, x**2 / 4, np.sqrt(x / 2)])
+    energies = scheme.decay_values(block)
+    grid_terms = _slope_grid(x, nm[0])
+    assert np.array_equal(_slope_field(block, _gradient(block, h), nm[1], grid_terms),
+                          [_slope_reference(x, pv, _gradient(pv, h), *nm) for pv in block])
+    for pv, energy in zip(block, energies.tolist()):
         d = _gradient(pv, h)
         ref = _slope_reference(x, pv, d, *nm)
-        assert np.array_equal(_slope_field(pv, d, nm[1], _slope_grid(x, nm[0])), ref)
-        assert scheme.step_decay(pv) == float(np.dot(ref * ref, scheme.tw))
+        assert np.array_equal(_slope_field(pv, d, nm[1], grid_terms), ref)
+        assert energy == float(np.dot(ref * ref, scheme.tw))
 
 
 def test_scheme_diffusion_coefficients():
@@ -351,6 +357,42 @@ def test_checkpoint_volume_is_dhym_volume():
     assert len(tr.checkpoints) > 5
     for ck, prof in zip(tr.checkpoints, tr.profiles):
         assert ck.volume == dhym_volume(prof, 2, 3, 0).value
+
+
+def test_an_angle_outside_the_range_raises_with_its_rows_time():
+    """A block whose rows 1 and 2 leave (0, pi) raises when it is evaluated,
+    with the time of row 1, the first offending checkpoint."""
+    scheme = _CotScheme(2, 3, 0, "special", FlowConfig(grid_size=64))
+    block = np.stack([scheme.psi] * 4)
+    block[1:3, 20] = block[1:3, 19] - 5.0  # x psi' + psi < 0 next to node 20
+    fields = scheme.block_fields(block[[0, 3]], [0.25, 1.75])
+    assert ((0 < fields["theta_min"]) & (fields["theta_max"] < math.pi)).all()
+    with pytest.raises(MonitorViolationError, match=r"angle left \(0, pi\) at t=0\.75$"):
+        scheme.block_fields(block, [0.25, 0.75, 1.25, 1.75])
+
+
+def test_decay_monitors_report_their_first_violation(monkeypatch):
+    """The energy monitor names the first step whose energy rose above the
+    slack, the volume monitor the first such checkpoint; a passing run
+    names none."""
+    cfg = FlowConfig(grid_size=256, dt=0.05)
+    fault = run_j_flow(BundleParams(2, 1, 3, 1), "line", cfg=cfg)
+    entry = fault.monitor_report.entries["energy_nonincreasing"]
+    assert not entry["passed"] and entry["worst"] > flow_engine.ENERGY_SLACK
+    first = entry["first_violation"]
+    assert set(first) == {"step", "t"} and 0 < first["step"] <= fault.steps
+    assert 0 < first["t"] < fault.times[-1]
+    passing = run_j_flow(BundleParams(1, 0, 2, 2 / 3), "line", cfg=FlowConfig(grid_size=128, dt=0.05))
+    assert passing.monitor_report.entries["energy_nonincreasing"] == {"passed": True, "worst": 0.0, "first_violation": None}
+    # with no slack the volume's first rise counts: it names that checkpoint
+    cot = run_cotangent_flow(2, 3, 0, "special", cfg=FlowConfig(grid_size=128, dt=0.05))
+    assert cot.monitor_report.entries["volume_nonincreasing"]["first_violation"] is None
+    monkeypatch.setattr(flow_engine, "_decay_slack", lambda decay, h: 0.0)
+    cot = run_cotangent_flow(2, 3, 0, "special", cfg=FlowConfig(grid_size=128, dt=0.05))
+    volumes = [ck.volume for ck in cot.checkpoints]
+    k = next(i for i in range(1, len(volumes)) if volumes[i] > volumes[i - 1])
+    entry = cot.monitor_report.entries["volume_nonincreasing"]
+    assert entry["first_violation"] == {"checkpoint": k, "t": cot.times[k]} and not entry["passed"]
 
 
 def test_checkpoint_plateau_is_the_flux_plateau():

@@ -36,6 +36,8 @@ J_CASES = [
     ((1, 1, 2, 2), STABLE),
     ((1, 0, 2, Fraction(2, 3)), SEMISTABLE),
     ((1, 0, Fraction(3, 2), Fraction(9, 20)), SEMISTABLE),
+    # an interval of 0.15: the plateau window keeps a quarter of it each side
+    ((1, 0, Fraction(3, 20), Fraction(1, 10)), STABLE),
 ]
 
 COT_CASES = [

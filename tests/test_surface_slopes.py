@@ -203,6 +203,9 @@ def test_closed_form_agrees_with_volume_solver(blp2):
         assert (closed.slope, closed.bracket) == (general.slope, general.bracket), (b, p, q)
         assert (closed.witness, closed.witness_slope) == (general.witness, general.witness_slope), (b, p, q)
         assert closed.verdict == general.verdict, (b, p, q)
+        assert closed.residual == general.residual, (b, p, q)
+        # every field, the equation and the topological slope included
+        assert closed == general, (b, p, q)
         _assert_exact(general, alpha, beta, blp2)
         agree += 1
 
