@@ -207,20 +207,76 @@ def steady_profile_j_derivative(params: BundleParams, s, x):
 
 def invert_steady_profile_j(params: BundleParams, s, y):
     """x in [s, a] with steady_profile_j(params, s, x) = y, for a scalar or an
-    array y; 80 simultaneous halvings of [s, a], which the monotone profile
-    allows."""
+    array y; y <= 0 gives s and y >= psi(a) gives a.
+
+    Safeguarded Newton from a 129-node table of the profile, about five
+    profile evaluations in all (see `_invert_profile`).
+    """
     s = float(s)
-    prof = _steady_j(params, s)
     y_arr = np.asarray(y, dtype=float)
-    lo = np.full_like(y_arr, s)
-    hi = np.full_like(y_arr, float(params.a))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = prof.values(mid) < y_arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
+    x = _invert_profile(_steady_j(params, s), y_arr.ravel()).reshape(y_arr.shape)
     return float(x) if np.ndim(y) == 0 else x
+
+
+#: nodes of the table that seeds the inversion, and the cap on its loop: a
+#: point that falls back to halving its table cell ends within 2^-80 of the
+#: cell's width, at adjacent floats unless its root is below 2^-36 (a - s)
+_SEED_NODES = 129
+_NEWTON_CAP = 80
+
+
+def _invert_profile(prof, y: np.ndarray) -> np.ndarray:
+    """The inverse of `prof.values` at the points of the 1-d array y, for
+    anything with the attributes of `_SteadyJ`.
+
+    The running maximum of the table brackets each y between two nodes with
+    psi(lo) <= y < psi(hi), so a profile that dips below zero after its
+    puncture (s below lambda) is inverted on its rising branch, and a y on a
+    node starts there.  The start is the linear interpolant, or in the first
+    cell the inverse of the jet: at a double zero a linear start makes Newton
+    creep at half a step per iteration.  Newton steps take psi' from the
+    value just computed, by the equation psi solves, or from the jet inside
+    the Taylor window of `values`, so the slope matches the branch the value
+    came from.  A step that leaves the bracket halves it instead (`rtsafe`,
+    Numerical Recipes 9.4).  A point is done after a Newton step of at most
+    1e-9 (a - s), which quadratic convergence puts at rounding level, or when
+    its bracket is down to adjacent floats; past rounding level the steps
+    chatter at 1e-13 in the flat region, so a stop rule in ulps never fires.
+    """
+    s, a, n, m, mu = prof.s, prof.a, prof.n, prof.m, prof.mu
+    d1, d2 = prof.jet
+    nodes = np.linspace(s, a, _SEED_NODES)
+    table = np.maximum.accumulate(prof.values(nodes))
+    out = np.where(y <= 0, s, a)
+    inner = (y > 0) & (y < table[-1])
+    y = y[inner]
+    i = np.searchsorted(table, y, side="right")
+    lo, hi, t_lo = nodes[i - 1], nodes[i], table[i - 1]
+    x = lo + (y - t_lo) / (table[i] - t_lo) * (hi - lo)
+    window = s + 1e-5 * max(a, 1.0)
+    tol = 1e-9 * (a - s)
+    done = np.zeros(y.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jet = s + 2 * y / (d1 + np.sqrt(d1 * d1 + 2 * d2 * y))
+        x = np.where((i == 1) & (jet > lo) & (jet < hi), jet, x)
+        for _ in range(_NEWTON_CAP):
+            v = prof.values(x)
+            f = v - y
+            below = f < 0
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            g = n / (1 + x)
+            p = g + m / x if m else g
+            slope = np.where(x < window, d1 + d2 * (x - s), mu - g - p * v)
+            nx = x - f / slope
+            newton = (nx >= lo) & (nx <= hi)
+            nx = np.where(newton, nx, 0.5 * (lo + hi))
+            converged = (newton & (np.abs(nx - x) <= tol)) | (hi - lo <= 2 * np.spacing(hi))
+            x = np.where(done, x, nx)
+            done |= converged
+            if done.all():
+                break
+    out[inner] = x
+    return out
 
 
 def sample_steady_profile_j(params: BundleParams, s, num: int) -> MomentProfile:

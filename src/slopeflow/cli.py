@@ -92,6 +92,15 @@ def _flow_config(ns) -> FlowConfig:
     return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None) is not None})
 
 
+def _parse_bpq(text: str) -> tuple[Fraction, Fraction, Fraction]:
+    """The --bpq triple of rationals; anything else is an input error."""
+    try:
+        b, p, q = (Fraction(t.strip()) for t in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise InputError("expected b,p,q") from None
+    return b, p, q
+
+
 def _outdir(ns) -> str | None:
     out = getattr(ns, "out", None)
     if out:
@@ -126,7 +135,7 @@ def _cmd_flow(ns) -> int:
         params = BundleParams.parse(ns.params)
         trace = run_j_flow(params, ns.init, cfg=cfg)
     else:
-        b, p, q = (Fraction(t.strip()) for t in ns.bpq.split(","))
+        b, p, q = _parse_bpq(ns.bpq)
         trace = run_cotangent_flow(b, p, q, ns.init, cfg=cfg)
     out = _outdir(ns)
     if out:
@@ -175,7 +184,9 @@ def _cmd_energy(ns) -> int:
             os.path.join(out, "minimizing_seq.json") if out else None,
         )
     else:  # dhym-volume
-        b, p, q = (Fraction(t.strip()) for t in ns.bpq.split(","))
+        if ns.grid < 2:
+            raise InputError("dhym-volume needs --grid >= 2")
+        b, p, q = _parse_bpq(ns.bpq)
         if ns.profile == "special":
             prof = special_cotangent_profile(b, p, q, ns.grid + 1)
         else:

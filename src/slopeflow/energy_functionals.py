@@ -342,13 +342,15 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     """The k-th member of the explicit energy-minimizing sequence.
 
     Glues the singular-limit potential to a bubble potential translated k
-    units toward the degenerate end through a smooth cutoff.  The glued
-    first derivative is recovered by inverting the strictly increasing
-    weight integral on the cumulative density, so the gluing solves the
-    prescribed Monge-Ampere density exactly at the sample points; its energy
-    is evaluated by trapezoidal quadrature in the log-radial coordinate and
-    converges to the closed-form infimum as k grows.  The base potential is
-    the sigmoid, sampled at steps of 0.02 in rho on [-k - 35, 35].
+    units toward the degenerate end through a smooth cutoff.  The body of the
+    bubble takes its heights from `invert_steady_profile_j`, a safeguarded
+    Newton solve to rounding level.  The glued first derivative is recovered
+    by inverting the strictly increasing weight integral on the cumulative
+    density, so the gluing solves the prescribed Monge-Ampere density exactly
+    at the sample points; its energy is evaluated by trapezoidal quadrature
+    in the log-radial coordinate and converges to the closed-form infimum as
+    k grows.  The base potential is the sigmoid, sampled at steps of 0.02 in
+    rho on [-k - 35, 35].
     """
     cert = min_slope_certificate(params)
     if cert.verdict == STABLE:

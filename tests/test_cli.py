@@ -136,6 +136,19 @@ def test_zero_step_setting_exits_1(capsys, flag):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("command", [["flow", "cotangent"] + FLOW_ARGS, ["energy", "dhym-volume"]])
+@pytest.mark.parametrize("bpq", ["2,3", "2,3,0,1", "2,x,0", "2,3,1/0", ""])
+def test_malformed_bpq_exits_1(capsys, command, bpq):
+    assert main(command + ["--bpq", bpq]) == 1
+    assert capsys.readouterr().err == "input error: expected b,p,q\n"
+
+
+@pytest.mark.parametrize("grid", ["-5", "0", "1"])
+def test_dhym_volume_grid_below_2_exits_1(capsys, grid):
+    assert main(["energy", "dhym-volume", "--bpq", "2,3,0", "--grid", grid]) == 1
+    assert capsys.readouterr().err == "input error: dhym-volume needs --grid >= 2\n"
+
+
 def test_run_config_with_a_removed_option_exits_1(capsys, tmp_path):
     cfg = tmp_path / "experiment.ini"
     cfg.write_text("[experiment]\ncommand = flow j\n[geometry]\nparams = 0,1,1,2\n[solver]\ndt_policy = explicit\n")

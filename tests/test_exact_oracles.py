@@ -7,7 +7,8 @@ the weight integral, and the Fraction pairing, eliminations and Zariski
 decomposition of the surface lattice, on which the surface certificates are
 also rerun.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
-expansion, and the closed-form L2 slope deviation against Simpson's rule
+expansion, its inverse against the 80 halvings that Newton replaced, and
+the closed-form L2 slope deviation against Simpson's rule
 and, near semistability, against its Taylor series summed in Fraction.
 The flows' checkpoint diagnostics, computed over blocks of stacked
 profiles, are checked bit for bit against the time loop that computed them
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow import energy_functionals, flow_engine
+from slopeflow import calabi_profiles, energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
@@ -38,8 +39,11 @@ from slopeflow.bundle_geometry import (
     weight_integral,
 )
 from slopeflow.calabi_profiles import (
+    _NEWTON_CAP,
     _angle_field,
+    _invert_profile,
     _slope_field,
+    _steady_j,
     invert_steady_profile_j,
     steady_profile_j,
     steady_profile_j_derivative,
@@ -369,14 +373,14 @@ def _derivative_expanded(params, s, x):
 
 
 def _invert_expanded(params, s, y):
+    """The library's Newton solve, run on the expanded profile."""
     s = float(s)
-    y = np.asarray(y, dtype=float)
-    lo, hi = np.full_like(y, s), np.full_like(y, float(params.a))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = _profile_expanded(params, s, mid) < y
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    mu = float(steady_slope(params, to_fraction(repr(s))))
+    prof = SimpleNamespace(
+        values=lambda x: _profile_expanded(params, s, x),
+        s=s, a=float(params.a), n=params.n, m=params.m, mu=mu, jet=_jet(params, mu, s),
+    )
+    return _invert_profile(prof, np.asarray(y, dtype=float))
 
 
 STEADY_PAIRS = [BundleParams(n=2, m=0, a=3, b=1), BundleParams(n=2, m=1, a=3, b=1), BundleParams(n=1, m=1, a=3, b=F(1, 2))]
@@ -408,6 +412,112 @@ def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypat
     for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
         assert got.tobytes() == want.tobytes()
     assert energy == ref_energy
+
+
+# ---------------------------------------------------------------------------
+# the inverse of the steady J profile: the 80 simultaneous halvings of [s, a]
+# that the table-seeded Newton solve replaced
+
+
+def _invert_bisect(params, s, y):
+    s = float(s)
+    prof = _steady_j(params, s)
+    y = np.asarray(y, dtype=float)
+    lo, hi = np.full_like(y, s), np.full_like(y, float(params.a))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = prof.values(mid) < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _count_values(monkeypatch):
+    """Patch `_SteadyJ.values` to count its calls; returns the counter."""
+    calls = [0]
+    values = calabi_profiles._SteadyJ.values
+
+    def counted(self, x):
+        calls[0] += 1
+        return values(self, x)
+
+    monkeypatch.setattr(calabi_profiles._SteadyJ, "values", counted)
+    return calls
+
+
+#: the steady pairs, plus an unstable pair with (n, m) = (1, 2)
+INVERT_PAIRS = STEADY_PAIRS + [BundleParams(n=1, m=2, a=2, b=F(1, 4))]
+MINIMIZING_PAIRS = [BundleParams(n=2, m=0, a=3, b=1), BundleParams(n=1, m=0, a=4, b=1)]
+
+
+@pytest.mark.parametrize("params", INVERT_PAIRS)
+def test_invert_steady_profile_j_is_as_close_as_bisection(params, monkeypatch):
+    # at s = 0 the profile of an unstable pair dips below zero first; y <= 0
+    # gives s there, and y > 0 has one preimage, on the rising branch; every
+    # other grid point is a node of the seed table
+    a, b = float(params.a), float(params.b)
+    slack = 8 * np.finfo(float).eps * max(1.0, b)
+    calls = _count_values(monkeypatch)
+    for s in (min_slope_certificate(params).lam, 0.0):
+        prof = _steady_j(params, s)
+        x = np.concatenate(([s], s + np.geomspace(1e-9, 1e-4, 17), np.linspace(s, a, 257)[1:]))
+        y = prof.values(x)
+        calls[0] = 0
+        got = invert_steady_profile_j(params, s, y)
+        assert calls[0] <= 8
+        ref = _invert_bisect(params, s, y)
+        assert np.all((got >= s) & (got <= a))
+        pos = y > 0
+        assert np.all(np.abs(prof.values(got) - y)[pos] <= np.abs(prof.values(ref) - y)[pos] + slack)
+        assert np.all(got[~pos] == s)
+        top = prof.values(np.array([a]))[0]
+        edges = invert_steady_profile_j(params, s, np.array([-1.0, 0.0, top, b, b + 1.0]))
+        assert edges.tolist() == [s, s, a, a, a]
+        mid = invert_steady_profile_j(params, s, 0.5 * b)
+        assert type(mid) is float and mid == invert_steady_profile_j(params, s, np.array([0.5 * b]))[0]
+        # a point ends where it would alone, whenever the others converge
+        assert [invert_steady_profile_j(params, s, yk) for yk in y[::7].tolist()] == got[::7].tolist()
+
+
+@pytest.mark.parametrize("params", INVERT_PAIRS)
+def test_invert_falls_back_to_halving_when_newton_leaves_the_bracket(params, monkeypatch):
+    """A slope of the wrong sign sends every Newton step out of its bracket:
+    the solve still ends at rounding level, by halving, within the cap."""
+    s = min_slope_certificate(params).lam
+    prof = _steady_j(params, s)
+    wrong = SimpleNamespace(values=prof.values, s=s, a=prof.a, n=prof.n, m=prof.m, mu=-10.0, jet=(-1.0, -1.0))
+    y = prof.values(np.concatenate((s + np.geomspace(1e-9, 1e-4, 5), np.linspace(s, prof.a, 33)[1:-1])))
+    calls = _count_values(monkeypatch)
+    got = _invert_profile(wrong, y)
+    assert calls[0] <= _NEWTON_CAP + 1
+    slack = 8 * np.finfo(float).eps * max(1.0, float(params.b))
+    ref = _invert_bisect(params, s, y)
+    assert np.all(np.abs(prof.values(got) - y) <= np.abs(prof.values(ref) - y) + slack)
+
+
+@pytest.mark.parametrize("params", MINIMIZING_PAIRS)
+def test_invert_takes_at_most_8_evaluations_on_minimizing_inputs(params, monkeypatch):
+    calls = _count_values(monkeypatch)
+    counts = []
+
+    def counted(*args):
+        calls[0] = 0
+        x = invert_steady_profile_j(*args)
+        counts.append(calls[0])
+        return x
+
+    monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", counted)
+    for k in range(4, 21):
+        minimizing_profile(params, k)
+    assert len(counts) == 17 and max(counts) <= 8
+
+
+@pytest.mark.parametrize("params", MINIMIZING_PAIRS)
+def test_minimizing_energies_match_the_bisection_path(params, monkeypatch):
+    energies = [minimizing_profile(params, k)[1] for k in range(4, 21)]
+    monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", _invert_bisect)
+    for k, energy in zip(range(4, 21), energies):
+        ref = minimizing_profile(params, k)[1]
+        assert abs(energy - ref) <= 1e-14 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
