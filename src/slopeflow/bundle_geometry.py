@@ -91,11 +91,14 @@ class BundleParams:
     @classmethod
     def parse(cls, text: str) -> "BundleParams":
         toks = [t.strip() for t in text.split(",")]
-        if len(toks) not in (4, 5):
-            raise InputError("expected m,n,a,b[,d]")
-        m, n = int(toks[0]), int(toks[1])
-        a, b = Fraction(toks[2]), Fraction(toks[3])
-        d = Fraction(toks[4]) if len(toks) == 5 else Fraction(1)
+        try:
+            if len(toks) not in (4, 5):
+                raise ValueError
+            m, n = int(toks[0]), int(toks[1])
+            a, b = Fraction(toks[2]), Fraction(toks[3])
+            d = Fraction(toks[4]) if len(toks) == 5 else Fraction(1)
+        except (ValueError, ZeroDivisionError):
+            raise InputError("expected m,n,a,b[,d]") from None
         return cls(n=n, m=m, a=a, b=b, d=d)
 
 

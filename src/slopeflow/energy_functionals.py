@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -338,6 +339,17 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
     return num / (num + bump(1.0 - s))
 
 
+@lru_cache(maxsize=1)
+def _weight_table(params: BundleParams, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weight integral on 50001 heights over [0, height], read-only: every
+    member of a minimizing sequence inverts the same table."""
+    y_tab = np.linspace(0.0, 1.0000001 * height, 50001)
+    I_tab = _steady_j(params, 0.0).integral(y_tab)
+    y_tab.flags.writeable = False
+    I_tab.flags.writeable = False
+    return y_tab, I_tab
+
+
 def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, float]:
     """The k-th member of the explicit energy-minimizing sequence.
 
@@ -382,8 +394,7 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     F = kappa * (1 + vt1) ** n * vt1**m * vt2 + (1 - kappa) * (1 + ut1) ** n * ut1**m * ut2
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(rho))))
 
-    y_tab = np.linspace(0.0, 1.0000001 * height, 50001)
-    I_tab = _steady_j(params, 0.0).integral(y_tab)
+    y_tab, I_tab = _weight_table(params, height)
     theta1 = np.interp(cum, I_tab, y_tab)
     theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
 

@@ -143,6 +143,16 @@ def test_malformed_bpq_exits_1(capsys, command, bpq):
     assert capsys.readouterr().err == "input error: expected b,p,q\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["bundle", "slopes"], ["energy", "futaki"], ["energy", "infimum"], ["flow", "j", "--grid", "64"]],
+)
+@pytest.mark.parametrize("params", ["0,1,4,1/0", "0,1,4,1,0/0", "0,x,4,1", "0,1,4", "0,1,4,1,1,1"])
+def test_malformed_params_exits_1(capsys, command, params):
+    assert main(command + ["--params", params]) == 1
+    assert capsys.readouterr().err == "input error: expected m,n,a,b[,d]\n"
+
+
 @pytest.mark.parametrize("grid", ["-5", "0", "1"])
 def test_dhym_volume_grid_below_2_exits_1(capsys, grid):
     assert main(["energy", "dhym-volume", "--bpq", "2,3,0", "--grid", grid]) == 1

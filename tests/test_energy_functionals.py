@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow import calabi_profiles
+from slopeflow import calabi_profiles, energy_functionals
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate, steady_slope
 from slopeflow.calabi_profiles import (
     MomentProfile,
@@ -164,9 +164,26 @@ def test_minimizing_profile_builds_each_steady_profile_once(monkeypatch):
 
     monkeypatch.setattr(calabi_profiles, "steady_slope", counted)
     calabi_profiles._steady_j.cache_clear()
+    energy_functionals._weight_table.cache_clear()
     # one build for the puncture's profile, one for the weight table at 0
     minimizing_profile(BundleParams(n=2, m=0, a=3, b=F(15, 16)), 4)
     assert len(calls) == 2
+
+
+def test_minimizing_sequence_shares_one_weight_table(monkeypatch):
+    """Members of one sequence reuse the pair's read-only weight table, and
+    each energy is bitwise the one from a table built afresh."""
+    weight_table = energy_functionals._weight_table
+    weight_table.cache_clear()
+    energies = [minimizing_profile(UNSTABLE, k)[1] for k in (6, 6, 12)]
+    info = weight_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert energies[0] == energies[1]
+    height = 4.0 - min_slope_certificate(UNSTABLE).lam
+    assert all(not arr.flags.writeable for arr in weight_table(UNSTABLE, height))
+    assert weight_table.cache_info().hits == 3
+    monkeypatch.setattr(energy_functionals, "_weight_table", weight_table.__wrapped__)
+    assert [minimizing_profile(UNSTABLE, k)[1] for k in (6, 12)] == energies[1:]
 
 
 def test_minimizing_profile_refuses_stable():

@@ -408,6 +408,7 @@ def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypat
     monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", _invert_expanded)
     monkeypatch.setattr(energy_functionals, "steady_profile_j_derivative", _derivative_expanded)
     monkeypatch.setattr(energy_functionals, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
+    monkeypatch.setattr(energy_functionals, "_weight_table", energy_functionals._weight_table.__wrapped__)
     ref, ref_energy = minimizing_profile(params, 2.0)
     for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
         assert got.tobytes() == want.tobytes()
@@ -955,7 +956,7 @@ def _ref_integrate(scheme, cfg):
         if converged or t >= cfg.t_max:
             break
         if res_prev is not None:
-            dt = max(cfg.dt, min(dt * res_prev / res, flow_engine.DT_CAP))
+            dt = max(cfg.dt, min(dt * (res_prev / res) ** flow_engine.SER_EXPONENT, flow_engine.DT_CAP))
         res_prev = res
         while True:
             last = t + dt >= cfg.t_max

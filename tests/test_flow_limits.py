@@ -116,6 +116,24 @@ def test_pseudo_transient_steps_reach_the_same_limit(flow, args):
     assert abs(plateaus[0] - plateaus[1]) <= PLATEAU_TOL
 
 
+#: step budgets at grid 128: dt scaled by the plain residual ratio took 103
+#: (cotangent) and 76 (J) steps, by its square 68 and 55; each budget is the
+#: latter plus 15 %
+STEP_BUDGET_CASES = [
+    ("cotangent", (2, 3, 0), 78),
+    ("j", (1, 0, Fraction(3, 2), Fraction(9, 20)), 63),
+]
+
+
+@pytest.mark.parametrize("flow,args,budget", STEP_BUDGET_CASES)
+def test_squared_residual_ratio_shortens_the_ramp(flow, args, budget):
+    """Growing dt by the squared fall of the residual reaches DT_CAP in about
+    half the steps, and the run still lands on its certified limit."""
+    tr = _run(flow, args, CFG)
+    _assert_limit(tr)
+    assert tr.steps <= budget
+
+
 @pytest.mark.parametrize("output", [{"t_max": 400.0}, {"checkpoint_interval": 2.0}])
 @pytest.mark.parametrize("flow,args", PSEUDO_TRANSIENT_CASES + [("j", (1, 0, 4, 1))])
 def test_step_cap_ignores_output_settings(flow, args, output):
