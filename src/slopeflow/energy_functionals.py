@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -339,15 +338,26 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
     return num / (num + bump(1.0 - s))
 
 
-@lru_cache(maxsize=1)
-def _weight_table(params: BundleParams, height: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weight integral on 50001 heights over [0, height], read-only: every
-    member of a minimizing sequence inverts the same table."""
-    y_tab = np.linspace(0.0, 1.0000001 * height, 50001)
-    I_tab = _steady_j(params, 0.0).integral(y_tab)
-    y_tab.flags.writeable = False
-    I_tab.flags.writeable = False
-    return y_tab, I_tab
+#: the last pair's weight table, keyed on (params, height)
+_WEIGHT_TABLE: dict = {}
+
+
+def _weight_heights(height: float) -> np.ndarray:
+    return np.linspace(0.0, 1.0000001 * height, 50001)
+
+
+def _weight_table(params: BundleParams, height: float) -> np.ndarray:
+    """The weight integral on `_weight_heights(height)`, read-only: every
+    member of a minimizing sequence inverts the same table.  Only the last
+    pair's table is kept, and it is dropped before the next one is built, so
+    that two never live at once."""
+    key = (params, height)
+    if key not in _WEIGHT_TABLE:
+        _WEIGHT_TABLE.clear()
+        table = _steady_j(params, 0.0).integral(_weight_heights(height))
+        table.flags.writeable = False
+        _WEIGHT_TABLE[key] = table
+    return _WEIGHT_TABLE[key]
 
 
 def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, float]:
@@ -394,8 +404,7 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     F = kappa * (1 + vt1) ** n * vt1**m * vt2 + (1 - kappa) * (1 + ut1) ** n * ut1**m * ut2
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(rho))))
 
-    y_tab, I_tab = _weight_table(params, height)
-    theta1 = np.interp(cum, I_tab, y_tab)
+    theta1 = np.interp(cum, _weight_table(params, height), _weight_heights(height))
     theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
 
     base = _sigmoid(rho + k)

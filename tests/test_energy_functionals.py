@@ -164,26 +164,32 @@ def test_minimizing_profile_builds_each_steady_profile_once(monkeypatch):
 
     monkeypatch.setattr(calabi_profiles, "steady_slope", counted)
     calabi_profiles._steady_j.cache_clear()
-    energy_functionals._weight_table.cache_clear()
+    energy_functionals._WEIGHT_TABLE.clear()
     # one build for the puncture's profile, one for the weight table at 0
     minimizing_profile(BundleParams(n=2, m=0, a=3, b=F(15, 16)), 4)
     assert len(calls) == 2
 
 
 def test_minimizing_sequence_shares_one_weight_table(monkeypatch):
-    """Members of one sequence reuse the pair's read-only weight table, and
-    each energy is bitwise the one from a table built afresh."""
-    weight_table = energy_functionals._weight_table
-    weight_table.cache_clear()
-    energies = [minimizing_profile(UNSTABLE, k)[1] for k in (6, 6, 12)]
-    info = weight_table.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    """Members of one sequence build the pair's read-only weight table once,
+    the next pair replaces it, and each energy is bitwise the one from a
+    table built afresh."""
+    builds = []
+    steady_j = energy_functionals._steady_j
+    monkeypatch.setattr(energy_functionals, "_steady_j", lambda p, s: builds.append(p) or steady_j(p, s))
+    monkeypatch.setattr(energy_functionals, "_WEIGHT_TABLE", {})
+    other = BundleParams(n=2, m=0, a=3, b=F(15, 16))
+    members = [(UNSTABLE, 6), (UNSTABLE, 6), (UNSTABLE, 12), (other, 4)]
+    energies = [minimizing_profile(p, k)[1] for p, k in members]
+    assert builds == [UNSTABLE, other]
     assert energies[0] == energies[1]
-    height = 4.0 - min_slope_certificate(UNSTABLE).lam
-    assert all(not arr.flags.writeable for arr in weight_table(UNSTABLE, height))
-    assert weight_table.cache_info().hits == 3
-    monkeypatch.setattr(energy_functionals, "_weight_table", weight_table.__wrapped__)
-    assert [minimizing_profile(UNSTABLE, k)[1] for k in (6, 12)] == energies[1:]
+    (table,) = energy_functionals._WEIGHT_TABLE.values()
+    assert not table.flags.writeable
+    fresh = []
+    for p, k in members[1:]:
+        energy_functionals._WEIGHT_TABLE.clear()
+        fresh.append(minimizing_profile(p, k)[1])
+    assert fresh == energies[1:]
 
 
 def test_minimizing_profile_refuses_stable():

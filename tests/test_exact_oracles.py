@@ -408,7 +408,7 @@ def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypat
     monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", _invert_expanded)
     monkeypatch.setattr(energy_functionals, "steady_profile_j_derivative", _derivative_expanded)
     monkeypatch.setattr(energy_functionals, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
-    monkeypatch.setattr(energy_functionals, "_weight_table", energy_functionals._weight_table.__wrapped__)
+    monkeypatch.setattr(energy_functionals, "_WEIGHT_TABLE", {})
     ref, ref_energy = minimizing_profile(params, 2.0)
     for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
         assert got.tobytes() == want.tobytes()
