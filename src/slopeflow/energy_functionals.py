@@ -441,9 +441,9 @@ def _volume_geometry(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _volume_values(values: np.ndarray, geometry) -> np.ndarray:
-    """The calibration volume of each row of a (rows, N) block of node values
+    """The calibration volume of each row of a (rows, N) chunk of node values
     on a `_volume_geometry`, unchecked; two (rows, N - 1, 4) temporaries are
-    updated in place, which keeps a block's memory down."""
+    updated in place, which keeps a chunk's memory down."""
     nodes, offsets, weights, dx = geometry
     s = ((values[:, 1:] - values[:, :-1]) / dx)[..., None]
     psi = s * offsets

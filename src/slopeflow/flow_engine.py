@@ -16,42 +16,43 @@ pseudo-transient continuation: the first step is the configured dt, and each
 later step is scaled by the squared fall of the steady residual since the
 last (switched evolution relaxation, Mulder & van Leer 1985, here with the
 ratio raised to SER_EXPONENT) and kept in [dt, max(dt, DT_CAP)], except that
-the last step may be shortened to land on t_max.  Each step is solved into a candidate profile.  A candidate that
-breaks admissibility is rejected: dt is halved, down to the configured dt,
-and the step is solved again from the same linearization (Kelley & Keyes
-1998).  A step that is inadmissible at the configured dt raises.  Rejected
-steps are counted apart and feed no monitor.  The step does not depend on
-the checkpoint interval: a step longer than the interval gives one
-checkpoint.  A run stops once the steady residual
-sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
-The J flux is the plain chord flux, linear in psi.  Monitors track
+the last step may be shortened to land on t_max.  Each step is solved into a
+candidate profile.  A candidate that breaks admissibility is rejected: dt is
+halved, down to the configured dt, and the step is solved again from the
+same linearization (Kelley & Keyes 1998).  A step that is inadmissible at
+the configured dt raises.  Rejected steps are counted apart and feed no
+monitor.  The step does not depend on the checkpoint interval: a step longer
+than the interval gives one checkpoint.  A run stops once the steady
+residual sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at
+t_max.  The J flux is the plain chord flux, linear in psi.  Monitors track
 monotonicity and comparison with the singular limit, energy or
-calibration-volume decay, admissibility and the angle range.
+calibration-volume decay, and the derivative bounds (J) or the angle range
+(cotangent).  Admissibility is enforced rather than monitored: the scheme's
+constructor checks the initial profile and the step loop every accepted
+step, and both raise.
 
 A checkpoint is taken at the top of the time loop, where the residual has
 just evaluated the cell fluxes of the current profile: for the first
 profile, a converged one, the first profile at or past the next checkpoint
-time, and the profile at t_max.  The loop records only t, the sampled rate's
-sup and, since the last checkpoint, its max and min (from the extrema of each
-rate: the step's rate for a timed checkpoint, else the residual's), a copy of
-the profile and the window's cell fluxes; the J scheme also keeps every
-step's profile.  Profiles are stacked as rows of (rows, N) blocks of about
-BLOCK_ELEMS values.  When a block fills, and for the last partial block
-after the loop, its diagnostics are computed with one numpy call each over
-the whole block:
-- the plateau and spread (mean and max - min) of the cell fluxes c the
-  scheme steps with, over the cells with both end nodes in the window;
+time, and the profile at t_max.  The time loop only appends.  It keeps a
+read-only copy of the profile as a row: at every step for the J flow, whose
+energy is measured every step, and at every checkpoint for the cotangent
+flow.  Per checkpoint it records t, the sampled rate's sup and, since the
+last checkpoint, its max and min (from the extrema of each rate: the step's
+rate for a timed checkpoint, else the residual's), the index of its row, and
+the plateau and spread (mean and max - min) of the cell fluxes c the scheme
+steps with, over the cells with both end nodes in the window.  After the
+loop one pass computes the other diagnostics, one numpy call each per chunk
+of max(1, CHUNK_ELEMS // N) rows, which bounds the kernels' temporaries:
 - the distance to the reference profile, and the forward-difference and
   derivative bounds (J) or the angle range (cotangent, from one angle
-  evaluation); an angle outside (0, pi) raises with the t of the block's
-  first offending checkpoint;
+  evaluation); an angle outside (0, pi) raises with the t of the first
+  offending checkpoint;
 - the decaying functional: the J energy of every step (one dot product per
   row), or the calibration volume of every checkpoint, from `dhym_volume`'s
   quadrature on a geometry built once per solve.
-The kept profiles are read-only rows of the checkpoint blocks, on a
-read-only grid shared with the reference profile of the solve, and are not
-validated again; the constructor checks admissibility of the initial
-profile and the step loop of every accepted step.
+The kept profiles are views of the checkpoints' rows, on a read-only grid
+shared with the reference profile of the solve, and are not validated again.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ __all__ = [
     "monitor_suite",
 ]
 
-J_MONITORS = ("admissible", "monotone", "comparison", "derivative", "energy")
-COT_MONITORS = ("admissible", "monotone", "comparison", "angle", "volume")
+J_MONITORS = ("monotone", "comparison", "derivative", "energy")
+COT_MONITORS = ("monotone", "comparison", "angle", "volume")
 
 #: slack of the monotonicity and comparison monitors
 MONO_TOL = 1e-8
@@ -104,8 +105,9 @@ ENERGY_SLACK = 1e-10
 #: or a quarter of the interval between them when that is shorter; the sup
 #: error runs from the window's left edge to the right end
 COMPACT_MARGIN = 0.1
-#: values per block of stacked profiles: max(1, BLOCK_ELEMS // N) rows of N nodes
-BLOCK_ELEMS = 8192
+#: values per chunk of the post-loop diagnostics: max(1, CHUNK_ELEMS // N)
+#: rows of N nodes, which bounds the kernels' temporaries
+CHUNK_ELEMS = 8192
 #: the largest step; backward Euler lags on the slow mode (e-folding time
 #: about 5), so at a cap of 4 the slowest solves only just converge by t = 100
 DT_CAP = 2.0
@@ -163,7 +165,6 @@ class Checkpoint:
     max_rate: float
     min_rate: float
     energy: float | None
-    admissible: bool
     comparison_gap: float | None
     plateau: float
     plateau_spread: float | None = None
@@ -190,9 +191,9 @@ class MonitorReport:
 class FlowTrace:
     """Checkpointed history of a flow run plus terminal measurements.
 
-    `profiles` are read-only rows of the blocks the checkpoint diagnostics
-    were computed over, all on one read-only grid shared with the reference
-    profile; `terminal_profile` is the last of them.  `decay_first_violation`
+    `profiles` are views of the read-only rows the loop kept at each
+    checkpoint, all on one read-only grid shared with the reference profile;
+    `terminal_profile` is the last of them.  `decay_first_violation`
     says where the decaying functional first rose above its monitor's slack:
     {"step", "t"} for the J energy, measured every step, or
     {"checkpoint", "t"} for the calibration volume; None if it never did.
@@ -299,41 +300,19 @@ def _decay_slack(decay: str, h: float) -> float:
     return max(ENERGY_SLACK, h**1.5)
 
 
-class _Blocks:
-    """Rows written one at a time into blocks of `size` rows, one array per
-    row width.  Each full block, and the last partial one at `close` (copied
-    down to its rows, so that no unused row is kept), goes once to
-    `evaluate` as read-only (rows, width) arrays."""
-
-    def __init__(self, size: int, widths: tuple[int, ...], evaluate):
-        self.size, self.widths, self.evaluate = size, widths, evaluate
-        self.fill = 0
-
-    def push(self, *rows: np.ndarray) -> None:
-        if not self.fill:
-            self.arrays = [np.empty((self.size, w)) for w in self.widths]
-        for arr, row in zip(self.arrays, rows):
-            arr[self.fill] = row
-        self.fill += 1
-        if self.fill == self.size:
-            self.close()
-
-    def close(self) -> None:
-        if self.fill:
-            partial = self.fill < self.size
-            blocks = [arr[: self.fill].copy() if partial else arr for arr in self.arrays]
-            for block in blocks:
-                block.flags.writeable = False
-            self.fill = 0
-            self.evaluate(*blocks)
-
-
 def _lambda_estimate(prof: MomentProfile) -> float:
     """The last node where the profile is at most 1e-4, or 0."""
     below = prof.values <= 1e-4
     if not below.any():
         return 0.0
     return float(prof.grid[np.nonzero(below)[0][-1]])
+
+
+def _chunks(rows: list[np.ndarray], size: int):
+    """(start, stack) of each run of `size` consecutive rows; the last run
+    may be shorter."""
+    for start in range(0, len(rows), size):
+        yield start, np.array(rows[start : start + size])
 
 
 _gtsv = None
@@ -428,7 +407,7 @@ class _JScheme:
         return _admissible_j(pv)
 
     def decay_values(self, block: np.ndarray) -> np.ndarray:
-        """The J energy of each row of a block: the trapezoid of its nodal
+        """The J energy of each row of a chunk: the trapezoid of its nodal
         slope field, on the grid terms built once per solve, one dot product
         per row."""
         s = _slope_field(block, _gradient(block, self.h), self.m, self.slope_grid)
@@ -436,7 +415,7 @@ class _JScheme:
         return np.array([np.dot(row, self.tw) for row in s])
 
     def block_fields(self, block: np.ndarray, times: list[float]) -> dict[str, np.ndarray]:
-        """The J-only Checkpoint fields of each row of a block."""
+        """The J-only Checkpoint fields of each row of a chunk."""
         diffs = block[:, 1:] - block[:, :-1]
         dmin, dmax = diffs.min(axis=1), diffs.max(axis=1)
         return {
@@ -541,14 +520,14 @@ class _CotScheme:
         return _admissible_dhym(self.x, pv)
 
     def decay_values(self, block: np.ndarray) -> np.ndarray:
-        """The calibration volume of each row of a block: `dhym_volume`'s
+        """The calibration volume of each row of a chunk: `dhym_volume`'s
         value, on the quadrature geometry built once per solve."""
         from .energy_functionals import _volume_values
 
         return _volume_values(block, self.volume_geometry)
 
     def block_fields(self, block: np.ndarray, times: list[float]) -> dict[str, np.ndarray]:
-        """The cotangent-only Checkpoint fields of each row of a block, from
+        """The cotangent-only Checkpoint fields of each row of a chunk, from
         one angle evaluation; a row whose angle leaves (0, pi) raises with
         its time."""
         theta = _angle_field(self.x, block, _gradient(block, self.h))[1]
@@ -566,8 +545,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     below the tolerance, or at t_max, which the last step never passes.
     Each step is solved into a candidate; one that breaks admissibility is
     retried at half the step, and raises once the step is down to cfg.dt.
-    Checkpoints record the profile, and their monitor diagnostics are
-    computed per block of checkpoints.
+    The loop only appends the rows and checkpoint records; one pass after
+    it computes the monitor diagnostics by chunks of rows.
     """
     x, h, psi = scheme.x, scheme.h, scheme.psi
     # one read-only grid for every profile the trace keeps
@@ -587,36 +566,16 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     dt_max, res_prev = 0.0, None
     cand = psi.copy()  # the pinned ends never change
     run_max_rate, run_min_rate = -np.inf, np.inf
-    # per checkpoint: t, the rate's (sup, max, min), and its index in the decay series
-    times, rates, decay_index = [], [], []
-    profiles, fields = [], {}
-    # the decaying functional by blocks, and the time of each of its values
-    decay_parts = []
-    decay_times = [] if scheme.decay_every_step else times
-
-    def checkpoint_block(block: np.ndarray, flux: np.ndarray):
-        start = len(profiles)
-        cols = {
-            "plateau": flux.sum(axis=1) / flux.shape[1],
-            "plateau_spread": flux.max(axis=1) - flux.min(axis=1),
-            **scheme.block_fields(block, times[start : start + len(block)]),
-        }
-        for name, col in cols.items():
-            fields.setdefault(name, []).extend(col.tolist())
-        if not scheme.decay_every_step:
-            decay_parts.append(scheme.decay_values(block))
-        profiles.extend(MomentProfile._view(grid, row, scheme.boundary) for row in block)
-
-    rows = max(1, BLOCK_ELEMS // x.size)
-    checkpoints = _Blocks(rows, (x.size, cells.stop - cells.start), checkpoint_block)
-    if scheme.decay_every_step:
-        step_rows = _Blocks(rows, (x.size,), lambda block: decay_parts.append(scheme.decay_values(block)))
+    # read-only copies of the profile, with their times: every step's for the
+    # J flow, whose energy is measured every step, else every checkpoint's
+    rows, row_times = [], []
+    # per checkpoint: the rate's (sup, max, min), the index of its row, and the
+    # plateau and spread of its window fluxes (the fluxes themselves, kept for
+    # the post-loop pass, would hold about 0.5 MB more at peak)
+    rates, ck_rows, flux_stats = [], [], []
     next_ck, step_max, step_min = ck_interval, None, None
 
     while True:
-        if scheme.decay_every_step:
-            step_rows.push(psi)
-            decay_times.append(t)
         # the steady residual: sup |d psi/dt| at the current profile
         c, right, left, mid = scheme.linear_flux(psi)
         Qv = scheme.Q(psi)
@@ -626,16 +585,23 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         # a timed checkpoint records the last step's rate, the first and a
         # converged profile the residual's
         timed = t >= next_ck or t >= cfg.t_max
-        if timed or converged or not times:
+        checkpoint = timed or converged or not ck_rows
+        if checkpoint or scheme.decay_every_step:
+            row = psi.copy()
+            row.flags.writeable = False
+            rows.append(row)
+            row_times.append(t)
+        if checkpoint:
             if timed:
                 # the run's extrema since the last checkpoint include the step's
                 rates.append((max(step_max, -step_min), run_max_rate, run_min_rate))
             else:
                 rmax, rmin = float(rate.max()), float(rate.min())
                 rates.append((max(rmax, -rmin), max(run_max_rate, rmax), min(run_min_rate, rmin)))
-            decay_index.append(steps if scheme.decay_every_step else len(times))
-            times.append(t)
-            checkpoints.push(psi, c[cells])
+            ck_rows.append(len(rows) - 1)
+            flux = c[cells]
+            mean, spread = float(flux.sum() / flux.size), float(flux.max() - flux.min())
+            flux_stats.append({"plateau": mean, "plateau_spread": spread})
             run_max_rate, run_min_rate = -np.inf, np.inf
         if timed:
             # the first checkpoint time after t: one checkpoint per step
@@ -672,37 +638,34 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         run_max_rate = max(run_max_rate, step_max)
         run_min_rate = min(run_min_rate, step_min)
 
-    checkpoints.close()
-    if scheme.decay_every_step:
-        step_rows.close()
-    decay = np.concatenate(decay_parts)
+    # the diagnostics, one numpy call each per chunk of rows
+    size = max(1, CHUNK_ELEMS // x.size)
+    decay = np.concatenate([scheme.decay_values(chunk) for _, chunk in _chunks(rows, size)])
+    times = [row_times[k] for k in ck_rows]
+    kept = [rows[k] for k in ck_rows]
+    ck_fields = []
+    for start, chunk in _chunks(kept, size):
+        cols = scheme.block_fields(chunk, times[start : start + size])
+        ck_fields += [dict(zip(cols, vals)) for vals in zip(*(col.tolist() for col in cols.values()))]
     rises = decay[1:] - decay[:-1]
     over = np.flatnonzero(rises > _decay_slack(scheme.decay, h))
     first_rise = None
     if over.size:
         i = int(over[0]) + 1
-        first_rise = {"step" if scheme.decay_every_step else "checkpoint": i, "t": decay_times[i]}
-    ck_fields = [dict(zip(fields, vals)) for vals in zip(*fields.values())]
+        first_rise = {"step" if scheme.decay_every_step else "checkpoint": i, "t": row_times[i]}
+    profiles = [MomentProfile._view(grid, row, scheme.boundary) for row in kept]
     # every run ends on a checkpoint of its final profile
     terminal = profiles[-1]
     trace = FlowTrace(
         kind=scheme.kind,
         times=times,
         checkpoints=[
-            Checkpoint(
-                t=tc,
-                sup_rate=sup,
-                max_rate=rmax,
-                min_rate=rmin,
-                # the constructor checked the initial profile, the step loop every later one
-                admissible=True,
-                **{"energy": None, **extra, scheme.decay: value},
-            )
-            for tc, (sup, rmax, rmin), extra, value in zip(times, rates, ck_fields, decay[decay_index].tolist())
+            Checkpoint(tc, *rate, **{"energy": None, **stats, **extra, scheme.decay: value})
+            for tc, rate, stats, extra, value in zip(times, rates, flux_stats, ck_fields, decay[ck_rows].tolist())
         ],
         profiles=profiles,
         terminal_profile=terminal,
-        terminal_constant=ck_fields[-1]["plateau"],
+        terminal_constant=flux_stats[-1]["plateau"],
         reference_constant=scheme.reference_constant,
         reference_profile=MomentProfile(grid, scheme.ref, scheme.ref_boundary),
         sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[first:]))),
@@ -783,20 +746,14 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
     entries: dict[str, dict] = {}
 
     def scan(name, series, ok):
-        first_fail = None
-        extremal = None
-        for i, v in enumerate(series):
-            if v is None:
-                continue
-            extremal = v if extremal is None else (v if abs(v) > abs(extremal) else extremal)
-            if first_fail is None and not ok(v):
-                first_fail = i
+        # the worst value is the first of largest magnitude
+        v = np.array(series, dtype=float)
+        fails = np.flatnonzero(~ok(v))
+        i = int(fails[0]) if fails.size else None
         entries[name] = {
-            "passed": first_fail is None,
-            "worst": extremal,
-            "first_violation": None
-            if first_fail is None
-            else {"checkpoint": first_fail, "t": cks[first_fail].t},
+            "passed": i is None,
+            "worst": float(v[np.abs(v).argmax()]),
+            "first_violation": None if i is None else {"checkpoint": i, "t": cks[i].t},
         }
 
     if "monotone" in monitors:
@@ -821,6 +778,4 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
                 "worst": v,
                 "first_violation": trace.decay_first_violation,
             }
-    if "admissible" in monitors:
-        scan("admissible", [1.0 if c.admissible else -1.0 for c in cks], lambda v: v > 0)
     return MonitorReport(entries=entries)

@@ -39,6 +39,7 @@ from slopeflow.bundle_geometry import (
     weight_integral,
 )
 from slopeflow.calabi_profiles import (
+    ADMISSIBILITY_TOL,
     _NEWTON_CAP,
     _angle_field,
     _invert_profile,
@@ -867,7 +868,8 @@ def test_certificates_and_threshold_match_fraction_oracle(model_name, request, m
 
 
 # ---------------------------------------------------------------------------
-# flow checkpoints: the per-checkpoint diagnostics the block kernels replaced
+# flow checkpoints: the per-checkpoint diagnostics and monitor scans that the
+# chunked post-loop pass and the numpy scans replaced
 
 
 def _ref_gradient(psi, h):
@@ -943,7 +945,6 @@ def _ref_integrate(scheme, cfg):
                 sup_rate=float(max(rmax, -rmin)),
                 max_rate=float(max(run_max, rmax)),
                 min_rate=float(min(run_min, rmin)),
-                admissible=True,
                 plateau=float(flux.sum() / flux.size),
                 plateau_spread=float(flux.max() - flux.min()),
                 **{"energy": None, **_ref_checkpoint_fields(scheme, psi, t), scheme.decay: series[-1]},
@@ -980,6 +981,44 @@ def _ref_integrate(scheme, cfg):
     return times, checkpoints, profiles, series, series_t, rise
 
 
+def _ref_scan(series, ok, cks):
+    """A checkpoint monitor's entry by a plain loop over its series."""
+    first_fail = None
+    extremal = None
+    for i, v in enumerate(series):
+        if v is None:
+            continue
+        extremal = v if extremal is None else (v if abs(v) > abs(extremal) else extremal)
+        if first_fail is None and not ok(v):
+            first_fail = i
+    return {
+        "passed": first_fail is None,
+        "worst": extremal,
+        "first_violation": None if first_fail is None else {"checkpoint": first_fail, "t": cks[first_fail].t},
+    }
+
+
+def _ref_checkpoint_monitors(kind, monitors, cks):
+    """Every checkpoint monitor's entry, each scanned by `_ref_scan`."""
+    j = kind == "j"
+    scans = []
+    if "monotone" in monitors:
+        if j:
+            scans.append(("monotone_decreasing", "max_rate", lambda v: v <= flow_engine.MONO_TOL))
+        else:
+            scans.append(("monotone_increasing", "min_rate", lambda v: v >= -flow_engine.MONO_TOL))
+    if "comparison" in monitors:
+        name = "above_singular_limit" if j else "below_steady_limit"
+        scans.append((name, "comparison_gap", lambda v: v >= -flow_engine.COMP_TOL))
+    if "derivative" in monitors:
+        scans.append(("forward_differences_nonnegative", "min_forward_diff", lambda v: v >= -ADMISSIBILITY_TOL))
+        scans.append(("derivative_bounded", "max_derivative", lambda v: v < 1e6))
+    if "angle" in monitors:
+        scans.append(("angle_above_zero", "theta_min", lambda v: v > 0))
+        scans.append(("angle_below_pi", "theta_max", lambda v: v < math.pi))
+    return {name: _ref_scan([getattr(c, f) for c in cks], ok, cks) for name, f, ok in scans}
+
+
 #: (flow, arguments, grid, FlowConfig overrides)
 FLOW_CHECKPOINT_CASES = [
     ("j", (1, 0, 2, F(2, 3)), 64, {}),
@@ -993,7 +1032,7 @@ FLOW_CHECKPOINT_CASES = [
     ("j", (1, 0, 4, 1), 64, {"t_max": 3.0}),
     # a checkpoint at every step
     ("cotangent", (2, 3, 0), 64, {"checkpoint_interval": 1e-12}),
-    # more checkpoints (and J steps) than a block holds
+    # more checkpoints (and J steps) than a chunk holds
     ("j", (1, 0, 2, F(2, 3)), 512, {}),
     ("cotangent", (2, 3, 0), 512, {}),
 ]
@@ -1007,7 +1046,9 @@ def _bits(value):
 def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, grid, overrides):
     """Every Checkpoint field, every kept profile, the decay violation and
     its first rise above the slack are bit for bit those of the per-checkpoint
-    loop; the blocked trace's profiles are read-only rows on one grid."""
+    loop; the chunked trace's profiles are read-only rows on one grid.  Every
+    checkpoint monitor's verdict, worst value and first violation are those
+    of a plain loop over the oracle's checkpoints."""
     cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
     if flow == "j":
         params = BundleParams(*args)
@@ -1032,10 +1073,18 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
     want = {label: rises[0], "t": series_t[rises[0]]} if rises else None
     assert trace.decay_first_violation == want
     assert trace.monitor_report.entries[f"{scheme.decay}_nonincreasing"]["first_violation"] == want
+    scans = _ref_checkpoint_monitors(flow, trace.meta["monitors"], checkpoints)
+    assert set(trace.monitor_report.entries) == {*scans, f"{scheme.decay}_nonincreasing"}
+    for name, ref in scans.items():
+        got = trace.monitor_report.entries[name]
+        assert (got["passed"], got["first_violation"]) == (ref["passed"], ref["first_violation"]), name
+        assert type(got["worst"]) is float and _bits(got["worst"]) == _bits(ref["worst"]), name
     if args == (2, 1, 3, 1):
         assert want is not None
+        # the unstable pair's known fault: it dips below the singular limit
+        assert scans["above_singular_limit"]["first_violation"] is not None
     if grid == 512:
-        rows = flow_engine.BLOCK_ELEMS // (grid + 1)
+        rows = flow_engine.CHUNK_ELEMS // (grid + 1)
         assert len(times) > rows and (flow != "j" or trace.steps > rows)
     if "t_max" in overrides:
         assert not trace.converged and times[-1] == cfg.t_max

@@ -207,6 +207,31 @@ def test_monitor_report_structure(unstable):
     assert all(np.diff(tr.times) > 0)
 
 
+def test_monitor_scan_keeps_the_first_worst_value():
+    """A checkpoint monitor's `worst` is the first value of largest
+    magnitude, so of v and -v the earlier wins, and its first violation is
+    the first checkpoint that fails."""
+    cks = [
+        flow_engine.Checkpoint(
+            t=t, sup_rate=0.0, max_rate=rate, min_rate=0.0, energy=1.0, comparison_gap=gap, plateau=0.5,
+            min_forward_diff=0.1, max_derivative=1.0,
+        )
+        for t, rate, gap in ((0.0, -3.0, 0.0), (1.0, 3.0, -1.0), (2.0, 1.0, 1.0))
+    ]
+    trace = flow_engine.FlowTrace(
+        kind="j", times=[ck.t for ck in cks], checkpoints=cks, profiles=[], terminal_profile=None,
+        terminal_constant=0.5, reference_constant=0.5, reference_profile=None, sup_error_on_compact=0.0,
+        lambda_estimate=0.0, converged=True, steps=2, energy_max_violation=0.0,
+        meta={"monitors": list(flow_engine.J_MONITORS), "h": 0.01},
+    )
+    entries = monitor_suite(trace).entries
+    fail = {"passed": False, "first_violation": {"checkpoint": 1, "t": 1.0}}
+    assert entries["monotone_decreasing"] == {**fail, "worst": -3.0}
+    assert entries["above_singular_limit"] == {**fail, "worst": -1.0}
+    assert entries["derivative_bounded"] == {"passed": True, "worst": 1.0, "first_violation": None}
+    assert all(type(e["worst"]) is float for e in entries.values())
+
+
 def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
     """A step that breaks admissibility at cfg.dt cannot be halved further:
     the run raises on its first solve."""
@@ -314,8 +339,8 @@ def test_admissibility_predicates_agree():
 def test_checkpoint_profiles_admissible(unstable):
     cfg = FlowConfig(grid_size=64, t_max=3.0, checkpoint_interval=0.5)
     tr = run_j_flow(unstable, "line", cfg=cfg)
-    for ck in tr.checkpoints:
-        assert ck.admissible
+    assert len(tr.profiles) == len(tr.checkpoints) > 1
+    assert all(admissible_j(prof) for prof in tr.profiles)
 
 
 def test_input_validation_j(unstable):

@@ -9,7 +9,9 @@ compact, must sit within 1e-7 of the certificate's constant and the sup
 error within 1e-6; for semistable J pairs the puncture estimate must reach
 0 within 2 h.  The unstable J flow stays out until its monotonicity defect
 is fixed; n = 2 J pairs stay out until the fitted J flux, since their flux
-plateau is off by up to 4e-6.
+plateau is off by up to 4e-6.  The J flow is a minimizing sequence: on
+unstable and stable pairs alike, its terminal energy lies above the
+closed-form infimum, bubble term included, by at most C h^2 of it.
 """
 
 import math
@@ -20,7 +22,8 @@ import pytest
 
 from slopeflow import flow_engine
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
-from slopeflow.calabi_profiles import admissible_j
+from slopeflow.calabi_profiles import admissible_dhym, admissible_j
+from slopeflow.energy_functionals import energy_infimum
 from slopeflow.flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_flow, solve_banded
 from slopeflow.surface_slopes import SEMISTABLE, STABLE, UNSTABLE, one_point_blowup_certificate
 
@@ -84,6 +87,29 @@ def test_cotangent_flow_reaches_certified_limit(bpq, verdict):
         _assert_limit(tr)
 
 
+#: J pairs whose terminal energy is pinned to the infimum: the four unstable
+#: pairs of the free-boundary fault, which still reach the bubble term, and
+#: three stable ones
+ENERGY_CASES = [(1, 0, 4, 1), (1, 0, 3, 1), (2, 0, 2, 1), (2, 1, 3, 1), (1, 0, 1, 2), (2, 0, 1, 3), (1, 1, 2, 2)]
+#: E - E_inf <= ENERGY_GAP_C h^2 E_inf; the largest C these cases need at
+#: grids 128 and 256 is 0.129, on (2, 0, 1, 3)
+ENERGY_GAP_C = 0.25
+
+
+@pytest.mark.parametrize("grid", (128, 256))
+@pytest.mark.parametrize("nmab", ENERGY_CASES)
+def test_terminal_j_energy_lies_just_above_the_infimum(nmab, grid):
+    """Run to t_max 300, where every case converges, the terminal checkpoint
+    energy E and the closed-form infimum E_inf satisfy
+    0 <= E - E_inf <= ENERGY_GAP_C h^2 E_inf with h = a / grid."""
+    params = BundleParams(*nmab)
+    tr = run_j_flow(params, "line", cfg=FlowConfig(grid_size=grid, dt=0.05, t_max=300.0))
+    energy, infimum = tr.checkpoints[-1].energy, energy_infimum(params).value
+    h = float(params.a) / grid
+    assert tr.converged
+    assert infimum <= energy <= infimum + ENERGY_GAP_C * h * h * infimum
+
+
 #: a semistable J pair and an unstable cotangent pair, run from two first steps
 PSEUDO_TRANSIENT_CASES = [
     ("j", (1, 0, 2, Fraction(2, 3))),
@@ -144,7 +170,8 @@ def test_step_cap_ignores_output_settings(flow, args, output):
     tr = _run(flow, args, cfg)
     base = _run(flow, args, CFG)
     assert tr.meta["dt_max"] == DT_CAP == 2.0
-    assert all(ck.admissible for ck in tr.checkpoints) and tr.times[-1] <= cfg.t_max
+    admissible = admissible_j if flow == "j" else admissible_dhym
+    assert all(admissible(prof) for prof in tr.profiles) and tr.times[-1] <= cfg.t_max
     if base.converged:
         assert (tr.steps, tr.meta["rejected"]) == (base.steps, base.meta["rejected"])
         assert np.array_equal(tr.terminal_profile.values, base.terminal_profile.values)
