@@ -358,7 +358,7 @@ def pointwise_slope(profile: MomentProfile, params: BundleParams) -> np.ndarray:
 def pointwise_angle(profile: MomentProfile) -> np.ndarray:
     """theta = arccot psi' + arccot(psi/x) with arccot valued in (0, pi)."""
     require_admissible_dhym(profile)
-    return _angle_field(profile.grid, profile.values, profile.derivative())[1]
+    return _angle(profile.grid, profile.values, profile.derivative())
 
 
 def _slope_grid(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,7 +384,12 @@ def _angle_field(x: np.ndarray, psi: np.ndarray, d: np.ndarray) -> tuple[np.ndar
     cot theta = (psi d - x)/(x d + psi) in closed form; theta itself is the
     arccot sum, which leaves (0, pi) when x d + psi changes sign.
     """
-    return (psi * d - x) / (x * d + psi), _arccot(d) + _arccot(psi / x)
+    return (psi * d - x) / (x * d + psi), _angle(x, psi, d)
+
+
+def _angle(x: np.ndarray, psi: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """theta alone, as `_angle_field` gives it."""
+    return _arccot(d) + _arccot(psi / x)
 
 
 def _arccot(t):

@@ -88,7 +88,7 @@ class ExperimentConfig:
 
 
 def _flow_config(ns) -> FlowConfig:
-    flags = ("grid_size", "t_max", "dt", "checkpoint_interval")
+    flags = ("grid_size", "t_max", "dt")
     return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None) is not None})
 
 
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             help=f"first backward-Euler step (default 0.05); later steps grow up to {DT_CAP:g}",
         )
-        f.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=float)
         f.add_argument("--out")
         f.set_defaults(func=_cmd_flow)
 

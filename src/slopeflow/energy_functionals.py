@@ -347,14 +347,16 @@ def _weight_heights(height: float) -> np.ndarray:
 
 
 def _weight_table(params: BundleParams, height: float) -> np.ndarray:
-    """The weight integral on `_weight_heights(height)`, read-only: every
-    member of a minimizing sequence inverts the same table.  Only the last
+    """The (m+1)-th root of the weight integral I_{m,n,0} on
+    `_weight_heights(height)`, read-only: every member of a minimizing
+    sequence inverts the same table.  I grows like x^(m+1)/(m+1) from 0, so
+    its root is close to linear there and interpolates well.  Only the last
     pair's table is kept, and it is dropped before the next one is built, so
     that two never live at once."""
     key = (params, height)
     if key not in _WEIGHT_TABLE:
         _WEIGHT_TABLE.clear()
-        table = _steady_j(params, 0.0).integral(_weight_heights(height))
+        table = _steady_j(params, 0.0).integral(_weight_heights(height)) ** (1 / (params.m + 1))
         table.flags.writeable = False
         _WEIGHT_TABLE[key] = table
     return _WEIGHT_TABLE[key]
@@ -367,12 +369,14 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     units toward the degenerate end through a smooth cutoff.  The body of the
     bubble takes its heights from `invert_steady_profile_j`, a safeguarded
     Newton solve to rounding level.  The glued first derivative is recovered
-    by inverting the strictly increasing weight integral on the cumulative
-    density, so the gluing solves the prescribed Monge-Ampere density exactly
-    at the sample points; its energy is evaluated by trapezoidal quadrature
-    in the log-radial coordinate and converges to the closed-form infimum as
-    k grows.  The base potential is the sigmoid, sampled at steps of 0.02 in
-    rho on [-k - 35, 35].
+    by inverting the strictly increasing weight integral I on the cumulative
+    density, which starts from the base member's mass left of the first
+    sample; the inversion interpolates (m+1)-th roots, which are close to
+    linear where I vanishes to order m + 1.  So the gluing solves the
+    prescribed Monge-Ampere density exactly at the sample points; its energy
+    is evaluated by trapezoidal quadrature in the log-radial coordinate and
+    converges to the closed-form infimum as k grows.  The base potential is
+    the sigmoid, sampled at steps of 0.02 in rho on [-k - 35, 35].
     """
     cert = min_slope_certificate(params)
     if cert.verdict == STABLE:
@@ -402,9 +406,12 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
         vt2[body] = u2[body] / dpsi
 
     F = kappa * (1 + vt1) ** n * vt1**m * vt2 + (1 - kappa) * (1 + ut1) ** n * ut1**m * ut2
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(rho))))
+    # left of rho[0] the glued member is the base member alone, whose density
+    # is d/drho I(ut1), so the cumulative density starts at I(ut1[0]) > 0
+    mass0 = float(weight_integral(m, n, 0, Fraction(ut1[0])))
+    cum = mass0 + np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(rho))))
 
-    theta1 = np.interp(cum, _weight_table(params, height), _weight_heights(height))
+    theta1 = np.interp(cum ** (1 / (m + 1)), _weight_table(params, height), _weight_heights(height))
     theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
 
     base = _sigmoid(rho + k)

@@ -21,36 +21,33 @@ candidate profile.  A candidate that breaks admissibility is rejected: dt is
 halved, down to the configured dt, and the step is solved again from the
 same linearization (Kelley & Keyes 1998).  A step that is inadmissible at
 the configured dt raises.  Rejected steps are counted apart and feed no
-monitor.  The step does not depend on the checkpoint interval: a step longer
-than the interval gives one checkpoint.  A run stops once the steady
-residual sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at
-t_max.  The J flux is the plain chord flux, linear in psi.  Monitors track
+monitor.  A run stops once the steady residual
+sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
+The J flux is the plain chord flux, linear in psi.  Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, and the derivative bounds (J) or the angle range
 (cotangent).  Admissibility is enforced rather than monitored: the scheme's
 constructor checks the initial profile and the step loop every accepted
 step, and both raise.
 
-A checkpoint is taken at the top of the time loop, where the residual has
-just evaluated the cell fluxes of the current profile: for the first
-profile, a converged one, the first profile at or past the next checkpoint
-time, and the profile at t_max.  The time loop only appends.  It keeps a
-read-only copy of the profile as a row: at every step for the J flow, whose
-energy is measured every step, and at every checkpoint for the cotangent
-flow.  Per checkpoint it records t, the sampled rate's sup and, since the
-last checkpoint, its max and min (from the extrema of each rate: the step's
-rate for a timed checkpoint, else the residual's), the index of its row, and
-the plateau and spread (mean and max - min) of the cell fluxes c the scheme
-steps with, over the cells with both end nodes in the window.  After the
-loop one pass computes the other diagnostics, one numpy call each per chunk
-of max(1, CHUNK_ELEMS // N) rows, which bounds the kernels' temporaries:
+Every profile the run reaches is a checkpoint: the initial one and the one
+each accepted step gives, so the last is the final profile.  It is taken at
+the top of the time loop, where the residual has just evaluated the cell
+fluxes of the current profile.  The time loop only appends.  Per checkpoint
+it records a read-only copy of the profile as a row, t, the rate's sup, max
+and min (the residual's for the initial profile, delta / step for every
+later one), and the plateau and spread (mean and max - min) of the cell
+fluxes c the scheme steps with, over the cells with both end nodes in the
+window.  After the loop one pass computes the other diagnostics, one numpy
+call each per chunk of max(1, CHUNK_ELEMS // N) rows, which bounds the
+kernels' temporaries:
 - the distance to the reference profile, and the forward-difference and
   derivative bounds (J) or the angle range (cotangent, from one angle
   evaluation); an angle outside (0, pi) raises with the t of the first
   offending checkpoint;
-- the decaying functional: the J energy of every step (one dot product per
-  row), or the calibration volume of every checkpoint, from `dhym_volume`'s
-  quadrature on a geometry built once per solve.
+- the decaying functional: the J energy (one dot product per row), or the
+  calibration volume from `dhym_volume`'s quadrature on a geometry built
+  once per solve.
 The kept profiles are views of the checkpoints' rows, on a read-only grid
 shared with the reference profile of the solve, and are not validated again.
 """
@@ -69,6 +66,7 @@ from .calabi_profiles import (
     MomentProfile,
     _admissible_dhym,
     _admissible_j,
+    _angle,
     _angle_field,
     _slope_field,
     _slope_grid,
@@ -130,10 +128,9 @@ class FlowConfig:
     shortened to land on t_max.
     A step whose profile breaks admissibility is rejected and retried at
     half the step, down to `dt`; at `dt` it raises MonitorViolationError.
-    The checkpoint interval, t_max / 200 by default, sets how often the
-    profile is recorded and never the step.  A run has converged once its
-    steady residual drops below `convergence_tol`.  `dt_policy` accepts
-    only "implicit".
+    The initial profile and every accepted step are recorded as checkpoints.
+    A run has converged once its steady residual drops below
+    `convergence_tol`.  `dt_policy` accepts only "implicit".
     """
 
     grid_size: int = 512
@@ -141,7 +138,6 @@ class FlowConfig:
     dt: float = 0.05
     t_max: float = 100.0
     convergence_tol: float = 1e-8
-    checkpoint_interval: float | None = None
 
     def __post_init__(self):
         if self.grid_size < 64:
@@ -151,23 +147,23 @@ class FlowConfig:
         for name, v in (("dt", self.dt), ("t_max", self.t_max), ("convergence_tol", self.convergence_tol)):
             if not v > 0:
                 raise InputError(f"{name} must be positive")
-        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0:
-            raise InputError("checkpoint_interval must be positive")
 
 
 @dataclass
 class Checkpoint:
-    """Per-checkpoint diagnostics; rate extrema are over the whole interval
-    since the previous checkpoint, not just the sampled instant."""
+    """The diagnostics of one profile of a run: the initial one or the one an
+    accepted step reached.  The rate extrema are those of the residual for the
+    initial profile, and of delta / step, the step that reached it, for every
+    later one."""
 
     t: float
     sup_rate: float
     max_rate: float
     min_rate: float
-    energy: float | None
-    comparison_gap: float | None
     plateau: float
     plateau_spread: float | None = None
+    energy: float | None = None
+    comparison_gap: float | None = None
     theta_min: float | None = None
     theta_max: float | None = None
     volume: float | None = None
@@ -191,12 +187,13 @@ class MonitorReport:
 class FlowTrace:
     """Checkpointed history of a flow run plus terminal measurements.
 
-    `profiles` are views of the read-only rows the loop kept at each
-    checkpoint, all on one read-only grid shared with the reference profile;
-    `terminal_profile` is the last of them.  `decay_first_violation`
-    says where the decaying functional first rose above its monitor's slack:
-    {"step", "t"} for the J energy, measured every step, or
-    {"checkpoint", "t"} for the calibration volume; None if it never did.
+    There is one checkpoint for the initial profile and one for each accepted
+    step, so `times` are the times the run reached.  `profiles` are views of
+    the read-only rows the loop kept, all on one read-only grid shared with
+    the reference profile; `terminal_profile` is the last of them.
+    `decay_first_violation` says where the decaying functional (the J energy
+    or the calibration volume) first rose above its monitor's slack, as
+    {"checkpoint", "t"}; None if it never did.
     `meta` carries the scheme's parameters, the grid step `h`, the monitors
     run, `dt`, the first step, `dt_max`, the largest step taken (0 for a run
     that took none), `rejected`, the number of steps rejected for breaking
@@ -241,8 +238,8 @@ class FlowTrace:
         }
 
     def to_csv(self, path: str) -> None:
-        """Checkpoint profiles as rows t,x,psi,diagnostic, where the
-        diagnostic is the nodal pointwise slope (J) or cot(theta)
+        """One block of rows t,x,psi,diagnostic per checkpoint, so per step,
+        where the diagnostic is the nodal pointwise slope (J) or cot(theta)
         (cotangent) from centered differences; its mean over the window
         differs from the flux plateau by O(h^2)."""
         h = self.meta["h"]
@@ -345,8 +342,8 @@ class _JScheme:
 
     kind, monitors = "j", J_MONITORS
     admissibility_lost = "J-admissibility lost"
-    #: the decaying functional's Checkpoint field; it is measured every step
-    decay, decay_every_step = "energy", True
+    #: the decaying functional's Checkpoint field
+    decay = "energy"
 
     def __init__(self, params: BundleParams, init, cfg: FlowConfig):
         a, b = float(params.a), float(params.b)
@@ -431,8 +428,8 @@ class _CotScheme:
 
     kind, monitors = "cotangent", COT_MONITORS
     admissibility_lost = "dHYM admissibility lost"
-    #: the decaying functional's Checkpoint field; it is measured per checkpoint
-    decay, decay_every_step = "volume", False
+    #: the decaying functional's Checkpoint field
+    decay = "volume"
 
     def __init__(self, b, p, q, init, cfg: FlowConfig):
         b, p, q = float(b), float(p), float(q)
@@ -530,7 +527,7 @@ class _CotScheme:
         """The cotangent-only Checkpoint fields of each row of a chunk, from
         one angle evaluation; a row whose angle leaves (0, pi) raises with
         its time."""
-        theta = _angle_field(self.x, block, _gradient(block, self.h))[1]
+        theta = _angle(self.x, block, _gradient(block, self.h))
         tmin, tmax = theta.min(axis=1), theta.max(axis=1)
         out = (tmin <= 0) | (tmax >= math.pi)
         if out.any():
@@ -545,8 +542,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     below the tolerance, or at t_max, which the last step never passes.
     Each step is solved into a candidate; one that breaks admissibility is
     retried at half the step, and raises once the step is down to cfg.dt.
-    The loop only appends the rows and checkpoint records; one pass after
-    it computes the monitor diagnostics by chunks of rows.
+    The loop only appends a checkpoint record per profile it reaches; one
+    pass after it computes the monitor diagnostics by chunks of rows.
     """
     x, h, psi = scheme.x, scheme.h, scheme.psi
     # one read-only grid for every profile the trace keeps
@@ -561,19 +558,14 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
     dt = cfg.dt
-    ck_interval = cfg.t_max / 200.0 if cfg.checkpoint_interval is None else cfg.checkpoint_interval
     t, steps, rejected = 0.0, 0, 0
     dt_max, res_prev = 0.0, None
     cand = psi.copy()  # the pinned ends never change
-    run_max_rate, run_min_rate = -np.inf, np.inf
-    # read-only copies of the profile, with their times: every step's for the
-    # J flow, whose energy is measured every step, else every checkpoint's
-    rows, row_times = [], []
-    # per checkpoint: the rate's (sup, max, min), the index of its row, and the
+    # one record per checkpoint: a read-only copy of the profile, then the
+    # Checkpoint's leading fields t, the rate's sup, max and min, and the
     # plateau and spread of its window fluxes (the fluxes themselves, kept for
     # the post-loop pass, would hold about 0.5 MB more at peak)
-    rates, ck_rows, flux_stats = [], [], []
-    next_ck, step_max, step_min = ck_interval, None, None
+    records = []
 
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
@@ -582,30 +574,15 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
         converged = res < cfg.convergence_tol
-        # a timed checkpoint records the last step's rate, the first and a
-        # converged profile the residual's
-        timed = t >= next_ck or t >= cfg.t_max
-        checkpoint = timed or converged or not ck_rows
-        if checkpoint or scheme.decay_every_step:
-            row = psi.copy()
-            row.flags.writeable = False
-            rows.append(row)
-            row_times.append(t)
-        if checkpoint:
-            if timed:
-                # the run's extrema since the last checkpoint include the step's
-                rates.append((max(step_max, -step_min), run_max_rate, run_min_rate))
-            else:
-                rmax, rmin = float(rate.max()), float(rate.min())
-                rates.append((max(rmax, -rmin), max(run_max_rate, rmax), min(run_min_rate, rmin)))
-            ck_rows.append(len(rows) - 1)
-            flux = c[cells]
-            mean, spread = float(flux.sum() / flux.size), float(flux.max() - flux.min())
-            flux_stats.append({"plateau": mean, "plateau_spread": spread})
-            run_max_rate, run_min_rate = -np.inf, np.inf
-        if timed:
-            # the first checkpoint time after t: one checkpoint per step
-            next_ck += ck_interval * (math.floor((t - next_ck) / ck_interval) + 1)
+        if not records:
+            # the initial profile records the residual's extrema, every later
+            # one those of the step that reached it
+            rmax, rmin = float(rate.max()), float(rate.min())
+        row = psi.copy()
+        row.flags.writeable = False
+        flux = c[cells]
+        plateau, spread = float(flux.sum() / flux.size), float(flux.max() - flux.min())
+        records.append((row, t, max(rmax, -rmin), rmax, rmin, plateau, spread))
         if converged or t >= cfg.t_max:
             break
         if res_prev is not None:
@@ -634,38 +611,31 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         dt_max = max(dt_max, step)
         # the step's rate delta / step: rounding keeps the order, so its
         # extrema are those of delta over the step
-        step_max, step_min = float(delta.max()) / step, float(delta.min()) / step
-        run_max_rate = max(run_max_rate, step_max)
-        run_min_rate = min(run_min_rate, step_min)
+        rmax, rmin = float(delta.max()) / step, float(delta.min()) / step
 
     # the diagnostics, one numpy call each per chunk of rows
+    rows, times = [rec[0] for rec in records], [rec[1] for rec in records]
     size = max(1, CHUNK_ELEMS // x.size)
-    decay = np.concatenate([scheme.decay_values(chunk) for _, chunk in _chunks(rows, size)])
-    times = [row_times[k] for k in ck_rows]
-    kept = [rows[k] for k in ck_rows]
-    ck_fields = []
-    for start, chunk in _chunks(kept, size):
-        cols = scheme.block_fields(chunk, times[start : start + size])
-        ck_fields += [dict(zip(cols, vals)) for vals in zip(*(col.tolist() for col in cols.values()))]
-    rises = decay[1:] - decay[:-1]
+    parts = [
+        {scheme.decay: scheme.decay_values(chunk), **scheme.block_fields(chunk, times[start : start + size])}
+        for start, chunk in _chunks(rows, size)
+    ]
+    cols = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    rises = cols[scheme.decay][1:] - cols[scheme.decay][:-1]
     over = np.flatnonzero(rises > _decay_slack(scheme.decay, h))
-    first_rise = None
-    if over.size:
-        i = int(over[0]) + 1
-        first_rise = {"step" if scheme.decay_every_step else "checkpoint": i, "t": row_times[i]}
-    profiles = [MomentProfile._view(grid, row, scheme.boundary) for row in kept]
+    first_rise = None if not over.size else {"checkpoint": int(over[0]) + 1, "t": times[int(over[0]) + 1]}
+    values = zip(*(col.tolist() for col in cols.values()))
+    checkpoints = [Checkpoint(*rec[1:], **dict(zip(cols, vals))) for rec, vals in zip(records, values)]
+    profiles = [MomentProfile._view(grid, row, scheme.boundary) for row in rows]
     # every run ends on a checkpoint of its final profile
     terminal = profiles[-1]
     trace = FlowTrace(
         kind=scheme.kind,
         times=times,
-        checkpoints=[
-            Checkpoint(tc, *rate, **{"energy": None, **stats, **extra, scheme.decay: value})
-            for tc, rate, stats, extra, value in zip(times, rates, flux_stats, ck_fields, decay[ck_rows].tolist())
-        ],
+        checkpoints=checkpoints,
         profiles=profiles,
         terminal_profile=terminal,
-        terminal_constant=flux_stats[-1]["plateau"],
+        terminal_constant=checkpoints[-1].plateau,
         reference_constant=scheme.reference_constant,
         reference_profile=MomentProfile(grid, scheme.ref, scheme.ref_boundary),
         sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[first:]))),
@@ -738,7 +708,7 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
     never increases.  For the cotangent flow: profiles increase in time and
     stay below the steady limit, the angle stays inside (0, pi), and the
     calibration volume never increases.  Reports the first violating
-    checkpoint of each monitor, and for the energy the first violating step.
+    checkpoint of each monitor.
     """
     cks = trace.checkpoints
     monitors = trace.meta.get("monitors", [])

@@ -110,14 +110,25 @@ def _float_bracket(r: Fraction, s: Fraction, d: Fraction, x: float) -> tuple[flo
 
 
 def _rounded_root(r: Fraction, s: Fraction, d: Fraction) -> tuple[float, tuple[float, float], Fraction]:
-    """r + s sqrt(d) as its float, the floats bracketing it, and the exact root
-    when it is rational, else its float (one end of the bracket) as a Fraction."""
+    """r + s sqrt(d) as the float nearest it, the floats bracketing it, and the
+    exact root when it is rational, else its float (one end of the bracket) as
+    a Fraction."""
     approx = _approx_root(r, s, d)
     x = float(approx)
     # rational exactly when s = 0 or d, in lowest terms, is a square
     n = d.numerator * d.denominator
     exact = not s or math.isqrt(n) ** 2 == n
-    return x, _float_bracket(r, s, d, x), approx if exact else Fraction(x)
+    lo, hi = bracket = _float_bracket(r, s, d, x)
+    if not exact and lo != hi:
+        # float(approx) is the end nearer the root unless the approximant's
+        # error, 2^-64 relative (here doubled), can reach the bracket's
+        # midpoint; then the exact sign of the root against it decides
+        (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        mid_n, mid_d = n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi
+        a_n, a_d = approx.numerator, approx.denominator
+        if abs(a_n * mid_d - mid_n * a_d) << 63 <= abs(a_n) * mid_d:
+            x = lo if _sign(Fraction(mid_n, mid_d) - r, -s, d) > 0 else hi
+    return x, bracket, approx if exact else Fraction(x)
 
 
 def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -> Fraction:

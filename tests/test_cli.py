@@ -128,7 +128,7 @@ def test_usage_error_exits_1(capsys, argv):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
-@pytest.mark.parametrize("flag", ["--dt", "--t-max", "--checkpoint-interval", "--grid"])
+@pytest.mark.parametrize("flag", ["--dt", "--t-max", "--grid"])
 def test_zero_step_setting_exits_1(capsys, flag):
     """A zero step setting is passed on and rejected, not replaced by its default."""
     argv = ["flow", "j", "--params", "0,1,1,2", "--grid", "64", flag, "0"]
@@ -164,6 +164,17 @@ def test_run_config_with_a_removed_option_exits_1(capsys, tmp_path):
     cfg.write_text("[experiment]\ncommand = flow j\n[geometry]\nparams = 0,1,1,2\n[solver]\ndt_policy = explicit\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "unrecognized arguments: --dt-policy explicit" in capsys.readouterr().err
+
+
+def test_removed_checkpoint_interval_exits_1(capsys, tmp_path):
+    """Every accepted step is a checkpoint, so the interval option is gone:
+    as a flag and as a config key it is an unrecognized argument."""
+    assert main(["flow", "j", "--params", "0,1,1,2", "--grid", "64", "--checkpoint-interval", "1"]) == 1
+    assert "unrecognized arguments: --checkpoint-interval 1" in capsys.readouterr().err
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text("[experiment]\ncommand = flow j\n[geometry]\nparams = 0,1,1,2\n[solver]\ncheckpoint_interval = 1\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "unrecognized arguments: --checkpoint-interval 1" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -268,6 +279,16 @@ def test_slope_dhym_exits_0(capsys, blowup):
     assert cert["slope"] == pytest.approx(6 - math.sqrt(30), abs=1e-15)
 
 
+def test_slope_dhym_prints_the_float_nearest_the_root(capsys, blowup):
+    """bp - sqrt((p^2+1)(b^2-1)) for (b, p) = (41/19, 177/71) lies 1.3877637e-17
+    from the upper end of its bracket and 1.3877939e-17 from the lower one."""
+    code, out = _run(capsys, ["slope", "dhym", "--surface", blowup, "--alpha", "177/71,0", "--beta", "41/19,1"])
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["bracket"] == [0.24328434281804986, 0.2432843428180499]
+    assert cert["slope"] == 0.2432843428180499
+
+
 @pytest.mark.parametrize(
     "line",
     ["kahler =", "form = 1, 0; 0, 1/0", "form = 1, 0; 0, minus one", "kahler = 3, 1; 2, 1"],
@@ -297,6 +318,14 @@ def test_energy_futaki_matches_library(capsys):
     rep = futaki_invariant(pl_limit_hamiltonian(params, 16), params).to_dict()
     rep["l2_slope_deviation"] = l2_slope_deviation(params)
     assert json.loads(out) == _as_json(rep)
+
+
+def test_energy_minimizing_seq_with_m_1_exits_0(capsys):
+    code, out = _run(capsys, ["energy", "minimizing-seq", "--params", "1,1,3,1/2"])
+    assert code == 0
+    rows = json.loads(out)["sequence"]
+    assert [row["k"] for row in rows] == [4, 8, 12, 16, 20]
+    assert all(row["rel_error"] < 1e-3 for row in rows)
 
 
 def test_energy_minimizing_seq_matches_library(capsys):

@@ -192,6 +192,25 @@ def test_minimizing_sequence_shares_one_weight_table(monkeypatch):
     assert fresh == energies[1:]
 
 
+#: unstable (n, m, a, b) with m >= 1: the weight integral vanishes to order
+#: m + 1 at the degenerate end
+HIGHER_M_PAIRS = [(1, 1, 3, F(1, 2)), (2, 1, 3, 1), (1, 2, 2, F(1, 4)), (2, 2, 2, F(1, 4)), (3, 3, 2, F(1, 4))]
+
+
+@pytest.mark.parametrize("n,m,a,b", HIGHER_M_PAIRS)
+def test_minimizing_sequence_with_m_at_least_1_nears_the_infimum(n, m, a, b):
+    """The cumulative density starts at the base member's mass left of the
+    first sample and is inverted in (m+1)-th roots, so theta1 stays positive
+    and accurate next to the degenerate end, and every member's energy lies
+    near the infimum."""
+    params = BundleParams(n=n, m=m, a=a, b=b)
+    ref = energy_infimum(params).value
+    for k, bound in ((4, 1e-3), (8, 2e-5), (12, 2e-5), (16, 2e-5), (20, 2e-5)):
+        prof, e = minimizing_profile(params, k)
+        assert prof.dv[0] > 0 and np.isfinite(prof.d2v).all()
+        assert abs(e - ref) <= bound * ref, (k, (e - ref) / ref)
+
+
 def test_minimizing_profile_refuses_stable():
     with pytest.raises(InputError):
         minimizing_profile(STABLE, 5)

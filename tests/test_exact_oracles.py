@@ -909,51 +909,43 @@ def _ref_checkpoint_fields(scheme, pv, t):
 
 
 def _ref_integrate(scheme, cfg):
-    """The time loop with one pass of diagnostics per checkpoint, and the J
-    energy of every step one at a time: (times, checkpoints, profile values,
-    the decay series with its times, the largest rise)."""
+    """The time loop with one pass of diagnostics per checkpoint, one for the
+    initial profile and one per accepted step, and the decaying functional
+    one profile at a time: (times, checkpoints, profile values, the decay
+    series, the largest rise)."""
     x, h, psi = scheme.x, scheme.h, scheme.psi.copy()
     lo, hi = scheme.window
     first = int(np.searchsorted(x, lo))
     cells = slice(first, max(first, int(np.searchsorted(x, hi, side="right")) - 1))
     geometry = _volume_geometry(x)
     dt = cfg.dt
-    ck_interval = cfg.t_max / 200.0 if cfg.checkpoint_interval is None else cfg.checkpoint_interval
     t, res_prev, cand = 0.0, None, psi.copy()
-    times, checkpoints, profiles, series, series_t = [], [], [], [], []
-    run_max, run_min = -np.inf, np.inf
-    next_ck, step_rate = ck_interval, None
+    times, checkpoints, profiles, series = [], [], [], []
+    step_rate = None
     while True:
         if scheme.kind == "j":
             series.append(_ref_energy(scheme, psi))
-            series_t.append(t)
+        else:
+            series.append(_ref_volume_value(psi, geometry))
         c, right, left, mid = scheme.linear_flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
         converged = res < cfg.convergence_tol
-        timed = t >= next_ck or t >= cfg.t_max
-        if timed or converged or not times:
-            if scheme.kind != "j":
-                series.append(_ref_volume_value(psi, geometry))
-                series_t.append(t)
-            flux = c[cells]
-            sampled = step_rate if timed else rate
-            rmax, rmin = sampled.max(), sampled.min()
-            checkpoints.append(flow_engine.Checkpoint(
-                t=t,
-                sup_rate=float(max(rmax, -rmin)),
-                max_rate=float(max(run_max, rmax)),
-                min_rate=float(min(run_min, rmin)),
-                plateau=float(flux.sum() / flux.size),
-                plateau_spread=float(flux.max() - flux.min()),
-                **{"energy": None, **_ref_checkpoint_fields(scheme, psi, t), scheme.decay: series[-1]},
-            ))
-            times.append(t)
-            profiles.append(psi.copy())
-            run_max, run_min = -np.inf, np.inf
-        if timed:
-            next_ck += ck_interval * (math.floor((t - next_ck) / ck_interval) + 1)
+        flux = c[cells]
+        sampled = rate if step_rate is None else step_rate
+        rmax, rmin = sampled.max(), sampled.min()
+        checkpoints.append(flow_engine.Checkpoint(
+            t=t,
+            sup_rate=float(max(rmax, -rmin)),
+            max_rate=float(rmax),
+            min_rate=float(rmin),
+            plateau=float(flux.sum() / flux.size),
+            plateau_spread=float(flux.max() - flux.min()),
+            **{**_ref_checkpoint_fields(scheme, psi, t), scheme.decay: series[-1]},
+        ))
+        times.append(t)
+        profiles.append(psi.copy())
         if converged or t >= cfg.t_max:
             break
         if res_prev is not None:
@@ -973,12 +965,10 @@ def _ref_integrate(scheme, cfg):
         psi, cand = cand, psi
         step_rate = delta / step
         t = cfg.t_max if last else t + step
-        run_max = max(run_max, float(step_rate.max()))
-        run_min = min(run_min, float(step_rate.min()))
     rise = 0.0
     for before, after in zip(series, series[1:]):
         rise = max(rise, after - before)
-    return times, checkpoints, profiles, series, series_t, rise
+    return times, checkpoints, profiles, series, rise
 
 
 def _ref_scan(series, ok, cks):
@@ -1030,8 +1020,8 @@ FLOW_CHECKPOINT_CASES = [
     ("cotangent", (2, 3, 0), 128, {}),
     # stopped at t_max, short of convergence
     ("j", (1, 0, 4, 1), 64, {"t_max": 3.0}),
-    # a checkpoint at every step
-    ("cotangent", (2, 3, 0), 64, {"checkpoint_interval": 1e-12}),
+    # the unstable cotangent pair on the coarsest grid
+    ("cotangent", (2, 3, 0), 64, {}),
     # more checkpoints (and J steps) than a chunk holds
     ("j", (1, 0, 2, F(2, 3)), 512, {}),
     ("cotangent", (2, 3, 0), 512, {}),
@@ -1056,8 +1046,8 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
     else:
         scheme = flow_engine._CotScheme(*args, "special", cfg)
         trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
-    times, checkpoints, profiles, series, series_t, rise = _ref_integrate(scheme, cfg)
-    assert trace.times == times
+    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg)
+    assert trace.times == times and len(times) == trace.steps + 1
     assert len(trace.checkpoints) == len(checkpoints) == len(trace.profiles)
     for got, want in zip(trace.checkpoints, checkpoints):
         for name in flow_engine.Checkpoint.__dataclass_fields__:
@@ -1069,8 +1059,7 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
     assert _bits(getattr(trace, f"{scheme.decay}_max_violation")) == _bits(rise)
     slack = flow_engine._decay_slack(scheme.decay, scheme.h)
     rises = [k for k in range(1, len(series)) if series[k] - series[k - 1] > slack]
-    label = "step" if flow == "j" else "checkpoint"
-    want = {label: rises[0], "t": series_t[rises[0]]} if rises else None
+    want = {"checkpoint": rises[0], "t": times[rises[0]]} if rises else None
     assert trace.decay_first_violation == want
     assert trace.monitor_report.entries[f"{scheme.decay}_nonincreasing"]["first_violation"] == want
     scans = _ref_checkpoint_monitors(flow, trace.meta["monitors"], checkpoints)
@@ -1088,5 +1077,3 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         assert len(times) > rows and (flow != "j" or trace.steps > rows)
     if "t_max" in overrides:
         assert not trace.converged and times[-1] == cfg.t_max
-    if "checkpoint_interval" in overrides:
-        assert len(times) == trace.steps + 1

@@ -63,9 +63,6 @@ def test_config_validation():
         FlowConfig(dt_policy="rk4")
     with pytest.raises(InputError, match="explicit stepping was removed"):
         FlowConfig(dt_policy="explicit")
-    for interval in (0.0, -0.5):
-        with pytest.raises(InputError, match="checkpoint_interval must be positive"):
-            FlowConfig(checkpoint_interval=interval)
     FlowConfig(dt=1e-3)
 
 
@@ -77,7 +74,7 @@ def test_config_defaults_to_implicit_steps():
 
 def test_steady_init_is_stationary_j(stable):
     init = sample_steady_profile_j(stable, 0.0, 129)
-    cfg = FlowConfig(grid_size=128, t_max=0.5, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=128, t_max=0.5)
     tr = run_j_flow(stable, init, cfg=cfg)
     # discretization residual only: sup rate is O(h^2)
     assert tr.checkpoints[0].sup_rate < 1e-2
@@ -87,14 +84,14 @@ def test_steady_init_is_stationary_j(stable):
 def test_initial_rate_sign_j_line(unstable):
     # Q(psi0) (b-a) n / (a (1+x)^2) <= 0 for the straight line
     init = straight_line_profile(unstable, 129)
-    cfg = FlowConfig(grid_size=128, t_max=0.05, checkpoint_interval=0.05)
+    cfg = FlowConfig(grid_size=128, t_max=0.05)
     tr = run_j_flow(unstable, init, cfg=cfg)
     assert tr.checkpoints[0].max_rate <= 1e-12
 
 
 def test_steady_init_is_stationary_cotangent():
     xi = 6 - math.sqrt(30)
-    cfg = FlowConfig(grid_size=128, t_max=0.5, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=128, t_max=0.5)
     tr = run_cotangent_flow(2, 3, 0, "steady", cfg=cfg)
     # away from the pinned wall the steady data barely moves
     x = tr.terminal_profile.grid
@@ -104,7 +101,7 @@ def test_steady_init_is_stationary_cotangent():
 
 
 def test_initial_rate_sign_cotangent_special():
-    cfg = FlowConfig(grid_size=128, t_max=0.05, checkpoint_interval=0.05)
+    cfg = FlowConfig(grid_size=128, t_max=0.05)
     tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
     assert tr.checkpoints[0].min_rate >= -1e-12
 
@@ -114,9 +111,7 @@ def test_j_flow_self_convergence_on_compact(unstable):
     t_end = 2.0
     sols = {}
     for grid in (64, 128, 256):
-        cfg = FlowConfig(
-            grid_size=grid, t_max=t_end, checkpoint_interval=t_end, convergence_tol=1e-14
-        )
+        cfg = FlowConfig(grid_size=grid, t_max=t_end, convergence_tol=1e-14)
         tr = run_j_flow(unstable, "line", cfg=cfg)
         sols[grid] = tr.terminal_profile
     coarse = sols[64]
@@ -136,9 +131,7 @@ def test_cotangent_self_convergence_on_compact():
     t_end = 2.0
     sols = {}
     for grid in (64, 128, 256):
-        cfg = FlowConfig(
-            grid_size=grid, t_max=t_end, checkpoint_interval=t_end, convergence_tol=1e-14
-        )
+        cfg = FlowConfig(grid_size=grid, t_max=t_end, convergence_tol=1e-14)
         tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
         sols[grid] = tr.terminal_profile
     coarse = sols[64]
@@ -166,7 +159,7 @@ def _forward_euler(scheme, t_end: float, dt: float) -> np.ndarray:
 
 
 def test_implicit_matches_explicit_j(stable):
-    cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4, checkpoint_interval=1.0)
+    cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4)
     tr = run_j_flow(stable, "line", cfg=cfg)
     ref = _forward_euler(_JScheme(stable, "line", cfg), 1.0, 4e-5)
     assert np.max(np.abs(ref - tr.terminal_profile.values)) < 5e-4
@@ -176,7 +169,7 @@ def test_implicit_j_step_solves_backward_euler(unstable):
     """The chord flux is linear in psi, so one implicit step with Q lagged is
     exact backward Euler; this pins the tridiagonal assembly."""
     dt = 0.5
-    cfg = FlowConfig(grid_size=64, t_max=dt, dt=dt, checkpoint_interval=dt)
+    cfg = FlowConfig(grid_size=64, t_max=dt, dt=dt)
     tr = run_j_flow(unstable, "line", cfg=cfg)
     assert tr.steps == 1
     x = tr.profiles[0].grid
@@ -190,14 +183,14 @@ def test_implicit_j_step_solves_backward_euler(unstable):
 
 
 def test_implicit_matches_explicit_cotangent():
-    cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4, checkpoint_interval=1.0)
+    cfg = FlowConfig(grid_size=128, t_max=1.0, dt=2e-4)
     tr = run_cotangent_flow(2, 3, 1, "special", cfg=cfg)
     ref = _forward_euler(_CotScheme(2, 3, 1, "special", cfg), 1.0, 1e-4)
     assert np.max(np.abs(ref - tr.terminal_profile.values)) < 5e-4
 
 
 def test_monitor_report_structure(unstable):
-    cfg = FlowConfig(grid_size=64, t_max=1.0, checkpoint_interval=0.5)
+    cfg = FlowConfig(grid_size=64, t_max=1.0)
     tr = run_j_flow(unstable, "line", cfg=cfg)
     rep = monitor_suite(tr)
     assert "monotone_decreasing" in rep.entries
@@ -248,11 +241,11 @@ def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("interval", [1e-3, 1e-12])
-def test_a_step_longer_than_the_interval_gives_one_checkpoint(interval):
-    """Checkpoints follow the steps, never shorten them: with an interval
-    below the first step every accepted step is checkpointed once."""
-    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=20.0, checkpoint_interval=interval)
+def test_every_accepted_step_is_one_checkpoint():
+    """The initial profile and every accepted step are checkpointed once, at
+    strictly increasing times, up to a run that ends on t_max with steps at
+    DT_CAP."""
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=20.0)
     tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
     assert tr.meta["dt_max"] == DT_CAP
     assert len(tr.checkpoints) == len(tr.profiles) == tr.steps + 1
@@ -263,7 +256,7 @@ def test_trace_profiles_share_one_read_only_grid():
     """Every kept profile and the reference sit on one read-only copy of the
     initial grid; the caller's profile is left as it was."""
     init = special_cotangent_profile(2, 3, 0, 65)
-    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0)
     tr = run_cotangent_flow(2, 3, 0, init, cfg=cfg)
     grid = tr.reference_profile.grid
     assert len(tr.profiles) > 5
@@ -337,7 +330,7 @@ def test_admissibility_predicates_agree():
 
 
 def test_checkpoint_profiles_admissible(unstable):
-    cfg = FlowConfig(grid_size=64, t_max=3.0, checkpoint_interval=0.5)
+    cfg = FlowConfig(grid_size=64, t_max=3.0)
     tr = run_j_flow(unstable, "line", cfg=cfg)
     assert len(tr.profiles) == len(tr.checkpoints) > 1
     assert all(admissible_j(prof) for prof in tr.profiles)
@@ -397,15 +390,14 @@ def test_an_angle_outside_the_range_raises_with_its_rows_time():
 
 
 def test_decay_monitors_report_their_first_violation(monkeypatch):
-    """The energy monitor names the first step whose energy rose above the
-    slack, the volume monitor the first such checkpoint; a passing run
-    names none."""
+    """The energy and volume monitors name the first checkpoint whose value
+    rose above the slack; a passing run names none."""
     cfg = FlowConfig(grid_size=256, dt=0.05)
     fault = run_j_flow(BundleParams(2, 1, 3, 1), "line", cfg=cfg)
     entry = fault.monitor_report.entries["energy_nonincreasing"]
     assert not entry["passed"] and entry["worst"] > flow_engine.ENERGY_SLACK
     first = entry["first_violation"]
-    assert set(first) == {"step", "t"} and 0 < first["step"] <= fault.steps
+    assert set(first) == {"checkpoint", "t"} and 0 < first["checkpoint"] <= fault.steps
     assert 0 < first["t"] < fault.times[-1]
     passing = run_j_flow(BundleParams(1, 0, 2, 2 / 3), "line", cfg=FlowConfig(grid_size=128, dt=0.05))
     assert passing.monitor_report.entries["energy_nonincreasing"] == {"passed": True, "worst": 0.0, "first_violation": None}
@@ -424,7 +416,7 @@ def test_checkpoint_plateau_is_the_flux_plateau():
     """Each checkpoint's plateau and spread are the mean and max - min of its
     profile's cell fluxes `linear_flux` over the cells whose two end nodes
     lie in the compact window, for both schemes."""
-    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0)
     params = BundleParams(n=1, m=1, a=2, b=1)
     runs = [
         (_JScheme(params, "line", cfg), run_j_flow(params, "line", cfg=cfg)),
@@ -443,7 +435,7 @@ def test_checkpoint_plateau_is_the_flux_plateau():
 
 
 def test_trace_csv_and_summary(tmp_path, unstable):
-    cfg = FlowConfig(grid_size=64, t_max=0.5, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=64, t_max=0.5)
     tr = run_j_flow(unstable, "line", cfg=cfg)
     csv = tmp_path / "trace.csv"
     js = tmp_path / "summary.json"
@@ -476,7 +468,7 @@ def _old_csv(trace, path):
 
 @pytest.mark.parametrize("flow", ["j", "cotangent"])
 def test_trace_csv_matches_per_row_writer(tmp_path, flow):
-    cfg = FlowConfig(grid_size=64, t_max=2.0, dt=0.05, checkpoint_interval=0.25)
+    cfg = FlowConfig(grid_size=64, t_max=2.0, dt=0.05)
     if flow == "j":
         # (1, 1, 2, 2) would not do: its straight line is an exact discrete
         # steady state, so that run stops at t = 0 on one checkpoint

@@ -1,6 +1,7 @@
 """Slope certificates on surfaces: roots, witnesses, verdicts."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,8 @@ from slopeflow.surface_slopes import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
+    _approx_root,
+    _rounded_root,
     bigness_threshold,
     dhym_slope_certificate,
     j_slope_certificate,
@@ -278,3 +281,69 @@ def test_dhym_root_past_a_chamber_wall(two_point):
     assert 3 - 2 * lo > 0 and (3 - 2 * lo) ** 2 >= 21 >= (3 - 2 * hi) ** 2
     assert cert.slope == pytest.approx((3 - math.sqrt(21)) / 2, abs=1e-15)
     assert abs(cert.witness_slope - cert.slope) < 1e-14
+
+
+def _nearer_end(r, s, d, lo, hi):
+    """The end of [lo, hi] nearer the irrational root r + s sqrt(d): the root
+    lies above the midpoint exactly when s sqrt(d) > midpoint - r, which is
+    decided by signs and then by comparing squares."""
+    u = (F(lo) + F(hi)) / 2 - r
+    above = s > 0 if (s > 0) != (u > 0) else (s * s * d > u * u) == (s > 0)
+    return hi if above else lo
+
+
+#: roots (r, s, d) so near the midpoint of their float bracket that the float
+#: of the 2^-64 approximant is the farther end
+NEAR_TIES = [
+    (F(18633, 1376), F(-3763, 301), F(361213, 50)),
+    (F(129211, 4685), F(6721, 214), F(64647, 503)),
+    (F(33714, 1597), F(-3063, 677), F(204889, 718)),
+    (F(-56045, 1759), F(5825, 856), F(127052, 73)),
+    (F(5546, 7349), F(92, 3), F(749706, 961)),
+    # one_point_blowup_certificate(41/19, 177/71, 0): bp - sqrt((p^2+1)(b^2-1))
+    (F(41 * 177, 19 * 71), F(-1), (F(177, 71) ** 2 + 1) * (F(41, 19) ** 2 - 1)),
+]
+
+
+@pytest.mark.parametrize("r,s,d", NEAR_TIES)
+def test_rounded_root_near_a_tie_is_the_nearer_float(r, s, d):
+    x, (lo, hi), xf = _rounded_root(r, s, d)
+    assert lo < hi and x == _nearer_end(r, s, d, lo, hi) and xf == F(x)
+    assert float(_approx_root(r, s, d)) != x
+
+
+def test_rounded_root_sweep_is_the_nearer_float():
+    """Random roots, and roots built within 2^-100 of their bracket's
+    midpoint on either side, all round to the nearer end of the bracket."""
+    rng = random.Random(19)
+    cases = []
+    for _ in range(2000):
+        cases.append((
+            F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+            F(rng.choice([-1, 1]) * rng.randint(1, 10**4), rng.randint(1, 10**3)),
+            F(rng.randint(1, 10**6), rng.randint(1, 10**3)),
+        ))
+    for _ in range(300):
+        x = rng.uniform(-100, 100)
+        mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
+        d = rng.randint(2, 10**6)
+        s = F(rng.choice([-1, 1]))
+        # r + s sqrt(d) = mid + s (sqrt(d) - floor(sqrt(d) 2^100) / 2^100)
+        cases.append((mid - s * F(math.isqrt(d << 200), 1 << 100), s, F(d)))
+    ties = 0
+    for r, s, d in cases:
+        x, (lo, hi), _ = _rounded_root(r, s, d)
+        n = d.numerator * d.denominator
+        if math.isqrt(n) ** 2 == n:
+            assert lo == hi == x == float(r + s * F(math.isqrt(n), d.denominator))
+            continue
+        assert lo < hi and x == _nearer_end(r, s, d, lo, hi), (r, s, d)
+        ties += float(_approx_root(r, s, d)) != x
+    assert ties > 0
+
+
+def test_one_point_blowup_slope_is_the_nearer_float():
+    cert = one_point_blowup_certificate(F(41, 19), F(177, 71), 0)
+    assert cert.bracket == (0.24328434281804986, 0.2432843428180499)
+    assert cert.slope == 0.2432843428180499
+    assert cert.witness.coeffs == (0, -F(cert.slope))
