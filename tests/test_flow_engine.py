@@ -241,12 +241,16 @@ def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
     assert len(solves) == 1
 
 
-def test_every_accepted_step_is_one_checkpoint():
+@pytest.mark.parametrize("flow", ["cotangent", "j"])
+def test_every_accepted_step_is_one_checkpoint(flow):
     """The initial profile and every accepted step are checkpointed once, at
     strictly increasing times, up to a run that ends on t_max with steps at
-    DT_CAP."""
+    DT_CAP, for both schemes."""
     cfg = FlowConfig(grid_size=64, dt=0.05, t_max=20.0)
-    tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    if flow == "j":
+        tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=1), "line", cfg=cfg)
+    else:
+        tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
     assert tr.meta["dt_max"] == DT_CAP
     assert len(tr.checkpoints) == len(tr.profiles) == tr.steps + 1
     assert all(np.diff(tr.times) > 0) and tr.times[-1] == 20.0
