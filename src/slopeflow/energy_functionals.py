@@ -437,34 +437,40 @@ _GAUSS_WEIGHTS = np.array(
 
 
 def _volume_geometry(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid-only half of `dhym_volume`'s cellwise Gauss rule: the nodes,
-    their offsets from each cell's left end, half-width times weight, and the
-    cell widths.  A flow builds it once per solve."""
+    """The grid-only half of `dhym_volume`'s cellwise Gauss rule, grid-major:
+    the (4, N - 1) nodes, their offsets from each cell's left end, and
+    half-width times weight, then the N - 1 cell widths.  A flow builds it
+    once per solve."""
     x0 = grid[:-1]
     dx = grid[1:] - x0
     half = 0.5 * dx
-    nodes = x0[:, None] + half[:, None] * (1.0 + _GAUSS_NODES[None, :])
-    return nodes, nodes - x0[:, None], half[:, None] * _GAUSS_WEIGHTS[None, :], dx
+    offsets = half * (1.0 + _GAUSS_NODES[:, None])
+    return x0 + offsets, offsets, half * _GAUSS_WEIGHTS[:, None], dx
 
 
 def _volume_values(values: np.ndarray, geometry) -> np.ndarray:
     """The calibration volume of each row of a (rows, N) chunk of node values
-    on a `_volume_geometry`, unchecked; two (rows, N - 1, 4) temporaries are
-    updated in place, which keeps a chunk's memory down."""
+    on a `_volume_geometry`, unchecked.
+
+    On a cell of slope s the interpolant has psi' = s, and the exact identity
+    (x psi' + psi)^2 + (psi psi' - x)^2 = (1 + psi'^2)(x^2 + psi^2) takes the
+    cell factor sqrt(1 + s^2) out of the Gauss sum of sqrt(x^2 + psi^2).  Its
+    one (rows, 4, N - 1) temporary is updated in place, so each numpy loop
+    runs along the grid and a chunk's memory stays down."""
     nodes, offsets, weights, dx = geometry
-    s = ((values[:, 1:] - values[:, :-1]) / dx)[..., None]
-    psi = s * offsets
-    psi += values[:, :-1, None]
-    f = nodes * s
-    f += psi
+    s = (values[:, 1:] - values[:, :-1]) / dx
+    f = s[:, None, :] * offsets
+    f += values[:, None, :-1]
     f *= f
-    psi *= s
-    psi -= nodes
-    psi *= psi
-    f += psi
+    f += nodes * nodes
     np.sqrt(f, out=f)
     f *= weights
-    return 2.0 * f.reshape(len(values), -1).sum(axis=1)
+    cells = f.sum(axis=1)
+    s *= s
+    s += 1.0
+    np.sqrt(s, out=s)
+    cells *= s
+    return 2.0 * cells.sum(axis=1)
 
 
 def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
@@ -472,10 +478,14 @@ def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
 
     Quadrature is cellwise Gauss on the piecewise-linear interpolant, which
     resolves the square-root boundary layer of singular limits that plain
-    node-trapezoid misses.  The normalization 2 makes the identity profile
-    on the balanced pair attain exactly twice its self-pairing, so the
-    topological lower bound 2 csc(angle) (bp - q) holds with constant 1.
-    The reference field carries that bound.
+    node-trapezoid misses.  The integrand is evaluated as
+    sqrt(1 + psi'^2) sqrt(x^2 + psi^2), by the exact identity
+    (x psi' + psi)^2 + (psi psi' - x)^2 = (1 + psi'^2)(x^2 + psi^2), with the
+    cell's constant sqrt(1 + psi'^2) taken out of its Gauss sum.  The
+    normalization 2 makes the identity profile on the balanced pair attain
+    exactly twice its self-pairing, so the topological lower bound
+    2 csc(angle) (bp - q) holds with constant 1.  The reference field
+    carries that bound.
     """
     require_admissible_dhym(profile)
     b, p, q = float(b), float(p), float(q)

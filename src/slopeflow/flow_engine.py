@@ -5,13 +5,21 @@ conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
 `_integrate`, owns the time loop, checkpoints, residual stop, runtime
 monitors and backward-Euler step.  A small scheme per equation supplies the
 half-node flux c (the pointwise slope for the J flow, cot(theta) for the
-cotangent flow) with its node sensitivities, Q at the interior nodes, the
-checkpoint fields, and the reference profile with its plateau window; its
+cotangent flow) and, apart, its node sensitivities, Q at the interior nodes,
+the checkpoint fields, and the reference profile with its plateau window; its
 admissibility test and slope field are those of `calabi_profiles`.
 
 Every step is backward Euler in delta form, (I - dt Q dc) delta = dt rate,
 with each half flux linearized and Q lagged: one tridiagonal solve by LAPACK
-gtsv, called directly; scipy is imported on the first such solve.  A run is
+gtsv, called directly; scipy is imported on the first such solve.  The flux
+c, and so the rate and the steady residual, is evaluated at every step; the
+sensitivities dc are lagged: evaluated on the first step, once JACOBIAN_LAG
+accepted steps have used them, and before every retry of a rejected step.
+The J flux is the plain chord flux, linear in psi, so its sensitivities are
+fixed and the lag changes none of its steps.  The cotangent flow keeps its
+steady state and residual stop and only takes a slightly different path to
+them: an inexact Jacobian, which pseudo-transient continuation allows
+(Kelley & Keyes 1998).  A run is
 pseudo-transient continuation: the first step is the configured dt, and each
 later step is scaled by the squared fall of the steady residual since the
 last (switched evolution relaxation, Mulder & van Leer 1985, here with the
@@ -19,11 +27,12 @@ ratio raised to SER_EXPONENT) and kept in [dt, max(dt, DT_CAP)], except that
 the last step may be shortened to land on t_max.  Each step is solved into a
 candidate profile.  A candidate that breaks admissibility is rejected: dt is
 halved, down to the configured dt, and the step is solved again from the
-same linearization (Kelley & Keyes 1998).  A step that is inadmissible at
-the configured dt raises.  Rejected steps are counted apart and feed no
+same rate on sensitivities of the current profile.  A step that is
+inadmissible at the configured dt raises, and so does a run whose kept rows
+pass ROW_BUDGET values.  Rejected steps are counted apart and feed no
 monitor.  A run stops once the steady residual
 sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
-The J flux is the plain chord flux, linear in psi.  Monitors track
+Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, and the derivative bounds (J) or the angle range
 (cotangent).  Admissibility is enforced rather than monitored: the scheme's
@@ -116,6 +125,17 @@ DT_CAP = 2.0
 #: J flow's error at t = 1 against fine explicit steps is 3.0e-4 at an
 #: exponent of 2 and 5.05e-4 at 2.5, past the 5e-4 that tests allow.
 SER_EXPONENT = 2
+#: the flux sensitivities serve JACOBIAN_LAG accepted steps (and are evaluated
+#: again before a retry).  The 57 cotangent solves of the flow-limits
+#: benchmark's seeds 1, 2 and 71 take 2750 steps on fresh sensitivities, and
+#: none is rejected at any lag; a lag of 2 takes 2759, 4 takes 2787, 8 takes
+#: 2880 and fails 6 limit checks, and never evaluating them again loses
+#: admissibility on 8 solves
+JACOBIAN_LAG = 4
+#: the most values (kept rows times N) a run may keep, 32 MiB of rows: a run
+#: that passes it raises TimeStepError.  The largest run of the tests keeps
+#: 311,148 (2412 rows at grid 128), and of the benchmark 54,891
+ROW_BUDGET = 2**22
 
 
 @dataclass
@@ -125,10 +145,14 @@ class FlowConfig:
     Every run takes backward-Euler steps.  `dt` is the first step; later
     steps scale by the squared fall of the steady residual (SER_EXPONENT)
     and lie in [dt, max(dt, DT_CAP)], except that the last step may be
-    shortened to land on t_max.
+    shortened to land on t_max.  Each step evaluates the flux afresh; its
+    sensitivities are evaluated on the first step, once JACOBIAN_LAG
+    accepted steps have used them and before every retry, and reused in
+    between.
     A step whose profile breaks admissibility is rejected and retried at
     half the step, down to `dt`; at `dt` it raises MonitorViolationError.
-    The initial profile and every accepted step are recorded as checkpoints.
+    The initial profile and every accepted step are recorded as checkpoints;
+    a run that would keep more than ROW_BUDGET values raises TimeStepError.
     A run has converged once its steady residual drops below
     `convergence_tol`.  `dt_policy` accepts only "implicit".
     """
@@ -378,7 +402,7 @@ class _JScheme:
         self.p_h = n / (1 + xh) + (m / xh if m else 0.0)
         self.g_h = n / (1 + xh)
         # the chord flux is linear, so its implicit-step entries are fixed
-        self.sensitivities = _node_sensitivities(1.0, self.p_h, h)
+        self.node_sensitivities = _node_sensitivities(1.0, self.p_h, h)
         self.slope_grid = _slope_grid(x, n)
         # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
         tw = np.full_like(x, h)
@@ -395,10 +419,13 @@ class _JScheme:
         y = pv[1:-1]
         return y * (self.b - y) / self.b
 
-    def linear_flux(self, pv: np.ndarray):
-        """The chord flux, linear in psi, with its fixed `_node_sensitivities`."""
-        c = (pv[1:] - pv[:-1]) / self.h + self.p_h * 0.5 * (pv[1:] + pv[:-1]) + self.g_h
-        return (c, *self.sensitivities)
+    def flux(self, pv: np.ndarray) -> np.ndarray:
+        """The chord flux, linear in psi."""
+        return (pv[1:] - pv[:-1]) / self.h + self.p_h * 0.5 * (pv[1:] + pv[:-1]) + self.g_h
+
+    def sensitivities(self, pv: np.ndarray):
+        """The chord flux's fixed `_node_sensitivities`."""
+        return self.node_sensitivities
 
     def admissible(self, pv: np.ndarray) -> bool:
         return _admissible_j(pv)
@@ -473,8 +500,25 @@ class _CotScheme:
     def Q(self, pv: np.ndarray) -> np.ndarray:
         return self.Qx
 
-    def linear_flux(self, pv: np.ndarray):
-        """cot(theta) at half nodes with its `_node_sensitivities`.
+    def _cells(self, pv: np.ndarray):
+        """Each cell's difference quotient, mean and x psi' + psi at its half
+        node, which must stay positive."""
+        delta = (pv[1:] - pv[:-1]) / self.h
+        mean = 0.5 * (pv[1:] + pv[:-1])
+        den = self.xh * delta + mean
+        if den.min() <= 0:
+            raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
+        return delta, mean, den
+
+    def _jump(self, pv: np.ndarray) -> float | None:
+        """The constant-angle jump flux of the first half node when it
+        exceeds the pinned wall value, else None."""
+        x1, psi1 = self.x[1], float(pv[1])
+        c_jump = x1 * psi1 - math.sqrt((x1 * x1 - 1.0) * (psi1 * psi1 + 1.0))
+        return c_jump if c_jump > pv[0] else None
+
+    def flux(self, pv: np.ndarray) -> np.ndarray:
+        """cot(theta) at half nodes.
 
         c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
         difference quotient delta, which makes the flux-difference update a
@@ -492,26 +536,27 @@ class _CotScheme:
         jump flux is exact along the entire singular steady profile, so the
         discrete steady state locks onto it.
         """
-        xh, x1 = self.xh, self.x[1]
-        delta = (pv[1:] - pv[:-1]) / self.h
-        mean = 0.5 * (pv[1:] + pv[:-1])
-        den = xh * delta + mean
-        if den.min() <= 0:
-            raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
-        c = (mean * delta - xh) / den
+        delta, mean, den = self._cells(pv)
+        c = (mean * delta - self.xh) / den
+        c_jump = self._jump(pv)
+        if c_jump is not None:
+            c[0] = c_jump
+        return c
+
+    def sensitivities(self, pv: np.ndarray):
+        """The `_node_sensitivities` of `flux` at a profile."""
+        delta, mean, den = self._cells(pv)
         den2 = den**2
         dc_ddelta = (mean**2 + self.xh2) / den2
-        dc_dmean = xh * (1 + delta**2) / den2
-        psi1 = float(pv[1])
-        c_jump = x1 * psi1 - math.sqrt((x1 * x1 - 1.0) * (psi1 * psi1 + 1.0))
-        if c_jump > pv[0]:
-            c[0] = c_jump
+        dc_dmean = self.xh * (1 + delta**2) / den2
+        if self._jump(pv) is not None:
+            x1, psi1 = self.x[1], float(pv[1])
             # the jump flux depends on psi1 alone: put its sensitivity in the
             # mean slot (the assembly halves it, hence the factor 2; the
             # pinned wall node is never an unknown)
             dc_ddelta[0] = 0.0
             dc_dmean[0] = 2.0 * (x1 - math.sqrt(x1 * x1 - 1.0) * psi1 / math.sqrt(psi1 * psi1 + 1.0))
-        return (c, *_node_sensitivities(dc_ddelta, dc_dmean, self.h))
+        return _node_sensitivities(dc_ddelta, dc_dmean, self.h)
 
     def admissible(self, pv: np.ndarray) -> bool:
         return _admissible_dhym(self.x, pv)
@@ -542,8 +587,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     below the tolerance, or at t_max, which the last step never passes.
     Each step is solved into a candidate; one that breaks admissibility is
     retried at half the step, and raises once the step is down to cfg.dt.
-    The loop only appends a checkpoint record per profile it reaches; one
-    pass after it computes the monitor diagnostics by chunks of rows.
+    The flux is evaluated at every step and its sensitivities on the first
+    step, once JACOBIAN_LAG accepted steps have used them and before every
+    retry.
+    The loop only appends a checkpoint record per profile it reaches, and
+    raises once the records would pass ROW_BUDGET values; one pass after it
+    computes the monitor diagnostics by chunks of rows.
     """
     x, h, psi = scheme.x, scheme.h, scheme.psi
     # one read-only grid for every profile the trace keeps
@@ -560,6 +609,9 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     dt = cfg.dt
     t, steps, rejected = 0.0, 0, 0
     dt_max, res_prev = 0.0, None
+    # accepted steps since the sensitivities were evaluated: they are due first
+    age = JACOBIAN_LAG
+    max_rows = ROW_BUDGET // x.size
     cand = psi.copy()  # the pinned ends never change
     # one record per checkpoint: a read-only copy of the profile, then the
     # Checkpoint's leading fields t, the rate's sup, max and min, and the
@@ -569,7 +621,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
-        c, right, left, mid = scheme.linear_flux(psi)
+        c = scheme.flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
@@ -585,16 +637,25 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         records.append((row, t, max(rmax, -rmin), rmax, rmin, plateau, spread))
         if converged or t >= cfg.t_max:
             break
+        if len(records) > max_rows:
+            raise TimeStepError(
+                f"{len(records)} kept profiles of {x.size} values pass the budget of {ROW_BUDGET}"
+                f" at t={t:.6g} after {steps} steps; the first step dt is too small or the grid too fine"
+            )
         if res_prev is not None:
             # switched evolution relaxation: dt grows by the squared fall of the residual
             dt = max(cfg.dt, min(dt * (res_prev / res) ** SER_EXPONENT, DT_CAP))
         res_prev = res
         while True:
+            if age >= JACOBIAN_LAG:
+                # the off-diagonals are negated once per evaluation
+                right, left, mid = scheme.sensitivities(psi)
+                lower, upper, age = -left[1:-1], -right[1:-1], 0
             last = t + dt >= cfg.t_max
             step = cfg.t_max - t if last else dt
             # (I - dt Q dc) delta = dt rate, each half flux linearized
             dtQ = step * Qv
-            delta = solve_banded(-dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate)
+            delta = solve_banded(dtQ[1:] * lower, 1 + dtQ * mid, dtQ[:-1] * upper, step * rate)
             if not math.isfinite(delta.sum()):
                 raise TimeStepError(f"non-finite update at t={t + step:.6g}; time step too large")
             np.add(psi[1:-1], delta, out=cand[1:-1])
@@ -602,12 +663,14 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
                 break
             if step <= cfg.dt:
                 raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t + step:.6g}")
-            # reject: retry from the same linearization at half the step
+            # reject: retry at half the step, on sensitivities of this profile
             dt = max(cfg.dt, step / 2)
             rejected += 1
+            age = JACOBIAN_LAG
         psi, cand = cand, psi
         t = cfg.t_max if last else t + step
         steps += 1
+        age += 1
         dt_max = max(dt_max, step)
         # the step's rate delta / step: rounding keeps the order, so its
         # extrema are those of delta over the step

@@ -12,7 +12,9 @@ the closed-form L2 slope deviation against Simpson's rule
 and, near semistability, against its Taylor series summed in Fraction.
 The flows' checkpoint diagnostics, computed over blocks of stacked
 profiles, are checked bit for bit against the time loop that computed them
-one checkpoint at a time.
+one checkpoint at a time; the cotangent flow's lagged flux sensitivities
+against that loop with sensitivities evaluated at every step; and the
+factored calibration volume against its expanded integrand.
 """
 
 import itertools
@@ -46,6 +48,7 @@ from slopeflow.calabi_profiles import (
     _slope_field,
     _steady_j,
     invert_steady_profile_j,
+    special_cotangent_profile,
     steady_profile_j,
     steady_profile_j_derivative,
 )
@@ -53,6 +56,7 @@ from slopeflow.energy_functionals import (
     PLTestConfig,
     _pl_integrals,
     _volume_geometry,
+    _volume_values,
     energy_infimum,
     futaki_invariant,
     l2_slope_deviation,
@@ -881,9 +885,22 @@ def _ref_gradient(psi, h):
 
 
 def _ref_volume_value(values, geometry):
+    """One row's calibration volume in the factored form of `_volume_values`,
+    sqrt(1 + s^2) times the Gauss sum of sqrt(x^2 + psi^2) on each cell of
+    slope s, with its operations in the same order."""
     nodes, offsets, weights, dx = geometry
-    s = ((values[1:] - values[:-1]) / dx)[:, None]
-    psi = values[:-1, None] + s * offsets
+    s = (values[1:] - values[:-1]) / dx
+    psi = s * offsets + values[:-1]
+    gauss = (np.sqrt(psi**2 + nodes**2) * weights).sum(axis=0)
+    return 2.0 * float((gauss * np.sqrt(s**2 + 1.0)).sum())
+
+
+def _expanded_volume_value(values, geometry):
+    """One row's calibration volume from the expanded integrand
+    sqrt((x psi' + psi)^2 + (psi psi' - x)^2) at every Gauss node."""
+    nodes, offsets, weights, dx = geometry
+    s = (values[1:] - values[:-1]) / dx
+    psi = values[:-1] + s * offsets
     f = np.sqrt((nodes * s + psi) ** 2 + (psi * s - nodes) ** 2)
     return 2.0 * float((weights * f).sum())
 
@@ -908,11 +925,13 @@ def _ref_checkpoint_fields(scheme, pv, t):
     return {"comparison_gap": float((scheme.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
 
 
-def _ref_integrate(scheme, cfg):
+def _ref_integrate(scheme, cfg, lag):
     """The time loop with one pass of diagnostics per checkpoint, one for the
     initial profile and one per accepted step, and the decaying functional
     one profile at a time: (times, checkpoints, profile values, the decay
-    series, the largest rise)."""
+    series, the largest rise).  The flux sensitivities are evaluated on the
+    first step, once `lag` accepted steps have used them and before every
+    retry, so lag 1 evaluates them at every step."""
     x, h, psi = scheme.x, scheme.h, scheme.psi.copy()
     lo, hi = scheme.window
     first = int(np.searchsorted(x, lo))
@@ -922,12 +941,13 @@ def _ref_integrate(scheme, cfg):
     t, res_prev, cand = 0.0, None, psi.copy()
     times, checkpoints, profiles, series = [], [], [], []
     step_rate = None
+    since = lag  # accepted steps since the sensitivities were evaluated
     while True:
         if scheme.kind == "j":
             series.append(_ref_energy(scheme, psi))
         else:
             series.append(_ref_volume_value(psi, geometry))
-        c, right, left, mid = scheme.linear_flux(psi)
+        c = scheme.flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
@@ -952,6 +972,9 @@ def _ref_integrate(scheme, cfg):
             dt = max(cfg.dt, min(dt * (res_prev / res) ** flow_engine.SER_EXPONENT, flow_engine.DT_CAP))
         res_prev = res
         while True:
+            if since >= lag:
+                right, left, mid = scheme.sensitivities(psi)
+                since = 0
             last = t + dt >= cfg.t_max
             step = cfg.t_max - t if last else dt
             dtQ = step * Qv
@@ -962,9 +985,11 @@ def _ref_integrate(scheme, cfg):
             if scheme.admissible(cand):
                 break
             dt = max(cfg.dt, step / 2)
+            since = lag
         psi, cand = cand, psi
         step_rate = delta / step
         t = cfg.t_max if last else t + step
+        since += 1
     rise = 0.0
     for before, after in zip(series, series[1:]):
         rise = max(rise, after - before)
@@ -1036,9 +1061,10 @@ def _bits(value):
 def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, grid, overrides):
     """Every Checkpoint field, every kept profile, the decay violation and
     its first rise above the slack are bit for bit those of the per-checkpoint
-    loop; the chunked trace's profiles are read-only rows on one grid.  Every
-    checkpoint monitor's verdict, worst value and first violation are those
-    of a plain loop over the oracle's checkpoints."""
+    loop at the engine's JACOBIAN_LAG; the chunked trace's profiles are
+    read-only rows on one grid.  Every checkpoint monitor's verdict, worst
+    value and first violation are those of a plain loop over the oracle's
+    checkpoints."""
     cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
     if flow == "j":
         params = BundleParams(*args)
@@ -1046,7 +1072,7 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
     else:
         scheme = flow_engine._CotScheme(*args, "special", cfg)
         trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
-    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg)
+    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg, flow_engine.JACOBIAN_LAG)
     assert trace.times == times and len(times) == trace.steps + 1
     assert len(trace.checkpoints) == len(checkpoints) == len(trace.profiles)
     for got, want in zip(trace.checkpoints, checkpoints):
@@ -1077,3 +1103,66 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         assert len(times) > rows and (flow != "j" or trace.steps > rows)
     if "t_max" in overrides:
         assert not trace.converged and times[-1] == cfg.t_max
+
+
+COT_CHECKPOINT_CASES = [case for case in FLOW_CHECKPOINT_CASES if case[0] == "cotangent"]
+
+
+@pytest.mark.parametrize("flow,args,grid,overrides", COT_CHECKPOINT_CASES)
+def test_lagged_sensitivities_match_fresh_ones(flow, args, grid, overrides):
+    """The cotangent flow with sensitivities lagged by JACOBIAN_LAG steps
+    reaches the plateau and sup error of the loop that evaluates them at
+    every step, with the same monitor verdicts and at most 5 % more steps."""
+    cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
+    scheme = flow_engine._CotScheme(*args, "special", cfg)
+    trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
+    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg, 1)
+    assert trace.converged and checkpoints[-1].sup_rate < cfg.convergence_tol
+    assert abs(trace.terminal_constant - checkpoints[-1].plateau) <= 1e-8
+    first = int(np.searchsorted(scheme.x, scheme.window[0]))
+    sup_error = float(np.max(np.abs((profiles[-1] - scheme.ref)[first:])))
+    assert abs(trace.sup_error_on_compact - sup_error) <= 5e-8
+    scans = _ref_checkpoint_monitors(flow, trace.meta["monitors"], checkpoints)
+    scans["volume_nonincreasing"] = {"passed": rise <= flow_engine._decay_slack("volume", scheme.h)}
+    assert {name: entry["passed"] for name, entry in trace.monitor_report.entries.items()} == {
+        name: entry["passed"] for name, entry in scans.items()
+    }
+    assert len(times) - 1 <= trace.steps <= 1.05 * (len(times) - 1)
+
+
+def _random_admissible_rows(rng, b, p, q, n, count):
+    """`count` random admissible perturbations of the special profile on n
+    nodes, stacked."""
+    grid = np.linspace(1.0, b, n)
+    base = special_cotangent_profile(b, p, q, n).values
+    rows = []
+    while len(rows) < count:
+        bump = np.sin(math.pi * (grid - 1) / (b - 1)) * rng.uniform(-0.5, 0.8)
+        bump += np.sin(2 * math.pi * (grid - 1) / (b - 1)) * rng.uniform(-0.3, 0.3)
+        vals = base + bump * (grid - 1) * (b - grid)
+        if np.all(np.diff(grid * vals) > 0):
+            rows.append(vals)
+    return grid, np.array(rows)
+
+
+@pytest.mark.parametrize("bpq,n", [((2, 3, 0), 257), ((2, 3, 1), 65), ((3, 2, -1), 129), ((1.5, 4, 0.5), 513)])
+def test_factored_volume_matches_the_expanded_integrand(bpq, n):
+    """`_volume_values`, which takes sqrt(1 + psi'^2) out of each cell's Gauss
+    sum, is within 1e-15 relative of the expanded integrand, and bit for bit
+    the one-row factored form, on random admissible profiles."""
+    grid, rows = _random_admissible_rows(np.random.default_rng(n), *bpq, n, 40)
+    geometry = _volume_geometry(grid)
+    got = _volume_values(rows, geometry)
+    for value, row in zip(got.tolist(), rows):
+        assert abs(value / _expanded_volume_value(row, geometry) - 1) <= 1e-15
+        assert value == _ref_volume_value(row, geometry)
+
+
+@pytest.mark.parametrize("flow,args,grid,overrides", COT_CHECKPOINT_CASES)
+def test_factored_volume_matches_the_expanded_integrand_on_flow_rows(flow, args, grid, overrides):
+    """Each cotangent checkpoint's volume is within 1e-15 relative of the
+    expanded integrand on its profile."""
+    trace = flow_engine.run_cotangent_flow(*args, "special", cfg=flow_engine.FlowConfig(grid_size=grid, **overrides))
+    geometry = _volume_geometry(trace.terminal_profile.grid)
+    for ck, prof in zip(trace.checkpoints, trace.profiles):
+        assert abs(ck.volume / _expanded_volume_value(prof.values, geometry) - 1) <= 1e-15

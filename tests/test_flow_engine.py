@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from slopeflow import flow_engine
 from slopeflow.errors import AdmissibilityError, InputError, MonitorViolationError, TimeStepError
 from slopeflow.flow_engine import (
     DT_CAP,
+    JACOBIAN_LAG,
+    ROW_BUDGET,
     FlowConfig,
     _CotScheme,
     _gradient,
@@ -153,7 +156,7 @@ def _forward_euler(scheme, t_end: float, dt: float) -> np.ndarray:
     jump flux for the cotangent flow); dt must respect the CFL bound ~ h^2."""
     psi = scheme.psi.copy()
     for _ in range(round(t_end / dt)):
-        c = scheme.linear_flux(psi)[0]
+        c = scheme.flux(psi)
         psi[1:-1] += dt * scheme.Q(psi) * (c[1:] - c[:-1]) / scheme.h
     return psi
 
@@ -239,6 +242,45 @@ def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
     with pytest.raises(MonitorViolationError, match="J-admissibility lost at t=5"):
         run_j_flow(unstable, "line", cfg=cfg)
     assert len(solves) == 1
+
+
+def test_sensitivities_serve_jacobian_lag_steps_and_are_fresh_for_a_retry(monkeypatch):
+    """The cotangent sensitivities are evaluated at the profile a step starts
+    from: on the first step, once JACOBIAN_LAG accepted steps have used them,
+    and before the retry of a rejected step, after which the count restarts."""
+    evaluated, tries = [], []
+    sensitivities, admissible = _CotScheme.sensitivities, _CotScheme.admissible
+
+    def recording(self, pv):
+        evaluated.append(pv.copy())
+        return sensitivities(self, pv)
+
+    def refuse_the_sixth_try(self, pv):
+        tries.append(1)
+        return len(tries) != 6 and admissible(self, pv)
+
+    monkeypatch.setattr(_CotScheme, "sensitivities", recording)
+    monkeypatch.setattr(_CotScheme, "admissible", refuse_the_sixth_try)
+    tr = run_cotangent_flow(2, 3, 0, "special", cfg=FlowConfig(grid_size=64, dt=0.05))
+    assert tr.converged and tr.meta["rejected"] == 1 and JACOBIAN_LAG == 4
+    # step 5 is tried on step 4's sensitivities and retried on its own
+    starts = [0, 4] + list(range(5, tr.steps, JACOBIAN_LAG))
+    assert len(evaluated) == len(starts)
+    for pv, k in zip(evaluated, starts):
+        assert pv.tobytes() == tr.profiles[k].values.tobytes()
+
+
+def test_a_run_past_its_row_budget_raises_within_seconds():
+    """A first step of 1e-12 grows too slowly to reach t_max: once the kept
+    rows pass ROW_BUDGET values, the run raises, naming t and the step
+    count, within seconds where it used to run for minutes and fill memory."""
+    cfg = FlowConfig(grid_size=64, dt=1e-12, t_max=20.0)
+    start = time.perf_counter()
+    with pytest.raises(TimeStepError, match=r"at t=\S+ after \d+ steps") as err:
+        run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    assert time.perf_counter() - start < 20
+    # the initial profile and one per step: the budget holds ROW_BUDGET // 65 rows
+    assert f" after {ROW_BUDGET // 65} steps" in str(err.value)
 
 
 @pytest.mark.parametrize("flow", ["cotangent", "j"])
@@ -418,7 +460,7 @@ def test_decay_monitors_report_their_first_violation(monkeypatch):
 
 def test_checkpoint_plateau_is_the_flux_plateau():
     """Each checkpoint's plateau and spread are the mean and max - min of its
-    profile's cell fluxes `linear_flux` over the cells whose two end nodes
+    profile's cell fluxes `flux` over the cells whose two end nodes
     lie in the compact window, for both schemes."""
     cfg = FlowConfig(grid_size=64, dt=0.05, t_max=2.0)
     params = BundleParams(n=1, m=1, a=2, b=1)
@@ -432,7 +474,7 @@ def test_checkpoint_plateau_is_the_flux_plateau():
         cells = (x[:-1] >= lo) & (x[1:] <= hi)
         assert 0 < cells.sum() < x.size - 1
         for ck, prof in zip(tr.checkpoints, tr.profiles):
-            flux = scheme.linear_flux(prof.values)[0][cells]
+            flux = scheme.flux(prof.values)[cells]
             assert ck.plateau == np.mean(flux)
             assert ck.plateau_spread == flux.max() - flux.min()
         assert tr.terminal_constant == tr.checkpoints[-1].plateau
