@@ -16,7 +16,8 @@ Library layout:
 - energy_functionals: moment-map energy, its infimum, Futaki invariants of
                       piecewise-linear configurations, minimizing sequences,
                       and the dHYM volume functional
-- cli:                command-line front end
+- cli:                command-line front end; only its flow and energy
+                      subcommands load numpy
 """
 
 from .surface_lattice import (

@@ -8,6 +8,10 @@ Subcommands
     verify identities         exact intersection-theory identity sweeps
     run                       drive any of the above from an experiment config
 
+Only `flow` and `energy` load numpy, on their first use, and scipy loads with
+the first implicit solve.  `slope`, `bundle` and `verify`, and `run` of a
+config for one of them, work in exact arithmetic and never load numpy.
+
 Exit codes: 0 success, 1 input error (a usage error included), 2 solver or
 monitor failure.  Floats are printed in Python's shortest round-trip form;
 JSON artifacts are deterministic for a fixed configuration.
@@ -37,7 +41,6 @@ from .bundle_geometry import (
     steady_slope_chow,
 )
 from .errors import InputError
-from .flow_engine import DT_CAP, FlowConfig, run_cotangent_flow, run_j_flow
 from .surface_lattice import DivisorClass, _read_ini, load_surface_model
 from .surface_slopes import (
     dhym_slope_certificate,
@@ -87,7 +90,10 @@ class ExperimentConfig:
         )
 
 
-def _flow_config(ns) -> FlowConfig:
+def _flow_config(ns):
+    """The FlowConfig of the flow flags that were given."""
+    from .flow_engine import FlowConfig
+
     flags = ("grid_size", "t_max", "dt")
     return FlowConfig(**{f: getattr(ns, f) for f in flags if getattr(ns, f, None) is not None})
 
@@ -130,6 +136,8 @@ def _cmd_bundle(ns) -> int:
 
 
 def _cmd_flow(ns) -> int:
+    from .flow_engine import run_cotangent_flow, run_j_flow
+
     cfg = _flow_config(ns)
     if ns.flow == "j":
         params = BundleParams.parse(ns.params)
@@ -261,6 +269,16 @@ def run(config: ExperimentConfig) -> int:
     return main(argv)
 
 
+class _DtCap:
+    """flow_engine.DT_CAP for the --dt help, read only when argparse formats
+    that help, so building the parser loads no numpy."""
+
+    def __str__(self) -> str:
+        from .flow_engine import DT_CAP
+
+        return f"{DT_CAP:g}"
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise InputError (exit 1), not
     SystemExit(2), which would read as a solver failure."""
@@ -304,11 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     for f in (fj, fc):
         f.add_argument("--grid", dest="grid_size", type=int, default=512)
         f.add_argument("--t-max", dest="t_max", type=float)
+        # argparse expands %(dt_cap)s from the action's attributes
         f.add_argument(
             "--dt",
             type=float,
-            help=f"first backward-Euler step (default 0.05); later steps grow up to {DT_CAP:g}",
-        )
+            help="first backward-Euler step (default 0.05); later steps grow up to %(dt_cap)s",
+        ).dt_cap = _DtCap()
         f.add_argument("--out")
         f.set_defaults(func=_cmd_flow)
 

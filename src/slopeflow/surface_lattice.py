@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InputError, ModelInconsistencyError, NotBigError
 

@@ -100,35 +100,54 @@ def _approx_root(r: Fraction, s: Fraction, d: Fraction) -> Fraction:
     return r + s * root_d if r * s >= 0 else (r * r - s * s * d) / (r - s * root_d)
 
 
-def _float_bracket(r: Fraction, s: Fraction, d: Fraction, x: float) -> tuple[float, float]:
-    """The floats lo <= r + s sqrt(d) <= hi next to x, a float within 1 ulp of it."""
-    side = _sign(Fraction(x) - r, -s, d)
-    return (
-        x if side <= 0 else math.nextafter(x, -math.inf),
-        x if side >= 0 else math.nextafter(x, math.inf),
-    )
+def _nearest_float(a: int, b: int, n: int, e: int) -> tuple[float, tuple[float, float], int | None]:
+    """(a + b sqrt(n)) / e for integers n >= 0 and e > 0: the float nearest it,
+    the floats lo <= root <= hi bracketing it (equal when the root is a
+    float), and a + b sqrt(n) when that is an integer, else None.
+
+    An irrational root's first float comes from isqrt with 65 bits to spare,
+    as (a^2 - b^2 n) / (a - b sqrt(n)) when the two terms have opposite signs
+    so nothing cancels; it is within one ulp, and exact integer signs then
+    pick the bracket and its end nearer the root.
+    """
+
+    def above(yn: int, yd: int) -> int:
+        """The exact sign of root - yn / yd, for yd > 0."""
+        return _sign(a * yd - e * yn, b * yd, n)
+
+    r = math.isqrt(n)
+    if not b or r * r == n:
+        num = a + b * r
+        x = num / e  # int division rounds correctly
+        side = above(*x.as_integer_ratio())
+        lo = x if side >= 0 else math.nextafter(x, -math.inf)
+        hi = x if side <= 0 else math.nextafter(x, math.inf)
+        return x, (lo, hi), num
+    k = max(0, 65 - n.bit_length() // 2)
+    m = math.isqrt(n << 2 * k)  # m <= sqrt(n) 2^k < m + 1
+    if a * b >= 0:
+        x = ((a << k) + b * m) / (e << k)
+    else:
+        x = ((a * a - b * b * n) << k) / (e * ((a << k) - b * m))
+    if above(*x.as_integer_ratio()) > 0:
+        lo, hi = x, math.nextafter(x, math.inf)
+    else:
+        lo, hi = math.nextafter(x, -math.inf), x
+    (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    nearer = hi if above(n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi) > 0 else lo  # against the midpoint
+    return nearer, (lo, hi), None
 
 
 def _rounded_root(r: Fraction, s: Fraction, d: Fraction) -> tuple[float, tuple[float, float], Fraction]:
     """r + s sqrt(d) as the float nearest it, the floats bracketing it, and the
     exact root when it is rational, else its float (one end of the bracket) as
     a Fraction."""
-    approx = _approx_root(r, s, d)
-    x = float(approx)
-    # rational exactly when s = 0 or d, in lowest terms, is a square
-    n = d.numerator * d.denominator
-    exact = not s or math.isqrt(n) ** 2 == n
-    lo, hi = bracket = _float_bracket(r, s, d, x)
-    if not exact and lo != hi:
-        # float(approx) is the end nearer the root unless the approximant's
-        # error, 2^-64 relative (here doubled), can reach the bracket's
-        # midpoint; then the exact sign of the root against it decides
-        (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        mid_n, mid_d = n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi
-        a_n, a_d = approx.numerator, approx.denominator
-        if abs(a_n * mid_d - mid_n * a_d) << 63 <= abs(a_n) * mid_d:
-            x = lo if _sign(Fraction(mid_n, mid_d) - r, -s, d) > 0 else hi
-    return x, bracket, approx if exact else Fraction(x)
+    # r + s sqrt(d) = (r_n s_d d_d + s_n r_d sqrt(d_n d_d)) / (r_d s_d d_d)
+    e = r.denominator * s.denominator * d.denominator
+    x, bracket, num = _nearest_float(
+        r.numerator * s.denominator * d.denominator, s.numerator * r.denominator, d.numerator * d.denominator, e
+    )
+    return x, bracket, Fraction(x) if num is None else Fraction(num, e)
 
 
 def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -> Fraction:
@@ -252,13 +271,21 @@ def blowup_plane_model() -> SurfaceModel:
     )
 
 
-def _blowup_residual(p: Fraction, b: Fraction, t: Fraction) -> float:
+def _blowup_residual(pn: int, pd: int, bn: int, bd: int, tn: int, td: int) -> float:
     """|f(t)| of f(t) = vol(alpha - t beta) - (1 + t^2) beta^2
     = (p - tb)^2 - (1 + t^2)(b^2 - 1) beyond q, as `_certificate` gives it
-    at an irrational root: one exact integer fraction, rounded once."""
-    pn, pd, bn, bd, tn, td = p.numerator, p.denominator, b.numerator, b.denominator, t.numerator, t.denominator
+    at an irrational root, for p = pn/pd, b = bn/bd and t = tn/td: one exact
+    integer fraction, rounded once."""
     num = (pn * td * bd - tn * bn * pd) ** 2 - pd * pd * (td * td + tn * tn) * (bn * bn - bd * bd)
     return abs(num) / (pd * td * bd) ** 2
+
+
+def _blowup_c0(pn: int, pd: int, bn: int, bd: int, tn: int, td: int) -> tuple[int, int]:
+    """(p^2 - t^2 - b^2 + 1) / (2(bp - t)) for p = pn/pd, b = bn/bd and
+    t = tn/td, as an integer numerator and a denominator of the sign of bp - t."""
+    pb = pd * bd
+    num = (pn * bd * td) ** 2 - (tn * pb) ** 2 - (bn * pd * td) ** 2 + (pb * td) ** 2
+    return num, 2 * (bn * pn * td - tn * pb) * pb * td
 
 
 def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
@@ -269,27 +296,30 @@ def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
     bp - sqrt((p^2+1)(b^2-1)) whenever that value is >= q, which is exactly
     when q <= c0, and c0 otherwise; it is rounded and bracketed by floats as
     in `dhym_slope_certificate`.  The trichotomy verdict is the sign of q - c0.
+    All of it is integer arithmetic on the numerators and denominators of
+    b, p and q.
     """
-    b, p, q = to_fraction(b), to_fraction(p), to_fraction(q)
-    if b <= 1:
+    (bn, bd), (pn, pd), (qn, qd) = (to_fraction(x).as_integer_ratio() for x in (b, p, q))
+    if bn <= bd:
         raise InputError("need b > 1 so that beta = bH - E is Kahler")
-    if b * p <= q:
+    c0_n, c0_d = _blowup_c0(pn, pd, bn, bd, qn, qd)
+    if c0_d <= 0:
         raise InputError("need bp > q so that alpha.beta > 0")
-    c0 = (p * p - q * q - b * b + 1) / (2 * (b * p - q))
-    if q <= c0:
-        verdict = UNSTABLE if q < c0 else SEMISTABLE
-        # bp - sqrt((p^2+1)(b^2-1)) >= q, squared and over 2(bp - q) > 0, is q <= c0
-        xi, bracket, xf = _rounded_root(b * p, Fraction(-1), (p * p + 1) * (b * b - 1))
+    if qn * c0_d <= c0_n * qd:  # q <= c0
+        verdict = UNSTABLE if qn * c0_d < c0_n * qd else SEMISTABLE
+        # bp - sqrt((p^2+1)(b^2-1)) >= q, squared and over 2(bp - q) > 0, is q <= c0;
+        # it is (bn pn - sqrt(S)) / (bd pd) with S = (pn^2 + pd^2)(bn^2 - bd^2)
+        xi, bracket, num = _nearest_float(bn * pn, -1, (pn * pn + pd * pd) * (bn * bn - bd * bd), bd * pd)
+        xn, xd = xi.as_integer_ratio() if num is None else (num, bd * pd)
         # (xi - q) E in the (H, -E) basis carries coefficient q - xi.
-        witness = None if xf == q else DivisorClass((Fraction(0), q - xf))
-        witness_slope = float(
-            (p * p - xf * xf - b * b + 1) / (2 * (b * p - xf))
-        )
+        witness = None if xn * qd == qn * xd else DivisorClass((Fraction(0), Fraction(qn * xd - xn * qd, qd * xd)))
+        ws_n, ws_d = _blowup_c0(pn, pd, bn, bd, xn, xd)
+        witness_slope = ws_n / ws_d
         # 0 at a rational root, as in `_certificate`
-        residual = 0.0 if xf != xi else _blowup_residual(p, b, xf)
+        residual = 0.0 if num is not None else _blowup_residual(pn, pd, bn, bd, xn, xd)
     else:
         verdict = STABLE
-        xi, bracket, _ = _rounded_root(c0, Fraction(0), Fraction(0))
+        xi, bracket, _ = _nearest_float(c0_n, 0, 0, c0_d)
         witness, witness_slope, residual = None, xi, 0.0
     return SlopeCertificate(
         equation="dhym",
@@ -297,7 +327,7 @@ def one_point_blowup_certificate(b, p, q) -> SlopeCertificate:
         bracket=bracket,
         witness=witness,
         verdict=verdict,
-        topological_slope=float(c0),
+        topological_slope=c0_n / c0_d,
         residual=residual,
         witness_slope=witness_slope,
     )

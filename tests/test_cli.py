@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import slopeflow
+from slopeflow import flow_engine
 from slopeflow.bundle_geometry import BundleParams
 from slopeflow.calabi_profiles import special_cotangent_profile
 from slopeflow.cli import main
@@ -21,7 +26,7 @@ from slopeflow.energy_functionals import (
     pl_limit_hamiltonian,
 )
 from slopeflow.errors import MonitorViolationError
-from slopeflow.flow_engine import COMPACT_MARGIN
+from slopeflow.flow_engine import COMPACT_MARGIN, DT_CAP
 from slopeflow.surface_lattice import DivisorClass, load_surface_model
 from slopeflow.surface_slopes import UNSTABLE, j_slope_certificate
 
@@ -361,6 +366,67 @@ def test_monitor_violation_exits_2(capsys, monkeypatch):
     def violate(*args, **kwargs):
         raise MonitorViolationError("J-admissibility lost at t=1")
 
-    monkeypatch.setattr("slopeflow.cli.run_j_flow", violate)
+    monkeypatch.setattr("slopeflow.flow_engine.run_j_flow", violate)
     assert main(["flow", "j", "--params", "0,1,1,2"] + FLOW_ARGS) == 2
     assert "J-admissibility lost" in capsys.readouterr().err
+
+
+def _fresh_interpreter(code: str, *args: str) -> list:
+    """Run `code` in a new interpreter on this checkout's sources; its last
+    stdout line, read as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slopeflow.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_exact_subcommands_load_neither_numpy_nor_scipy(blowup, tmp_path):
+    """slope, bundle, verify and run of a slope config stay in exact
+    arithmetic; the first flow loads numpy."""
+    cfg = tmp_path / "slope.ini"
+    cfg.write_text(f"[experiment]\ncommand = slope j\n[geometry]\nsurface = {blowup}\nalpha = 2,3/10\nbeta = 3,1\n")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import slopeflow.cli as cli\n"
+        "ini, cfg = sys.argv[1:]\n"
+        "exact = [\n"
+        "    ['bundle', 'slopes', '--params', '0,1,4,1'],\n"
+        "    ['slope', 'j', '--surface', ini, '--alpha', '2,3/10', '--beta', '3,1'],\n"
+        "    ['verify', 'identities', '--max-mn', '1', '--max-sq', '2'],\n"
+        "    ['run', '--config', cfg],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in exact]\n"
+        "    loaded = ['numpy' in sys.modules, 'scipy' in sys.modules]\n"
+        "    flow = cli.main(['flow', 'j', '--params', '0,1,1,2', '--grid', '64'])\n"
+        "print(json.dumps([codes, loaded, flow, 'numpy' in sys.modules]))\n"
+    )
+    codes, loaded, flow, numpy_after_flow = _fresh_interpreter(code, blowup, str(cfg))
+    assert codes == [0, 0, 0, 0]
+    assert loaded == [False, False]
+    assert flow == 0 and numpy_after_flow
+
+
+def test_dt_help_reads_the_step_cap_when_it_is_formatted(capsys, monkeypatch):
+    """The --dt help prints flow_engine.DT_CAP; building the parser loads no
+    numpy, formatting the help is the first point that does."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from slopeflow.cli import build_parser, main\n"
+        "build_parser()\n"
+        "before = 'numpy' in sys.modules\n"
+        "text = io.StringIO()\n"
+        "with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):\n"
+        "    main(['flow', 'j', '--help'])\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, text.getvalue()]))\n"
+    )
+    before, after, text = _fresh_interpreter(code)
+    assert not before and after
+    assert f"later steps grow up to {DT_CAP:g}" in " ".join(text.split())
+    # read when formatted, not copied: a patched cap shows in the help
+    monkeypatch.setattr(flow_engine, "DT_CAP", 0.375)
+    with pytest.raises(SystemExit):
+        main(["flow", "j", "--help"])
+    assert "later steps grow up to 0.375" in " ".join(capsys.readouterr().out.split())

@@ -5,7 +5,8 @@ polynomial integration of PL data, the worklist reduction of the Chow ring,
 direct evaluation and binomial expansion of the critical polynomial and of
 the weight integral, and the Fraction pairing, eliminations and Zariski
 decomposition of the surface lattice, on which the surface certificates are
-also rerun.  The kernels in src/ must agree with them exactly.  The
+also rerun; the Fraction rounding of a quadratic-surd root and the Fraction
+one-point blow-up certificate against their integer kernels.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
 expansion, its inverse against the 80 halvings that Newton replaced, and
 the closed-form L2 slope deviation against Simpson's rule
@@ -64,7 +65,7 @@ from slopeflow.energy_functionals import (
     pl_limit_hamiltonian,
 )
 from slopeflow import surface_slopes
-from slopeflow.errors import NotBigError
+from slopeflow.errors import InputError, NotBigError
 from slopeflow.surface_lattice import (
     DivisorClass,
     _sign,
@@ -79,9 +80,13 @@ from slopeflow.surface_slopes import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
+    SlopeCertificate,
+    _approx_root,
+    _rounded_root,
     bigness_threshold,
     dhym_slope_certificate,
     j_slope_certificate,
+    one_point_blowup_certificate,
 )
 
 # ---------------------------------------------------------------------------
@@ -869,6 +874,112 @@ def test_certificates_and_threshold_match_fraction_oracle(model_name, request, m
     for name, ref in FRACTION_KERNELS.items():
         monkeypatch.setattr(surface_slopes, name, ref)
     assert _surface_outputs(model, pairs) == want
+
+
+def _ref_rounded_root(r, s, d):
+    """The Fraction rounding of r + s sqrt(d): the float of its 2^-64
+    approximant, bracketed by Fraction signs, and the exact midpoint test only
+    when the approximant's error can reach the bracket's midpoint."""
+    approx = _approx_root(r, s, d)
+    x = float(approx)
+    n = d.numerator * d.denominator
+    exact = not s or math.isqrt(n) ** 2 == n
+    side = _sign(F(x) - r, -s, d)
+    lo, hi = bracket = (
+        x if side <= 0 else math.nextafter(x, -math.inf),
+        x if side >= 0 else math.nextafter(x, math.inf),
+    )
+    if not exact and lo != hi:
+        (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        mid_n, mid_d = n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi
+        a_n, a_d = approx.numerator, approx.denominator
+        if abs(a_n * mid_d - mid_n * a_d) << 63 <= abs(a_n) * mid_d:
+            x = lo if _sign(F(mid_n, mid_d) - r, -s, d) > 0 else hi
+    return x, bracket, approx if exact else F(x)
+
+
+def _ref_one_point_blowup_certificate(b, p, q):
+    """The closed-form blow-up certificate in Fraction arithmetic."""
+    b, p, q = to_fraction(b), to_fraction(p), to_fraction(q)
+    if b <= 1:
+        raise InputError("need b > 1 so that beta = bH - E is Kahler")
+    if b * p <= q:
+        raise InputError("need bp > q so that alpha.beta > 0")
+    c0 = (p * p - q * q - b * b + 1) / (2 * (b * p - q))
+    if q <= c0:
+        verdict = UNSTABLE if q < c0 else SEMISTABLE
+        xi, bracket, xf = _ref_rounded_root(b * p, F(-1), (p * p + 1) * (b * b - 1))
+        witness = None if xf == q else DivisorClass((F(0), q - xf))
+        witness_slope = float((p * p - xf * xf - b * b + 1) / (2 * (b * p - xf)))
+        residual = 0.0 if xf != xi else float(abs((p - xf * b) ** 2 - (1 + xf * xf) * (b * b - 1)))
+    else:
+        verdict = STABLE
+        xi, bracket, _ = _ref_rounded_root(c0, F(0), F(0))
+        witness, witness_slope, residual = None, xi, 0.0
+    return SlopeCertificate(
+        equation="dhym", slope=xi, bracket=bracket, witness=witness, verdict=verdict,
+        topological_slope=float(c0), residual=residual, witness_slope=witness_slope,
+    )
+
+
+def _near_tie_roots(rng, count):
+    """Roots r + s sqrt(d) within 2^-100 of the midpoint of their float bracket."""
+    out = []
+    for _ in range(count):
+        x = rng.uniform(-100, 100)
+        mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
+        d, s = rng.randint(2, 10**6), F(rng.choice([-1, 1]))
+        out.append((mid - s * F(math.isqrt(d << 200), 1 << 100), s, F(d)))
+    return out
+
+
+def test_rounded_root_matches_fraction_oracle():
+    rng = random.Random(23)
+    cases = _near_tie_roots(rng, 200)
+    for _ in range(3000):
+        r = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        s = rng.choice([F(0), F(rng.randint(-1000, 1000), rng.randint(1, 100))])
+        d = rng.choice([F(rng.randint(0, 10**5), rng.randint(1, 1000)), F(rng.randint(0, 300), rng.randint(1, 20)) ** 2])
+        cases.append((r, s, d))
+    exact = 0
+    for r, s, d in cases:
+        want = _ref_rounded_root(r, s, d)
+        got = _rounded_root(r, s, d)
+        assert repr(got) == repr(want) and type(got[2]) is F, (r, s, d)
+        exact += got[1][0] == got[1][1]
+    assert exact > 0
+
+
+def _blowup_triples(seed, count):
+    """Random (b, p, q) with b > 1, and from Pythagorean b and p, where
+    (p^2 + 1)(b^2 - 1) is a rational square, the semistable q = c0 and rational
+    unstable roots."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        den = rng.choice((1, 2, 3, 4, 8, 16, 7, 97))
+        out.append((F(rng.randint(den + 1, 6 * den), den), F(rng.randint(-4 * den, 10 * den), den), F(rng.randint(-6 * den, 10 * den), den)))
+    for u, v, s, t in [(2, 1, 2, 1), (3, 1, 3, 2), (3, 2, 4, 1), (5, 2, 5, 3), (4, 1, 1, 2)]:
+        b, p = F(u * u + v * v, 2 * u * v), F(s * s - t * t, 2 * s * t)
+        root = b * p - F(u * u - v * v, 2 * u * v) * F(s * s + t * t, 2 * s * t)
+        out += [(b, p, root), (b, p, root - F(1, 3)), (b, p, root + F(1, 7)), (b, p, 2 * root - b * p)]
+    return out + [(F(41, 19), F(177, 71), 0), (1, 3, 0), (2, 1, 5), (F(3, 2), F(2), 3)]
+
+
+def test_one_point_blowup_certificate_matches_fraction_oracle():
+    verdicts, rational = set(), 0
+    for b, p, q in _blowup_triples(29, 1500):
+        try:
+            want = _ref_one_point_blowup_certificate(b, p, q).to_dict()
+        except InputError as exc:
+            with pytest.raises(InputError, match=str(exc)):
+                one_point_blowup_certificate(b, p, q)
+            continue
+        got = one_point_blowup_certificate(b, p, q).to_dict()
+        assert repr(got) == repr(want), (b, p, q)
+        verdicts.add(want["verdict"])
+        rational += want["verdict"] != STABLE and want["witness"] is not None and want["residual"] == 0.0
+    assert verdicts == {STABLE, SEMISTABLE, UNSTABLE} and rational > 0
 
 
 # ---------------------------------------------------------------------------
