@@ -13,6 +13,8 @@ Library layout:
                       functionals, admissibility predicates
 - flow_engine:        finite-difference integration of the reduced flows with
                       runtime monitors and convergence detection
+- flow_steps:         the flows' largest time step, apart from numpy so the
+                      CLI help can print it
 - energy_functionals: moment-map energy, its infimum, Futaki invariants of
                       piecewise-linear configurations, minimizing sequences,
                       and the dHYM volume functional

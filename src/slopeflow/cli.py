@@ -41,6 +41,7 @@ from .bundle_geometry import (
     steady_slope_chow,
 )
 from .errors import InputError
+from .flow_steps import DT_CAP
 from .surface_lattice import DivisorClass, _read_ini, load_surface_model
 from .surface_slopes import (
     dhym_slope_certificate,
@@ -269,16 +270,6 @@ def run(config: ExperimentConfig) -> int:
     return main(argv)
 
 
-class _DtCap:
-    """flow_engine.DT_CAP for the --dt help, read only when argparse formats
-    that help, so building the parser loads no numpy."""
-
-    def __str__(self) -> str:
-        from .flow_engine import DT_CAP
-
-        return f"{DT_CAP:g}"
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise InputError (exit 1), not
     SystemExit(2), which would read as a solver failure."""
@@ -322,12 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     for f in (fj, fc):
         f.add_argument("--grid", dest="grid_size", type=int, default=512)
         f.add_argument("--t-max", dest="t_max", type=float)
-        # argparse expands %(dt_cap)s from the action's attributes
         f.add_argument(
             "--dt",
             type=float,
-            help="first backward-Euler step (default 0.05); later steps grow up to %(dt_cap)s",
-        ).dt_cap = _DtCap()
+            help=f"first backward-Euler step (default 0.05); later steps grow up to {DT_CAP:g}",
+        )
         f.add_argument("--out")
         f.set_defaults(func=_cmd_flow)
 

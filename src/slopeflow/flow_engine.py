@@ -88,6 +88,7 @@ from .calabi_profiles import (
     straight_line_profile,
 )
 from .errors import InputError, MonitorViolationError, TimeStepError
+from .flow_steps import DT_CAP
 from .surface_slopes import STABLE, one_point_blowup_certificate
 
 __all__ = [
@@ -115,9 +116,6 @@ COMPACT_MARGIN = 0.1
 #: values per chunk of the post-loop diagnostics: max(1, CHUNK_ELEMS // N)
 #: rows of N nodes, which bounds the kernels' temporaries
 CHUNK_ELEMS = 8192
-#: the largest step; backward Euler lags on the slow mode (e-folding time
-#: about 5), so at a cap of 4 the slowest solves only just converge by t = 100
-DT_CAP = 2.0
 #: dt scales by (res_prev / res) ** SER_EXPONENT.  Under backward Euler the
 #: slow mode's residual falls by about 1 + dt/5 per step, so the plain ratio
 #: takes about 5/dt steps to ramp from the first step to the cap, and its

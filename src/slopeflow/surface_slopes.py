@@ -87,19 +87,6 @@ class SlopeCertificate:
         }
 
 
-def _approx_root(r: Fraction, s: Fraction, d: Fraction) -> Fraction:
-    """r + s sqrt(d) to within 2^-64 relative, exactly when sqrt(d) is rational.
-
-    sqrt(d) comes from math.isqrt; when r and s sqrt(d) have opposite signs the
-    root is taken as (r^2 - s^2 d) / (r - s sqrt(d)) so nothing cancels.
-    """
-    n = d.numerator * d.denominator
-    k = max(0, 65 - n.bit_length() // 2)
-    m = math.isqrt(n << 2 * k)
-    root_d = Fraction(2 * m + (m * m != n << 2 * k), d.denominator << k + 1)
-    return r + s * root_d if r * s >= 0 else (r * r - s * s * d) / (r - s * root_d)
-
-
 def _nearest_float(a: int, b: int, n: int, e: int) -> tuple[float, tuple[float, float], int | None]:
     """(a + b sqrt(n)) / e for integers n >= 0 and e > 0: the float nearest it,
     the floats lo <= root <= hi bracketing it (equal when the root is a
@@ -223,7 +210,7 @@ def bigness_threshold(alpha: DivisorClass, beta: DivisorClass, model: SurfaceMod
     if not is_nef(beta, model) or beta.is_zero():
         raise InputError("beta is not a nonzero nef class on this model")
     root, _ = _volume_root(alpha, beta, model, Fraction(0), (0, 0, 0))
-    return float(_approx_root(*root))
+    return _rounded_root(*root)[0]
 
 
 def dhym_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel) -> SlopeCertificate:

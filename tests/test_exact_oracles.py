@@ -81,8 +81,6 @@ from slopeflow.surface_slopes import (
     STABLE,
     UNSTABLE,
     SlopeCertificate,
-    _approx_root,
-    _rounded_root,
     bigness_threshold,
     dhym_slope_certificate,
     j_slope_certificate,
@@ -876,11 +874,24 @@ def test_certificates_and_threshold_match_fraction_oracle(model_name, request, m
     assert _surface_outputs(model, pairs) == want
 
 
+def _ref_approx_root(r, s, d):
+    """r + s sqrt(d) to within 2^-64 relative, exactly when sqrt(d) is rational.
+
+    sqrt(d) comes from math.isqrt; when r and s sqrt(d) have opposite signs the
+    root is taken as (r^2 - s^2 d) / (r - s sqrt(d)) so nothing cancels.
+    """
+    n = d.numerator * d.denominator
+    k = max(0, 65 - n.bit_length() // 2)
+    m = math.isqrt(n << 2 * k)
+    root_d = F(2 * m + (m * m != n << 2 * k), d.denominator << k + 1)
+    return r + s * root_d if r * s >= 0 else (r * r - s * s * d) / (r - s * root_d)
+
+
 def _ref_rounded_root(r, s, d):
     """The Fraction rounding of r + s sqrt(d): the float of its 2^-64
     approximant, bracketed by Fraction signs, and the exact midpoint test only
     when the approximant's error can reach the bracket's midpoint."""
-    approx = _approx_root(r, s, d)
+    approx = _ref_approx_root(r, s, d)
     x = float(approx)
     n = d.numerator * d.denominator
     exact = not s or math.isqrt(n) ** 2 == n
@@ -920,34 +931,6 @@ def _ref_one_point_blowup_certificate(b, p, q):
         equation="dhym", slope=xi, bracket=bracket, witness=witness, verdict=verdict,
         topological_slope=float(c0), residual=residual, witness_slope=witness_slope,
     )
-
-
-def _near_tie_roots(rng, count):
-    """Roots r + s sqrt(d) within 2^-100 of the midpoint of their float bracket."""
-    out = []
-    for _ in range(count):
-        x = rng.uniform(-100, 100)
-        mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
-        d, s = rng.randint(2, 10**6), F(rng.choice([-1, 1]))
-        out.append((mid - s * F(math.isqrt(d << 200), 1 << 100), s, F(d)))
-    return out
-
-
-def test_rounded_root_matches_fraction_oracle():
-    rng = random.Random(23)
-    cases = _near_tie_roots(rng, 200)
-    for _ in range(3000):
-        r = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        s = rng.choice([F(0), F(rng.randint(-1000, 1000), rng.randint(1, 100))])
-        d = rng.choice([F(rng.randint(0, 10**5), rng.randint(1, 1000)), F(rng.randint(0, 300), rng.randint(1, 20)) ** 2])
-        cases.append((r, s, d))
-    exact = 0
-    for r, s, d in cases:
-        want = _ref_rounded_root(r, s, d)
-        got = _rounded_root(r, s, d)
-        assert repr(got) == repr(want) and type(got[2]) is F, (r, s, d)
-        exact += got[1][0] == got[1][1]
-    assert exact > 0
 
 
 def _blowup_triples(seed, count):

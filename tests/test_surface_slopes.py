@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from slopeflow.errors import InputError
-from slopeflow.surface_lattice import DivisorClass, intersect, volume, zariski
+from slopeflow.surface_lattice import DivisorClass, _sign, intersect, volume, zariski
 from slopeflow.surface_slopes import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
-    _approx_root,
     _rounded_root,
     bigness_threshold,
     dhym_slope_certificate,
@@ -292,8 +291,16 @@ def _nearer_end(r, s, d, lo, hi):
     return hi if above else lo
 
 
+def _near_midpoint(r, s, d, lo, hi):
+    """Whether r + s sqrt(d) lies within 2^-64 relative of the midpoint of
+    [lo, hi], where a float of a 2^-64 approximant may be the farther end."""
+    mid = (F(lo) + F(hi)) / 2
+    eps = abs(mid) / 2**64
+    return _sign(mid + eps - r, -s, d) > 0 > _sign(mid - eps - r, -s, d)
+
+
 #: roots (r, s, d) so near the midpoint of their float bracket that the float
-#: of the 2^-64 approximant is the farther end
+#: of a 2^-64 approximant is the farther end
 NEAR_TIES = [
     (F(18633, 1376), F(-3763, 301), F(361213, 50)),
     (F(129211, 4685), F(6721, 214), F(64647, 503)),
@@ -309,12 +316,14 @@ NEAR_TIES = [
 def test_rounded_root_near_a_tie_is_the_nearer_float(r, s, d):
     x, (lo, hi), xf = _rounded_root(r, s, d)
     assert lo < hi and x == _nearer_end(r, s, d, lo, hi) and xf == F(x)
-    assert float(_approx_root(r, s, d)) != x
+    assert _near_midpoint(r, s, d, lo, hi)
 
 
 def test_rounded_root_sweep_is_the_nearer_float():
-    """Random roots, and roots built within 2^-100 of their bracket's
-    midpoint on either side, all round to the nearer end of the bracket."""
+    """Random roots, rational ones (s = 0 or a square d) among them, and roots
+    built within 2^-100 of their bracket's midpoint on either side: each
+    rounds to the nearer end of the bracket, and the third value is the exact
+    root when it is rational, else the float as a Fraction."""
     rng = random.Random(19)
     cases = []
     for _ in range(2000):
@@ -324,22 +333,33 @@ def test_rounded_root_sweep_is_the_nearer_float():
             F(rng.randint(1, 10**6), rng.randint(1, 10**3)),
         ))
     for _ in range(300):
+        # a power-of-two denominator makes some rational roots floats
+        r = F(rng.randint(-10**6, 10**6), rng.choice((1, 2, 64, 3, 7, 10**4)))
+        s = F(rng.randint(-1000, 1000), rng.randint(1, 100))
+        d = F(rng.randint(0, 300), rng.randint(1, 20)) ** 2
+        cases += [(r, F(0), F(rng.randint(0, 10**5), rng.randint(1, 1000))), (r, s, d)]
+    for _ in range(300):
         x = rng.uniform(-100, 100)
         mid = (F(x) + F(math.nextafter(x, math.inf))) / 2
         d = rng.randint(2, 10**6)
         s = F(rng.choice([-1, 1]))
         # r + s sqrt(d) = mid + s (sqrt(d) - floor(sqrt(d) 2^100) / 2^100)
         cases.append((mid - s * F(math.isqrt(d << 200), 1 << 100), s, F(d)))
-    ties = 0
+    ties = exact = 0
     for r, s, d in cases:
-        x, (lo, hi), _ = _rounded_root(r, s, d)
+        x, (lo, hi), xf = _rounded_root(r, s, d)
+        assert type(xf) is F
         n = d.numerator * d.denominator
-        if math.isqrt(n) ** 2 == n:
-            assert lo == hi == x == float(r + s * F(math.isqrt(n), d.denominator))
+        if not s or math.isqrt(n) ** 2 == n:
+            root = r + s * F(math.isqrt(n), d.denominator)
+            assert xf == root and x == float(root), (r, s, d)
+            assert F(lo) <= root <= F(hi) and (lo == hi) == (F(x) == root)
+            exact += lo == hi
             continue
-        assert lo < hi and x == _nearer_end(r, s, d, lo, hi), (r, s, d)
-        ties += float(_approx_root(r, s, d)) != x
-    assert ties > 0
+        assert lo < hi and x == _nearer_end(r, s, d, lo, hi) and xf == F(x), (r, s, d)
+        assert _sign(F(lo) - r, -s, d) < 0 < _sign(F(hi) - r, -s, d)
+        ties += _near_midpoint(r, s, d, lo, hi)
+    assert ties > 0 and exact > 0
 
 
 def test_one_point_blowup_slope_is_the_nearer_float():
