@@ -8,7 +8,8 @@ Library layout:
                       Kahler surfaces
 - surface_slopes:     minimal J-slope and dHYM slope certificates on surfaces
 - bundle_geometry:    exact intersection theory on symmetric projective
-                      bundles and their zero-section blow-ups
+                      bundles and their zero-section blow-ups, on a Chow ring
+                      graded into integer rows per degree
 - calabi_profiles:    closed-form steady momentum profiles, slope and angle
                       functionals, admissibility predicates
 - flow_engine:        finite-difference integration of the reduced flows with
@@ -16,10 +17,12 @@ Library layout:
 - flow_steps:         the flows' largest time step, apart from numpy so the
                       CLI help can print it
 - energy_functionals: moment-map energy, its infimum, Futaki invariants of
-                      piecewise-linear configurations, minimizing sequences,
-                      and the dHYM volume functional
-- cli:                command-line front end; only its flow and energy
-                      subcommands load numpy
+                      piecewise-linear configurations summed by parts on
+                      integers, minimizing sequences, and the dHYM volume
+                      functional; only the last two and the moment energy
+                      load numpy
+- cli:                command-line front end; only its flow, minimizing-seq
+                      and dhym-volume subcommands load numpy
 """
 
 from .surface_lattice import (

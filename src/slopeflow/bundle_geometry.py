@@ -12,10 +12,17 @@ this module expands it: every closed-form integral of it, here and in the
 energy and profile modules, reads the exact antiderivative table
 `_antiderivative`.
 
-Everything exact runs on Python integers: ring elements are integer
-numerators over one denominator, and the puncture, a root of a polynomial
-with no closed form, is bracketed by adjacent floats at which the exact sign
-of that polynomial, cleared of denominators, changes.
+Everything exact runs on Python integers.  A ring element keeps, for each
+degree d, one row of integer numerators for the monomials h^k eta^(d-k) of
+the basis, all over one denominator; a product convolves the rows degree by
+degree and folds the powers of eta past the relation back into the basis
+through a table cached per degree.  Weight integrals and slopes are integer
+numerators over integer denominators until one Fraction at the end.  The
+puncture, a root of a polynomial with no closed form, is bracketed by
+adjacent floats at which the exact sign of that polynomial, cleared of
+denominators, changes.  The ring oracles (`steady_slope_chow`, the
+`blowup_*_power_sum` and `pairing_number`) use the ring alone and never the
+antiderivative table, so `verify identities` checks one against the other.
 """
 
 from __future__ import annotations
@@ -130,15 +137,30 @@ def _antiderivative_at(m: int, k: int, q: int, x: Fraction) -> tuple[int, int]:
     return _eval_poly(coeffs, x.numerator, x.denominator), den * x.denominator ** (len(coeffs) - 1)
 
 
+def _weight_integral_pair(m: int, n: int, s: Fraction, x: Fraction) -> tuple[int, int]:
+    """The integral of (1+t)^n t^m from s to x as an unreduced (num, den), den > 0."""
+    (u, v), (w, z) = _antiderivative_at(m, n, 1, x), _antiderivative_at(m, n, 1, s)
+    return u * z - w * v, v * z
+
+
 def weight_integral(m: int, n: int, s, x) -> Fraction:
     """Exact integral of (1+t)^n t^m from s to x: W(x) - W(s) for the
-    antiderivative W of the weight that vanishes at 0."""
+    antiderivative W of the weight that vanishes at 0, reduced once."""
     if m < 0 or n < 0:
         raise InputError("need m >= 0 and n >= 0")
     s, x = to_fraction(s), to_fraction(x)
     if s > x:
         raise InputError("need s <= x")
-    return Fraction(*_antiderivative_at(m, n, 1, x)) - Fraction(*_antiderivative_at(m, n, 1, s))
+    return Fraction(*_weight_integral_pair(m, n, s, x))
+
+
+def _slope_numerator(params: BundleParams, s: Fraction) -> tuple[int, int]:
+    """(1+a)^n a^m b + n I_{m,n-1,s}(a) as an unreduced (num, den), den > 0."""
+    n, m, a, b = params.n, params.m, params.a, params.b
+    p, q = a.numerator, a.denominator
+    u, v = _weight_integral_pair(m, n - 1, s, a)
+    scale = q ** (n + m) * b.denominator
+    return (q + p) ** n * p**m * b.numerator * v + n * u * scale, scale * v
 
 
 def _energy_constant(params: BundleParams) -> Fraction:
@@ -163,20 +185,36 @@ def _eta_power(r: int, l: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, c) for j, c in sorted(out.items()) if c)
 
 
-def _reduce(params: BundleParams, terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Integer terms {(k, l): c} of any degree rewritten in the basis
-    h^k eta^l, k <= n, l < r; zero coefficients dropped."""
-    n, r = params.n, params.r
-    out: dict[tuple[int, int], int] = {}
-    for (k, l), c in terms.items():
-        if not c or k > n:
-            continue
-        for j, t in _eta_power(r, l):
-            if k + j > n:
-                break
-            key = (k + j, l - j)
-            out[key] = out.get(key, 0) + t * c
-    return {key: c for key, c in out.items() if c}
+@lru_cache(maxsize=None)
+def _fold_table(n: int, r: int, d: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """How a row of degree d folds into the basis: (lo, rules).
+
+    The basis monomials of degree d are h^k eta^(d-k) with lo <= k <= min(n, d),
+    those with d - k < r.  For k < lo, rules[k] lists the pairs (k' - lo, c)
+    of eta^(d-k) reduced, c h^k' eta^(d-k') with k' <= n; terms past h^n drop.
+    """
+    lo = max(0, d - r + 1)
+    rules = tuple(tuple((k + j - lo, c) for j, c in _eta_power(r, d - k) if k + j <= n) for k in range(lo))
+    return lo, rules
+
+
+def _fold(n: int, r: int, d: int, row: list[int]) -> list[int]:
+    """The reduced row of degree d of the integer terms row[k] h^k eta^(d-k),
+    k <= min(n, d); a row with nothing to fold is returned as it is."""
+    lo, rules = _fold_table(n, r, d)
+    if not lo:
+        return row
+    out = row[lo:]
+    for k, v in enumerate(row[:lo]):
+        if v:
+            for i, c in rules[k]:
+                out[i] += c * v
+    return out
+
+
+def _nonzero(rows: dict[int, list[int]]) -> dict[int, list[int]]:
+    """The rows that are not all zero, so that an element's degrees are its keys."""
+    return {d: row for d, row in rows.items() if any(row)}
 
 
 class ChowElement:
@@ -185,91 +223,121 @@ class ChowElement:
     Coefficients are stored reduced: powers of h above n vanish and eta^r is
     rewritten through the defining relation
     eta^r = sum_j (-1)^(j-1) C(r-1, j) h^j eta^(r-j).
-    They are held as integer numerators over one common denominator, and a
-    product is reduced against the cached integer powers of eta; `coeffs`
-    gives them as Fractions.
+    The ring is graded, and the element keeps one row of integer numerators
+    per degree d, over one common denominator: entry i of the row is the
+    coefficient of h^k eta^(d-k), k = max(0, d - r + 1) + i, so the row runs
+    over the basis monomials of that degree.  A product convolves the rows
+    degree by degree and folds the terms with eta^l, l >= r, back into the
+    basis through a table cached per (n, r, d); degrees above n + r - 1 vanish.
+    `coeffs` gives the coefficients as Fractions keyed by (k, l).
     """
 
     def __init__(self, params: BundleParams, coeffs: dict[tuple[int, int], Fraction] | None = None):
         values = {key: to_fraction(v) for key, v in (coeffs or {}).items()}
         den = math.lcm(*(v.denominator for v in values.values()))
+        n, top = params.n, params.dim
+        raw: dict[int, list[int]] = {}
+        for (k, l), v in values.items():
+            if k <= n and k + l <= top:
+                row = raw.setdefault(k + l, [0] * (min(n, k + l) + 1))
+                row[k] += v.numerator * (den // v.denominator)
         self.params = params
-        self._num = _reduce(params, {key: v.numerator * (den // v.denominator) for key, v in values.items()})
+        self._rows = _nonzero({d: _fold(n, params.r, d, row) for d, row in raw.items()})
         self._den = den
 
     @classmethod
-    def _of(cls, params: BundleParams, num: dict[tuple[int, int], int], den: int) -> "ChowElement":
-        """The element num/den, num already reduced, den > 0."""
+    def _of(cls, params: BundleParams, rows: dict[int, list[int]], den: int) -> "ChowElement":
+        """The element rows/den, every row reduced and nonzero, den > 0."""
         out = cls.__new__(cls)
-        out.params, out._num, out._den = params, num, den
+        out.params, out._rows, out._den = params, rows, den
         return out
 
     @classmethod
     def one(cls, params: BundleParams) -> "ChowElement":
-        return cls._of(params, {(0, 0): 1}, 1)
+        return cls._of(params, {0: [1]}, 1)
 
     @classmethod
     def hyperplane(cls, params: BundleParams) -> "ChowElement":
-        return cls._of(params, {(1, 0): 1}, 1)
+        return cls._of(params, {1: [0, 1]}, 1)
 
     @classmethod
     def infinity(cls, params: BundleParams) -> "ChowElement":
-        return cls._of(params, {(0, 1): 1}, 1)
+        return cls._of(params, {1: [1, 0]}, 1)
 
     @classmethod
     def fiber_class(cls, params: BundleParams, height) -> "ChowElement":
         """h + height * eta, the class at fiber height `height`: (Q h + P eta)/Q."""
         height = to_fraction(height)
-        q = height.denominator
-        return cls._of(params, _reduce(params, {(1, 0): q, (0, 1): height.numerator}), q)
+        return cls._of(params, {1: [height.numerator, height.denominator]}, height.denominator)
 
     @property
     def coeffs(self) -> dict[tuple[int, int], Fraction]:
-        return {key: Fraction(c, self._den) for key, c in self._num.items()}
+        r = self.params.r
+        return {
+            (k, d - k): Fraction(c, self._den)
+            for d, row in self._rows.items()
+            for k, c in enumerate(row, max(0, d - r + 1))
+            if c
+        }
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
         den = math.lcm(self._den, other._den)
-        out = {key: c * (den // self._den) for key, c in self._num.items()}
-        scale = den // other._den
-        for key, c in other._num.items():
-            out[key] = out.get(key, 0) + c * scale
-        return ChowElement._of(self.params, {key: c for key, c in out.items() if c}, den)
+        s, t = den // self._den, den // other._den
+        rows = {d: [c * s for c in row] for d, row in self._rows.items()}
+        for d, row in other._rows.items():
+            if d in rows:
+                rows[d] = [c + e * t for c, e in zip(rows[d], row)]
+            else:
+                rows[d] = [e * t for e in row]
+        return ChowElement._of(self.params, _nonzero(rows), den)
 
     def __mul__(self, other) -> "ChowElement":
         if isinstance(other, ChowElement):
-            n = self.params.n
-            out: dict[tuple[int, int], int] = {}
-            for (k1, l1), v1 in self._num.items():
-                for (k2, l2), v2 in other._num.items():
-                    if k1 + k2 <= n:
-                        key = (k1 + k2, l1 + l2)
-                        out[key] = out.get(key, 0) + v1 * v2
-            return ChowElement._of(self.params, _reduce(self.params, out), self._den * other._den)
+            params = self.params
+            n, r = params.n, params.m + 2
+            top = n + r - 1
+            raw: dict[int, list[int]] = {}
+            for d1, row1 in self._rows.items():
+                lo1 = d1 - r + 1 if d1 >= r else 0
+                for d2, row2 in other._rows.items():
+                    d = d1 + d2
+                    if d > top:
+                        continue
+                    width = min(n, d) + 1
+                    acc = raw.get(d)
+                    if acc is None:
+                        acc = raw[d] = [0] * width
+                    for i, x in enumerate(row1, lo1 + (d2 - r + 1 if d2 >= r else 0)):
+                        if i >= width:
+                            break
+                        if x:
+                            for k, y in enumerate(row2[: width - i], i):
+                                acc[k] += x * y
+            rows = _nonzero({d: _fold(n, r, d, row) for d, row in raw.items()})
+            return ChowElement._of(params, rows, self._den * other._den)
         f = to_fraction(other)
-        return ChowElement._of(
-            self.params,
-            {key: c * f.numerator for key, c in self._num.items()} if f else {},
-            self._den * f.denominator,
-        )
+        rows = {d: [c * f.numerator for c in row] for d, row in self._rows.items()} if f else {}
+        return ChowElement._of(self.params, rows, self._den * f.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "ChowElement":
-        out = ChowElement.one(self.params)
-        base = self
+        out, base = None, self
         while e > 0:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return ChowElement.one(self.params) if out is None else out
 
     def degrees(self) -> set[int]:
-        return {k + l for k, l in self._num}
+        return set(self._rows)
 
     def top_coefficient(self) -> Fraction:
         """Coefficient of h^n eta^(r-1), the only monomial of top degree."""
-        return Fraction(self._num.get((self.params.n, self.params.r - 1), 0), self._den)
+        row = self._rows.get(self.params.dim)
+        return Fraction(row[0] if row else 0, self._den)
 
 
 def intersection_number(factors, params: BundleParams) -> Fraction:
@@ -279,23 +347,25 @@ def intersection_number(factors, params: BundleParams) -> Fraction:
     degree misses the dimension pair to zero (a warning is emitted when the
     factors are homogeneous and their degrees visibly cannot reach it).
     """
-    product = ChowElement.one(params)
+    product = None
     declared = 0
     homogeneous = True
     for f in factors:
-        degs = f.degrees()
-        if len(degs) == 1:
-            declared += next(iter(degs))
+        if len(f._rows) == 1:
+            declared += next(iter(f._rows))
         else:
             homogeneous = False
-        product = product * f
+        product = f if product is None else product * f
+    if product is None:
+        product = ChowElement.one(params)
     if homogeneous and declared != params.dim:
         warnings.warn(
             f"total degree {declared} does not match dimension {params.dim}; pairing is 0",
             RuntimeWarning,
             stacklevel=2,
         )
-    return product.top_coefficient() * params.d
+    row = product._rows.get(params.dim)
+    return Fraction(row[0] * params.d.numerator if row else 0, product._den * params.d.denominator)
 
 
 def pairing_number(l: int, params: BundleParams) -> Fraction:
@@ -311,25 +381,30 @@ def steady_slope(params: BundleParams, s) -> Fraction:
     """Slope constant of the steady profile punctured at s, exact.
 
     ((1+a)^n a^m b + n I_{m,n-1,s}(a)) / I_{m,n,s}(a) for 0 <= s < a; at
-    s = 0 this is the topological slope of the pair.
+    s = 0 this is the topological slope of the pair.  Numerator and
+    denominator are integers until the one Fraction at the end.
     """
     s = to_fraction(s)
     if s < 0 or s >= params.a:
         raise InputError("need 0 <= s < a")
-    n, m, a, b = params.n, params.m, params.a, params.b
-    num = (1 + a) ** n * a**m * b + n * weight_integral(m, n - 1, s, a)
-    den = weight_integral(m, n, s, a)
-    return num / den
+    num, den = _slope_numerator(params, s)
+    u, v = _weight_integral_pair(params.m, params.n, s, params.a)
+    return Fraction(num * v, den * u)
+
+
+def _alpha_top_pairings(params: BundleParams, *others: ChowElement) -> list[Fraction]:
+    """alpha^(N-1).c for each class c in others, alpha = h + a eta, by the ring;
+    alpha^(N-1) is computed once."""
+    power = ChowElement.fiber_class(params, params.a) ** (params.dim - 1)
+    return [intersection_number([power, c], params) for c in others]
 
 
 def steady_slope_chow(params: BundleParams) -> Fraction:
     """(n+m+1) alpha^(n+m).beta / alpha^(n+m+1) via the ring oracle."""
     alpha = ChowElement.fiber_class(params, params.a)
     beta = ChowElement.fiber_class(params, params.b)
-    N = params.dim
-    num = intersection_number([alpha ** (N - 1), beta], params)
-    den = intersection_number([alpha**N], params)
-    return N * num / den
+    num, den = _alpha_top_pairings(params, beta, alpha)
+    return params.dim * num / den
 
 
 def critical_polynomial(params: BundleParams) -> list[Fraction]:
@@ -341,8 +416,8 @@ def critical_polynomial(params: BundleParams) -> list[Fraction]:
     x^m (1+x)^k vanishing at 0 and C = (1+a)^n a^m b + n W_(n-1)(a),
     p(s) = (1+s) (C - n W_(n-1)(s)) - n (W_n(a) - W_n(s)).
     """
-    n, m, a, b = params.n, params.m, params.a, params.b
-    const = (1 + a) ** n * a**m * b + n * weight_integral(m, n - 1, 0, a)
+    n, m, a = params.n, params.m, params.a
+    const = Fraction(*_slope_numerator(params, Fraction(0)))
     upper, den = _antiderivative(m, n, 1)
     coeffs = [Fraction(n * c, den) for c in upper]
     coeffs[0] += const - n * weight_integral(m, n, 0, a)
@@ -520,6 +595,15 @@ def blowup_top_power(params: BundleParams, s) -> Fraction:
     return _energy_constant(params) * weight_integral(params.m, params.n, to_fraction(s), params.a)
 
 
+def _exceptional_sum(params: BundleParams, s: Fraction, M: int, k: int) -> Fraction:
+    """sum_{l <= k} C(M, k-l) C(r-2+l, l) s^(r-1+l) d: the exceptional divisor's
+    powers paired against the base class, summed over one denominator."""
+    r, d = params.r, params.d
+    p, q = s.numerator, s.denominator
+    num = sum(_binom(M, k - l) * _binom(r - 2 + l, l) * p ** (r - 1 + l) * q ** (k - l) for l in range(k + 1))
+    return Fraction(num * d.numerator, q ** (r - 1 + k) * d.denominator)
+
+
 def blowup_top_power_sum(params: BundleParams, s) -> Fraction:
     """Same number via alpha^N from the ring minus the exceptional corrections.
 
@@ -527,13 +611,8 @@ def blowup_top_power_sum(params: BundleParams, s) -> Fraction:
     class; each pairing value is C(r-2+l, l) d by the recursion on the
     projectivized normal bundle.
     """
-    s = to_fraction(s)
-    N, n, r, d = params.dim, params.n, params.r, params.d
-    alpha = ChowElement.fiber_class(params, params.a)
-    total = intersection_number([alpha**N], params)
-    for l in range(0, n + 1):
-        total -= _binom(N, n - l) * s ** (r - 1 + l) * _binom(r - 2 + l, l) * d
-    return total
+    (total,) = _alpha_top_pairings(params, ChowElement.fiber_class(params, params.a))
+    return total - _exceptional_sum(params, to_fraction(s), params.dim, params.n)
 
 
 def blowup_mixed_power(params: BundleParams, s) -> Fraction:
@@ -544,14 +623,8 @@ def blowup_mixed_power(params: BundleParams, s) -> Fraction:
 
 
 def blowup_mixed_power_sum(params: BundleParams, s) -> Fraction:
-    s = to_fraction(s)
-    N, n, r, d = params.dim, params.n, params.r, params.d
-    alpha = ChowElement.fiber_class(params, params.a)
-    beta = ChowElement.fiber_class(params, params.b)
-    total = intersection_number([alpha ** (N - 1), beta], params)
-    for l in range(0, n):
-        total -= _binom(N - 1, n - 1 - l) * s ** (r - 1 + l) * _binom(r - 2 + l, l) * d
-    return total
+    (total,) = _alpha_top_pairings(params, ChowElement.fiber_class(params, params.b))
+    return total - _exceptional_sum(params, to_fraction(s), params.dim - 1, params.n - 1)
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,9 @@ Subcommands
     verify identities         exact intersection-theory identity sweeps
     run                       drive any of the above from an experiment config
 
-Only `flow` and `energy` load numpy, on their first use, and scipy loads with
-the first implicit solve.  `slope`, `bundle` and `verify`, and `run` of a
+Only `flow`, `energy minimizing-seq` and `energy dhym-volume` load numpy, on
+their first use, and scipy loads with the first implicit solve.  `slope`,
+`bundle`, `verify`, `energy infimum` and `energy futaki`, and `run` of a
 config for one of them, work in exact arithmetic and never load numpy.
 
 Exit codes: 0 success, 1 input error (a usage error included), 2 solver or
@@ -157,7 +158,6 @@ def _cmd_flow(ns) -> int:
 
 
 def _cmd_energy(ns) -> int:
-    from .calabi_profiles import sample_steady_profile_dhym, special_cotangent_profile
     from .energy_functionals import (
         dhym_volume,
         dhym_volume_split,
@@ -195,6 +195,8 @@ def _cmd_energy(ns) -> int:
     else:  # dhym-volume
         if ns.grid < 2:
             raise InputError("dhym-volume needs --grid >= 2")
+        from .calabi_profiles import sample_steady_profile_dhym, special_cotangent_profile
+
         b, p, q = _parse_bpq(ns.bpq)
         if ns.profile == "special":
             prof = special_cotangent_profile(b, p, q, ns.grid + 1)

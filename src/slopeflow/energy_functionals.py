@@ -11,6 +11,13 @@ by the topological angle and splits the same way.
 
 The integrals of the weight x^m (1+x)^k are exact, from the antiderivative
 table of `bundle_geometry`; the only logarithm is the n = 1 bubble term.
+PL data are integrated by parts on integers: each breakpoint where the slope
+jumps adds integer pairs (numerator, denominator), with the antiderivatives
+it needs evaluated over one common denominator, and each of the three sums
+is reduced to a Fraction once.  The PL data of the limit Hamiltonian are
+written directly as integers over the puncture P/E and over a.  Only the
+minimizing sequence, the moment energy of a sampled profile and the dHYM
+volume import numpy, so the infimum and Futaki commands run without it.
 """
 
 from __future__ import annotations
@@ -18,30 +25,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .bundle_geometry import (
     BundleParams,
+    _antiderivative,
     _antiderivative_at,
     _energy_constant,
+    _eval_poly,
     blowup_top_power,
     min_slope_certificate,
     steady_slope,
     weight_integral,
 )
-from .calabi_profiles import (
-    MomentProfile,
-    _steady_j,
-    invert_steady_profile_j,
-    pointwise_slope,
-    require_admissible_dhym,
-    steady_cot_slope,
-    steady_profile_j_derivative,
-)
 from .errors import InputError
 from .surface_lattice import to_fraction
 from .surface_slopes import STABLE
+
+if TYPE_CHECKING:  # numpy and the profiles load only where a function needs them
+    import numpy as np
+
+    from .calabi_profiles import MomentProfile
 
 __all__ = [
     "EnergyReport",
@@ -86,6 +91,10 @@ class EnergyReport:
 
 def moment_energy(profile: MomentProfile, params: BundleParams) -> float:
     """Composite-trapezoid quadrature of c_{n,m} int sigma[psi]^2 x^m (1+x)^n dx."""
+    import numpy as np
+
+    from .calabi_profiles import pointwise_slope
+
     sigma = pointwise_slope(profile, params)
     x = profile.grid
     w = x**params.m * (1 + x) ** params.n
@@ -135,8 +144,10 @@ class PLTestConfig:
     """Continuous convex piecewise-linear data with rational slopes on [0, a].
 
     Values are pinned at the breakpoints; convexity (nondecreasing slopes)
-    and a flat final segment are validated exactly.  `slopes` holds the slope
-    of each segment, computed once here.
+    and a flat final segment are validated exactly, on the reduced integer
+    pairs (numerator, denominator) of the data by cross-multiplication.
+    `slopes` holds the slope of each segment as a Fraction, built once here
+    from those pairs.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -148,17 +159,19 @@ class PLTestConfig:
         self.values = tuple(to_fraction(v) for v in self.values)
         if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
             raise InputError("need matching breakpoints and values, at least two")
-        if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
+        xs = [(x.numerator, x.denominator) for x in self.breakpoints]
+        hs = [(v.numerator, v.denominator) for v in self.values]
+        runs = [p2 * q1 - p1 * q2 for (p1, q1), (p2, q2) in zip(xs, xs[1:])]
+        if any(run <= 0 for run in runs):
             raise InputError("breakpoints must increase strictly")
         self.slopes = tuple(
-            (v2 - v1) / (b2 - b1)
-            for (b1, b2, v1, v2) in zip(
-                self.breakpoints, self.breakpoints[1:], self.values, self.values[1:]
-            )
+            Fraction((u2 * v1 - u1 * v2) * q1 * q2, run * v1 * v2)
+            for run, (_, q1), (_, q2), (u1, v1), (u2, v2) in zip(runs, xs, xs[1:], hs, hs[1:])
         )
-        if any(s2 < s1 for s1, s2 in zip(self.slopes, self.slopes[1:])):
+        pairs = [(s.numerator, s.denominator) for s in self.slopes]
+        if any(p2 * q1 < p1 * q2 for (p1, q1), (p2, q2) in zip(pairs, pairs[1:])):
             raise InputError("slopes must be nondecreasing (convexity)")
-        if self.slopes[-1] != 0:
+        if pairs[-1][0]:
             raise InputError("the final segment must be flat")
 
 
@@ -174,6 +187,17 @@ def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
     return Fraction(*terms[0])
 
 
+@lru_cache(maxsize=None)
+def _by_parts_table(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The antiderivatives W_2, W_3 of x^m (1+x)^n and V_2 of x^m (1+x)^(n-1)
+    over one common denominator L: their integer coefficients (ascending,
+    each padded to degree m+n+3), and L."""
+    tables = (_antiderivative(m, n, 2), _antiderivative(m, n, 3), _antiderivative(m, n - 1, 2))
+    common = math.lcm(*(den for _, den in tables))
+    size = m + n + 4
+    return tuple(tuple(c * (common // den) for c in coeffs) + (0,) * (size - len(coeffs)) for coeffs, den in tables), common
+
+
 def _pl_integrals(cfg: PLTestConfig, m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Exact int h w, int h v and int h^2 w over [0, a], where h is the PL data,
     w = x^m (1+x)^n and v = x^m (1+x)^(n-1), summed by parts.
@@ -185,23 +209,31 @@ def _pl_integrals(cfg: PLTestConfig, m: int, n: int) -> tuple[Fraction, Fraction
     and likewise for v, so only breakpoints where the slope jumps contribute.
     """
     a, ha = cfg.breakpoints[-1], cfg.values[-1]
+    hp, hq = ha.numerator, ha.denominator
     (w1, dw1), (v1, dv1) = _antiderivative_at(m, n, 1, a), _antiderivative_at(m, n - 1, 1, a)
-    first = [(ha.numerator * w1, ha.denominator * dw1)]
-    tail = [(ha.numerator * v1, ha.denominator * dv1)]
-    square = [(ha.numerator**2 * w1, ha.denominator**2 * dw1)]
-    slopes = (Fraction(0), *cfg.slopes, Fraction(0))
-    for i, (x, h) in enumerate(zip(cfg.breakpoints, cfg.values)):
-        jump = slopes[i + 1] - slopes[i]
+    first = [(hp * w1, hq * dw1)]
+    tail = [(hp * v1, hq * dv1)]
+    square = [(hp * hp * w1, hq * hq * dw1)]
+    (cw2, cw3, cv2), common = _by_parts_table(m, n)
+    slopes = [(0, 1), *((s.numerator, s.denominator) for s in cfg.slopes), (0, 1)]
+    for x, h, (p0, q0), (p1, q1) in zip(cfg.breakpoints, cfg.values, slopes, slopes[1:]):
+        jump = p1 * q0 - p0 * q1
         if not jump:
             continue
-        s_sum = slopes[i + 1] + slopes[i]
-        w2, dw2 = _antiderivative_at(m, n, 2, x)
-        w3, dw3 = _antiderivative_at(m, n, 3, x)
-        v2, dv2 = _antiderivative_at(m, n - 1, 2, x)
-        first.append((jump.numerator * w2, jump.denominator * dw2))
-        tail.append((jump.numerator * v2, jump.denominator * dv2))
-        num = h.numerator * w2 * s_sum.denominator * dw3 - s_sum.numerator * w3 * h.denominator * dw2
-        square.append((2 * jump.numerator * num, jump.denominator * h.denominator * dw2 * s_sum.denominator * dw3))
+        # J_i = jump/jd and s_i + s_(i-1) = total/sd, each reduced
+        g = math.gcd(jump, q0 * q1)
+        jump, jd = jump // g, q0 * q1 // g
+        total = p1 * q0 + p0 * q1
+        g = math.gcd(total, q0 * q1)
+        total, sd = total // g, q0 * q1 // g
+        # W_2, W_3 and V_2 at x = p/q, all over the one denominator L q^(m+n+3)
+        p, q = x.numerator, x.denominator
+        w2, w3, v2 = _eval_poly(cw2, p, q), _eval_poly(cw3, p, q), _eval_poly(cv2, p, q)
+        den = common * q ** (len(cw2) - 1)
+        hn, hd = h.numerator, h.denominator
+        first.append((jump * w2, jd * den))
+        tail.append((jump * v2, jd * den))
+        square.append((2 * jump * (hn * sd * w2 - total * hd * w3), jd * hd * sd * den))
     return _exact_sum(first), _exact_sum(tail), _exact_sum(square)
 
 
@@ -254,15 +286,23 @@ def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestCo
     cert = min_slope_certificate(params)
     if cert.lam is None:
         raise InputError("stable pairs have no capped limit Hamiltonian")
-    n, a, mu0 = params.n, params.a, cert.mu0
     lam = to_fraction(repr(cert.lam))
     if lam == 0:
         raise InputError("semistable pairs have a constant limit Hamiltonian")
+    # lam = P/E, a = A/B and mu0 = M/D; every breakpoint and value is one
+    # Fraction of integers
+    n = params.n
+    (P, E), (A, B), (M, D) = (
+        (f.numerator, f.denominator) for f in (lam, params.a, cert.mu0)
+    )
     left = num_breakpoints // 2
     right = num_breakpoints - left
-    bps: list[Fraction] = [lam * Fraction(i, left) for i in range(left)]
-    bps += [lam + (a - lam) * Fraction(i, right) for i in range(right + 1)]
-    values = [n / (1 + min(x, lam)) - mu0 for x in bps]
+    # left of lam: x_i = P i / (E left), with value n / (1 + x_i) - mu0
+    bps = [Fraction(P * i, E * left) for i in range(left)]
+    values = [Fraction(n * E * left * D - M * (E * left + P * i), (E * left + P * i) * D) for i in range(left)]
+    # from lam to a: x_i = lam + (a - lam) i / right, capped at the puncture value
+    bps += [Fraction(P * B * right + (A * E - P * B) * i, E * B * right) for i in range(right + 1)]
+    values += [Fraction(n * E * D - M * (E + P), (E + P) * D)] * (right + 1)
     return PLTestConfig(breakpoints=tuple(bps), values=tuple(values))
 
 
@@ -318,6 +358,8 @@ class RadialProfile:
 
 
 def _sigmoid(r: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty_like(r)
     pos = r >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-r[pos]))
@@ -328,6 +370,7 @@ def _sigmoid(r: np.ndarray) -> np.ndarray:
 
 def _smoothstep(r: np.ndarray) -> np.ndarray:
     """C^infinity cutoff: 0 for r <= -1, 1 for r >= 1."""
+    import numpy as np
 
     def bump(s):
         with np.errstate(over="ignore"):
@@ -343,6 +386,8 @@ _WEIGHT_TABLE: dict = {}
 
 
 def _weight_heights(height: float) -> np.ndarray:
+    import numpy as np
+
     return np.linspace(0.0, 1.0000001 * height, 50001)
 
 
@@ -353,6 +398,8 @@ def _weight_table(params: BundleParams, height: float) -> np.ndarray:
     its root is close to linear there and interpolates well.  Only the last
     pair's table is kept, and it is dropped before the next one is built, so
     that two never live at once."""
+    from .calabi_profiles import _steady_j
+
     key = (params, height)
     if key not in _WEIGHT_TABLE:
         _WEIGHT_TABLE.clear()
@@ -378,6 +425,9 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
     converges to the closed-form infimum as k grows.  The base potential is
     the sigmoid, sampled at steps of 0.02 in rho on [-k - 35, 35].
     """
+    import numpy as np
+
+    from .calabi_profiles import invert_steady_profile_j, steady_profile_j_derivative
     cert = min_slope_certificate(params)
     if cert.verdict == STABLE:
         raise InputError("stable pairs do not bubble; the smooth solution minimizes")
@@ -428,12 +478,9 @@ def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, f
 # ---------------------------------------------------------------------------
 # dHYM volume functional
 
-_GAUSS_NODES = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GAUSS_WEIGHTS = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
+#: the 4-point Gauss-Legendre rule on [-1, 1], made arrays where a volume needs them
+_GAUSS_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
+_GAUSS_WEIGHTS = (0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538)
 
 
 def _volume_geometry(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -441,11 +488,13 @@ def _volume_geometry(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     the (4, N - 1) nodes, their offsets from each cell's left end, and
     half-width times weight, then the N - 1 cell widths.  A flow builds it
     once per solve."""
+    import numpy as np
+
     x0 = grid[:-1]
     dx = grid[1:] - x0
     half = 0.5 * dx
-    offsets = half * (1.0 + _GAUSS_NODES[:, None])
-    return x0 + offsets, offsets, half * _GAUSS_WEIGHTS[:, None], dx
+    offsets = half * (1.0 + np.array(_GAUSS_NODES)[:, None])
+    return x0 + offsets, offsets, half * np.array(_GAUSS_WEIGHTS)[:, None], dx
 
 
 def _volume_values(values: np.ndarray, geometry) -> np.ndarray:
@@ -457,6 +506,8 @@ def _volume_values(values: np.ndarray, geometry) -> np.ndarray:
     cell factor sqrt(1 + s^2) out of the Gauss sum of sqrt(x^2 + psi^2).  Its
     one (rows, 4, N - 1) temporary is updated in place, so each numpy loop
     runs along the grid and a chunk's memory stays down."""
+    import numpy as np
+
     nodes, offsets, weights, dx = geometry
     s = (values[:, 1:] - values[:, :-1]) / dx
     f = s[:, None, :] * offsets
@@ -487,6 +538,8 @@ def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
     2 csc(angle) (bp - q) holds with constant 1.  The reference field
     carries that bound.
     """
+    from .calabi_profiles import require_admissible_dhym, steady_cot_slope
+
     require_admissible_dhym(profile)
     b, p, q = float(b), float(p), float(q)
     value = float(_volume_values(profile.values[None], _volume_geometry(profile.grid))[0])
@@ -503,6 +556,7 @@ def dhym_volume_split(b, p, q) -> EnergyReport:
     The steady singular profile contributes 2 csc(theta_min)(bp - xi); the
     boundary jump from q up to xi contributes 2 int_q^xi sqrt(1+y^2) dy.
     """
+    from .calabi_profiles import steady_cot_slope
     from .surface_slopes import one_point_blowup_certificate
 
     cert = one_point_blowup_certificate(b, p, q)

@@ -382,8 +382,8 @@ def _fresh_interpreter(code: str, *args: str) -> list:
 
 
 def test_exact_subcommands_load_neither_numpy_nor_scipy(blowup, tmp_path):
-    """slope, bundle, verify and run of a slope config stay in exact
-    arithmetic; the first flow loads numpy."""
+    """slope, bundle, verify, energy infimum, energy futaki and run of a
+    slope config stay in exact arithmetic; the first flow loads numpy."""
     cfg = tmp_path / "slope.ini"
     cfg.write_text(f"[experiment]\ncommand = slope j\n[geometry]\nsurface = {blowup}\nalpha = 2,3/10\nbeta = 3,1\n")
     code = (
@@ -395,6 +395,8 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy(blowup, tmp_path):
         "    ['slope', 'j', '--surface', ini, '--alpha', '2,3/10', '--beta', '3,1'],\n"
         "    ['verify', 'identities', '--max-mn', '1', '--max-sq', '2'],\n"
         "    ['run', '--config', cfg],\n"
+        "    ['energy', 'infimum', '--params', '0,1,4,1'],\n"
+        "    ['energy', 'futaki', '--params', '0,1,4,1', '--breakpoints', '256'],\n"
         "]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in exact]\n"
@@ -403,7 +405,7 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy(blowup, tmp_path):
         "print(json.dumps([codes, loaded, flow, 'numpy' in sys.modules]))\n"
     )
     codes, loaded, flow, numpy_after_flow = _fresh_interpreter(code, blowup, str(cfg))
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0, 0]
     assert loaded == [False, False]
     assert flow == 0 and numpy_after_flow
 

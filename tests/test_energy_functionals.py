@@ -1,6 +1,7 @@
 """Energies, Futaki invariants, minimizing sequences, volume functional."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -123,6 +124,33 @@ def test_futaki_convexity_validation():
         PLTestConfig(breakpoints=(F(0), F(4)), values=(F(1), F(0)))  # last slope nonzero
 
 
+@pytest.mark.parametrize(
+    "breakpoints,values,message",
+    [
+        ((0, 2, 4), (1, 0), "need matching breakpoints and values, at least two"),
+        ((0,), (1,), "need matching breakpoints and values, at least two"),
+        ((0, 2, 2, 4), (3, 1, 1, 1), "breakpoints must increase strictly"),
+        ((0, F(2, 3), F(3, 5)), (1, 0, 0), "breakpoints must increase strictly"),
+        # a later order error is reported before an earlier convexity one
+        ((0, 1, 2, 2), (0, 1, 1, 1), "breakpoints must increase strictly"),
+        ((0, 2, 4), (0, 2, 2), "slopes must be nondecreasing (convexity)"),
+        # slopes -3/14 then -3/7, over different denominators
+        ((0, F(2, 3), 1, 3), (0, F(-1, 7), F(-2, 7), F(-2, 7)), "slopes must be nondecreasing (convexity)"),
+        ((0, 4), (1, 0), "the final segment must be flat"),
+        ((0, 2, 4), (2, 0, 1), "the final segment must be flat"),
+    ],
+)
+def test_pl_config_rejects_bad_data_with_its_message(breakpoints, values, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        PLTestConfig(breakpoints=breakpoints, values=values)
+
+
+def test_pl_config_accepts_equal_slopes_over_different_denominators():
+    cfg = PLTestConfig(breakpoints=(0, F(1, 3), 1, 2), values=(0, F(-2, 3), -2, -2))
+    assert cfg.slopes == (-2, -2, 0)
+    assert all(type(s) is F for s in cfg.slopes)
+
+
 def test_futaki_normalized_matches_l2_deviation():
     dev = l2_slope_deviation(UNSTABLE)
     for nbp in (64, 256):
@@ -175,8 +203,9 @@ def test_minimizing_sequence_shares_one_weight_table(monkeypatch):
     the next pair replaces it, and each energy is bitwise the one from a
     table built afresh."""
     builds = []
-    steady_j = energy_functionals._steady_j
-    monkeypatch.setattr(energy_functionals, "_steady_j", lambda p, s: builds.append(p) or steady_j(p, s))
+    steady_j = calabi_profiles._steady_j
+    # the weight table is the only user of the profile punctured at 0 here
+    monkeypatch.setattr(calabi_profiles, "_steady_j", lambda p, s: (s == 0.0 and builds.append(p)) or steady_j(p, s))
     monkeypatch.setattr(energy_functionals, "_WEIGHT_TABLE", {})
     other = BundleParams(n=2, m=0, a=3, b=F(15, 16))
     members = [(UNSTABLE, 6), (UNSTABLE, 6), (UNSTABLE, 12), (other, 4)]

@@ -1,9 +1,11 @@
 """The exact kernels against the Fraction loops they replaced.
 
 Each oracle below is the straightforward Fraction computation: per-segment
-polynomial integration of PL data, the worklist reduction of the Chow ring,
-direct evaluation and binomial expansion of the critical polynomial and of
-the weight integral, and the Fraction pairing, eliminations and Zariski
+polynomial integration of PL data, the worklist reduction of the Chow ring
+(also over the pairing sweep of `verify identities`), the Fraction weight
+integral, slope, limit-Hamiltonian data and PL slopes that the integer
+kernels replaced, direct evaluation and binomial expansion of the critical
+polynomial and of the weight integral, and the Fraction pairing, eliminations and Zariski
 decomposition of the surface lattice, on which the surface certificates are
 also rerun; the Fraction rounding of a quadratic-surd root and the Fraction
 one-point blow-up certificate against their integer kernels.  The kernels in src/ must agree with them exactly.  The
@@ -34,10 +36,12 @@ from slopeflow import calabi_profiles, energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
+    _antiderivative_at,
     _energy_constant,
     critical_polynomial,
     intersection_number,
     min_slope_certificate,
+    pairing_number,
     steady_slope,
     weight_integral,
 )
@@ -231,6 +235,115 @@ def test_chow_element_arithmetic_keeps_its_interface():
     assert top.top_coefficient() == _worklist_pairing([alpha.coeffs] * params.dim, params) / params.d
 
 
+def test_pairing_sweep_matches_worklist_oracle():
+    """The sweep of `verify identities`: h^(n-l) eta^(r-1+l) for n <= 6 and
+    r <= 6, and the powers of eta it takes, folded far past eta^r."""
+    for n, r in itertools.product(range(1, 7), range(2, 7)):
+        params = BundleParams(n=n, m=r - 2, a=1, b=1)
+        eta = ChowElement.infinity(params)
+        for l in range(n + 1):
+            power = {(0, r - 1 + l): F(1)}
+            assert (eta ** (r - 1 + l)).coeffs == _worklist_reduce(power, n, r)
+            want = _worklist_pairing([{(n - l, 0): F(1)}, power], params)
+            assert pairing_number(l, params) == want == math.comb(r + l - 2, l)
+
+
+def test_degree_mismatch_still_warns():
+    params = BundleParams(n=2, m=1, a=2, b=1)
+    alpha = ChowElement.fiber_class(params, F(3, 4))
+    with pytest.warns(RuntimeWarning, match="total degree 2 does not match dimension 4"):
+        assert intersection_number([alpha, alpha], params) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert intersection_number([alpha] * params.dim, params) != 0
+        # a factor of mixed degree is not checked
+        assert intersection_number([alpha + ChowElement.one(params)], params) == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer weight integral, slope and PL data against the Fraction
+# arithmetic they replaced
+
+
+def _ref_weight_integral(m, n, s, x):
+    s, x = to_fraction(s), to_fraction(x)
+    return F(*_antiderivative_at(m, n, 1, x)) - F(*_antiderivative_at(m, n, 1, s))
+
+
+def _ref_steady_slope(params, s):
+    s = to_fraction(s)
+    n, m, a, b = params.n, params.m, params.a, params.b
+    num = (1 + a) ** n * a**m * b + n * _ref_weight_integral(m, n - 1, s, a)
+    return num / _ref_weight_integral(m, n, s, a)
+
+
+def _ref_pl_slopes(breakpoints, values):
+    return tuple((v2 - v1) / (b2 - b1) for b1, b2, v1, v2 in zip(breakpoints, breakpoints[1:], values, values[1:]))
+
+
+def _ref_pl_limit_hamiltonian(params, num_breakpoints):
+    cert = min_slope_certificate(params)
+    n, a, mu0 = params.n, params.a, cert.mu0
+    lam = to_fraction(repr(cert.lam))
+    left = num_breakpoints // 2
+    right = num_breakpoints - left
+    bps = [lam * F(i, left) for i in range(left)]
+    bps += [lam + (a - lam) * F(i, right) for i in range(right + 1)]
+    values = [n / (1 + min(x, lam)) - mu0 for x in bps]
+    return tuple(bps), tuple(values)
+
+
+def _seeded_params(rng, count, unstable=False):
+    """(n, m, a, b) with n <= 6, m <= 4 and rational a, b; unstable ones only
+    when asked."""
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(1, 6), rng.randint(0, 4)
+        a = F(rng.randint(1, 40), rng.choice((1, 2, 3, 7, 8, 12)))
+        b = F(rng.randint(1, 40), rng.choice((1, 4, 5, 16, 64)))
+        params = BundleParams(n=n, m=m, a=a, b=b)
+        if not unstable or min_slope_certificate(params).verdict == UNSTABLE:
+            out.append(params)
+    return out
+
+
+def _punctures(rng, a):
+    """0, a dyadic float below a, the decimal repr of that float (the puncture
+    of the PL data), and rationals below a."""
+    x = rng.uniform(0.0, float(a))
+    while F(x) >= a:
+        x = rng.uniform(0.0, float(a))
+    return [F(0), F(x), F(repr(x)), a * F(rng.randint(0, 99), 100), a * F(rng.randint(1, 10**6), 10**6 + 1)]
+
+
+def test_weight_integral_and_steady_slope_match_fraction_reference():
+    rng = random.Random(23)
+    for params in _seeded_params(rng, 80):
+        n, m, a = params.n, params.m, params.a
+        for s in _punctures(rng, a):
+            assert steady_slope(params, s) == _ref_steady_slope(params, s)
+            for k in (n - 1, n):
+                assert weight_integral(m, k, s, a) == _ref_weight_integral(m, k, s, a)
+                assert weight_integral(m, k, s, s) == 0
+                assert weight_integral(m, k, 0, s) == _ref_weight_integral(m, k, 0, s)
+
+
+def test_pl_limit_hamiltonian_matches_fraction_reference():
+    rng = random.Random(29)
+    for params, breakpoints in zip(_seeded_params(rng, 24, unstable=True), itertools.cycle((4, 7, 16, 256))):
+        cfg = pl_limit_hamiltonian(params, breakpoints)
+        bps, values = _ref_pl_limit_hamiltonian(params, breakpoints)
+        assert (cfg.breakpoints, cfg.values) == (bps, values)
+        assert cfg.slopes == _ref_pl_slopes(bps, values)
+        assert all(type(v) is F for v in (*cfg.breakpoints, *cfg.values, *cfg.slopes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=convex_pl())
+def test_pl_slopes_match_fraction_reference(cfg):
+    assert cfg.slopes == _ref_pl_slopes(cfg.breakpoints, cfg.values)
+
+
 # ---------------------------------------------------------------------------
 # bundle puncture: the bracket straddles the exact root
 
@@ -413,9 +526,9 @@ def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypat
     prof, energy = minimizing_profile(params, 2.0)
     n, m = params.n, params.m
     table = _weight_poly_coeffs(m, n, 0.0)
-    monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", _invert_expanded)
-    monkeypatch.setattr(energy_functionals, "steady_profile_j_derivative", _derivative_expanded)
-    monkeypatch.setattr(energy_functionals, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
+    monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", _invert_expanded)
+    monkeypatch.setattr(calabi_profiles, "steady_profile_j_derivative", _derivative_expanded)
+    monkeypatch.setattr(calabi_profiles, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
     monkeypatch.setattr(energy_functionals, "_WEIGHT_TABLE", {})
     ref, ref_energy = minimizing_profile(params, 2.0)
     for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
@@ -514,7 +627,7 @@ def test_invert_takes_at_most_8_evaluations_on_minimizing_inputs(params, monkeyp
         counts.append(calls[0])
         return x
 
-    monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", counted)
+    monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", counted)
     for k in range(4, 21):
         minimizing_profile(params, k)
     assert len(counts) == 17 and max(counts) <= 8
@@ -523,7 +636,7 @@ def test_invert_takes_at_most_8_evaluations_on_minimizing_inputs(params, monkeyp
 @pytest.mark.parametrize("params", MINIMIZING_PAIRS)
 def test_minimizing_energies_match_the_bisection_path(params, monkeypatch):
     energies = [minimizing_profile(params, k)[1] for k in range(4, 21)]
-    monkeypatch.setattr(energy_functionals, "invert_steady_profile_j", _invert_bisect)
+    monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", _invert_bisect)
     for k, energy in zip(range(4, 21), energies):
         ref = minimizing_profile(params, k)[1]
         assert abs(energy - ref) <= 1e-14 * abs(ref)

@@ -299,16 +299,17 @@ def _near_midpoint(r, s, d, lo, hi):
     return _sign(mid + eps - r, -s, d) > 0 > _sign(mid - eps - r, -s, d)
 
 
-#: roots (r, s, d) so near the midpoint of their float bracket that the float
-#: of a 2^-64 approximant is the farther end
+#: roots (r, s, d) so near the midpoint of their float bracket that the first
+#: float `_nearest_float` takes, from isqrt with 65 spare bits, is the farther
+#: end, so only its midpoint test picks the nearer one; both signs of the
+#: root, and both of its first-float formulas (a b >= 0 and a b < 0)
 NEAR_TIES = [
-    (F(18633, 1376), F(-3763, 301), F(361213, 50)),
-    (F(129211, 4685), F(6721, 214), F(64647, 503)),
-    (F(33714, 1597), F(-3063, 677), F(204889, 718)),
-    (F(-56045, 1759), F(5825, 856), F(127052, 73)),
-    (F(5546, 7349), F(92, 3), F(749706, 961)),
-    # one_point_blowup_certificate(41/19, 177/71, 0): bp - sqrt((p^2+1)(b^2-1))
-    (F(41 * 177, 19 * 71), F(-1), (F(177, 71) ** 2 + 1) * (F(41, 19) ** 2 - 1)),
+    (F(-41683, 2121), F(-5891, 892), F(5256)),
+    (F(-27596, 3437), F(2599, 254), F(614497, 665)),
+    (F(8348, 9421), F(-139, 718), F(452021, 96)),
+    (F(69240, 8941), F(6959, 929), F(357866, 565)),
+    (F(-5767, 562), F(6466, 535), F(439939, 499)),
+    (F(57941, 3338), F(-2469, 110), F(714195, 919)),
 ]
 
 
