@@ -40,16 +40,20 @@ constructor checks the initial profile and the step loop every accepted
 step, and both raise.
 
 Every profile the run reaches is a checkpoint: the initial one and the one
-each accepted step gives, so the last is the final profile.  It is taken at
-the top of the time loop, where the residual has just evaluated the cell
-fluxes of the current profile.  The time loop only appends.  Per checkpoint
-it records a read-only copy of the profile as a row, t, the rate's sup, max
-and min (the residual's for the initial profile, delta / step for every
-later one), and the plateau and spread (mean and max - min) of the cell
-fluxes c the scheme steps with, over the cells with both end nodes in the
-window.  After the loop one pass computes the other diagnostics, one numpy
-call each per chunk of max(1, CHUNK_ELEMS // N) rows, which bounds the
-kernels' temporaries:
+each accepted step gives, so the last is the final profile.  The profiles
+are the rows of blocks of max(1, CHUNK_ELEMS // N) rows of N nodes, each
+allocated when the one before it fills, with its pinned ends set once: each
+step solves its candidate straight into the next free row, and a retry
+overwrites a rejected one.  Per checkpoint the loop records only t and the
+rate's sup, max and min (the residual's for the initial profile, delta / step
+for every later one).  After the loop the blocks turn read-only, the last
+trimmed to its rows by a view, and one pass computes the other diagnostics,
+one numpy call each along the rows of a block, which bounds the kernels'
+temporaries:
+- the plateau and spread (mean and max - min) of the cell fluxes c the
+  scheme steps with, over the cells with both end nodes in the window; the
+  first cell, where the cotangent flux may take the wall's jump flux, is
+  never among them;
 - the distance to the reference profile, and the forward-difference and
   derivative bounds (J) or the angle range (cotangent, from one angle
   evaluation); an angle outside (0, pi) raises with the t of the first
@@ -57,8 +61,10 @@ kernels' temporaries:
 - the decaying functional: the J energy (one dot product per row), or the
   calibration volume from `dhym_volume`'s quadrature on a geometry built
   once per solve.
-The kept profiles are views of the checkpoints' rows, on a read-only grid
-shared with the reference profile of the solve, and are not validated again.
+The trace keeps the blocks and one column per Checkpoint field, and builds
+its checkpoints and profiles from them on first access.  The profiles are
+views of the read-only rows, on a read-only grid shared with the reference
+profile of the solve, and are not validated again.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,8 +120,8 @@ ENERGY_SLACK = 1e-10
 #: or a quarter of the interval between them when that is shorter; the sup
 #: error runs from the window's left edge to the right end
 COMPACT_MARGIN = 0.1
-#: values per chunk of the post-loop diagnostics: max(1, CHUNK_ELEMS // N)
-#: rows of N nodes, which bounds the kernels' temporaries
+#: values per block of kept rows: max(1, CHUNK_ELEMS // N) rows of N nodes,
+#: which also bounds the temporaries of the post-loop diagnostics
 CHUNK_ELEMS = 8192
 #: dt scales by (res_prev / res) ** SER_EXPONENT.  Under backward Euler the
 #: slow mode's residual falls by about 1 + dt/5 per step, so the plain ratio
@@ -210,9 +217,13 @@ class FlowTrace:
     """Checkpointed history of a flow run plus terminal measurements.
 
     There is one checkpoint for the initial profile and one for each accepted
-    step, so `times` are the times the run reached.  `profiles` are views of
-    the read-only rows the loop kept, all on one read-only grid shared with
-    the reference profile; `terminal_profile` is the last of them.
+    step.  `columns` holds one float array per Checkpoint field the run fills,
+    one value per checkpoint in order; the "t" column gives the `times` the
+    run reached.  `blocks` are read-only arrays whose rows, in order, are the
+    profiles' values.  `checkpoints` and `profiles` are built from the two on
+    first access and cached: the profiles are views of the rows, all on one
+    read-only grid shared with the reference profile, and the last of them is
+    `terminal_profile`.
     `decay_first_violation` says where the decaying functional (the J energy
     or the calibration volume) first rose above its monitor's slack, as
     {"checkpoint", "t"}; None if it never did.
@@ -225,9 +236,8 @@ class FlowTrace:
     """
 
     kind: str
-    times: list[float]
-    checkpoints: list[Checkpoint]
-    profiles: list[MomentProfile]
+    columns: dict[str, np.ndarray]
+    blocks: list[np.ndarray]
     terminal_profile: MomentProfile
     terminal_constant: float
     reference_constant: float
@@ -241,6 +251,22 @@ class FlowTrace:
     decay_first_violation: dict | None = None
     monitor_report: MonitorReport | None = None
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def times(self) -> list[float]:
+        return self.columns["t"].tolist()
+
+    @cached_property
+    def checkpoints(self) -> list[Checkpoint]:
+        names = list(self.columns)
+        return [Checkpoint(**dict(zip(names, vals))) for vals in zip(*(col.tolist() for col in self.columns.values()))]
+
+    @cached_property
+    def profiles(self) -> list[MomentProfile]:
+        term = self.terminal_profile
+        views = [MomentProfile._view(term.grid, row, term.boundary) for block in self.blocks for row in block]
+        # the last row is the terminal profile's
+        return views[:-1] + [term] if views else []
 
     def summary(self) -> dict:
         """The run record; `stop_reason` is "converged" or "t_max"."""
@@ -287,10 +313,14 @@ class FlowTrace:
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:
-    h = np.diff(grid)
-    if not np.allclose(h, h[0], rtol=1e-10, atol=1e-14):
+    """The step h0 of a uniform grid: every spacing lies within
+    1e-14 + 1e-10 |h0| of the first (the test of np.allclose, in one
+    reduction), and NaN fails."""
+    h = grid[1:] - grid[:-1]
+    h0 = float(h[0])
+    if not np.abs(h - h0).max() <= 1e-14 + 1e-10 * abs(h0):
         raise InputError("flow grids must be uniform")
-    return float(h[0])
+    return h0
 
 
 def _gradient(psi: np.ndarray, h: float) -> np.ndarray:
@@ -327,11 +357,11 @@ def _lambda_estimate(prof: MomentProfile) -> float:
     return float(prof.grid[np.nonzero(below)[0][-1]])
 
 
-def _chunks(rows: list[np.ndarray], size: int):
-    """(start, stack) of each run of `size` consecutive rows; the last run
-    may be shorter."""
-    for start in range(0, len(rows), size):
-        yield start, np.array(rows[start : start + size])
+def _new_block(shape: tuple[int, int], boundary: tuple[float, float]) -> np.ndarray:
+    """An unfilled block of profile rows, its pinned ends set."""
+    block = np.empty(shape)
+    block[:, 0], block[:, -1] = boundary
+    return block
 
 
 _gtsv = None
@@ -418,8 +448,11 @@ class _JScheme:
         return y * (self.b - y) / self.b
 
     def flux(self, pv: np.ndarray) -> np.ndarray:
-        """The chord flux, linear in psi."""
-        return (pv[1:] - pv[:-1]) / self.h + self.p_h * 0.5 * (pv[1:] + pv[:-1]) + self.g_h
+        """The chord flux of each cell, along the last axis, linear in psi."""
+        return (pv[..., 1:] - pv[..., :-1]) / self.h + self.p_h * 0.5 * (pv[..., 1:] + pv[..., :-1]) + self.g_h
+
+    #: the chord flux has no wall flux to leave out
+    cell_flux = flux
 
     def sensitivities(self, pv: np.ndarray):
         """The chord flux's fixed `_node_sensitivities`."""
@@ -429,15 +462,15 @@ class _JScheme:
         return _admissible_j(pv)
 
     def decay_values(self, block: np.ndarray) -> np.ndarray:
-        """The J energy of each row of a chunk: the trapezoid of its nodal
+        """The J energy of each row of a block: the trapezoid of its nodal
         slope field, on the grid terms built once per solve, one dot product
         per row."""
         s = _slope_field(block, _gradient(block, self.h), self.m, self.slope_grid)
         s *= s
         return np.array([np.dot(row, self.tw) for row in s])
 
-    def block_fields(self, block: np.ndarray, times: list[float]) -> dict[str, np.ndarray]:
-        """The J-only Checkpoint fields of each row of a chunk."""
+    def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
+        """The J-only Checkpoint fields of each row of a block."""
         diffs = block[:, 1:] - block[:, :-1]
         dmin, dmax = diffs.min(axis=1), diffs.max(axis=1)
         return {
@@ -482,6 +515,7 @@ class _CotScheme:
         self.psi = init.values.copy()
         self.psi[0], self.psi[-1] = self.boundary
         self.h = _uniform_spacing(x)
+        self.x1 = float(x[1])
         xi = x[1:-1]
         self.Qx = (xi - 1.0) * (b - xi) / (b - 1.0)
         self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
@@ -500,9 +534,9 @@ class _CotScheme:
 
     def _cells(self, pv: np.ndarray):
         """Each cell's difference quotient, mean and x psi' + psi at its half
-        node, which must stay positive."""
-        delta = (pv[1:] - pv[:-1]) / self.h
-        mean = 0.5 * (pv[1:] + pv[:-1])
+        node, which must stay positive, along the last axis."""
+        delta = (pv[..., 1:] - pv[..., :-1]) / self.h
+        mean = 0.5 * (pv[..., 1:] + pv[..., :-1])
         den = self.xh * delta + mean
         if den.min() <= 0:
             raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
@@ -511,7 +545,7 @@ class _CotScheme:
     def _jump(self, pv: np.ndarray) -> float | None:
         """The constant-angle jump flux of the first half node when it
         exceeds the pinned wall value, else None."""
-        x1, psi1 = self.x[1], float(pv[1])
+        x1, psi1 = self.x1, float(pv[1])
         c_jump = x1 * psi1 - math.sqrt((x1 * x1 - 1.0) * (psi1 * psi1 + 1.0))
         return c_jump if c_jump > pv[0] else None
 
@@ -533,22 +567,31 @@ class _CotScheme:
         and the two fluxes meet where the jump member's trace equals q.  The
         jump flux is exact along the entire singular steady profile, so the
         discrete steady state locks onto it.
+
+        `sensitivities` reuses the cells and the jump flux kept here.
         """
-        delta, mean, den = self._cells(pv)
-        c = (mean * delta - self.xh) / den
-        c_jump = self._jump(pv)
-        if c_jump is not None:
-            c[0] = c_jump
+        c = self.cell_flux(pv)
+        self.c_jump = self._jump(pv)
+        if self.c_jump is not None:
+            c[0] = self.c_jump
         return c
 
+    def cell_flux(self, pv: np.ndarray) -> np.ndarray:
+        """The mean-value flux of each cell along the last axis, which the
+        first cell of `flux` may trade for the jump flux; it keeps the cells
+        for `sensitivities`."""
+        self.cells = delta, mean, den = self._cells(pv)
+        return (mean * delta - self.xh) / den
+
     def sensitivities(self, pv: np.ndarray):
-        """The `_node_sensitivities` of `flux` at a profile."""
-        delta, mean, den = self._cells(pv)
+        """The `_node_sensitivities` of `flux` at pv, the profile it last
+        evaluated, from the cells and the jump flux it kept."""
+        delta, mean, den = self.cells
         den2 = den**2
         dc_ddelta = (mean**2 + self.xh2) / den2
         dc_dmean = self.xh * (1 + delta**2) / den2
-        if self._jump(pv) is not None:
-            x1, psi1 = self.x[1], float(pv[1])
+        if self.c_jump is not None:
+            x1, psi1 = self.x1, float(pv[1])
             # the jump flux depends on psi1 alone: put its sensitivity in the
             # mean slot (the assembly halves it, hence the factor 2; the
             # pinned wall node is never an unknown)
@@ -560,14 +603,14 @@ class _CotScheme:
         return _admissible_dhym(self.x, pv)
 
     def decay_values(self, block: np.ndarray) -> np.ndarray:
-        """The calibration volume of each row of a chunk: `dhym_volume`'s
+        """The calibration volume of each row of a block: `dhym_volume`'s
         value, on the quadrature geometry built once per solve."""
         from .energy_functionals import _volume_values
 
         return _volume_values(block, self.volume_geometry)
 
-    def block_fields(self, block: np.ndarray, times: list[float]) -> dict[str, np.ndarray]:
-        """The cotangent-only Checkpoint fields of each row of a chunk, from
+    def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
+        """The cotangent-only Checkpoint fields of each row of a block, from
         one angle evaluation; a row whose angle leaves (0, pi) raises with
         its time."""
         theta = _angle(self.x, block, _gradient(block, self.h))
@@ -583,21 +626,23 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     Stops once the steady residual sup |d psi/dt| at the current profile is
     below the tolerance, or at t_max, which the last step never passes.
-    Each step is solved into a candidate; one that breaks admissibility is
-    retried at half the step, and raises once the step is down to cfg.dt.
+    Each step is solved into the next free row of the kept blocks; a
+    candidate that breaks admissibility is retried there at half the step,
+    and raises once the step is down to cfg.dt.
     The flux is evaluated at every step and its sensitivities on the first
     step, once JACOBIAN_LAG accepted steps have used them and before every
     retry.
-    The loop only appends a checkpoint record per profile it reaches, and
-    raises once the records would pass ROW_BUDGET values; one pass after it
-    computes the monitor diagnostics by chunks of rows.
+    The loop only records t and the rate's extrema per checkpoint, and raises
+    once its rows would pass ROW_BUDGET values; one pass after it computes
+    the other diagnostics block by block.
     """
-    x, h, psi = scheme.x, scheme.h, scheme.psi
+    x, h = scheme.x, scheme.h
     # one read-only grid for every profile the trace keeps
     grid = x.copy()
     grid.flags.writeable = False
     # the plateau's cells: both end nodes in the window [lo, hi] of the sorted
-    # grid, and at least one
+    # grid, and at least one; lo lies past x[0], so the first cell, the one
+    # the cotangent jump flux may take, is never among them
     lo, hi = scheme.window
     first = min(int(np.searchsorted(x, lo)), x.size - 2)
     cells = slice(first, max(first + 1, int(np.searchsorted(x, hi, side="right")) - 1))
@@ -610,11 +655,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     # accepted steps since the sensitivities were evaluated: they are due first
     age = JACOBIAN_LAG
     max_rows = ROW_BUDGET // x.size
-    cand = psi.copy()  # the pinned ends never change
-    # one record per checkpoint: a read-only copy of the profile, then the
-    # Checkpoint's leading fields t, the rate's sup, max and min, and the
-    # plateau and spread of its window fluxes (the fluxes themselves, kept for
-    # the post-loop pass, would hold about 0.5 MB more at peak)
+    size = max(1, CHUNK_ELEMS // x.size)
+    blocks = [_new_block((size, x.size), scheme.boundary)]
+    # psi is row k of the last block
+    psi, k = blocks[0][0], 0
+    psi[:] = scheme.psi
+    # per checkpoint: t and the rate's sup, max and min
     records = []
 
     while True:
@@ -628,11 +674,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             # the initial profile records the residual's extrema, every later
             # one those of the step that reached it
             rmax, rmin = float(rate.max()), float(rate.min())
-        row = psi.copy()
-        row.flags.writeable = False
-        flux = c[cells]
-        plateau, spread = float(flux.sum() / flux.size), float(flux.max() - flux.min())
-        records.append((row, t, max(rmax, -rmin), rmax, rmin, plateau, spread))
+        records.append((t, max(rmax, -rmin), rmax, rmin))
         if converged or t >= cfg.t_max:
             break
         if len(records) > max_rows:
@@ -644,6 +686,11 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             # switched evolution relaxation: dt grows by the squared fall of the residual
             dt = max(cfg.dt, min(dt * (res_prev / res) ** SER_EXPONENT, DT_CAP))
         res_prev = res
+        k += 1
+        if k == size:
+            blocks.append(_new_block((size, x.size), scheme.boundary))
+            k = 0
+        cand = blocks[-1][k]
         while True:
             if age >= JACOBIAN_LAG:
                 # the off-diagonals are negated once per evaluation
@@ -654,7 +701,9 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             # (I - dt Q dc) delta = dt rate, each half flux linearized
             dtQ = step * Qv
             delta = solve_banded(dtQ[1:] * lower, 1 + dtQ * mid, dtQ[:-1] * upper, step * rate)
-            if not math.isfinite(delta.sum()):
+            # NaN propagates into both extrema, and an inf reaches one
+            dmax, dmin = float(delta.max()), float(delta.min())
+            if not (math.isfinite(dmax) and math.isfinite(dmin)):
                 raise TimeStepError(f"non-finite update at t={t + step:.6g}; time step too large")
             np.add(psi[1:-1], delta, out=cand[1:-1])
             if scheme.admissible(cand):
@@ -665,41 +714,46 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             dt = max(cfg.dt, step / 2)
             rejected += 1
             age = JACOBIAN_LAG
-        psi, cand = cand, psi
+        psi = cand
         t = cfg.t_max if last else t + step
         steps += 1
         age += 1
         dt_max = max(dt_max, step)
         # the step's rate delta / step: rounding keeps the order, so its
         # extrema are those of delta over the step
-        rmax, rmin = float(delta.max()) / step, float(delta.min()) / step
+        rmax, rmin = dmax / step, dmin / step
 
-    # the diagnostics, one numpy call each per chunk of rows
-    rows, times = [rec[0] for rec in records], [rec[1] for rec in records]
-    size = max(1, CHUNK_ELEMS // x.size)
-    parts = [
-        {scheme.decay: scheme.decay_values(chunk), **scheme.block_fields(chunk, times[start : start + size])}
-        for start, chunk in _chunks(rows, size)
-    ]
-    cols = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    # read-only before the trim, so that every view of a row inherits it
+    for block in blocks:
+        block.flags.writeable = False
+    blocks[-1] = blocks[-1][: k + 1]
+    cols = dict(zip(("t", "sup_rate", "max_rate", "min_rate"), np.array(records).T))
+    # the other diagnostics, one numpy call each along the rows of a block
+    parts, start = [], 0
+    for block in blocks:
+        window = scheme.cell_flux(block)[:, cells]
+        parts.append({
+            "plateau": window.sum(axis=1) / window.shape[1],
+            "plateau_spread": window.max(axis=1) - window.min(axis=1),
+            scheme.decay: scheme.decay_values(block),
+            **scheme.block_fields(block, cols["t"][start : start + len(block)]),
+        })
+        start += len(block)
+    cols.update({name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
     rises = cols[scheme.decay][1:] - cols[scheme.decay][:-1]
     over = np.flatnonzero(rises > _decay_slack(scheme.decay, h))
-    first_rise = None if not over.size else {"checkpoint": int(over[0]) + 1, "t": times[int(over[0]) + 1]}
-    values = zip(*(col.tolist() for col in cols.values()))
-    checkpoints = [Checkpoint(*rec[1:], **dict(zip(cols, vals))) for rec, vals in zip(records, values)]
-    profiles = [MomentProfile._view(grid, row, scheme.boundary) for row in rows]
+    first_rise = None if not over.size else {"checkpoint": int(over[0]) + 1, "t": float(cols["t"][over[0] + 1])}
     # every run ends on a checkpoint of its final profile
-    terminal = profiles[-1]
+    terminal = MomentProfile._view(grid, blocks[-1][-1], scheme.boundary)
     trace = FlowTrace(
         kind=scheme.kind,
-        times=times,
-        checkpoints=checkpoints,
-        profiles=profiles,
+        columns=cols,
+        blocks=blocks,
         terminal_profile=terminal,
-        terminal_constant=checkpoints[-1].plateau,
+        terminal_constant=float(cols["plateau"][-1]),
         reference_constant=scheme.reference_constant,
         reference_profile=MomentProfile(grid, scheme.ref, scheme.ref_boundary),
-        sup_error_on_compact=float(np.max(np.abs((psi - scheme.ref)[first:]))),
+        sup_error_on_compact=float(np.max(np.abs((terminal.values - scheme.ref)[first:]))),
         lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,
         steps=steps,
@@ -762,7 +816,8 @@ def run_cotangent_flow(
 
 
 def monitor_suite(trace: FlowTrace) -> MonitorReport:
-    """Evaluate the per-checkpoint monitor verdicts recorded along a trace.
+    """Evaluate the per-checkpoint monitor verdicts recorded along a trace,
+    scanning its columns.
 
     For the inverse-trace flow: profiles decrease in time and stay above the
     singular limit, forward differences stay positive and bounded, energy
@@ -771,36 +826,36 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
     calibration volume never increases.  Reports the first violating
     checkpoint of each monitor.
     """
-    cks = trace.checkpoints
+    cols = trace.columns
     monitors = trace.meta.get("monitors", [])
     j = trace.kind == "j"
     entries: dict[str, dict] = {}
 
-    def scan(name, series, ok):
+    def scan(name, column, ok):
         # the worst value is the first of largest magnitude
-        v = np.array(series, dtype=float)
+        v = cols[column]
         fails = np.flatnonzero(~ok(v))
         i = int(fails[0]) if fails.size else None
         entries[name] = {
             "passed": i is None,
             "worst": float(v[np.abs(v).argmax()]),
-            "first_violation": None if i is None else {"checkpoint": i, "t": cks[i].t},
+            "first_violation": None if i is None else {"checkpoint": i, "t": float(cols["t"][i])},
         }
 
     if "monotone" in monitors:
         if j:
-            scan("monotone_decreasing", [c.max_rate for c in cks], lambda v: v <= MONO_TOL)
+            scan("monotone_decreasing", "max_rate", lambda v: v <= MONO_TOL)
         else:
-            scan("monotone_increasing", [c.min_rate for c in cks], lambda v: v >= -MONO_TOL)
+            scan("monotone_increasing", "min_rate", lambda v: v >= -MONO_TOL)
     if "comparison" in monitors:
         name = "above_singular_limit" if j else "below_steady_limit"
-        scan(name, [c.comparison_gap for c in cks], lambda v: v >= -COMP_TOL)
+        scan(name, "comparison_gap", lambda v: v >= -COMP_TOL)
     if "derivative" in monitors:
-        scan("forward_differences_nonnegative", [c.min_forward_diff for c in cks], lambda v: v >= -ADMISSIBILITY_TOL)
-        scan("derivative_bounded", [c.max_derivative for c in cks], lambda v: v < 1e6)
+        scan("forward_differences_nonnegative", "min_forward_diff", lambda v: v >= -ADMISSIBILITY_TOL)
+        scan("derivative_bounded", "max_derivative", lambda v: v < 1e6)
     if "angle" in monitors:
-        scan("angle_above_zero", [c.theta_min for c in cks], lambda v: v > 0)
-        scan("angle_below_pi", [c.theta_max for c in cks], lambda v: v < math.pi)
+        scan("angle_above_zero", "theta_min", lambda v: v > 0)
+        scan("angle_below_pi", "theta_max", lambda v: v < math.pi)
     for decay in ("energy", "volume"):
         if decay in monitors:
             v = getattr(trace, f"{decay}_max_violation")

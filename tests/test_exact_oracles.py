@@ -1312,6 +1312,37 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         assert not trace.converged and times[-1] == cfg.t_max
 
 
+def _run_case(flow, args, grid, overrides):
+    cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
+    if flow == "j":
+        return flow_engine.run_j_flow(BundleParams(*args), "line", cfg=cfg)
+    return flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
+
+
+@pytest.mark.parametrize("flow,args,grid,overrides", [FLOW_CHECKPOINT_CASES[1], FLOW_CHECKPOINT_CASES[4]])
+def test_flow_trace_does_not_depend_on_the_block_size(flow, args, grid, overrides, monkeypatch):
+    """Blocks of 1, 2 or 3 rows, or of exactly the run's rows, give every
+    Checkpoint field, every profile's bytes and the monitor report of the
+    default blocks: this covers the allocation of a block, the trim of the
+    last one, and a run that ends on the last row of a block."""
+    ref = _run_case(flow, args, grid, overrides)
+    rows = len(ref.times)
+    assert rows > 3 and len(ref.blocks) == 1
+    for per_block in (1, 2, 3, rows):
+        monkeypatch.setattr(flow_engine, "CHUNK_ELEMS", per_block * (grid + 1))
+        trace = _run_case(flow, args, grid, overrides)
+        *full, last = map(len, trace.blocks)
+        assert full == [per_block] * (-(-rows // per_block) - 1) and last == rows - per_block * len(full)
+        assert trace.times == ref.times and len(trace.checkpoints) == rows
+        for got, want in zip(trace.checkpoints, ref.checkpoints):
+            for name in flow_engine.Checkpoint.__dataclass_fields__:
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (per_block, name, got.t)
+        for got, want in zip(trace.profiles, ref.profiles):
+            assert got.values.tobytes() == want.values.tobytes() and not got.values.flags.writeable
+        assert trace.terminal_profile is trace.profiles[-1]
+        assert trace.monitor_report == ref.monitor_report
+
+
 COT_CHECKPOINT_CASES = [case for case in FLOW_CHECKPOINT_CASES if case[0] == "cotangent"]
 
 
