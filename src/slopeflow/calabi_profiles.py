@@ -378,17 +378,10 @@ def _slope_field(psi: np.ndarray, d: np.ndarray, m: int, grid_terms) -> np.ndarr
     return out
 
 
-def _angle_field(x: np.ndarray, psi: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cot theta, theta) from samples psi and derivative samples d, unchecked.
-
-    cot theta = (psi d - x)/(x d + psi) in closed form; theta itself is the
-    arccot sum, which leaves (0, pi) when x d + psi changes sign.
-    """
-    return (psi * d - x) / (x * d + psi), _angle(x, psi, d)
-
-
 def _angle(x: np.ndarray, psi: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """theta alone, as `_angle_field` gives it."""
+    """theta from samples psi and derivative samples d, unchecked: the
+    arccot sum, which leaves (0, pi) when x d + psi changes sign.  Its
+    cotangent is (psi d - x)/(x d + psi) in closed form."""
     return _arccot(d) + _arccot(psi / x)
 
 

@@ -198,10 +198,11 @@ def _cmd_energy(ns) -> int:
         from .calabi_profiles import sample_steady_profile_dhym, special_cotangent_profile
 
         b, p, q = _parse_bpq(ns.bpq)
+        # both profiles need b > 1 and bp > q: the certificate says so first
+        cert = one_point_blowup_certificate(b, p, q)
         if ns.profile == "special":
             prof = special_cotangent_profile(b, p, q, ns.grid + 1)
         else:
-            cert = one_point_blowup_certificate(b, p, q)
             prof = sample_steady_profile_dhym(b, p, max(cert.slope, float(q)), ns.grid + 1)
         rep = dhym_volume(prof, b, p, q).to_dict()
         rep["split"] = dhym_volume_split(b, p, q).to_dict()

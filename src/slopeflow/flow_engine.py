@@ -54,17 +54,17 @@ temporaries:
   scheme steps with, over the cells with both end nodes in the window; the
   first cell, where the cotangent flux may take the wall's jump flux, is
   never among them;
-- the distance to the reference profile, and the forward-difference and
-  derivative bounds (J) or the angle range (cotangent, from one angle
-  evaluation); an angle outside (0, pi) raises with the t of the first
-  offending checkpoint;
-- the decaying functional: the J energy (one dot product per row), or the
-  calibration volume from `dhym_volume`'s quadrature on a geometry built
-  once per solve.
-The trace keeps the blocks and one column per Checkpoint field, and builds
-its checkpoints and profiles from them on first access.  The profiles are
-views of the read-only rows, on a read-only grid shared with the reference
-profile of the solve, and are not validated again.
+- the scheme's fields: the distance to the reference profile, the decaying
+  functional (the J energy, one dot product per row, or the calibration
+  volume from `dhym_volume`'s quadrature on a geometry built once per
+  solve), and the forward-difference and derivative bounds (J) or the angle
+  range (cotangent, from one angle evaluation); an angle outside (0, pi)
+  raises with the t of the first offending checkpoint.
+The trace keeps the blocks and one column per Checkpoint field.  Its step
+count, terminal constant and every `monitor_suite` verdict are read off the
+columns; its checkpoints and profiles are built from them on first access.
+The profiles are views of the read-only rows, on a read-only grid shared
+with the reference profile of the solve, and are not validated again.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .calabi_profiles import (
     _admissible_dhym,
     _admissible_j,
     _angle,
-    _angle_field,
     _slope_field,
     _slope_grid,
     require_admissible_dhym,
@@ -223,10 +222,10 @@ class FlowTrace:
     profiles' values.  `checkpoints` and `profiles` are built from the two on
     first access and cached: the profiles are views of the rows, all on one
     read-only grid shared with the reference profile, and the last of them is
-    `terminal_profile`.
-    `decay_first_violation` says where the decaying functional (the J energy
-    or the calibration volume) first rose above its monitor's slack, as
-    {"checkpoint", "t"}; None if it never did.
+    `terminal_profile`; `steps` and `terminal_constant`, the final plateau,
+    are read off the columns.  The decay monitor's entry in `monitor_report`
+    gives the largest rise of the J energy or calibration volume as `worst`,
+    and where it first rose above its slack as `first_violation`.
     `meta` carries the scheme's parameters, the grid step `h`, the monitors
     run, `dt`, the first step, `dt_max`, the largest step taken (0 for a run
     that took none), `rejected`, the number of steps rejected for breaking
@@ -239,18 +238,21 @@ class FlowTrace:
     columns: dict[str, np.ndarray]
     blocks: list[np.ndarray]
     terminal_profile: MomentProfile
-    terminal_constant: float
     reference_constant: float
     reference_profile: MomentProfile | None
     sup_error_on_compact: float | None
     lambda_estimate: float | None
     converged: bool
-    steps: int
-    energy_max_violation: float | None = None
-    volume_max_violation: float | None = None
-    decay_first_violation: dict | None = None
     monitor_report: MonitorReport | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def steps(self) -> int:
+        return len(self.columns["t"]) - 1
+
+    @property
+    def terminal_constant(self) -> float:
+        return float(self.columns["plateau"][-1])
 
     @cached_property
     def times(self) -> list[float]:
@@ -280,7 +282,7 @@ class FlowTrace:
             "converged": self.converged,
             "stop_reason": "converged" if self.converged else "t_max",
             "steps": self.steps,
-            "t_final": self.times[-1] if self.times else 0.0,
+            "t_final": float(self.columns["t"][-1]),
             "monitor_report": None if self.monitor_report is None else self.monitor_report.to_dict(),
             "meta": self.meta,
         }
@@ -303,7 +305,7 @@ class FlowTrace:
                 if self.kind == "j":
                     diag = _slope_field(psi, d, params["m"], slope_grid)
                 else:
-                    diag = _angle_field(x, psi, d)[0]
+                    diag = (psi * d - x) / (x * d + psi)
                 row = f"{t:.10g},%.17g,%.17g,%.17g\n"
                 fh.write("".join(map(row.__mod__, zip(x.tolist(), psi.tolist(), diag.tolist()))))
 
@@ -394,8 +396,6 @@ class _JScheme:
 
     kind, monitors = "j", J_MONITORS
     admissibility_lost = "J-admissibility lost"
-    #: the decaying functional's Checkpoint field
-    decay = "energy"
 
     def __init__(self, params: BundleParams, init, cfg: FlowConfig):
         a, b = float(params.a), float(params.b)
@@ -416,7 +416,7 @@ class _JScheme:
         lam = cert.lam if cert.lam is not None else 0.0
         self.reference_constant = cert.zeta_inv
         self.x = x = init.grid.copy()
-        self.boundary = self.ref_boundary = (0.0, b)
+        self.boundary = (0.0, b)
         self.psi = init.values.copy()
         self.psi[0], self.psi[-1] = self.boundary
         self.h = h = _uniform_spacing(x)
@@ -461,19 +461,16 @@ class _JScheme:
     def admissible(self, pv: np.ndarray) -> bool:
         return _admissible_j(pv)
 
-    def decay_values(self, block: np.ndarray) -> np.ndarray:
-        """The J energy of each row of a block: the trapezoid of its nodal
-        slope field, on the grid terms built once per solve, one dot product
-        per row."""
+    def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
+        """The J-only Checkpoint fields of each row of a block.  The energy
+        is the trapezoid of the nodal slope field, on the grid terms built
+        once per solve, one dot product per row."""
         s = _slope_field(block, _gradient(block, self.h), self.m, self.slope_grid)
         s *= s
-        return np.array([np.dot(row, self.tw) for row in s])
-
-    def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
-        """The J-only Checkpoint fields of each row of a block."""
         diffs = block[:, 1:] - block[:, :-1]
         dmin, dmax = diffs.min(axis=1), diffs.max(axis=1)
         return {
+            "energy": np.array([np.dot(row, self.tw) for row in s]),
             "comparison_gap": (block - self.ref).min(axis=1),
             "min_forward_diff": dmin,
             "max_derivative": np.maximum(dmax, -dmin) / self.h,
@@ -486,8 +483,6 @@ class _CotScheme:
 
     kind, monitors = "cotangent", COT_MONITORS
     admissibility_lost = "dHYM admissibility lost"
-    #: the decaying functional's Checkpoint field
-    decay = "volume"
 
     def __init__(self, b, p, q, init, cfg: FlowConfig):
         b, p, q = float(b), float(p), float(q)
@@ -520,7 +515,6 @@ class _CotScheme:
         self.Qx = (xi - 1.0) * (b - xi) / (b - 1.0)
         self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
         self.ref[0], self.ref[-1] = s_star, p
-        self.ref_boundary = (self.ref[0], p)
         self.window = _window(1.0, b)
         self.xh = 0.5 * (x[1:] + x[:-1])
         self.xh2 = self.xh**2
@@ -602,23 +596,24 @@ class _CotScheme:
     def admissible(self, pv: np.ndarray) -> bool:
         return _admissible_dhym(self.x, pv)
 
-    def decay_values(self, block: np.ndarray) -> np.ndarray:
-        """The calibration volume of each row of a block: `dhym_volume`'s
-        value, on the quadrature geometry built once per solve."""
+    def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
+        """The cotangent-only Checkpoint fields of each row of a block: the
+        calibration volume, `dhym_volume`'s value on the quadrature geometry
+        built once per solve, and the rest from one angle evaluation; a row
+        whose angle leaves (0, pi) raises with its time."""
         from .energy_functionals import _volume_values
 
-        return _volume_values(block, self.volume_geometry)
-
-    def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
-        """The cotangent-only Checkpoint fields of each row of a block, from
-        one angle evaluation; a row whose angle leaves (0, pi) raises with
-        its time."""
         theta = _angle(self.x, block, _gradient(block, self.h))
         tmin, tmax = theta.min(axis=1), theta.max(axis=1)
         out = (tmin <= 0) | (tmax >= math.pi)
         if out.any():
             raise MonitorViolationError(f"angle left (0, pi) at t={times[int(out.argmax())]:.6g}")
-        return {"comparison_gap": (self.ref - block).min(axis=1), "theta_min": tmin, "theta_max": tmax}
+        return {
+            "volume": _volume_values(block, self.volume_geometry),
+            "comparison_gap": (self.ref - block).min(axis=1),
+            "theta_min": tmin,
+            "theta_max": tmax,
+        }
 
 
 def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
@@ -650,7 +645,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
     dt = cfg.dt
-    t, steps, rejected = 0.0, 0, 0
+    t, rejected = 0.0, 0
     dt_max, res_prev = 0.0, None
     # accepted steps since the sensitivities were evaluated: they are due first
     age = JACOBIAN_LAG
@@ -680,7 +675,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         if len(records) > max_rows:
             raise TimeStepError(
                 f"{len(records)} kept profiles of {x.size} values pass the budget of {ROW_BUDGET}"
-                f" at t={t:.6g} after {steps} steps; the first step dt is too small or the grid too fine"
+                f" at t={t:.6g} after {len(records) - 1} steps; the first step dt is too small or the grid too fine"
             )
         if res_prev is not None:
             # switched evolution relaxation: dt grows by the squared fall of the residual
@@ -716,7 +711,6 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             age = JACOBIAN_LAG
         psi = cand
         t = cfg.t_max if last else t + step
-        steps += 1
         age += 1
         dt_max = max(dt_max, step)
         # the step's rate delta / step: rounding keeps the order, so its
@@ -735,14 +729,10 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         parts.append({
             "plateau": window.sum(axis=1) / window.shape[1],
             "plateau_spread": window.max(axis=1) - window.min(axis=1),
-            scheme.decay: scheme.decay_values(block),
             **scheme.block_fields(block, cols["t"][start : start + len(block)]),
         })
         start += len(block)
     cols.update({name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
-    rises = cols[scheme.decay][1:] - cols[scheme.decay][:-1]
-    over = np.flatnonzero(rises > _decay_slack(scheme.decay, h))
-    first_rise = None if not over.size else {"checkpoint": int(over[0]) + 1, "t": float(cols["t"][over[0] + 1])}
     # every run ends on a checkpoint of its final profile
     terminal = MomentProfile._view(grid, blocks[-1][-1], scheme.boundary)
     trace = FlowTrace(
@@ -750,14 +740,11 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         columns=cols,
         blocks=blocks,
         terminal_profile=terminal,
-        terminal_constant=float(cols["plateau"][-1]),
         reference_constant=scheme.reference_constant,
-        reference_profile=MomentProfile(grid, scheme.ref, scheme.ref_boundary),
+        reference_profile=MomentProfile(grid, scheme.ref, (scheme.ref[0], scheme.ref[-1])),
         sup_error_on_compact=float(np.max(np.abs((terminal.values - scheme.ref)[first:]))),
         lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
         converged=converged,
-        steps=steps,
-        decay_first_violation=first_rise,
         meta={
             **scheme.meta,
             "monitors": monitors,
@@ -766,7 +753,6 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             "rejected": rejected,
             "residual": res,
         },
-        **{f"{scheme.decay}_max_violation": float(rises.max(initial=0.0))},
     )
     trace.monitor_report = monitor_suite(trace)
     return trace
@@ -831,9 +817,8 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
     j = trace.kind == "j"
     entries: dict[str, dict] = {}
 
-    def scan(name, column, ok):
+    def scan(name, v, ok):
         # the worst value is the first of largest magnitude
-        v = cols[column]
         fails = np.flatnonzero(~ok(v))
         i = int(fails[0]) if fails.size else None
         entries[name] = {
@@ -844,24 +829,23 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
 
     if "monotone" in monitors:
         if j:
-            scan("monotone_decreasing", "max_rate", lambda v: v <= MONO_TOL)
+            scan("monotone_decreasing", cols["max_rate"], lambda v: v <= MONO_TOL)
         else:
-            scan("monotone_increasing", "min_rate", lambda v: v >= -MONO_TOL)
+            scan("monotone_increasing", cols["min_rate"], lambda v: v >= -MONO_TOL)
     if "comparison" in monitors:
         name = "above_singular_limit" if j else "below_steady_limit"
-        scan(name, "comparison_gap", lambda v: v >= -COMP_TOL)
+        scan(name, cols["comparison_gap"], lambda v: v >= -COMP_TOL)
     if "derivative" in monitors:
-        scan("forward_differences_nonnegative", "min_forward_diff", lambda v: v >= -ADMISSIBILITY_TOL)
-        scan("derivative_bounded", "max_derivative", lambda v: v < 1e6)
+        scan("forward_differences_nonnegative", cols["min_forward_diff"], lambda v: v >= -ADMISSIBILITY_TOL)
+        scan("derivative_bounded", cols["max_derivative"], lambda v: v < 1e6)
     if "angle" in monitors:
-        scan("angle_above_zero", "theta_min", lambda v: v > 0)
-        scan("angle_below_pi", "theta_max", lambda v: v < math.pi)
+        scan("angle_above_zero", cols["theta_min"], lambda v: v > 0)
+        scan("angle_below_pi", cols["theta_max"], lambda v: v < math.pi)
     for decay in ("energy", "volume"):
         if decay in monitors:
-            v = getattr(trace, f"{decay}_max_violation")
-            entries[f"{decay}_nonincreasing"] = {
-                "passed": v is not None and v <= _decay_slack(decay, trace.meta.get("h", 0.0)),
-                "worst": v,
-                "first_violation": trace.decay_first_violation,
-            }
+            # each checkpoint's rise over the one before it, 0 after a fall
+            # and at the first, so that the worst is the largest rise
+            v = cols[decay]
+            slack = _decay_slack(decay, trace.meta.get("h", 0.0))
+            scan(f"{decay}_nonincreasing", np.maximum(np.diff(v, prepend=v[0]), 0.0), lambda r: r <= slack)
     return MonitorReport(entries=entries)

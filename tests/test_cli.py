@@ -346,6 +346,16 @@ def test_energy_minimizing_seq_matches_library(capsys):
         assert math.copysign(1.0, row["signed_error"]) == math.copysign(1.0, row["energy"] - ref)
 
 
+@pytest.mark.parametrize("profile", ["special", "steady"])
+@pytest.mark.parametrize("bpq,reason", [("1,3,0", "need b > 1"), ("1/2,3,0", "need b > 1"), ("2,1,3", "need bp > q")])
+def test_dhym_volume_outside_the_certificate_exits_1(capsys, bpq, reason, profile):
+    """Both profiles reject a triple that the blow-up certificate rejects,
+    with the certificate's message."""
+    assert main(["energy", "dhym-volume", "--bpq", bpq, "--profile", profile]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and reason in err
+
+
 def test_energy_dhym_volume_matches_library(capsys):
     code, out = _run(capsys, ["energy", "dhym-volume", "--bpq", "2,3,0", "--profile", "special", "--grid", "128"])
     assert code == 0

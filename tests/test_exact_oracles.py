@@ -48,7 +48,7 @@ from slopeflow.bundle_geometry import (
 from slopeflow.calabi_profiles import (
     ADMISSIBILITY_TOL,
     _NEWTON_CAP,
-    _angle_field,
+    _angle,
     _invert_profile,
     _slope_field,
     _steady_j,
@@ -1126,7 +1126,7 @@ def _ref_checkpoint_fields(scheme, pv, t):
             "min_forward_diff": float(dmin),
             "max_derivative": float(max(dmax, -dmin) / scheme.h),
         }
-    theta = _angle_field(scheme.x, pv, _ref_gradient(pv, scheme.h))[1]
+    theta = _angle(scheme.x, pv, _ref_gradient(pv, scheme.h))
     tmin, tmax = float(theta.min()), float(theta.max())
     assert 0 < tmin and tmax < math.pi
     return {"comparison_gap": float((scheme.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
@@ -1140,6 +1140,7 @@ def _ref_integrate(scheme, cfg, lag):
     first step, once `lag` accepted steps have used them and before every
     retry, so lag 1 evaluates them at every step."""
     x, h, psi = scheme.x, scheme.h, scheme.psi.copy()
+    decay = "energy" if scheme.kind == "j" else "volume"
     lo, hi = scheme.window
     first = int(np.searchsorted(x, lo))
     cells = slice(first, max(first, int(np.searchsorted(x, hi, side="right")) - 1))
@@ -1169,7 +1170,7 @@ def _ref_integrate(scheme, cfg, lag):
             min_rate=float(rmin),
             plateau=float(flux.sum() / flux.size),
             plateau_spread=float(flux.max() - flux.min()),
-            **{**_ref_checkpoint_fields(scheme, psi, t), scheme.decay: series[-1]},
+            **{**_ref_checkpoint_fields(scheme, psi, t), decay: series[-1]},
         ))
         times.append(t)
         profiles.append(psi.copy())
@@ -1266,12 +1267,12 @@ def _bits(value):
 
 @pytest.mark.parametrize("flow,args,grid,overrides", FLOW_CHECKPOINT_CASES)
 def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, grid, overrides):
-    """Every Checkpoint field, every kept profile, the decay violation and
-    its first rise above the slack are bit for bit those of the per-checkpoint
-    loop at the engine's JACOBIAN_LAG; the chunked trace's profiles are
-    read-only rows on one grid.  Every checkpoint monitor's verdict, worst
-    value and first violation are those of a plain loop over the oracle's
-    checkpoints."""
+    """Every Checkpoint field, every kept profile, and the decay monitor's
+    largest rise and first rise above the slack are bit for bit those of the
+    per-checkpoint loop at the engine's JACOBIAN_LAG; the chunked trace's
+    profiles are read-only rows on one grid.  Every checkpoint monitor's
+    verdict, worst value and first violation are those of a plain loop over
+    the oracle's checkpoints."""
     cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
     if flow == "j":
         params = BundleParams(*args)
@@ -1280,6 +1281,7 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         scheme = flow_engine._CotScheme(*args, "special", cfg)
         trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
     times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg, flow_engine.JACOBIAN_LAG)
+    decay = "energy" if flow == "j" else "volume"
     assert trace.times == times and len(times) == trace.steps + 1
     assert len(trace.checkpoints) == len(checkpoints) == len(trace.profiles)
     for got, want in zip(trace.checkpoints, checkpoints):
@@ -1289,14 +1291,14 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         assert prof.values.tobytes() == values.tobytes() and not prof.values.flags.writeable
         assert prof.grid is trace.reference_profile.grid
     assert trace.terminal_profile is trace.profiles[-1]
-    assert _bits(getattr(trace, f"{scheme.decay}_max_violation")) == _bits(rise)
-    slack = flow_engine._decay_slack(scheme.decay, scheme.h)
+    entry = trace.monitor_report.entries[f"{decay}_nonincreasing"]
+    assert _bits(entry["worst"]) == _bits(rise)
+    slack = flow_engine._decay_slack(decay, scheme.h)
     rises = [k for k in range(1, len(series)) if series[k] - series[k - 1] > slack]
     want = {"checkpoint": rises[0], "t": times[rises[0]]} if rises else None
-    assert trace.decay_first_violation == want
-    assert trace.monitor_report.entries[f"{scheme.decay}_nonincreasing"]["first_violation"] == want
+    assert entry["first_violation"] == want and entry["passed"] is (want is None)
     scans = _ref_checkpoint_monitors(flow, trace.meta["monitors"], checkpoints)
-    assert set(trace.monitor_report.entries) == {*scans, f"{scheme.decay}_nonincreasing"}
+    assert set(trace.monitor_report.entries) == {*scans, f"{decay}_nonincreasing"}
     for name, ref in scans.items():
         got = trace.monitor_report.entries[name]
         assert (got["passed"], got["first_violation"]) == (ref["passed"], ref["first_violation"]), name

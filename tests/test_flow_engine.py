@@ -19,7 +19,6 @@ from slopeflow.bundle_geometry import BundleParams, min_slope_certificate
 from slopeflow.calabi_profiles import (
     ADMISSIBILITY_TOL,
     MomentProfile,
-    _angle_field,
     _slope_field,
     _slope_grid,
     admissible_dhym,
@@ -206,25 +205,44 @@ def test_monitor_report_structure(unstable):
 def test_monitor_scan_keeps_the_first_worst_value():
     """A checkpoint monitor's `worst` is the first value of largest
     magnitude, so of v and -v the earlier wins, and its first violation is
-    the first checkpoint that fails."""
+    the first checkpoint that fails.  A decay monitor scans the rises of its
+    column: its worst is the largest rise, 0.0 when nothing rose, and its
+    first violation the checkpoint after the first rise above the slack."""
+    h = 0.01
+
+    def trace(kind, columns, monitors):
+        return flow_engine.FlowTrace(
+            kind=kind, columns=columns, blocks=[], terminal_profile=None, reference_constant=0.5,
+            reference_profile=None, sup_error_on_compact=0.0, lambda_estimate=0.0, converged=True,
+            meta={"monitors": list(monitors), "h": h},
+        )
+
     columns = {
         "t": np.array([0.0, 1.0, 2.0]), "sup_rate": np.zeros(3), "max_rate": np.array([-3.0, 3.0, 1.0]),
         "min_rate": np.zeros(3), "plateau": np.full(3, 0.5), "energy": np.ones(3),
         "comparison_gap": np.array([0.0, -1.0, 1.0]), "min_forward_diff": np.full(3, 0.1),
         "max_derivative": np.ones(3),
     }
-    trace = flow_engine.FlowTrace(
-        kind="j", columns=columns, blocks=[], terminal_profile=None,
-        terminal_constant=0.5, reference_constant=0.5, reference_profile=None, sup_error_on_compact=0.0,
-        lambda_estimate=0.0, converged=True, steps=2, energy_max_violation=0.0,
-        meta={"monitors": list(flow_engine.J_MONITORS), "h": 0.01},
-    )
-    entries = monitor_suite(trace).entries
+    entries = monitor_suite(trace("j", columns, flow_engine.J_MONITORS)).entries
     fail = {"passed": False, "first_violation": {"checkpoint": 1, "t": 1.0}}
     assert entries["monotone_decreasing"] == {**fail, "worst": -3.0}
     assert entries["above_singular_limit"] == {**fail, "worst": -1.0}
     assert entries["derivative_bounded"] == {"passed": True, "worst": 1.0, "first_violation": None}
+    assert entries["energy_nonincreasing"] == {"passed": True, "worst": 0.0, "first_violation": None}
     assert all(type(e["worst"]) is float for e in entries.values())
+
+    t = np.array([0.0, 0.5, 1.5, 2.5])
+    for kind, decay, slack in (("j", "energy", 1e-10), ("cotangent", "volume", max(1e-10, h**1.5))):
+        name = f"{decay}_nonincreasing"
+        # a rise under the slack, one over it, and a fall larger than both
+        v = np.cumsum([2.0, 0.5 * slack, 3 * slack, -1.0])
+        entries = monitor_suite(trace(kind, {"t": t, decay: v}, [decay])).entries
+        fail = {"passed": False, "first_violation": {"checkpoint": 2, "t": 1.5}}
+        assert entries == {name: {**fail, "worst": float(v[2] - v[1])}}
+        assert type(entries[name]["worst"]) is float
+        falling = np.array([2.0, 1.5, 1.0, 0.5])
+        entries = monitor_suite(trace(kind, {"t": t, decay: falling}, [decay])).entries
+        assert entries == {name: {"passed": True, "worst": 0.0, "first_violation": None}}
 
 
 def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
@@ -377,7 +395,7 @@ def test_j_step_decay_is_the_slope_field_bit_for_bit(nm):
     scheme = _JScheme(params, "line", FlowConfig(grid_size=64))
     x, h = scheme.x, scheme.h
     block = np.stack([scheme.psi, x**2 / 4, np.sqrt(x / 2)])
-    energies = scheme.decay_values(block)
+    energies = scheme.block_fields(block, np.zeros(len(block)))["energy"]
     grid_terms = _slope_grid(x, nm[0])
     assert np.array_equal(_slope_field(block, _gradient(block, h), nm[1], grid_terms),
                           [_slope_reference(x, pv, _gradient(pv, h), *nm) for pv in block])
@@ -551,7 +569,7 @@ def _old_csv(trace, path):
             if trace.kind == "j":
                 diag = _slope_reference(x, psi, d, trace.meta["params"]["n"], trace.meta["params"]["m"])
             else:
-                diag = _angle_field(x, psi, d)[0]
+                diag = (psi * d - x) / (x * d + psi)
             for xv, v, dg in zip(x, psi, diag):
                 fh.write(f"{t:.10g},{xv:.17g},{v:.17g},{dg:.17g}\n")
 
