@@ -18,9 +18,9 @@ Library layout:
                       CLI help can print it
 - energy_functionals: moment-map energy, its infimum, Futaki invariants of
                       piecewise-linear configurations summed by parts on
-                      integers, minimizing sequences, and the dHYM volume
-                      functional; only the last two and the moment energy
-                      load numpy
+                      integers, minimizing sequences sampled on one rho
+                      lattice per sequence, and the dHYM volume functional;
+                      only the last two and the moment energy load numpy
 - cli:                command-line front end; only its flow, minimizing-seq
                       and dhym-volume subcommands load numpy
 """
@@ -58,3 +58,13 @@ from .bundle_geometry import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # energy_functionals loads on first use, so `import slopeflow` does not
+    # pay for it
+    if name == "minimizing_sequence":
+        from .energy_functionals import minimizing_sequence
+
+        return minimizing_sequence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -322,6 +322,17 @@ class ChowElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "ChowElement":
+        params = self.params
+        if e > 0 and list(self._rows) == [1]:
+            # (c0 eta + c1 h)^e is the binomial row C(e, k) c1^k c0^(e-k) of
+            # h^k eta^(e-k), folded once; powers of h above n drop
+            n, r = params.n, params.r
+            c0, c1 = self._rows[1]
+            rows = {}
+            if e <= params.dim:
+                row = [_binom(e, k) * c1**k * c0 ** (e - k) for k in range(min(n, e) + 1)]
+                rows = _nonzero({e: _fold(n, r, e, row)})
+            return ChowElement._of(params, rows, self._den**e)
         out, base = None, self
         while e > 0:
             if e & 1:
@@ -329,7 +340,7 @@ class ChowElement:
             e >>= 1
             if e:
                 base = base * base
-        return ChowElement.one(self.params) if out is None else out
+        return ChowElement.one(params) if out is None else out
 
     def degrees(self) -> set[int]:
         return set(self._rows)

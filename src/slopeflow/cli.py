@@ -164,7 +164,7 @@ def _cmd_energy(ns) -> int:
         energy_infimum,
         futaki_invariant,
         l2_slope_deviation,
-        minimizing_profile,
+        minimizing_sequence,
         pl_limit_hamiltonian,
     )
 
@@ -184,10 +184,11 @@ def _cmd_energy(ns) -> int:
             raise InputError("minimizing-seq needs --k-step >= 1 and --k >= --k-min")
         params = BundleParams.parse(ns.params)
         ref = energy_infimum(params).value
-        rows = []
-        for k in range(ns.k_min, ns.k + 1, ns.k_step):
-            _, e = minimizing_profile(params, k)
-            rows.append({"k": k, "energy": e, "rel_error": abs(e - ref) / ref, "signed_error": (e - ref) / ref})
+        ks = range(ns.k_min, ns.k + 1, ns.k_step)
+        rows = [
+            {"k": k, "energy": e, "rel_error": abs(e - ref) / ref, "signed_error": (e - ref) / ref}
+            for k, (_, e) in zip(ks, minimizing_sequence(params, ks))
+        ]
         _emit(
             {"schema": 1, "reference": ref, "sequence": rows},
             os.path.join(out, "minimizing_seq.json") if out else None,

@@ -59,6 +59,7 @@ __all__ = [
     "pl_limit_hamiltonian",
     "l2_slope_deviation",
     "minimizing_profile",
+    "minimizing_sequence",
     "dhym_volume",
     "dhym_volume_split",
 ]
@@ -381,98 +382,105 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
     return num / (num + bump(1.0 - s))
 
 
-#: the last pair's weight table, keyed on (params, height)
-_WEIGHT_TABLE: dict = {}
+#: lattice points per unit of rho: a minimizing sequence samples rho_j = j/50
+_RHO_STEPS = 50
 
 
-def _weight_heights(height: float) -> np.ndarray:
-    import numpy as np
+def minimizing_sequence(params: BundleParams, ks) -> list[tuple[RadialProfile, float]]:
+    """The members k of the explicit energy-minimizing sequence, in the order
+    of `ks`, each a pair (RadialProfile, energy).
 
-    return np.linspace(0.0, 1.0000001 * height, 50001)
-
-
-def _weight_table(params: BundleParams, height: float) -> np.ndarray:
-    """The (m+1)-th root of the weight integral I_{m,n,0} on
-    `_weight_heights(height)`, read-only: every member of a minimizing
-    sequence inverts the same table.  I grows like x^(m+1)/(m+1) from 0, so
-    its root is close to linear there and interpolates well.  Only the last
-    pair's table is kept, and it is dropped before the next one is built, so
-    that two never live at once."""
-    from .calabi_profiles import _steady_j
-
-    key = (params, height)
-    if key not in _WEIGHT_TABLE:
-        _WEIGHT_TABLE.clear()
-        table = _steady_j(params, 0.0).integral(_weight_heights(height)) ** (1 / (params.m + 1))
-        table.flags.writeable = False
-        _WEIGHT_TABLE[key] = table
-    return _WEIGHT_TABLE[key]
-
-
-def minimizing_profile(params: BundleParams, k: float) -> tuple[RadialProfile, float]:
-    """The k-th member of the explicit energy-minimizing sequence.
-
-    Glues the singular-limit potential to a bubble potential translated k
-    units toward the degenerate end through a smooth cutoff.  The body of the
-    bubble takes its heights from `invert_steady_profile_j`, a safeguarded
-    Newton solve to rounding level.  The glued first derivative is recovered
-    by inverting the strictly increasing weight integral I on the cumulative
-    density, which starts from the base member's mass left of the first
-    sample; the inversion interpolates (m+1)-th roots, which are close to
-    linear where I vanishes to order m + 1.  So the gluing solves the
+    Member k glues the singular-limit potential to a bubble potential
+    translated k units toward the degenerate end through a smooth cutoff.
+    The body of the bubble takes its heights from `invert_steady_profile_j`,
+    a safeguarded Newton solve to rounding level.  The glued first derivative
+    is recovered by inverting the strictly increasing weight integral I on the
+    cumulative density, which starts from the base member's mass left of the
+    first sample; the inversion interpolates (m+1)-th roots, which are close
+    to linear where I vanishes to order m + 1.  So the gluing solves the
     prescribed Monge-Ampere density exactly at the sample points; its energy
     is evaluated by trapezoidal quadrature in the log-radial coordinate and
     converges to the closed-form infimum as k grows.  The base potential is
-    the sigmoid, sampled at steps of 0.02 in rho on [-k - 35, 35].
+    the sigmoid.
+
+    Every member samples the one lattice rho_j = j/50: member k takes the
+    points of [-k - 35, 35], the tail of the lattice of the largest k.  So
+    the base member, the bubble's heights and their derivative, and the
+    weight table are computed once for the whole sequence; the Newton solve
+    freezes each point once it converges, so a member is bit for bit the one
+    computed alone.  Each k is a whole number >= 1.
     """
     import numpy as np
 
-    from .calabi_profiles import invert_steady_profile_j, steady_profile_j_derivative
+    from .calabi_profiles import _steady_j, invert_steady_profile_j, steady_profile_j_derivative
+
+    ks = list(ks)
+    if not ks:
+        raise InputError("need at least one k")
     cert = min_slope_certificate(params)
     if cert.verdict == STABLE:
         raise InputError("stable pairs do not bubble; the smooth solution minimizes")
-    if k < 1:
-        raise InputError("need k >= 1")
+    if any(k < 1 or k != int(k) for k in ks):
+        raise InputError("need whole numbers k >= 1")
     lam = cert.lam or 0.0
     n, m = params.n, params.m
     a, b = float(params.a), float(params.b)
     height = a - lam
+    k_max = int(max(ks))
 
-    rho = np.arange(-k - 35.0, 35.0 + 0.02, 0.02)
+    rho = np.arange(-(k_max + 35) * _RHO_STEPS, 35 * _RHO_STEPS + 1) / _RHO_STEPS
+    rho.flags.writeable = False  # every member's rho is a view of it
+    drho = np.diff(rho)
     sig = _sigmoid(rho)
     u1 = b * sig
     u2 = b * sig * (1.0 - sig)
     ut1 = height * sig
-    ut2 = height * sig * (1.0 - sig)
+    base_density = (1 + ut1) ** n * ut1**m * (height * sig * (1.0 - sig))
 
-    kappa = _smoothstep(rho + k)
-    body = kappa > 0
-    vt1 = np.zeros_like(rho)
-    vt2 = np.zeros_like(rho)
-    if np.any(body):
-        x_of_rho = invert_steady_profile_j(params, lam, u1[body])
-        dpsi = np.maximum(steady_profile_j_derivative(params, lam, x_of_rho), 1e-300)
-        vt1[body] = x_of_rho - lam
-        vt2[body] = u2[body] / dpsi
+    # the bubble's density on the widest body, rho + k_max > -1; the body of
+    # every member lies inside it, and its density is 0 elsewhere
+    wide = rho + k_max > -1
+    body_density = np.zeros_like(rho)
+    x_of_rho = invert_steady_profile_j(params, lam, u1[wide])
+    dpsi = np.maximum(steady_profile_j_derivative(params, lam, x_of_rho), 1e-300)
+    vt1 = x_of_rho - lam
+    body_density[wide] = (1 + vt1) ** n * vt1**m * (u2[wide] / dpsi)
 
-    F = kappa * (1 + vt1) ** n * vt1**m * vt2 + (1 - kappa) * (1 + ut1) ** n * ut1**m * ut2
-    # left of rho[0] the glued member is the base member alone, whose density
-    # is d/drho I(ut1), so the cumulative density starts at I(ut1[0]) > 0
-    mass0 = float(weight_integral(m, n, 0, Fraction(ut1[0])))
-    cum = mass0 + np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(rho))))
+    heights = np.linspace(0.0, 1.0000001 * height, 50001)
+    table = _steady_j(params, 0.0).integral(heights) ** (1 / (m + 1))
+    c = float(_energy_constant(params))
 
-    theta1 = np.interp(cum ** (1 / (m + 1)), _weight_table(params, height), _weight_heights(height))
-    theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
+    members = []
+    for k in ks:
+        i = (k_max - int(k)) * _RHO_STEPS
+        r = rho[i:] + k
+        kappa = _smoothstep(r)
+        F = kappa * body_density[i:] + (1 - kappa) * base_density[i:]
+        # left of rho[i] the glued member is the base member alone, whose
+        # density is d/drho I(ut1), so the cumulative density starts at
+        # I(ut1[i]) > 0
+        mass0 = float(weight_integral(m, n, 0, Fraction(ut1[i])))
+        cum = mass0 + np.concatenate(([0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * drho[i:])))
 
-    base = _sigmoid(rho + k)
-    v1 = theta1 + lam * base
-    v2 = theta2 + lam * base * (1.0 - base)
-    sigma = u2 / v2 + n * (1 + u1) / (1 + v1)
-    if m:
-        sigma = sigma + m * u1 / v1
-    integrand = sigma**2 * (1 + v1) ** n * v1**m * v2
-    energy = float(_energy_constant(params)) * float(np.trapezoid(integrand, rho))
-    return RadialProfile(rho=rho, dv=v1, d2v=v2), energy
+        theta1 = np.interp(cum ** (1 / (m + 1)), table, heights)
+        theta2 = F / ((1 + theta1) ** n * np.maximum(theta1, 1e-300) ** m)
+
+        base = _sigmoid(r)
+        v1 = theta1 + lam * base
+        v2 = theta2 + lam * base * (1.0 - base)
+        sigma = u2[i:] / v2 + n * (1 + u1[i:]) / (1 + v1)
+        if m:
+            sigma = sigma + m * u1[i:] / v1
+        integrand = sigma**2 * (1 + v1) ** n * v1**m * v2
+        energy = c * float(np.trapezoid(integrand, rho[i:]))
+        members.append((RadialProfile(rho=rho[i:], dv=v1, d2v=v2), energy))
+    return members
+
+
+def minimizing_profile(params: BundleParams, k: int) -> tuple[RadialProfile, float]:
+    """The k-th member of the explicit energy-minimizing sequence, sampled at
+    rho = j/50 on [-k - 35, 35]: `minimizing_sequence(params, [k])[0]`."""
+    return minimizing_sequence(params, [k])[0]
 
 
 # ---------------------------------------------------------------------------

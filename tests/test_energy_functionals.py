@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow import calabi_profiles, energy_functionals
+from slopeflow import calabi_profiles
 from slopeflow.bundle_geometry import BundleParams, min_slope_certificate, steady_slope
 from slopeflow.calabi_profiles import (
     MomentProfile,
@@ -25,6 +25,7 @@ from slopeflow.energy_functionals import (
     futaki_invariant,
     l2_slope_deviation,
     minimizing_profile,
+    minimizing_sequence,
     moment_energy,
     pl_limit_hamiltonian,
 )
@@ -192,33 +193,26 @@ def test_minimizing_profile_builds_each_steady_profile_once(monkeypatch):
 
     monkeypatch.setattr(calabi_profiles, "steady_slope", counted)
     calabi_profiles._steady_j.cache_clear()
-    energy_functionals._WEIGHT_TABLE.clear()
     # one build for the puncture's profile, one for the weight table at 0
     minimizing_profile(BundleParams(n=2, m=0, a=3, b=F(15, 16)), 4)
     assert len(calls) == 2
 
 
 def test_minimizing_sequence_shares_one_weight_table(monkeypatch):
-    """Members of one sequence build the pair's read-only weight table once,
-    the next pair replaces it, and each energy is bitwise the one from a
-    table built afresh."""
+    """A sequence builds its pair's weight table once, the next sequence
+    builds its own, and each energy is bitwise the one from a table built
+    afresh."""
     builds = []
     steady_j = calabi_profiles._steady_j
     # the weight table is the only user of the profile punctured at 0 here
     monkeypatch.setattr(calabi_profiles, "_steady_j", lambda p, s: (s == 0.0 and builds.append(p)) or steady_j(p, s))
-    monkeypatch.setattr(energy_functionals, "_WEIGHT_TABLE", {})
     other = BundleParams(n=2, m=0, a=3, b=F(15, 16))
     members = [(UNSTABLE, 6), (UNSTABLE, 6), (UNSTABLE, 12), (other, 4)]
-    energies = [minimizing_profile(p, k)[1] for p, k in members]
+    energies = [e for _, e in minimizing_sequence(UNSTABLE, [6, 6, 12])]
+    energies += [e for _, e in minimizing_sequence(other, [4])]
     assert builds == [UNSTABLE, other]
     assert energies[0] == energies[1]
-    (table,) = energy_functionals._WEIGHT_TABLE.values()
-    assert not table.flags.writeable
-    fresh = []
-    for p, k in members[1:]:
-        energy_functionals._WEIGHT_TABLE.clear()
-        fresh.append(minimizing_profile(p, k)[1])
-    assert fresh == energies[1:]
+    assert [minimizing_profile(p, k)[1] for p, k in members[1:]] == energies[1:]
 
 
 #: unstable (n, m, a, b) with m >= 1: the weight integral vanishes to order
@@ -240,11 +234,67 @@ def test_minimizing_sequence_with_m_at_least_1_nears_the_infimum(n, m, a, b):
         assert abs(e - ref) <= bound * ref, (k, (e - ref) / ref)
 
 
+#: the unstable m = 0 pairs of the minimizing tests, then those with m >= 1
+SEQUENCE_PAIRS = [(2, 0, 3, 1), (1, 0, 4, 1), *HIGHER_M_PAIRS]
+
+
+@pytest.mark.parametrize("n,m,a,b", SEQUENCE_PAIRS)
+def test_minimizing_sequence_is_its_members_computed_alone(n, m, a, b):
+    params = BundleParams(n=n, m=m, a=a, b=b)
+    for k, (prof, energy) in zip(range(4, 21), minimizing_sequence(params, range(4, 21))):
+        alone, alone_energy = minimizing_profile(params, k)
+        for got, want in ((prof.rho, alone.rho), (prof.dv, alone.dv), (prof.d2v, alone.d2v)):
+            assert got.tobytes() == want.tobytes(), k
+        assert energy == alone_energy, k
+
+
+def test_minimizing_members_sample_rho_on_the_lattice():
+    """Member k samples rho = j/50 on [-k - 35, 35], both ends included."""
+    for k in range(1, 41):
+        rho = minimizing_profile(UNSTABLE, k)[0].rho
+        assert rho[0] == -k - 35 and rho[-1] == 35.0, k
+        assert rho.size == 50 * (k + 70) + 1, k
+        assert np.array_equal(rho, np.arange(-50 * (k + 35), 50 * 35 + 1) / 50), k
+
+
+def test_minimizing_sequence_inverts_differentiates_and_tabulates_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("invert_steady_profile_j", "steady_profile_j_derivative"):
+        monkeypatch.setattr(calabi_profiles, name, counted(name, getattr(calabi_profiles, name)))
+    steady_j = calabi_profiles._steady_j
+    # the weight table is the only user of the profile punctured at 0 here
+    monkeypatch.setattr(calabi_profiles, "_steady_j", lambda p, s: (s == 0.0 and calls.append("table")) or steady_j(p, s))
+    for params in (UNSTABLE, BundleParams(n=2, m=1, a=3, b=1)):
+        calls.clear()
+        assert len(minimizing_sequence(params, range(4, 21))) == 17
+        assert sorted(calls) == ["invert_steady_profile_j", "steady_profile_j_derivative", "table"]
+
+
+def test_minimizing_sequence_keeps_the_order_and_repeats_of_ks():
+    seq = minimizing_sequence(UNSTABLE, [12, 4, 12, 8, 4])
+    assert [prof.rho[0] for prof, _ in seq] == [-47.0, -39.0, -47.0, -43.0, -39.0]
+    assert [e for _, e in seq] == [minimizing_profile(UNSTABLE, k)[1] for k in (12, 4, 12, 8, 4)]
+
+
 def test_minimizing_profile_refuses_stable():
     with pytest.raises(InputError):
         minimizing_profile(STABLE, 5)
     with pytest.raises(InputError):
         minimizing_profile(UNSTABLE, 0)
+
+
+@pytest.mark.parametrize("params,ks", [(UNSTABLE, []), (UNSTABLE, [4, 0]), (UNSTABLE, [-3]), (UNSTABLE, [4.5]), (STABLE, [4])])
+def test_minimizing_sequence_refuses_bad_input(params, ks):
+    with pytest.raises(InputError):
+        minimizing_sequence(params, ks)
 
 
 def test_dhym_volume_calibrated_identity():

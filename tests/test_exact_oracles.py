@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow import calabi_profiles, energy_functionals, flow_engine
+from slopeflow import calabi_profiles, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
@@ -246,6 +246,38 @@ def test_pairing_sweep_matches_worklist_oracle():
             assert (eta ** (r - 1 + l)).coeffs == _worklist_reduce(power, n, r)
             want = _worklist_pairing([{(n - l, 0): F(1)}, power], params)
             assert pairing_number(l, params) == want == math.comb(r + l - 2, l)
+
+
+def _ref_pow(x, e):
+    """x^e by repeated squaring, as `ChowElement.__pow__` computes powers of
+    elements that are not of degree 1."""
+    out, base = None, x
+    while e > 0:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return ChowElement.one(x.params) if out is None else out
+
+
+def test_power_of_a_degree_1_class_matches_repeated_squaring():
+    """A power of (c0 eta + c1 h)/den is one folded binomial row: the same
+    rows over the same denominator as the repeated products, the zero
+    element past the top degree and `one` at e = 0."""
+    for n, r in itertools.product(range(1, 7), range(2, 7)):
+        params = BundleParams(n=n, m=r - 2, a=1, b=1)
+        classes = [ChowElement.hyperplane(params), ChowElement.infinity(params)]
+        classes += [ChowElement.fiber_class(params, t) for t in (0, -3, 2, F(-5, 7), F(7, 3))]
+        classes.append(F(3, 4) * ChowElement.fiber_class(params, F(-2, 5)))
+        for x, e in itertools.product(classes, range(n + r + 1)):
+            got, want = x**e, _ref_pow(x, e)
+            assert got.coeffs == want.coeffs, (n, r, e)
+            assert got.degrees() == want.degrees(), (n, r, e)
+            for d in want.degrees():
+                assert [c * want._den for c in got._rows[d]] == [c * got._den for c in want._rows[d]], (n, r, e)
+        assert (classes[-1] ** (n + r)).coeffs == {}
+        assert (classes[-1] ** 0).coeffs == {(0, 0): 1}
 
 
 def test_degree_mismatch_still_warns():
@@ -529,7 +561,6 @@ def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypat
     monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", _invert_expanded)
     monkeypatch.setattr(calabi_profiles, "steady_profile_j_derivative", _derivative_expanded)
     monkeypatch.setattr(calabi_profiles, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
-    monkeypatch.setattr(energy_functionals, "_WEIGHT_TABLE", {})
     ref, ref_energy = minimizing_profile(params, 2.0)
     for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
         assert got.tobytes() == want.tobytes()
