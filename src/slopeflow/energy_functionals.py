@@ -12,12 +12,16 @@ by the topological angle and splits the same way.
 The integrals of the weight x^m (1+x)^k are exact, from the antiderivative
 table of `bundle_geometry`; the only logarithm is the n = 1 bubble term.
 PL data are integrated by parts on integers: each breakpoint where the slope
-jumps adds integer pairs (numerator, denominator), with the antiderivatives
-it needs evaluated over one common denominator, and each of the three sums
-is reduced to a Fraction once.  The PL data of the limit Hamiltonian are
-written directly as integers over the puncture P/E and over a.  Only the
-minimizing sequence, the moment energy of a sampled profile and the dHYM
-volume import numpy, so the infimum and Futaki commands run without it.
+jumps adds integer terms, with the antiderivatives it needs evaluated over
+one common denominator.  The terms of b0 and b0' share their denominators,
+so one balanced tree sums both numerators, and b0, b0' and the Futaki
+invariant are each reduced to a Fraction once.  Only the float of the
+square's integral is used: it is rounded correctly from floors of its terms
+scaled by a power of two, and the exact tree runs only when those cannot
+decide the float.  The PL data of the limit Hamiltonian are written directly
+as integers over the puncture P/E and over a.  Only the minimizing sequence,
+the moment energy of a sampled profile and the dHYM volume import numpy, so
+the infimum and Futaki commands run without it.
 """
 
 from __future__ import annotations
@@ -176,16 +180,52 @@ class PLTestConfig:
             raise InputError("the final segment must be flat")
 
 
-def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
-    """Sum of (num, den) pairs, den > 0, added pairwise in a balanced tree over
-    common denominators and reduced once at the end."""
+def _exact_sum(terms: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Sum of tuples (num_1, ..., num_k, den), den > 0, each numerator over
+    its tuple's one denominator, added pairwise in a balanced tree over
+    common denominators: one gcd per merge serves every numerator.  The sum
+    comes back unreduced, as one such tuple."""
     while len(terms) > 1:
         merged = []
-        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+        for s, t in zip(terms[::2], terms[1::2]):
+            b, d = s[-1], t[-1]
             g = math.gcd(b, d)
-            merged.append((a * (d // g) + c * (b // g), b // g * d))
+            b, d = b // g, d // g
+            merged.append((*(x * d + y * b for x, y in zip(s[:-1], t[:-1])), b * t[-1]))
         terms = merged + terms[len(merged) * 2 :]
-    return Fraction(*terms[0])
+    return terms[0]
+
+
+#: bits kept below the largest term when `_rounded_sum` bounds a sum by
+#: floors; a sum that cancels past about 124 - 53 - log2(terms) of them falls
+#: back to the exact tree
+_GUARD_BITS = 124
+
+
+def _over_power_of_two(x: int, k: int) -> float:
+    """x / 2^k, correctly rounded, for any integer k."""
+    return x / (1 << k) if k >= 0 else float(x << -k)
+
+
+def _rounded_sum(terms: list[tuple[int, int]]) -> float:
+    """float(sum num/den) of (num, den) pairs, den > 0, correctly rounded.
+
+    With K set `_GUARD_BITS` bits below the largest term, the floors of the
+    terms times 2^K sum to S with S <= 2^K sum < S + N for N terms.  When
+    S/2^K and (S + N)/2^K round to the same nonzero float, rounding is
+    monotone, so that float is the sum's (Ziv, ACM TOMS 17(3), 1991).
+    Otherwise the exact tree `_exact_sum` decides.
+    """
+    k = _GUARD_BITS - max(num.bit_length() - den.bit_length() for num, den in terms)
+    if k >= 0:
+        s = sum((num << k) // den for num, den in terms)
+    else:
+        s = sum(num // (den << -k) for num, den in terms)
+    lo = _over_power_of_two(s, k)
+    if lo and lo == _over_power_of_two(s + len(terms), k):
+        return lo
+    num, den = _exact_sum(terms)
+    return num / den
 
 
 @lru_cache(maxsize=None)
@@ -199,21 +239,29 @@ def _by_parts_table(m: int, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(c * (common // den) for c in coeffs) + (0,) * (size - len(coeffs)) for coeffs, den in tables), common
 
 
-def _pl_integrals(cfg: PLTestConfig, m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact int h w, int h v and int h^2 w over [0, a], where h is the PL data,
-    w = x^m (1+x)^n and v = x^m (1+x)^(n-1), summed by parts.
+def _pl_integrals(
+    cfg: PLTestConfig, m: int, n: int
+) -> tuple[tuple[int, int, int], list[tuple[int, int]]]:
+    """Exact int h w and int h v over [0, a], where h is the PL data,
+    w = x^m (1+x)^n and v = x^m (1+x)^(n-1), summed by parts, and the terms
+    whose sum is int h^2 w.
 
     With W_q the q-th antiderivative of w vanishing at 0, s_i the slope right
     of breakpoint x_i (zero outside [0, a]) and J_i = s_i - s_(i-1):
         int h w   = h(a) W_1(a) + sum_i J_i W_2(x_i)
         int h^2 w = h(a)^2 W_1(a) + 2 sum_i J_i (h(x_i) W_2(x_i) - (s_i + s_(i-1)) W_3(x_i))
     and likewise for v, so only breakpoints where the slope jumps contribute.
+    The terms of int h w and int h v share their denominator term by term,
+    so they are summed as (u, v, den) triples in one `_exact_sum` tree and
+    come back unreduced: int h w = u/den and int h v = v/den.  The square's
+    (num, den) terms are left for `_rounded_sum`, since only its float is
+    used, or for `_exact_sum`.
     """
     a, ha = cfg.breakpoints[-1], cfg.values[-1]
     hp, hq = ha.numerator, ha.denominator
     (w1, dw1), (v1, dv1) = _antiderivative_at(m, n, 1, a), _antiderivative_at(m, n - 1, 1, a)
-    first = [(hp * w1, hq * dw1)]
-    tail = [(hp * v1, hq * dv1)]
+    d1 = math.lcm(dw1, dv1)
+    pairs = [(hp * w1 * (d1 // dw1), hp * v1 * (d1 // dv1), hq * d1)]
     square = [(hp * hp * w1, hq * hq * dw1)]
     (cw2, cw3, cv2), common = _by_parts_table(m, n)
     slopes = [(0, 1), *((s.numerator, s.denominator) for s in cfg.slopes), (0, 1)]
@@ -232,10 +280,9 @@ def _pl_integrals(cfg: PLTestConfig, m: int, n: int) -> tuple[Fraction, Fraction
         w2, w3, v2 = _eval_poly(cw2, p, q), _eval_poly(cw3, p, q), _eval_poly(cv2, p, q)
         den = common * q ** (len(cw2) - 1)
         hn, hd = h.numerator, h.denominator
-        first.append((jump * w2, jd * den))
-        tail.append((jump * v2, jd * den))
+        pairs.append((jump * w2, jump * v2, jd * den))
         square.append((2 * jump * (hn * sd * w2 - total * hd * w3), jd * hd * sd * den))
-    return _exact_sum(first), _exact_sum(tail), _exact_sum(square)
+    return _exact_sum(pairs), square
 
 
 @dataclass
@@ -265,17 +312,23 @@ def futaki_invariant(cfg: PLTestConfig, params: BundleParams) -> FutakiReport:
     supremum is the L2 slope deviation, attained along PL approximations of
     the limit Hamiltonian.  norm is the weighted L2 norm of h.  The integrals
     are exact, summed by parts over the breakpoints where the slope jumps
-    (see `_pl_integrals`).
+    (see `_pl_integrals`); norm is the square root of the correctly rounded
+    float of int h^2 w (see `_rounded_sum`).
     """
     n, m, a, b = params.n, params.m, params.a, params.b
     if cfg.breakpoints[0] != 0 or cfg.breakpoints[-1] != a:
         raise InputError("PL data must span [0, a]")
-    b0, tail, square = _pl_integrals(cfg, m, n)
-    b0p = n * tail + cfg.values[-1] * a**m * (1 + a) ** n * b
+    (u, v, den), square = _pl_integrals(cfg, m, n)
+    # b0 = u/den, b0' = (n v cq + cp den)/(den cq) with h(a) a^m (1+a)^n b =
+    # cp/cq, and fut = mu0 b0 - b0' with mu0 = M/D: each reduced once
+    c = cfg.values[-1] * a**m * (1 + a) ** n * b
+    cp, cq = c.numerator, c.denominator
     mu0 = steady_slope(params, 0)
-    fut = mu0 * b0 - b0p
-    norm = math.sqrt(float(square))
-    return FutakiReport(b0=b0, b0_prime=b0p, fut=fut, norm=norm)
+    M, D = mu0.numerator, mu0.denominator
+    b0p = n * v * cq + cp * den
+    fut = Fraction(M * u * cq - D * b0p, D * den * cq)
+    norm = math.sqrt(_rounded_sum(square))
+    return FutakiReport(b0=Fraction(u, den), b0_prime=Fraction(b0p, den * cq), fut=fut, norm=norm)
 
 
 def pl_limit_hamiltonian(params: BundleParams, num_breakpoints: int) -> PLTestConfig:
@@ -454,7 +507,12 @@ def minimizing_sequence(params: BundleParams, ks) -> list[tuple[RadialProfile, f
     for k in ks:
         i = (k_max - int(k)) * _RHO_STEPS
         r = rho[i:] + k
-        kappa = _smoothstep(r)
+        # the cutoff is exactly 0 for r <= -1 and exactly 1 for r >= 1, so
+        # it is evaluated only on the samples between
+        lo, hi = np.searchsorted(r, -1.0, "right"), np.searchsorted(r, 1.0)
+        kappa = np.zeros_like(r)
+        kappa[lo:hi] = _smoothstep(r[lo:hi])
+        kappa[hi:] = 1.0
         F = kappa * body_density[i:] + (1 - kappa) * base_density[i:]
         # left of rho[i] the glued member is the base member alone, whose
         # density is d/drho I(ut1), so the cumulative density starts at

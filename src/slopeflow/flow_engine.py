@@ -547,9 +547,14 @@ class _CotScheme:
         """cot(theta) at half nodes.
 
         c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
-        difference quotient delta, which makes the flux-difference update a
-        monotone scheme and preserves admissibility and the comparison
-        principle at the discrete level.
+        difference quotient delta.  Through the cell mean it also depends on
+        each end node: dc/dpsi_- = (x(1+delta^2)/2 - (mean^2+x^2)/h)/den^2,
+        which is nonpositive exactly while
+        r = h x (1+delta^2) / (2(mean^2+x^2)) <= 1.  Where every cell has
+        r <= 1 the flux-difference update is a monotone scheme and keeps
+        admissibility and the comparison principle at the discrete level; a
+        steep cell with r > 1 can break them, as on short unstable intervals
+        during the transient.
 
         The first half node takes the constant-angle jump flux
         c_jump = x1 psi1 - sqrt((x1^2-1)(psi1^2+1)) exactly when c_jump
@@ -810,42 +815,45 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
     never increases.  For the cotangent flow: profiles increase in time and
     stay below the steady limit, the angle stays inside (0, pi), and the
     calibration volume never increases.  Reports the first violating
-    checkpoint of each monitor.
+    checkpoint of each monitor and, as `worst`, its most violating value:
+    the minimum of a quantity bounded below, the maximum of one bounded
+    above.
     """
     cols = trace.columns
     monitors = trace.meta.get("monitors", [])
     j = trace.kind == "j"
     entries: dict[str, dict] = {}
 
-    def scan(name, v, ok):
-        # the worst value is the first of largest magnitude
+    def scan(name, v, ok, worst):
+        # worst is np.min under a lower bound and np.max under an upper one,
+        # so it is the most violating value, whether or not any fails
         fails = np.flatnonzero(~ok(v))
         i = int(fails[0]) if fails.size else None
         entries[name] = {
             "passed": i is None,
-            "worst": float(v[np.abs(v).argmax()]),
+            "worst": float(worst(v)),
             "first_violation": None if i is None else {"checkpoint": i, "t": float(cols["t"][i])},
         }
 
     if "monotone" in monitors:
         if j:
-            scan("monotone_decreasing", cols["max_rate"], lambda v: v <= MONO_TOL)
+            scan("monotone_decreasing", cols["max_rate"], lambda v: v <= MONO_TOL, np.max)
         else:
-            scan("monotone_increasing", cols["min_rate"], lambda v: v >= -MONO_TOL)
+            scan("monotone_increasing", cols["min_rate"], lambda v: v >= -MONO_TOL, np.min)
     if "comparison" in monitors:
         name = "above_singular_limit" if j else "below_steady_limit"
-        scan(name, cols["comparison_gap"], lambda v: v >= -COMP_TOL)
+        scan(name, cols["comparison_gap"], lambda v: v >= -COMP_TOL, np.min)
     if "derivative" in monitors:
-        scan("forward_differences_nonnegative", cols["min_forward_diff"], lambda v: v >= -ADMISSIBILITY_TOL)
-        scan("derivative_bounded", cols["max_derivative"], lambda v: v < 1e6)
+        scan("forward_differences_nonnegative", cols["min_forward_diff"], lambda v: v >= -ADMISSIBILITY_TOL, np.min)
+        scan("derivative_bounded", cols["max_derivative"], lambda v: v < 1e6, np.max)
     if "angle" in monitors:
-        scan("angle_above_zero", cols["theta_min"], lambda v: v > 0)
-        scan("angle_below_pi", cols["theta_max"], lambda v: v < math.pi)
+        scan("angle_above_zero", cols["theta_min"], lambda v: v > 0, np.min)
+        scan("angle_below_pi", cols["theta_max"], lambda v: v < math.pi, np.max)
     for decay in ("energy", "volume"):
         if decay in monitors:
             # each checkpoint's rise over the one before it, 0 after a fall
             # and at the first, so that the worst is the largest rise
             v = cols[decay]
             slack = _decay_slack(decay, trace.meta.get("h", 0.0))
-            scan(f"{decay}_nonincreasing", np.maximum(np.diff(v, prepend=v[0]), 0.0), lambda r: r <= slack)
+            scan(f"{decay}_nonincreasing", np.maximum(np.diff(v, prepend=v[0]), 0.0), lambda r: r <= slack, np.max)
     return MonitorReport(entries=entries)

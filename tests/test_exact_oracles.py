@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopeflow import calabi_profiles, flow_engine
+from slopeflow import calabi_profiles, energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
@@ -59,7 +59,9 @@ from slopeflow.calabi_profiles import (
 )
 from slopeflow.energy_functionals import (
     PLTestConfig,
+    _exact_sum,
     _pl_integrals,
+    _rounded_sum,
     _volume_geometry,
     _volume_values,
     energy_infimum,
@@ -151,22 +153,82 @@ def convex_pl(draw):
     return PLTestConfig(breakpoints=tuple(bps), values=tuple(vals))
 
 
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+def _pl_exact(cfg, m, n):
+    """int h w, int h v and int h^2 w from `_pl_integrals`, the square summed
+    by the exact tree, and the square's float from `_rounded_sum`."""
+    (u, v, den), square = _pl_integrals(cfg, m, n)
+    return (F(u, den), F(v, den), F(*_exact_sum(square))), _rounded_sum(square)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=convex_pl(), m=st.integers(0, 3), n=st.integers(1, 4))
 def test_pl_integrals_match_segment_oracle(cfg, m, n):
-    assert _pl_integrals(cfg, m, n) == _oracle_integrals(cfg, m, n)
+    exact, rounded = _pl_exact(cfg, m, n)
+    oracle = _oracle_integrals(cfg, m, n)
+    assert exact == oracle
+    assert _bits(math.sqrt(rounded)) == _bits(math.sqrt(float(oracle[2])))
 
 
 @pytest.mark.parametrize("params", [BundleParams(n=1, m=0, a=4, b=1), BundleParams(n=2, m=1, a=3, b=1)])
 @pytest.mark.parametrize("breakpoints", [16, 64, 256])
-def test_pl_integrals_match_oracle_on_limit_hamiltonian(params, breakpoints):
+def test_pl_integrals_match_oracle_on_limit_hamiltonian(params, breakpoints, monkeypatch):
+    """b0, b0', fut and the norm are the oracle's; with no guard bits the
+    square goes through the exact tree, after the one tree of b0 and b0'."""
     cfg = pl_limit_hamiltonian(params, breakpoints)
     b0, tail, square = _oracle_integrals(cfg, params.m, params.n)
-    assert _pl_integrals(cfg, params.m, params.n) == (b0, tail, square)
+    assert _pl_exact(cfg, params.m, params.n)[0] == (b0, tail, square)
     rep = futaki_invariant(cfg, params)
     b0p = params.n * tail + cfg.values[-1] * params.a**params.m * (1 + params.a) ** params.n * params.b
-    assert (rep.b0, rep.b0_prime) == (b0, b0p)
-    assert rep.norm == math.sqrt(float(square))
+    assert (rep.b0, rep.b0_prime, rep.fut) == (b0, b0p, steady_slope(params, 0) * b0 - b0p)
+    assert _bits(rep.norm) == _bits(math.sqrt(float(square)))
+    widths = []
+
+    def tree(terms):
+        widths.append(len(terms[0]))
+        return _exact_sum(terms)
+
+    monkeypatch.setattr(energy_functionals, "_exact_sum", tree)
+    monkeypatch.setattr(energy_functionals, "_GUARD_BITS", 0)
+    assert futaki_invariant(cfg, params) == rep
+    assert widths == [3, 2]
+
+
+@pytest.mark.parametrize(
+    "terms,falls_back",
+    [
+        # exactly halfway between two floats: 1 + 2^-53 rounds to 1
+        ([(1, 1), (1, 2**53)], True),
+        # cancellation past the guard bits: 1/3 - (1/3 - 2^-200)
+        ([(1, 3), (-(2**200 - 3), 3 * 2**200)], True),
+        # terms that cancel to zero
+        ([(5, 7), (-10, 14)], True),
+        # large terms, whose scale 2^K is below 1
+        ([(3**300, 7), (-(3**300), 11), (1, 5)], False),
+    ],
+)
+def test_rounded_sum_falls_back_to_the_exact_tree(monkeypatch, terms, falls_back):
+    """Sums on a rounding boundary, or cancelling past the guard bits, fail
+    the floor test and fall back to the exact tree; with no guard bits every
+    sum falls back.  Either way the float is the exact sum's, correctly
+    rounded."""
+    exact = float(sum(F(num, den) for num, den in terms))
+    calls = []
+
+    def tree(t):
+        calls.append(t)
+        return _exact_sum(t)
+
+    monkeypatch.setattr(energy_functionals, "_exact_sum", tree)
+    assert _bits(_rounded_sum(terms)) == _bits(exact)
+    assert calls == ([terms] if falls_back else [])
+    calls.clear()
+    monkeypatch.setattr(energy_functionals, "_GUARD_BITS", 0)
+    assert _bits(_rounded_sum(terms)) == _bits(exact)
+    assert calls == [terms]
 
 
 # ---------------------------------------------------------------------------
@@ -1235,14 +1297,17 @@ def _ref_integrate(scheme, cfg, lag):
     return times, checkpoints, profiles, series, rise
 
 
-def _ref_scan(series, ok, cks):
-    """A checkpoint monitor's entry by a plain loop over its series."""
+def _ref_scan(series, ok, lower, cks):
+    """A checkpoint monitor's entry by a plain loop over its series; the
+    worst value is the smallest under a lower bound, the largest under an
+    upper one."""
     first_fail = None
     extremal = None
     for i, v in enumerate(series):
         if v is None:
             continue
-        extremal = v if extremal is None else (v if abs(v) > abs(extremal) else extremal)
+        if extremal is None or (v < extremal if lower else v > extremal):
+            extremal = v
         if first_fail is None and not ok(v):
             first_fail = i
     return {
@@ -1258,19 +1323,19 @@ def _ref_checkpoint_monitors(kind, monitors, cks):
     scans = []
     if "monotone" in monitors:
         if j:
-            scans.append(("monotone_decreasing", "max_rate", lambda v: v <= flow_engine.MONO_TOL))
+            scans.append(("monotone_decreasing", "max_rate", lambda v: v <= flow_engine.MONO_TOL, False))
         else:
-            scans.append(("monotone_increasing", "min_rate", lambda v: v >= -flow_engine.MONO_TOL))
+            scans.append(("monotone_increasing", "min_rate", lambda v: v >= -flow_engine.MONO_TOL, True))
     if "comparison" in monitors:
         name = "above_singular_limit" if j else "below_steady_limit"
-        scans.append((name, "comparison_gap", lambda v: v >= -flow_engine.COMP_TOL))
+        scans.append((name, "comparison_gap", lambda v: v >= -flow_engine.COMP_TOL, True))
     if "derivative" in monitors:
-        scans.append(("forward_differences_nonnegative", "min_forward_diff", lambda v: v >= -ADMISSIBILITY_TOL))
-        scans.append(("derivative_bounded", "max_derivative", lambda v: v < 1e6))
+        scans.append(("forward_differences_nonnegative", "min_forward_diff", lambda v: v >= -ADMISSIBILITY_TOL, True))
+        scans.append(("derivative_bounded", "max_derivative", lambda v: v < 1e6, False))
     if "angle" in monitors:
-        scans.append(("angle_above_zero", "theta_min", lambda v: v > 0))
-        scans.append(("angle_below_pi", "theta_max", lambda v: v < math.pi))
-    return {name: _ref_scan([getattr(c, f) for c in cks], ok, cks) for name, f, ok in scans}
+        scans.append(("angle_above_zero", "theta_min", lambda v: v > 0, True))
+        scans.append(("angle_below_pi", "theta_max", lambda v: v < math.pi, False))
+    return {name: _ref_scan([getattr(c, f) for c in cks], ok, lower, cks) for name, f, ok, lower in scans}
 
 
 #: (flow, arguments, grid, FlowConfig overrides)
@@ -1289,11 +1354,10 @@ FLOW_CHECKPOINT_CASES = [
     # more checkpoints (and J steps) than a chunk holds
     ("j", (1, 0, 2, F(2, 3)), 512, {}),
     ("cotangent", (2, 3, 0), 512, {}),
+    # a short unstable pair that fails monotone_increasing, while the largest
+    # magnitude of its rates is a rise
+    ("cotangent", (F(9, 8), F(29, 8), 0), 128, {}),
 ]
-
-
-def _bits(value):
-    return None if value is None else np.float64(value).tobytes()
 
 
 @pytest.mark.parametrize("flow,args,grid,overrides", FLOW_CHECKPOINT_CASES)
@@ -1334,6 +1398,10 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         got = trace.monitor_report.entries[name]
         assert (got["passed"], got["first_violation"]) == (ref["passed"], ref["first_violation"]), name
         assert type(got["worst"]) is float and _bits(got["worst"]) == _bits(ref["worst"]), name
+    if args == (F(9, 8), F(29, 8), 0):
+        entry = trace.monitor_report.entries["monotone_increasing"]
+        rates = trace.columns["min_rate"]
+        assert not entry["passed"] and entry["worst"] == rates.min() < 0 < -rates.min() < rates.max()
     if args == (2, 1, 3, 1):
         assert want is not None
         # the unstable pair's known fault: it dips below the singular limit
@@ -1376,7 +1444,11 @@ def test_flow_trace_does_not_depend_on_the_block_size(flow, args, grid, override
         assert trace.monitor_report == ref.monitor_report
 
 
-COT_CHECKPOINT_CASES = [case for case in FLOW_CHECKPOINT_CASES if case[0] == "cotangent"]
+#: the cotangent cases but (9/8, 29/8, 0), whose monotone verdict the lagged
+#: sensitivities change: it passes with sensitivities fresh at every step
+COT_CHECKPOINT_CASES = [
+    case for case in FLOW_CHECKPOINT_CASES if case[0] == "cotangent" and case[1] != (F(9, 8), F(29, 8), 0)
+]
 
 
 @pytest.mark.parametrize("flow,args,grid,overrides", COT_CHECKPOINT_CASES)

@@ -202,10 +202,11 @@ def test_monitor_report_structure(unstable):
     assert all(np.diff(tr.times) > 0)
 
 
-def test_monitor_scan_keeps_the_first_worst_value():
-    """A checkpoint monitor's `worst` is the first value of largest
-    magnitude, so of v and -v the earlier wins, and its first violation is
-    the first checkpoint that fails.  A decay monitor scans the rises of its
+def test_monitor_scan_reports_the_most_violating_value():
+    """A checkpoint monitor's `worst` is its most violating value, the
+    minimum under a lower bound and the maximum under an upper one, even
+    where a value of larger magnitude passes; its first violation is the
+    first checkpoint that fails.  A decay monitor scans the rises of its
     column: its worst is the largest rise, 0.0 when nothing rose, and its
     first violation the checkpoint after the first rise above the slack."""
     h = 0.01
@@ -220,12 +221,12 @@ def test_monitor_scan_keeps_the_first_worst_value():
     columns = {
         "t": np.array([0.0, 1.0, 2.0]), "sup_rate": np.zeros(3), "max_rate": np.array([-3.0, 3.0, 1.0]),
         "min_rate": np.zeros(3), "plateau": np.full(3, 0.5), "energy": np.ones(3),
-        "comparison_gap": np.array([0.0, -1.0, 1.0]), "min_forward_diff": np.full(3, 0.1),
+        "comparison_gap": np.array([0.0, -1.0, 2.0]), "min_forward_diff": np.full(3, 0.1),
         "max_derivative": np.ones(3),
     }
     entries = monitor_suite(trace("j", columns, flow_engine.J_MONITORS)).entries
     fail = {"passed": False, "first_violation": {"checkpoint": 1, "t": 1.0}}
-    assert entries["monotone_decreasing"] == {**fail, "worst": -3.0}
+    assert entries["monotone_decreasing"] == {**fail, "worst": 3.0}
     assert entries["above_singular_limit"] == {**fail, "worst": -1.0}
     assert entries["derivative_bounded"] == {"passed": True, "worst": 1.0, "first_violation": None}
     assert entries["energy_nonincreasing"] == {"passed": True, "worst": 0.0, "first_violation": None}
