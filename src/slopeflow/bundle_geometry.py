@@ -16,7 +16,13 @@ Everything exact runs on Python integers.  A ring element keeps, for each
 degree d, one row of integer numerators for the monomials h^k eta^(d-k) of
 the basis, all over one denominator; a product convolves the rows degree by
 degree and folds the powers of eta past the relation back into the basis
-through a table cached per degree.  Weight integrals and slopes are integer
+through a table cached per degree.  A pairing never forms its last product:
+the top-degree fold table gives the coefficient t[k] of the top monomial in
+each h^k eta^(N-k), and two rows of complementary degrees pair to the sum of
+x_i y_j t[i + j].  The slope and blow-up oracles share one power
+alpha^(N-1), paired with h, eta and alpha; alpha^(N-1).beta is the pairing
+with h plus b times the pairing with eta, so a sweep over b or over the
+puncture s reuses the three pairings.  Weight integrals and slopes are integer
 numerators over integer denominators until one Fraction at the end.  The
 puncture, a root of a polynomial with no closed form, is bracketed by
 adjacent floats at which the exact sign of that polynomial, cleared of
@@ -28,6 +34,7 @@ antiderivative table, so `verify identities` checks one against the other.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -325,12 +332,19 @@ class ChowElement:
         params = self.params
         if e > 0 and list(self._rows) == [1]:
             # (c0 eta + c1 h)^e is the binomial row C(e, k) c1^k c0^(e-k) of
-            # h^k eta^(e-k), folded once; powers of h above n drop
+            # h^k eta^(e-k), folded once; powers of h above n drop.  Of a
+            # monomial (c0 or c1 zero) it has the one entry c^e, at k = 0 or e
             n, r = params.n, params.r
             c0, c1 = self._rows[1]
             rows = {}
             if e <= params.dim:
-                row = [_binom(e, k) * c1**k * c0 ** (e - k) for k in range(min(n, e) + 1)]
+                if c0 and c1:
+                    row = [math.comb(e, k) * c1**k * c0 ** (e - k) for k in range(min(n, e) + 1)]
+                else:
+                    row = [0] * (min(n, e) + 1)
+                    k = 0 if c0 else e
+                    if k <= n:
+                        row[k] = (c0 or c1) ** e
                 rows = _nonzero({e: _fold(n, r, e, row)})
             return ChowElement._of(params, rows, self._den**e)
         out, base = None, self
@@ -357,8 +371,12 @@ def intersection_number(factors, params: BundleParams) -> Fraction:
     The reduced top monomial h^n eta^(r-1) pairs to d; products whose total
     degree misses the dimension pair to zero (a warning is emitted when the
     factors are homogeneous and their degrees visibly cannot reach it).
+    All factors but the last are multiplied out; the last is paired with
+    that product through the top-degree coefficient, without forming it:
+    h^k eta^(N-k) reduces to t[k] h^n eta^(r-1), so rows of degrees d and
+    N - d pair to the sum of x_i y_j t[i + j] over their monomials.
     """
-    product = None
+    product = last = None
     declared = 0
     homogeneous = True
     for f in factors:
@@ -366,17 +384,50 @@ def intersection_number(factors, params: BundleParams) -> Fraction:
             declared += next(iter(f._rows))
         else:
             homogeneous = False
-        product = f if product is None else product * f
-    if product is None:
-        product = ChowElement.one(params)
+        if last is not None:
+            product = last if product is None else product * last
+        last = f
     if homogeneous and declared != params.dim:
         warnings.warn(
             f"total degree {declared} does not match dimension {params.dim}; pairing is 0",
             RuntimeWarning,
             stacklevel=2,
         )
-    row = product._rows.get(params.dim)
-    return Fraction(row[0] * params.d.numerator if row else 0, product._den * params.d.denominator)
+    if product is None:
+        top = ChowElement.one(params) if last is None else last
+        row = top._rows.get(params.dim)
+        num, den = row[0] if row else 0, top._den
+    else:
+        num, den = _top_pairing(params, product._rows, last._rows), product._den * last._den
+    return Fraction(num * params.d.numerator, den * params.d.denominator)
+
+
+@lru_cache(maxsize=None)
+def _top_table(n: int, r: int) -> tuple[int, ...]:
+    """t[k], k <= n: the coefficient of h^n eta^(r-1) in h^k eta^(n+r-1-k)
+    reduced, read off the fold table of the top degree (whose basis is that
+    one monomial)."""
+    _, rules = _fold_table(n, r, n + r - 1)
+    return tuple(sum(c for _, c in rule) for rule in rules) + (1,)
+
+
+def _top_pairing(params: BundleParams, rows1: dict[int, list[int]], rows2: dict[int, list[int]]) -> int:
+    """The numerator of the top coefficient of the product of two elements,
+    given by their rows, over the product of their denominators."""
+    n, r = params.n, params.m + 2
+    top, t = n + r - 1, _top_table(n, r)
+    total = 0
+    for d1, row1 in rows1.items():
+        row2 = rows2.get(top - d1)
+        if row2 is None:
+            continue
+        # entry j of row2 is h^(lo2 + j), so the product monomial is h^(i + j);
+        # t[i:] is empty past h^n
+        lo = max(0, d1 - r + 1) + max(0, top - d1 - r + 1)
+        for i, x in enumerate(row1, lo):
+            if x:
+                total += x * sum(map(operator.mul, row2, t[i:]))
+    return total
 
 
 def pairing_number(l: int, params: BundleParams) -> Fraction:
@@ -403,19 +454,36 @@ def steady_slope(params: BundleParams, s) -> Fraction:
     return Fraction(num * v, den * u)
 
 
-def _alpha_top_pairings(params: BundleParams, *others: ChowElement) -> list[Fraction]:
-    """alpha^(N-1).c for each class c in others, alpha = h + a eta, by the ring;
-    alpha^(N-1) is computed once."""
-    power = ChowElement.fiber_class(params, params.a) ** (params.dim - 1)
-    return [intersection_number([power, c], params) for c in others]
+def _alpha_pairings(params: BundleParams) -> tuple[Fraction, Fraction, Fraction]:
+    """alpha^(N-1).h, alpha^(N-1).eta and alpha^N, alpha = h + a eta, by the
+    ring: one power of alpha and three pairings.  They do not depend on b, so
+    a sweep over b shares them."""
+    alpha = ChowElement.fiber_class(params, params.a)
+    power = alpha ** (params.dim - 1)
+    classes = (ChowElement.hyperplane(params), ChowElement.infinity(params), alpha)
+    return tuple(intersection_number([power, c], params) for c in classes)
+
+
+def _mixed_pairing(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """alpha^(N-1).beta, beta = h + b eta, from the pairings of `_alpha_pairings`,
+    as one Fraction of integers."""
+    (u, v), (w, z), (p, q) = (x.as_integer_ratio() for x in (pairings[0], pairings[1], params.b))
+    return Fraction(u * z * q + p * w * v, v * z * q)
+
+
+def _chow_slope(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """(n+m+1) alpha^(N-1).beta / alpha^N from the pairings of `_alpha_pairings`."""
+    mixed, total = _mixed_pairing(params, pairings), pairings[2]
+    return Fraction(params.dim * mixed.numerator * total.denominator, mixed.denominator * total.numerator)
 
 
 def steady_slope_chow(params: BundleParams) -> Fraction:
-    """(n+m+1) alpha^(n+m).beta / alpha^(n+m+1) via the ring oracle."""
-    alpha = ChowElement.fiber_class(params, params.a)
-    beta = ChowElement.fiber_class(params, params.b)
-    num, den = _alpha_top_pairings(params, beta, alpha)
-    return params.dim * num / den
+    """(n+m+1) alpha^(n+m).beta / alpha^(n+m+1) via the ring oracle.
+
+    One power alpha^(n+m) is paired with h, eta and alpha; alpha^(n+m).beta
+    is the pairing with h plus b times the pairing with eta.
+    """
+    return _chow_slope(params, _alpha_pairings(params))
 
 
 def critical_polynomial(params: BundleParams) -> list[Fraction]:
@@ -615,6 +683,18 @@ def _exceptional_sum(params: BundleParams, s: Fraction, M: int, k: int) -> Fract
     return Fraction(num * d.numerator, q ** (r - 1 + k) * d.denominator)
 
 
+def _blowup_sums(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction], s) -> tuple[Fraction, Fraction]:
+    """The blow-up's top and mixed powers at puncture s: alpha^N and
+    alpha^(N-1).beta, from the pairings of `_alpha_pairings`, minus their
+    exceptional corrections."""
+    s = to_fraction(s)
+    N, n = params.dim, params.n
+    return (
+        pairings[2] - _exceptional_sum(params, s, N, n),
+        _mixed_pairing(params, pairings) - _exceptional_sum(params, s, N - 1, n - 1),
+    )
+
+
 def blowup_top_power_sum(params: BundleParams, s) -> Fraction:
     """Same number via alpha^N from the ring minus the exceptional corrections.
 
@@ -622,8 +702,7 @@ def blowup_top_power_sum(params: BundleParams, s) -> Fraction:
     class; each pairing value is C(r-2+l, l) d by the recursion on the
     projectivized normal bundle.
     """
-    (total,) = _alpha_top_pairings(params, ChowElement.fiber_class(params, params.a))
-    return total - _exceptional_sum(params, to_fraction(s), params.dim, params.n)
+    return _blowup_sums(params, _alpha_pairings(params), s)[0]
 
 
 def blowup_mixed_power(params: BundleParams, s) -> Fraction:
@@ -634,8 +713,8 @@ def blowup_mixed_power(params: BundleParams, s) -> Fraction:
 
 
 def blowup_mixed_power_sum(params: BundleParams, s) -> Fraction:
-    (total,) = _alpha_top_pairings(params, ChowElement.fiber_class(params, params.b))
-    return total - _exceptional_sum(params, to_fraction(s), params.dim - 1, params.n - 1)
+    """Same number via alpha^(N-1).beta from the ring minus the exceptional corrections."""
+    return _blowup_sums(params, _alpha_pairings(params), s)[1]
 
 
 @lru_cache(maxsize=None)

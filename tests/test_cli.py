@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import slopeflow
+from slopeflow import bundle_geometry, cli
 from slopeflow.bundle_geometry import BundleParams
 from slopeflow.calabi_profiles import special_cotangent_profile
 from slopeflow.cli import main
@@ -369,6 +370,67 @@ def test_verify_identities_exits_0(capsys):
     code, out = _run(capsys, ["verify", "identities"])
     assert code == 0
     assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-mn", "0", "--max-sq", "0"], ["--max-mn", "-3"], ["--max-sq", "0"]]
+)
+def test_verify_identities_empty_sweep_exits_1(capsys, flags):
+    """A sweep that would check no case is an input error, not a pass."""
+    assert main(["verify", "identities"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def _verify_details(capsys):
+    code, out = _run(capsys, ["verify", "identities", "--max-mn", "2", "--max-sq", "6"])
+    return code, {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+
+
+@pytest.fixture
+def fresh_ring_tables():
+    """The per-shape ring tables, emptied before and after the test."""
+    tables = (bundle_geometry._eta_power, bundle_geometry._fold_table, bundle_geometry._top_table)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+def test_verify_identities_runs_through_the_ring(capsys, monkeypatch, fresh_ring_tables):
+    """One wrong coefficient in the relation eta^r = sum ... reaches every
+    ring-side check of the sweep, so none of them reads a stored answer."""
+    real = bundle_geometry._eta_power
+
+    def broken(r, l):
+        out = real(r, l)
+        if l == r:
+            (j, c), *rest = out
+            return ((j, c + 1), *rest)
+        return out
+
+    monkeypatch.setattr(bundle_geometry, "_eta_power", broken)
+    code, details = _verify_details(capsys)
+    assert code == 2
+    assert details["binomial identity"] == "0 mismatches"
+    for name in ("slope closed form vs ring oracle", "pairing recursion", "blow-up intersection identities"):
+        assert details[name] != "0 mismatches", name
+
+
+def test_verify_identities_compares_every_b(capsys, monkeypatch):
+    """The ring's pairings are shared over b, but each b is still compared
+    with its own closed form: one wrong closed form is one mismatch."""
+    real = cli.steady_slope
+
+    def off_by_one(params, s):
+        value = real(params, s)
+        return value + 1 if (params.n, params.m, params.a, params.b) == (2, 1, F(2, 3), F(4, 3)) else value
+
+    monkeypatch.setattr(cli, "steady_slope", off_by_one)
+    code, details = _verify_details(capsys)
+    assert code == 2
+    assert details["slope closed form vs ring oracle"] == "1 mismatches"
 
 
 def test_monitor_violation_exits_2(capsys, monkeypatch):

@@ -36,13 +36,16 @@ from slopeflow import calabi_profiles, energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
+    _alpha_pairings,
     _antiderivative_at,
+    _chow_slope,
     _energy_constant,
     critical_polynomial,
     intersection_number,
     min_slope_certificate,
     pairing_number,
     steady_slope,
+    steady_slope_chow,
     weight_integral,
 )
 from slopeflow.calabi_profiles import (
@@ -352,6 +355,58 @@ def test_degree_mismatch_still_warns():
         assert intersection_number([alpha] * params.dim, params) != 0
         # a factor of mixed degree is not checked
         assert intersection_number([alpha + ChowElement.one(params)], params) == 0
+
+
+def test_top_coefficient_pairing_matches_worklist_oracle():
+    """The last factor is paired through the top-degree coefficient, not
+    multiplied in: degree-1 classes at mixed heights, powers by the binomial
+    row and by repeated squaring, mixed-degree elements, one factor, and
+    products that miss the top degree, which warn and pair to 0."""
+    rng = random.Random(23)
+    heights = (F(0), F(1), F(-2, 3), F(5, 4), F(7, 2), F(-3))
+    for n, m in itertools.product(range(1, 5), range(0, 4)):
+        params = BundleParams(n=n, m=m, a=F(3, 2), b=F(2, 5), d=F(4, 3))
+        N, r = params.dim, params.r
+        cls = lambda t: ChowElement.fiber_class(params, t)
+        raw = lambda t: {(1, 0): F(1), (0, 1): t}
+        for _ in range(6):
+            hs = [rng.choice(heights) for _ in range(N)]
+            assert intersection_number([cls(t) for t in hs], params) == _worklist_pairing([raw(t) for t in hs], params)
+        x, y = ChowElement.fiber_class(params, F(-5, 7)) * F(3, 4), cls(F(7, 3))
+        for e in range(N + 1):
+            want = _worklist_pairing([x.coeffs] * e + [y.coeffs] * (N - e), params)
+            assert intersection_number([x**e, y ** (N - e)], params) == want, (n, m, e)
+            assert intersection_number([_ref_pow(x, e), _ref_pow(y, N - e)], params) == want, (n, m, e)
+            assert intersection_number([x**e] + [y] * (N - e), params) == want, (n, m, e)
+        # out-of-basis and mixed-degree input, reduced by the constructor
+        mixed = {(0, r + 1): F(3, 5), (1, r - 1): F(-1, 4), (n + 1, 0): F(9), (0, 1): F(2, 7), (n, 0): F(1, 3)}
+        elem = ChowElement(params, mixed)
+        for e in range(N + 1):
+            want = _worklist_pairing([mixed] + [raw(F(-2, 3))] * e, params)
+            assert intersection_number([elem, cls(F(-2, 3)) ** e], params) == want, (n, m, e)
+            assert intersection_number([cls(F(-2, 3)) ** e, elem], params) == want, (n, m, e)
+        # one factor: its own top coefficient
+        assert intersection_number([x**N], params) == _worklist_pairing([x.coeffs] * N, params)
+        assert intersection_number([elem], params) == _worklist_pairing([mixed], params)
+        for factors in ([x] * (N - 1), [x**2, x ** (N - 1)], [cls(1) ** N, cls(2)]):
+            with pytest.warns(RuntimeWarning, match="does not match dimension"):
+                assert intersection_number(factors, params) == 0
+
+
+def test_shared_alpha_pairings_give_every_slope():
+    """alpha^(N-1).h, alpha^(N-1).eta and alpha^N do not depend on b: the
+    slope combined from them, for each b, is the oracle's slope and the
+    worklist's (n+m+1) alpha^(N-1).beta / alpha^N."""
+    grid = [F(k, 3) for k in range(1, 6)]
+    for n, m, a in itertools.product(range(1, 5), range(0, 5), grid):
+        pairings = _alpha_pairings(BundleParams(n=n, m=m, a=a, b=1))
+        alpha = {(1, 0): F(1), (0, 1): a}
+        power = [alpha] * (n + m)
+        for b in grid:
+            params = BundleParams(n=n, m=m, a=a, b=b)
+            want = params.dim * _worklist_pairing(power + [{(1, 0): F(1), (0, 1): b}], params)
+            want /= _worklist_pairing(power + [alpha], params)
+            assert _chow_slope(params, pairings) == steady_slope_chow(params) == want, (n, m, a, b)
 
 
 # ---------------------------------------------------------------------------
