@@ -9,7 +9,8 @@ Subcommands
     run                       drive any of the above from an experiment config
 
 Only `flow`, `energy minimizing-seq` and `energy dhym-volume` load numpy, on
-their first use, and scipy loads with the first implicit solve.  `slope`,
+their first use.  The first implicit solve loads scipy's LAPACK extension
+alone, not the `scipy.linalg` package.  `slope`,
 `bundle`, `verify`, `energy infimum` and `energy futaki`, and `run` of a
 config for one of them, work in exact arithmetic and never load numpy.
 
@@ -212,62 +213,52 @@ def _cmd_energy(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    """Each identity case by case, by exact equality.  The ring's pairings of
-    one power of alpha serve every b of a slope case and every s of a
-    blow-up case: they depend on neither."""
+    """Each identity case by case, by exact equality.  `--max-mn` bounds n
+    and m of the slope and blow-up sweeps, `--max-sq` both arguments of the
+    binomial sweep; the pairing sweep is fixed.  The ring's pairings of one
+    power of alpha serve every b of a slope case and every s of a blow-up
+    case: they depend on neither."""
     if ns.max_mn < 1 or ns.max_sq < 1:
         raise InputError("verify identities needs --max-mn >= 1 and --max-sq >= 1")
     report = {"schema": 1, "checks": []}
-    ok = True
 
-    def record(name, passed, detail=""):
-        nonlocal ok
-        ok = ok and passed
-        report["checks"].append({"name": name, "passed": bool(passed), "detail": detail})
+    def record(name, results):
+        bad = results.count(False)
+        report["checks"].append({"name": name, "passed": bad == 0, "detail": f"{bad} mismatches in {len(results)} cases"})
 
+    mn = [(n, m) for m in range(0, ns.max_mn + 1) for n in range(1, ns.max_mn + 1)]
     grid = [Fraction(k, 3) for k in range(1, 6)]
-    bad = 0
-    for m in range(0, ns.max_mn + 1):
-        for n in range(1, ns.max_mn + 1):
-            for a in grid:
-                pairings = _alpha_pairings(BundleParams(n=n, m=m, a=a, b=1))
-                for b in grid:
-                    params = BundleParams(n=n, m=m, a=a, b=b)
-                    if steady_slope(params, 0) != _chow_slope(params, pairings):
-                        bad += 1
-    record("slope closed form vs ring oracle", bad == 0, f"{bad} mismatches")
+    results = []
+    for n, m in mn:
+        for a in grid:
+            pairings = _alpha_pairings(BundleParams(n=n, m=m, a=a, b=1))
+            for b in grid:
+                params = BundleParams(n=n, m=m, a=a, b=b)
+                results.append(steady_slope(params, 0) == _chow_slope(params, pairings))
+    record("slope closed form vs ring oracle", results)
 
-    bad = 0
-    for n in range(1, 7):
-        for r in range(2, 7):
-            params = BundleParams(n=n, m=r - 2, a=1, b=1)
-            for l in range(0, n + 1):
-                if pairing_number(l, params) != math.comb(r + l - 2, l):
-                    bad += 1
-    record("pairing recursion", bad == 0, f"{bad} mismatches")
+    results = [
+        pairing_number(l, BundleParams(n=n, m=r - 2, a=1, b=1)) == math.comb(r + l - 2, l)
+        for n in range(1, 7)
+        for r in range(2, 7)
+        for l in range(0, n + 1)
+    ]
+    record("pairing recursion", results)
 
-    bad = sum(
-        0 if combinatorial_identity_check(s, qq) else 1
-        for s in range(1, ns.max_sq + 1)
-        for qq in range(1, ns.max_sq + 1)
-    )
-    record("binomial identity", bad == 0, f"{bad} mismatches")
+    sq = range(1, ns.max_sq + 1)
+    record("binomial identity", [combinatorial_identity_check(s, qq) for s in sq for qq in sq])
 
-    bad = 0
-    for m in range(0, 4):
-        for n in range(1, 4):
-            params = BundleParams(n=n, m=m, a=2, b=1)
-            pairings = _alpha_pairings(params)
-            for s in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
-                top, mixed = _blowup_sums(params, pairings, s)
-                if blowup_top_power(params, s) != top:
-                    bad += 1
-                if blowup_mixed_power(params, s) != mixed:
-                    bad += 1
-    record("blow-up intersection identities", bad == 0, f"{bad} mismatches")
+    results = []
+    for n, m in mn:
+        params = BundleParams(n=n, m=m, a=2, b=1)
+        pairings = _alpha_pairings(params)
+        for s in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
+            top, mixed = _blowup_sums(params, pairings, s)
+            results += [blowup_top_power(params, s) == top, blowup_mixed_power(params, s) == mixed]
+    record("blow-up intersection identities", results)
 
     _emit(report, None)
-    return 0 if ok else 2
+    return 0 if all(c["passed"] for c in report["checks"]) else 2
 
 
 def run(config: ExperimentConfig) -> int:
@@ -355,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="exact identity sweeps")
     ve_sub = ve.add_subparsers(dest="what", required=True)
-    vi = ve_sub.add_parser("identities")
-    vi.add_argument("--max-mn", dest="max_mn", type=int, default=4)
-    vi.add_argument("--max-sq", dest="max_sq", type=int, default=12)
+    vi = ve_sub.add_parser("identities", epilog="The pairing sweep always runs n <= 6, r <= 6.")
+    vi.add_argument("--max-mn", dest="max_mn", type=int, default=4, help="bound on n and m of the slope and blow-up sweeps")
+    vi.add_argument("--max-sq", dest="max_sq", type=int, default=12, help="bound on s and q of the binomial sweep")
     vi.set_defaults(func=_cmd_verify)
 
     ru = sub.add_parser("run", help="drive an experiment from a config file")

@@ -11,7 +11,8 @@ admissibility test and slope field are those of `calabi_profiles`.
 
 Every step is backward Euler in delta form, (I - dt Q dc) delta = dt rate,
 with each half flux linearized and Q lagged: one tridiagonal solve by LAPACK
-gtsv, called directly; scipy is imported on the first such solve.  The flux
+gtsv, called directly.  The first such solve loads scipy's compiled LAPACK
+wrapper by its file path, without the `scipy.linalg` package.  The flux
 c, and so the rate and the steady residual, is evaluated at every step; the
 sensitivities dc are lagged: evaluated on the first step, once JACOBIAN_LAG
 accepted steps have used them, and before every retry of a rejected step.
@@ -69,8 +70,12 @@ with the reference profile of the solve, and are not validated again.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -366,16 +371,52 @@ def _new_block(shape: tuple[int, int], boundary: tuple[float, float]) -> np.ndar
     return block
 
 
+#: scipy's compiled LAPACK wrapper, the one module of it the solves use
+_FLAPACK = "scipy.linalg._flapack"
 _gtsv = None
+
+
+def _load_gtsv():
+    """LAPACK dgtsv without the `scipy.linalg` package init, which loads
+    hundreds of modules, numpy.f2py among them, for this one routine.
+
+    A `_FLAPACK` already imported serves as it is.  Otherwise its file,
+    linalg/_flapack<suffix> beside the installed scipy, is loaded under its
+    own name and registered in sys.modules, so that a later
+    `import scipy.linalg` reuses that module and the same dgtsv.  On any
+    failure dgtsv comes from `scipy.linalg.lapack`."""
+    try:
+        import scipy  # its subpackages load lazily, so this runs no linalg code
+
+        if _FLAPACK not in sys.modules:
+            folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(folder, "_flapack" + suffix)
+                if os.path.isfile(path):
+                    break
+            else:
+                raise ImportError(f"no _flapack extension in {folder}")
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+        return sys.modules[_FLAPACK].dgtsv
+    except Exception:
+        # the extension is private to scipy: whatever breaks its loading,
+        # the public import serves, and raises if scipy itself is broken
+        from scipy.linalg.lapack import dgtsv
+
+        return dgtsv
 
 
 def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system by LAPACK gtsv, in place: the caller must not
-    use its four arrays afterwards.  A singular or non-finite matrix, seen in
-    the diagonal of its U factor, raises TimeStepError."""
+    use its four arrays afterwards.  The first call loads dgtsv by
+    `_load_gtsv`.  A singular or non-finite matrix, seen in the diagonal of
+    its U factor, raises TimeStepError."""
     global _gtsv
     if _gtsv is None:
-        from scipy.linalg.lapack import dgtsv as _gtsv
+        _gtsv = _load_gtsv()
     _, u, _, x, info = _gtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
     if info or not math.isfinite(u.sum()):
         raise TimeStepError(f"singular or non-finite implicit system (gtsv info {info})")

@@ -373,6 +373,23 @@ def test_verify_identities_exits_0(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags,sizes",
+    [
+        ([], (500, 135, 144, 120)),
+        (["--max-mn", "2", "--max-sq", "6"], (150, 135, 36, 36)),
+        (["--max-mn", "1", "--max-sq", "2"], (50, 135, 4, 12)),
+    ],
+)
+def test_verify_identities_sweep_sizes(capsys, flags, sizes):
+    """--max-mn bounds the slope and blow-up sweeps, (max-mn + 1) max-mn
+    shapes of 25 (a, b) and of 3 s with 2 comparisons each; --max-sq the
+    binomial sweep; the pairing sweep is always n <= 6, r <= 6."""
+    code, out = _run(capsys, ["verify", "identities"] + flags)
+    assert code == 0
+    assert [c["detail"] for c in json.loads(out)["checks"]] == [f"0 mismatches in {k} cases" for k in sizes]
+
+
+@pytest.mark.parametrize(
     "flags", [["--max-mn", "0", "--max-sq", "0"], ["--max-mn", "-3"], ["--max-sq", "0"]]
 )
 def test_verify_identities_empty_sweep_exits_1(capsys, flags):
@@ -413,9 +430,12 @@ def test_verify_identities_runs_through_the_ring(capsys, monkeypatch, fresh_ring
     monkeypatch.setattr(bundle_geometry, "_eta_power", broken)
     code, details = _verify_details(capsys)
     assert code == 2
-    assert details["binomial identity"] == "0 mismatches"
-    for name in ("slope closed form vs ring oracle", "pairing recursion", "blow-up intersection identities"):
-        assert details[name] != "0 mismatches", name
+    assert details == {
+        "slope closed form vs ring oracle": "120 mismatches in 150 cases",
+        "pairing recursion": "105 mismatches in 135 cases",
+        "binomial identity": "0 mismatches in 36 cases",
+        "blow-up intersection identities": "36 mismatches in 36 cases",
+    }
 
 
 def test_verify_identities_compares_every_b(capsys, monkeypatch):
@@ -430,7 +450,7 @@ def test_verify_identities_compares_every_b(capsys, monkeypatch):
     monkeypatch.setattr(cli, "steady_slope", off_by_one)
     code, details = _verify_details(capsys)
     assert code == 2
-    assert details["slope closed form vs ring oracle"] == "1 mismatches"
+    assert details["slope closed form vs ring oracle"] == "1 mismatches in 150 cases"
 
 
 def test_monitor_violation_exits_2(capsys, monkeypatch):

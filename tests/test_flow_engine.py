@@ -662,19 +662,92 @@ def test_solve_banded_consumes_its_arguments():
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _fresh_stdout(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter on this slopeflow."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slopeflow.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    return out.stdout
+
+
+_ONE_J_FLOW = (
+    "from slopeflow.bundle_geometry import BundleParams\n"
+    "from slopeflow.flow_engine import FlowConfig, run_j_flow\n"
+    "run_j_flow(BundleParams(n=1, m=0, a=1, b=2), 'line', cfg=FlowConfig(grid_size=64, dt=0.05, t_max=0.1))\n"
+)
+
+
 def test_scipy_loads_on_first_implicit_step():
-    """Importing the CLI leaves scipy unloaded; one implicit flow loads it."""
+    """Importing the CLI leaves scipy unloaded; one implicit flow loads scipy
+    and its LAPACK extension, but not the scipy.linalg package or
+    numpy.f2py.  A later import of scipy.linalg reuses that extension and its
+    dgtsv."""
     code = (
         "import sys\n"
         "import slopeflow.cli\n"
         "print('scipy' in sys.modules)\n"
-        "from slopeflow.bundle_geometry import BundleParams\n"
-        "from slopeflow.flow_engine import FlowConfig, run_j_flow\n"
-        "cfg = FlowConfig(grid_size=64, dt=0.05, t_max=0.1)\n"
-        "run_j_flow(BundleParams(n=1, m=0, a=1, b=2), 'line', cfg=cfg)\n"
-        "print('scipy' in sys.modules)\n"
+        + _ONE_J_FLOW
+        + "print(*(name in sys.modules for name in ('scipy', 'scipy.linalg._flapack', 'scipy.linalg', 'numpy.f2py')))\n"
+        "import scipy.linalg\n"
+        "from slopeflow import flow_engine\n"
+        "print(scipy.linalg.lapack.dgtsv is flow_engine._gtsv)\n"
+        "print(scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack'])\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(slopeflow.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert _fresh_stdout(code).split() == ["False", "True", "True", "False", "False", "True", "True"]
+
+
+def test_flow_reuses_an_imported_scipy_linalg():
+    """With scipy.linalg imported first, the flow takes its dgtsv and loads
+    no scipy module."""
+    code = (
+        "import sys\n"
+        "import scipy.linalg\n"
+        "before = {name for name in sys.modules if name.startswith('scipy')}\n"
+        + _ONE_J_FLOW
+        + "from slopeflow import flow_engine\n"
+        "print(flow_engine._gtsv is scipy.linalg.lapack.dgtsv)\n"
+        "print(sorted({name for name in sys.modules if name.startswith('scipy')} - before))\n"
+    )
+    assert _fresh_stdout(code).splitlines() == ["True", "[]"]
+
+
+#: solves 16 seeded tridiagonal systems of 127 to 511 unknowns by
+#: `solve_banded`, checks each residual and prints each solution's bytes in
+#: hex, then whether scipy.linalg is loaded.  MODE "loaded" takes the
+#: extension loaded by file, "scipy" imports scipy.linalg first, and
+#: "fallback" makes the file lookup fail: no extension suffix names a file
+_SOLVE_SYSTEMS = """
+import importlib.machinery, sys
+import numpy as np
+if MODE == "scipy":
+    import scipy.linalg
+elif MODE == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES = [".no-such-suffix"]
+from slopeflow.flow_engine import solve_banded
+rng = np.random.default_rng(20231206)
+for k in range(16):
+    n = int(rng.integers(127, 512))
+    lower = rng.uniform(0.1, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    upper = rng.uniform(0.1, 1, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    off = np.zeros(n)
+    off[1:] += np.abs(lower)
+    off[:-1] += np.abs(upper)
+    # strictly dominant by at least 1, or weakly: equality on every row but the first
+    margin = rng.uniform(1, 2, n) if k % 2 else np.r_[0.5, np.zeros(n - 1)]
+    diag = rng.choice([-1.0, 1.0], n) * (off + margin)
+    rhs = rng.uniform(-1, 1, n)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    x = solve_banded(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
+    assert np.abs(dense @ x - rhs).max() <= 1e-13 * (np.abs(dense) @ np.abs(x)).max()
+    print(x.tobytes().hex())
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_gtsv_paths_give_the_same_bits():
+    """The extension loaded by file, scipy.linalg.lapack's dgtsv and the
+    fallback after a failed file lookup solve strongly and weakly diagonally
+    dominant systems to the same bytes."""
+    outs = {mode: _fresh_stdout(f"MODE = {mode!r}" + _SOLVE_SYSTEMS).split() for mode in ("loaded", "scipy", "fallback")}
+    assert [outs[mode][-1] for mode in outs] == ["False", "True", "True"]
+    assert len(outs["loaded"]) == 17 and outs["loaded"][:-1] == outs["scipy"][:-1] == outs["fallback"][:-1]

@@ -12,6 +12,12 @@ is fixed; n = 2 J pairs stay out until the fitted J flux, since their flux
 plateau is off by up to 4e-6.  The J flow is a minimizing sequence: on
 unstable and stable pairs alike, its terminal energy lies above the
 closed-form infimum, bubble term included, by at most C h^2 of it.
+
+Both schemes are in flux-difference form, so a weighted sum of their cell
+fluxes is fixed by the pinned ends at every profile, not only at the limit:
+the J chord flux for n = 1, m = 0, and the cotangent mean-value flux while
+the wall's jump flux is off.  Those identities hold at every checkpoint to a
+few ulps.
 """
 
 import math
@@ -197,3 +203,52 @@ def test_inadmissible_steps_are_rejected_and_halved(monkeypatch):
     assert tr.summary()["meta"]["rejected"] == tr.meta["rejected"]
     assert all(admissible_j(prof) for prof in tr.profiles)
     assert len(solves) == tr.steps + tr.meta["rejected"]
+
+
+def _assert_conserved(fluxes, weights, total):
+    """sum c_i w_i equals `total` within 8 ulps of sum |c_i| w_i."""
+    got = math.fsum(fluxes * weights)
+    assert abs(got - total) <= 8 * math.ulp(math.fsum(np.abs(fluxes) * weights)), (got, total)
+
+
+#: J pairs with n = 1, m = 0, where the chord flux conserves its mean
+CONSERVING_J = [
+    (1, 0, 1, 2),
+    (1, 0, Fraction(3, 2), Fraction(9, 20)),
+    (1, 0, 2, Fraction(2, 3)),
+    (1, 0, 3, 1),
+    (1, 0, 4, 1),
+]
+
+
+@pytest.mark.parametrize("grid", (128, 512))
+@pytest.mark.parametrize("nmab", CONSERVING_J)
+def test_j_flux_conserves_its_weighted_sum(nmab, grid):
+    """With W_i the integral of 1 + x over cell i, sum c_i W_i telescopes to
+    b (1 + a) + a at every checkpoint: the mean flux is that over the
+    integral of 1 + x over [0, a], not zeta, on unstable pairs."""
+    params = BundleParams(*nmab)
+    cfg = FlowConfig(grid_size=grid, dt=0.05)
+    scheme, tr = flow_engine._JScheme(params, "line", cfg), run_j_flow(params, "line", cfg=cfg)
+    x = tr.terminal_profile.grid
+    weights = (x[1:] - x[:-1]) * (1 + (x[1:] + x[:-1]) / 2)
+    a, b = float(params.a), float(params.b)
+    for prof in tr.profiles:
+        _assert_conserved(scheme.flux(prof.values), weights, b * (1 + a) + a)
+
+
+@pytest.mark.parametrize("grid", (128, 512))
+def test_cotangent_flux_conserves_its_weighted_sum(grid):
+    """On (2, 3, 1) the jump flux never switches on, and the mean-value flux
+    satisfies c_i D_i(x psi) = D_i((psi^2 - x^2) / 2) on every cell, so
+    sum c_i D_i(x psi) = c0 sum D_i(x psi) at every checkpoint."""
+    bpq = (2, 3, 1)
+    cfg = FlowConfig(grid_size=grid, dt=0.05)
+    scheme, tr = flow_engine._CotScheme(*bpq, "special", cfg), run_cotangent_flow(*bpq, "special", cfg=cfg)
+    x = tr.terminal_profile.grid
+    c0 = tr.meta["c0"]
+    for prof in tr.profiles:
+        psi = prof.values
+        assert scheme._jump(psi) is None
+        weights = x[1:] * psi[1:] - x[:-1] * psi[:-1]
+        _assert_conserved(scheme.cell_flux(psi), weights, c0 * math.fsum(weights))
