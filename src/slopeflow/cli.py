@@ -3,7 +3,9 @@
 Subcommands
     slope j | slope dhym      surface slope certificates from a config file
     bundle slopes             bundle verdict, puncture and minimal slope
-    flow j | flow cotangent   integrate a reduced flow, write CSV + JSON
+    flow j | flow cotangent   integrate a reduced flow; --out writes its checkpoint
+                              columns (CSV), profile rows and grid (.npy) and
+                              summary (JSON)
     energy infimum | futaki | minimizing-seq | dhym-volume
     verify identities         exact intersection-theory identity sweeps
     run                       drive any of the above from an experiment config
@@ -150,9 +152,8 @@ def _cmd_flow(ns) -> int:
         trace = run_cotangent_flow(b, p, q, ns.init, cfg=cfg)
     out = _outdir(ns)
     if out:
-        trace.to_csv(os.path.join(out, "trace.csv"))
-        trace.save_summary(os.path.join(out, "summary.json"))
-    _emit(trace.summary(), None)
+        trace.save(out)
+    _emit(trace.summary(), os.path.join(out, "summary.json") if out else None)
     if trace.monitor_report is not None and not trace.monitor_report.passed:
         return 2
     return 0
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--bpq", required=True, help="b,p,q")
     fc.add_argument("--init", default="special", help="special | steady")
     for f in (fj, fc):
-        f.add_argument("--grid", dest="grid_size", type=int, default=512)
+        f.add_argument("--grid", dest="grid_size", type=int)
         f.add_argument("--t-max", dest="t_max", type=float)
         f.add_argument(
             "--dt",

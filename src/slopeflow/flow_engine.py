@@ -66,13 +66,15 @@ count, terminal constant and every `monitor_suite` verdict are read off the
 columns; its checkpoints and profiles are built from them on first access.
 The profiles are views of the read-only rows, on a read-only grid shared
 with the reference profile of the solve, and are not validated again.
+`FlowTrace.save` writes what the trace holds and nothing recomputed: the
+columns as checkpoints.csv, one line per checkpoint, and the rows and grid
+as profiles.npy and grid.npy.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -228,9 +230,11 @@ class FlowTrace:
     first access and cached: the profiles are views of the rows, all on one
     read-only grid shared with the reference profile, and the last of them is
     `terminal_profile`; `steps` and `terminal_constant`, the final plateau,
-    are read off the columns.  The decay monitor's entry in `monitor_report`
-    gives the largest rise of the J energy or calibration volume as `worst`,
-    and where it first rose above its slack as `first_violation`.
+    are read off the columns.  `save` writes the columns, the rows and the
+    grid as checkpoints.csv, profiles.npy and grid.npy.  The decay monitor's
+    entry in `monitor_report` gives the largest rise of the J energy or
+    calibration volume as `worst`, and where it first rose above its slack as
+    `first_violation`.
     `meta` carries the scheme's parameters, the grid step `h`, the monitors
     run, `dt`, the first step, `dt_max`, the largest step taken (0 for a run
     that took none), `rejected`, the number of steps rejected for breaking
@@ -292,31 +296,18 @@ class FlowTrace:
             "meta": self.meta,
         }
 
-    def to_csv(self, path: str) -> None:
-        """One block of rows t,x,psi,diagnostic per checkpoint, so per step,
-        where the diagnostic is the nodal pointwise slope (J) or cot(theta)
-        (cotangent) from centered differences; its mean over the window
-        differs from the flux plateau by O(h^2)."""
-        h = self.meta["h"]
-        if self.kind == "j":
-            params = self.meta["params"]
-            # every profile of a solve shares one grid
-            slope_grid = _slope_grid(self.terminal_profile.grid, params["n"])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,psi,diagnostic\n")
-            for t, prof in zip(self.times, self.profiles):
-                x, psi = prof.grid, prof.values
-                d = _gradient(psi, h)
-                if self.kind == "j":
-                    diag = _slope_field(psi, d, params["m"], slope_grid)
-                else:
-                    diag = (psi * d - x) / (x * d + psi)
-                row = f"{t:.10g},%.17g,%.17g,%.17g\n"
-                fh.write("".join(map(row.__mod__, zip(x.tolist(), psi.tolist(), diag.tolist()))))
-
-    def save_summary(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+    def save(self, directory: str) -> None:
+        """Write the trace into an existing directory as three files:
+        checkpoints.csv, a header of the column names and one line per
+        checkpoint with every column in shortest round-trip form;
+        profiles.npy, the profile rows as one (steps + 1, N) array; and
+        grid.npy, their shared grid."""
+        rows = zip(*(col.tolist() for col in self.columns.values()))
+        with open(os.path.join(directory, "checkpoints.csv"), "w", encoding="utf-8") as fh:
+            fh.write(",".join(self.columns) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        np.save(os.path.join(directory, "profiles.npy"), np.concatenate(self.blocks))
+        np.save(os.path.join(directory, "grid.npy"), self.terminal_profile.grid)
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:

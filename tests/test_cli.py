@@ -14,7 +14,7 @@ import pytest
 import slopeflow
 from slopeflow import bundle_geometry, cli
 from slopeflow.bundle_geometry import BundleParams
-from slopeflow.calabi_profiles import special_cotangent_profile
+from slopeflow.calabi_profiles import MomentProfile, pointwise_angle, pointwise_slope, special_cotangent_profile
 from slopeflow.cli import main
 from slopeflow.energy_functionals import (
     dhym_volume,
@@ -51,14 +51,6 @@ def _run(capsys, argv):
     return code, out
 
 
-def _last_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    t_last = rows[-1]["t"]
-    last = [r for r in rows if r["t"] == t_last]
-    return np.array([float(r["x"]) for r in last]), np.array([float(r["diagnostic"]) for r in last])
-
-
 @pytest.mark.parametrize(
     "argv,window",
     [
@@ -72,12 +64,32 @@ def test_flow_converges_and_csv_matches_plateau(capsys, tmp_path, argv, window):
     assert '"converged": true' in out
     summary = json.loads(out)
     assert summary == json.loads((tmp_path / "summary.json").read_text())
-    # the plateau is the mean cell flux; the CSV's nodal field is O(h^2) off
-    x, diag = _last_checkpoint(tmp_path / "trace.csv")
-    sel = (x >= window[0]) & (x <= window[1])
+    with open(tmp_path / "checkpoints.csv", encoding="utf-8") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert float(last["plateau"]) == summary["terminal_constant"]
+    assert float(last["t"]) == summary["t_final"]
+    rows = np.load(tmp_path / "profiles.npy")
+    assert rows.shape == (summary["steps"] + 1, 65)
+    # the plateau is the mean cell flux; the nodal field of the saved last
+    # row is O(h^2) off
+    final = MomentProfile(np.load(tmp_path / "grid.npy"), rows[-1], (rows[-1, 0], rows[-1, -1]))
+    if summary["kind"] == "j":
+        diag = pointwise_slope(final, BundleParams.parse(argv[3]))
+    else:
+        diag = 1 / np.tan(pointwise_angle(final))
+    sel = (final.grid >= window[0]) & (final.grid <= window[1])
     h, ref = summary["meta"]["h"], summary["reference_constant"]
     assert abs(np.mean(diag[sel]) - ref) <= 2 * h * h
     assert abs(summary["terminal_constant"] - ref) <= 1e-7
+
+
+def test_flow_grid_defaults_to_the_config():
+    """--grid has no parser default: a flow without it takes FlowConfig's."""
+    from slopeflow.flow_engine import FlowConfig
+
+    ns = cli.build_parser().parse_args(["flow", "j", "--params", "0,1,1,2"])
+    assert ns.grid_size is None
+    assert cli._flow_config(ns).grid_size == FlowConfig().grid_size == 512
 
 
 def test_bundle_slopes_exit_codes(capsys):

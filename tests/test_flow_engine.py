@@ -543,52 +543,30 @@ def test_checkpoint_plateau_is_the_flux_plateau():
         assert tr.terminal_constant == tr.checkpoints[-1].plateau
 
 
-def test_trace_csv_and_summary(tmp_path, unstable):
-    cfg = FlowConfig(grid_size=64, t_max=0.5)
-    tr = run_j_flow(unstable, "line", cfg=cfg)
-    csv = tmp_path / "trace.csv"
-    js = tmp_path / "summary.json"
-    tr.to_csv(str(csv))
-    tr.save_summary(str(js))
-    header = csv.read_text().splitlines()[0]
-    assert header == "t,x,psi,diagnostic"
-    import json
-
-    payload = json.loads(js.read_text())
-    assert payload["schema"] == 1
-    assert payload["kind"] == "j"
-
-
-def _old_csv(trace, path):
-    """The per-row f-string writer that `FlowTrace.to_csv` replaced: the byte reference."""
-    h = trace.meta["h"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,psi,diagnostic\n")
-        for t, prof in zip(trace.times, trace.profiles):
-            x, psi = prof.grid, prof.values
-            d = _gradient(psi, h)
-            if trace.kind == "j":
-                diag = _slope_reference(x, psi, d, trace.meta["params"]["n"], trace.meta["params"]["m"])
-            else:
-                diag = (psi * d - x) / (x * d + psi)
-            for xv, v, dg in zip(x, psi, diag):
-                fh.write(f"{t:.10g},{xv:.17g},{v:.17g},{dg:.17g}\n")
-
-
 @pytest.mark.parametrize("flow", ["j", "cotangent"])
-def test_trace_csv_matches_per_row_writer(tmp_path, flow):
+def test_trace_save_round_trips(tmp_path, flow):
+    """`save` writes the columns, the rows and the grid bit for bit: every
+    checkpoints.csv field parses back to its column value, and the .npy files
+    hold the profiles' values and their grid."""
     cfg = FlowConfig(grid_size=64, t_max=2.0, dt=0.05)
     if flow == "j":
         # (1, 1, 2, 2) would not do: its straight line is an exact discrete
         # steady state, so that run stops at t = 0 on one checkpoint
         tr = run_j_flow(BundleParams(n=1, m=1, a=2, b=1), "line", cfg=cfg)
     else:
-        tr = run_cotangent_flow(2, 3, 1, "special", cfg=cfg)
-    tr.to_csv(str(tmp_path / "new.csv"))
-    _old_csv(tr, str(tmp_path / "old.csv"))
-    new = (tmp_path / "new.csv").read_bytes()
-    assert len(tr.times) > 5 and new.count(b"\n") == 1 + 65 * len(tr.times)
-    assert new == (tmp_path / "old.csv").read_bytes()
+        # (2, 3, 0) switches the wall's jump flux on
+        tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    tr.save(str(tmp_path))
+    header, *lines = (tmp_path / "checkpoints.csv").read_text(encoding="utf-8").splitlines()
+    assert header.split(",") == list(tr.columns) and len(lines) == tr.steps + 1 > 5
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
+    for name, col in zip(tr.columns, parsed.T):
+        assert col.tobytes() == tr.columns[name].tobytes(), name
+    rows = np.load(tmp_path / "profiles.npy")
+    assert rows.shape == (tr.steps + 1, 65)
+    assert rows.tobytes() == np.array([p.values for p in tr.profiles]).tobytes()
+    assert np.load(tmp_path / "grid.npy").tobytes() == tr.terminal_profile.grid.tobytes()
+    assert sorted(os.listdir(tmp_path)) == ["checkpoints.csv", "grid.npy", "profiles.npy"]
 
 
 def test_flow_from_a_steady_state_takes_no_step():

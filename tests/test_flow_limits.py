@@ -15,9 +15,9 @@ closed-form infimum, bubble term included, by at most C h^2 of it.
 
 Both schemes are in flux-difference form, so a weighted sum of their cell
 fluxes is fixed by the pinned ends at every profile, not only at the limit:
-the J chord flux for n = 1, m = 0, and the cotangent mean-value flux while
-the wall's jump flux is off.  Those identities hold at every checkpoint to a
-few ulps.
+the J chord flux for n = 1, m = 0, and the cotangent flux, where a wall
+cell on the jump flux counts as a cell from the wall trace of its steady
+member.  Those identities hold at every checkpoint to a few ulps.
 """
 
 import math
@@ -252,3 +252,49 @@ def test_cotangent_flux_conserves_its_weighted_sum(grid):
         assert scheme._jump(psi) is None
         weights = x[1:] * psi[1:] - x[:-1] * psi[:-1]
         _assert_conserved(scheme.cell_flux(psi), weights, c0 * math.fsum(weights))
+
+
+#: triples whose wall takes the jump flux at some checkpoints
+JUMP_BPQ = [
+    (2, 3, 0),
+    (2, Fraction(5, 2), Fraction(-1, 2)),
+    (2, 3, Fraction(1, 2)),
+    (Fraction(9, 4), 3, Fraction(1, 8)),
+    (Fraction(9, 4), 3, Fraction(-1, 4)),
+]
+
+
+@pytest.mark.parametrize("grid", (128, 512))
+@pytest.mark.parametrize("bpq", JUMP_BPQ)
+def test_cotangent_jump_flux_conserves_its_weighted_sum(bpq, grid):
+    """The jump flux c of the wall cell is the constant of the steady member
+    through (x1, psi1), whose value s at x = 1 solves
+    s^2 - 2 c s + 2 K - 1 = 0 with K = c x1 psi1 - psi1^2 / 2 + x1^2 / 2.  So
+    the wall cell acts as a cell from (1, s) to (x1, psi1): weighted by
+    x1 psi1 - s and every other cell by D_i(x psi), sum c_i w_i equals
+    ((p^2 - b^2) - (s^2 - 1)) / 2 at every checkpoint.  The discriminant
+    c^2 + 1 - 2K is (x1 psi1 - c)^2 - (x1^2 - 1)(psi1^2 + 1), which vanishes
+    for the jump flux: s = c is a double root, and rounding leaves the
+    discriminant a few ulps either side of 0.  The identity's error is
+    second order in s - c, so clamping it at 0 is exact to rounding."""
+    cfg = FlowConfig(grid_size=grid, dt=0.05)
+    scheme, tr = flow_engine._CotScheme(*bpq, "special", cfg), run_cotangent_flow(*bpq, "special", cfg=cfg)
+    x = tr.terminal_profile.grid
+    x1 = float(x[1])
+    b, p = (float(v) for v in bpq[:2])
+    jumps = 0
+    for prof in tr.profiles:
+        psi = prof.values
+        c = scheme._jump(psi)
+        if c is None:
+            continue
+        jumps += 1
+        psi1 = float(psi[1])
+        k = c * x1 * psi1 - psi1 * psi1 / 2 + x1 * x1 / 2
+        disc = c * c + 1 - 2 * k
+        assert abs(disc) <= 8 * math.ulp(c * c + 1 + 2 * abs(c * x1 * psi1) + psi1 * psi1 + x1 * x1), disc
+        s = c + math.sqrt(max(disc, 0.0))
+        weights = x[1:] * psi[1:] - x[:-1] * psi[:-1]
+        weights[0] = x1 * psi1 - s
+        _assert_conserved(scheme.flux(psi), weights, ((p * p - b * b) - (s * s - 1)) / 2)
+    assert jumps > 0
