@@ -85,12 +85,14 @@ class BundleParams:
     d: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", to_fraction(self.a))
-        object.__setattr__(self, "b", to_fraction(self.b))
-        object.__setattr__(self, "d", to_fraction(self.d))
+        a, b, d = to_fraction(self.a), to_fraction(self.b), to_fraction(self.d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
         if self.n < 1 or self.m < 0:
             raise InputError("need base dimension n >= 1 and m >= 0")
-        if self.a <= 0 or self.b <= 0 or self.d <= 0:
+        # a Fraction's denominator is positive, so its numerator has its sign
+        if a.numerator <= 0 or b.numerator <= 0 or d.numerator <= 0:
             raise InputError("a, b, d must be positive")
 
     @property

@@ -84,13 +84,16 @@ class MomentProfile:
 
 def _admissible_j(values: np.ndarray) -> bool:
     """`admissible_j` on node values, for the flow schemes; NaN fails."""
-    return bool(values.min() >= -ADMISSIBILITY_TOL and (values[1:] - values[:-1]).min() >= -ADMISSIBILITY_TOL)
+    return bool(
+        np.minimum.reduce(values) >= -ADMISSIBILITY_TOL
+        and np.minimum.reduce(values[1:] - values[:-1]) >= -ADMISSIBILITY_TOL
+    )
 
 
 def _admissible_dhym(grid: np.ndarray, values: np.ndarray) -> bool:
     """`admissible_dhym` on node values, for the flow schemes; NaN fails."""
     xp = grid * values
-    return bool((xp[1:] - xp[:-1]).min() > -ADMISSIBILITY_TOL)
+    return bool(np.minimum.reduce(xp[1:] - xp[:-1]) > -ADMISSIBILITY_TOL)
 
 
 def admissible_j(profile: MomentProfile) -> bool:

@@ -590,6 +590,12 @@ def _volume_values(values: np.ndarray, geometry) -> np.ndarray:
     return 2.0 * cells.sum(axis=1)
 
 
+def _jump_volume(y: float) -> float:
+    """2 int_0^y sqrt(1 + t^2) dt, the antiderivative of a wall jump's
+    calibration volume."""
+    return y * math.sqrt(1.0 + y * y) + math.asinh(y)
+
+
 def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
     """Calibration volume 2 int sqrt((x psi' + psi)^2 + (psi psi' - x)^2) dx.
 
@@ -603,16 +609,32 @@ def dhym_volume(profile: MomentProfile, b, p, q) -> EnergyReport:
     exactly twice its self-pairing, so the topological lower bound
     2 csc(angle) (bp - q) holds with constant 1.  The reference field
     carries that bound.
+
+    The profile runs from x = 1 to (b, p), and its left value psi(1) may lie
+    above the pinned q, as the sampled steady profile of an unstable triple
+    does: the wall jump from q up to psi(1) is the `bubble`,
+    2 int_q^psi(1) sqrt(1 + y^2) dy, as in `dhym_volume_split`.  `interior`
+    is the Gauss value and `value` their sum.  A profile whose left value
+    lies below q, or that does not span [1, b] and end at p, raises
+    InputError.
     """
     from .calabi_profiles import require_admissible_dhym, steady_cot_slope
 
     require_admissible_dhym(profile)
     b, p, q = float(b), float(p), float(q)
-    value = float(_volume_values(profile.values[None], _volume_geometry(profile.grid))[0])
+    grid, values = profile.grid, profile.values
+    if abs(grid[0] - 1.0) > 1e-12 or abs(grid[-1] - b) > 1e-9 or abs(values[-1] - p) > 1e-9:
+        raise InputError(f"the volume's profile must run from x = 1 to (b, p) = ({b:.6g}, {p:.6g})")
+    left = float(values[0])
+    if left < q:
+        raise InputError(f"the profile's left value {left:.6g} lies below q = {q:.6g}")
+    interior = float(_volume_values(values[None], _volume_geometry(grid))[0])
+    bubble = _jump_volume(left) - _jump_volume(q) if left > q else 0.0
+    value = interior + bubble
     c0 = steady_cot_slope(b, p, q)
     reference = 2.0 * math.sqrt(1.0 + c0 * c0) * (b * p - q)
     return EnergyReport(
-        value=value, interior=value, bubble=0.0, reference=reference, rel_error=(value - reference) / reference
+        value=value, interior=interior, bubble=bubble, reference=reference, rel_error=(value - reference) / reference
     )
 
 
@@ -630,9 +652,5 @@ def dhym_volume_split(b, p, q) -> EnergyReport:
     s_star = max(cert.slope, q)  # boundary trace of the limit profile
     cot = steady_cot_slope(b, p, s_star)
     interior = 2.0 * math.sqrt(1.0 + cot * cot) * (b * p - s_star)
-
-    def antider(y):
-        return y * math.sqrt(1.0 + y * y) + math.asinh(y)
-
-    bubble = antider(s_star) - antider(q)
+    bubble = _jump_volume(s_star) - _jump_volume(q)
     return EnergyReport(value=interior + bubble, interior=interior, bubble=bubble)

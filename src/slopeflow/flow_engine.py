@@ -45,16 +45,21 @@ each accepted step gives, so the last is the final profile.  The profiles
 are the rows of blocks of max(1, CHUNK_ELEMS // N) rows of N nodes, each
 allocated when the one before it fills, with its pinned ends set once: each
 step solves its candidate straight into the next free row, and a retry
-overwrites a rejected one.  Per checkpoint the loop records only t and the
-rate's sup, max and min (the residual's for the initial profile, delta / step
-for every later one).  After the loop the blocks turn read-only, the last
-trimmed to its rows by a view, and one pass computes the other diagnostics,
-one numpy call each along the rows of a block, which bounds the kernels'
-temporaries:
-- the plateau and spread (mean and max - min) of the cell fluxes c the
-  scheme steps with, over the cells with both end nodes in the window; the
-  first cell, where the cotangent flux may take the wall's jump flux, is
-  never among them;
+overwrites a rejected one.  A step's arrays, the flux, the rate and its
+absolute value, dt Q, the three diagonals and the right-hand side, live in
+buffers made once per solve, which the step writes with `out=`, and the
+solve consumes its four in place.  Each profile's cell fluxes c, the
+ones the step computes anyway, go into the row of one reusable block of
+flux rows, as many as a block of profiles holds.  Per checkpoint the loop
+records t and the rate's sup, max and min (the residual's for the initial
+profile, delta / step for every later one); each time a block of profiles
+fills, and once for the last one after the loop, it takes the plateau and
+spread (mean and max - min) of the flux rows over the cells with both end
+nodes in the window.  The first cell, where the cotangent flux may take the
+wall's jump flux, is never among them.  After the loop the blocks turn
+read-only, the last trimmed to its rows by a view, and one pass computes the
+other diagnostics, one numpy call each along the rows of a block, which
+bounds the kernels' temporaries:
 - the scheme's fields: the distance to the reference profile, the decaying
   functional (the J energy, one dot product per row, or the calibration
   volume from `dhym_volume`'s quadrature on a geometry built once per
@@ -127,7 +132,8 @@ ENERGY_SLACK = 1e-10
 #: error runs from the window's left edge to the right end
 COMPACT_MARGIN = 0.1
 #: values per block of kept rows: max(1, CHUNK_ELEMS // N) rows of N nodes,
-#: which also bounds the temporaries of the post-loop diagnostics
+#: which also sizes the reusable block of flux rows and bounds the
+#: temporaries of the post-loop diagnostics
 CHUNK_ELEMS = 8192
 #: dt scales by (res_prev / res) ** SER_EXPONENT.  Under backward Euler the
 #: slow mode's residual falls by about 1 + dt/5 per step, so the plain ratio
@@ -461,6 +467,7 @@ class _JScheme:
         xh = 0.5 * (x[1:] + x[:-1])
         self.p_h = n / (1 + xh) + (m / xh if m else 0.0)
         self.g_h = n / (1 + xh)
+        self.half_p = self.p_h * 0.5
         # the chord flux is linear, so its implicit-step entries are fixed
         self.node_sensitivities = _node_sensitivities(1.0, self.p_h, h)
         self.slope_grid = _slope_grid(x, n)
@@ -479,9 +486,17 @@ class _JScheme:
         y = pv[1:-1]
         return y * (self.b - y) / self.b
 
-    def flux(self, pv: np.ndarray) -> np.ndarray:
-        """The chord flux of each cell, along the last axis, linear in psi."""
-        return (pv[..., 1:] - pv[..., :-1]) / self.h + self.p_h * 0.5 * (pv[..., 1:] + pv[..., :-1]) + self.g_h
+    def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The chord flux of each cell, along the last axis, linear in psi;
+        written into out when given."""
+        hi, lo = pv[..., 1:], pv[..., :-1]
+        c = np.add(hi, lo, out=out)
+        c *= self.half_p
+        delta = hi - lo
+        delta /= self.h
+        c += delta
+        c += self.g_h
+        return c
 
     #: the chord flux has no wall flux to leave out
     cell_flux = flux
@@ -564,7 +579,7 @@ class _CotScheme:
         delta = (pv[..., 1:] - pv[..., :-1]) / self.h
         mean = 0.5 * (pv[..., 1:] + pv[..., :-1])
         den = self.xh * delta + mean
-        if den.min() <= 0:
+        if np.minimum.reduce(den, axis=None) <= 0:
             raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
         return delta, mean, den
 
@@ -575,8 +590,8 @@ class _CotScheme:
         c_jump = x1 * psi1 - math.sqrt((x1 * x1 - 1.0) * (psi1 * psi1 + 1.0))
         return c_jump if c_jump > pv[0] else None
 
-    def flux(self, pv: np.ndarray) -> np.ndarray:
-        """cot(theta) at half nodes.
+    def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """cot(theta) at half nodes of one profile, written into out when given.
 
         c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
         difference quotient delta.  Through the cell mean it also depends on
@@ -601,18 +616,21 @@ class _CotScheme:
 
         `sensitivities` reuses the cells and the jump flux kept here.
         """
-        c = self.cell_flux(pv)
+        c = self.cell_flux(pv, out)
         self.c_jump = self._jump(pv)
         if self.c_jump is not None:
             c[0] = self.c_jump
         return c
 
-    def cell_flux(self, pv: np.ndarray) -> np.ndarray:
-        """The mean-value flux of each cell along the last axis, which the
-        first cell of `flux` may trade for the jump flux; it keeps the cells
-        for `sensitivities`."""
+    def cell_flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The mean-value flux of each cell along the last axis, written into
+        out when given, which the first cell of `flux` may trade for the jump
+        flux; it keeps the cells for `sensitivities`."""
         self.cells = delta, mean, den = self._cells(pv)
-        return (mean * delta - self.xh) / den
+        c = np.multiply(mean, delta, out=out)
+        c -= self.xh
+        c /= den
+        return c
 
     def sensitivities(self, pv: np.ndarray):
         """The `_node_sensitivities` of `flux` at pv, the profile it last
@@ -664,9 +682,13 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     The flux is evaluated at every step and its sensitivities on the first
     step, once JACOBIAN_LAG accepted steps have used them and before every
     retry.
-    The loop only records t and the rate's extrema per checkpoint, and raises
-    once its rows would pass ROW_BUDGET values; one pass after it computes
-    the other diagnostics block by block.
+    A step writes its arrays into buffers made once per solve, and the
+    solve consumes its four.  Each profile's fluxes fill a row of one
+    reusable block of flux rows, whose plateau and spread are taken each
+    time the block of profiles fills and once after the loop.  The loop
+    records t and the rate's extrema per checkpoint, and raises once its
+    rows would pass ROW_BUDGET values; one pass after it computes the
+    scheme's fields block by block.
     """
     x, h = scheme.x, scheme.h
     # one read-only grid for every profile the trace keeps
@@ -689,23 +711,35 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     max_rows = ROW_BUDGET // x.size
     size = max(1, CHUNK_ELEMS // x.size)
     blocks = [_new_block((size, x.size), scheme.boundary)]
-    # psi is row k of the last block
+    # psi is row k of the last block, and its cell fluxes row k of `fluxes`
     psi, k = blocks[0][0], 0
     psi[:] = scheme.psi
-    # per checkpoint: t and the rate's sup, max and min
-    records = []
+    # per checkpoint: t and the rate's sup, max and min; per block of rows,
+    # the plateau and spread of their fluxes
+    records, plateau, spread = [], [], []
+    # per-solve buffers, which every step writes in place
+    fluxes = np.empty((size, x.size - 1))
+    rate, abs_rate, dtQ, diag, rhs = (np.empty(x.size - 2) for _ in range(5))
+    sub, sup = np.empty(x.size - 3), np.empty(x.size - 3)
+
+    def plateau_of(rows: int) -> None:
+        window = fluxes[:rows, cells]
+        plateau.append(window.sum(axis=1) / window.shape[1])
+        spread.append(window.max(axis=1) - window.min(axis=1))
 
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
-        c = scheme.flux(psi)
+        c = scheme.flux(psi, out=fluxes[k])
         Qv = scheme.Q(psi)
-        rate = Qv * (c[1:] - c[:-1]) / h
-        res = float(np.abs(rate).max())
+        np.subtract(c[1:], c[:-1], out=rate)
+        rate *= Qv
+        rate /= h
+        res = float(np.maximum.reduce(np.abs(rate, out=abs_rate)))
         converged = res < cfg.convergence_tol
         if not records:
             # the initial profile records the residual's extrema, every later
             # one those of the step that reached it
-            rmax, rmin = float(rate.max()), float(rate.min())
+            rmax, rmin = float(np.maximum.reduce(rate)), float(np.minimum.reduce(rate))
         records.append((t, max(rmax, -rmin), rmax, rmin))
         if converged or t >= cfg.t_max:
             break
@@ -720,6 +754,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         res_prev = res
         k += 1
         if k == size:
+            plateau_of(size)
             blocks.append(_new_block((size, x.size), scheme.boundary))
             k = 0
         cand = blocks[-1][k]
@@ -730,11 +765,16 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
                 lower, upper, age = -left[1:-1], -right[1:-1], 0
             last = t + dt >= cfg.t_max
             step = cfg.t_max - t if last else dt
-            # (I - dt Q dc) delta = dt rate, each half flux linearized
-            dtQ = step * Qv
-            delta = solve_banded(dtQ[1:] * lower, 1 + dtQ * mid, dtQ[:-1] * upper, step * rate)
+            # (I - dt Q dc) delta = dt rate, each half flux linearized; the
+            # solve consumes its four buffers, so a retry fills them again
+            np.multiply(Qv, step, out=dtQ)
+            np.multiply(dtQ[1:], lower, out=sub)
+            np.multiply(dtQ, mid, out=diag)
+            diag += 1
+            np.multiply(dtQ[:-1], upper, out=sup)
+            delta = solve_banded(sub, diag, sup, np.multiply(rate, step, out=rhs))
             # NaN propagates into both extrema, and an inf reaches one
-            dmax, dmin = float(delta.max()), float(delta.min())
+            dmax, dmin = float(np.maximum.reduce(delta)), float(np.minimum.reduce(delta))
             if not (math.isfinite(dmax) and math.isfinite(dmin)):
                 raise TimeStepError(f"non-finite update at t={t + step:.6g}; time step too large")
             np.add(psi[1:-1], delta, out=cand[1:-1])
@@ -758,16 +798,13 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     for block in blocks:
         block.flags.writeable = False
     blocks[-1] = blocks[-1][: k + 1]
+    plateau_of(k + 1)
     cols = dict(zip(("t", "sup_rate", "max_rate", "min_rate"), np.array(records).T))
-    # the other diagnostics, one numpy call each along the rows of a block
+    cols.update(plateau=np.concatenate(plateau), plateau_spread=np.concatenate(spread))
+    # the scheme's fields, one numpy call each along the rows of a block
     parts, start = [], 0
     for block in blocks:
-        window = scheme.cell_flux(block)[:, cells]
-        parts.append({
-            "plateau": window.sum(axis=1) / window.shape[1],
-            "plateau_spread": window.max(axis=1) - window.min(axis=1),
-            **scheme.block_fields(block, cols["t"][start : start + len(block)]),
-        })
+        parts.append(scheme.block_fields(block, cols["t"][start : start + len(block)]))
         start += len(block)
     cols.update({name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
     # every run ends on a checkpoint of its final profile

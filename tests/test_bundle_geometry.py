@@ -185,6 +185,39 @@ def test_params_validation():
     assert (p.m, p.n, p.a, p.b, p.d) == (1, 2, F(3), F(4), F(5))
 
 
+def _as(kind, value: F):
+    """value as an argument of the given type."""
+    return value if kind is F else kind(value) if kind is not str else str(value)
+
+
+@pytest.mark.parametrize("kind", [F, int, str, float])
+def test_params_errors_equality_and_hash_across_input_types(kind):
+    """Fraction, int, str and float heights give the same errors, and equal
+    values give equal params with equal hashes, holding Fractions."""
+    one, three = _as(kind, F(1)), _as(kind, F(3))
+    with pytest.raises(InputError, match=r"^need base dimension n >= 1 and m >= 0$"):
+        BundleParams(n=0, m=0, a=three, b=one)
+    with pytest.raises(InputError, match=r"^need base dimension n >= 1 and m >= 0$"):
+        # the dimensions are checked before the heights
+        BundleParams(n=1, m=-1, a=_as(kind, F(-1)), b=one)
+    for bad in (F(0), F(-2)):
+        for slot in ("a", "b", "d"):
+            args = {"a": three, "b": one, "d": one, slot: _as(kind, bad)}
+            with pytest.raises(InputError, match=r"^a, b, d must be positive$"):
+                BundleParams(n=1, m=0, **args)
+    p = BundleParams(n=2, m=1, a=three, b=one, d=_as(kind, F(2)))
+    ref = BundleParams(n=2, m=1, a=F(3), b=F(1), d=F(2))
+    assert p == ref and hash(p) == hash(ref)
+    assert all(type(v) is F for v in (p.a, p.b, p.d))
+    if kind is not int:
+        half = BundleParams(n=1, m=0, a=_as(kind, F(3, 2)), b=_as(kind, F(1, 4)))
+        assert half == BundleParams(n=1, m=0, a=F(3, 2), b=F(1, 4)) and half.a == F(3, 2)
+        assert hash(half) == hash(BundleParams(n=1, m=0, a=F(3, 2), b=F(1, 4)))
+    if kind is str:
+        with pytest.raises(ValueError):
+            BundleParams(n=1, m=0, a="x", b=one)
+
+
 def test_invariant_vs_surface_minimal_slope():
     """On the surface instance the bundle slope agrees with the Zariski route.
 

@@ -337,6 +337,33 @@ def test_energy_futaki_matches_library(capsys):
     assert json.loads(out) == _as_json(rep)
 
 
+def test_energy_dhym_volume_steady_counts_the_wall_jump(capsys):
+    """The sampled steady profile of the unstable (2, 3, 0) starts at
+    xi = 6 - sqrt(30) above q = 0: the jump up to it is the bubble of
+    `dhym_volume_split`, and the volume lies just above the lower bound."""
+    for grid, (lo, hi) in (("512", (0.0026, 0.0028)), ("2", (0.0, 0.01))):
+        code, out = _run(capsys, ["energy", "dhym-volume", "--bpq", "2,3,0", "--profile", "steady", "--grid", grid])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["bubble"] == rep["split"]["bubble"] > 1.0
+        assert rep["value"] == rep["interior"] + rep["bubble"]
+        assert lo < rep["rel_error"] < hi
+
+
+def test_energy_dhym_volume_refuses_a_profile_below_q(capsys, monkeypatch):
+    """A profile whose left value lies below q is refused with exit 1."""
+    from slopeflow import calabi_profiles
+
+    def below(b, p, s, num):
+        prof = special_cotangent_profile(b, p, 0, num)
+        prof.values[0] = -0.5
+        return prof
+
+    monkeypatch.setattr(calabi_profiles, "sample_steady_profile_dhym", below)
+    assert main(["energy", "dhym-volume", "--bpq", "2,3,0", "--profile", "steady"]) == 1
+    assert capsys.readouterr().err == "input error: the profile's left value -0.5 lies below q = 0\n"
+
+
 def test_energy_minimizing_seq_with_m_1_exits_0(capsys):
     code, out = _run(capsys, ["energy", "minimizing-seq", "--params", "1,1,3,1/2"])
     assert code == 0

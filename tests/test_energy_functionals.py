@@ -332,6 +332,39 @@ def test_dhym_volume_lower_bound_random_profiles():
         count += 1
 
 
+def test_dhym_volume_counts_the_wall_jump():
+    """A profile whose left value lies above q carries the wall jump from q
+    up to it as its bubble, as `dhym_volume_split` does; its interior is the
+    Gauss value alone."""
+    xi = 6 - math.sqrt(30)
+    prof = sample_steady_profile_dhym(2, 3, xi, 513)
+    rep = dhym_volume(prof, 2, 3, 0)
+    assert rep.bubble == dhym_volume_split(2, 3, 0).bubble > 1.0
+    assert rep.interior == dhym_volume(prof, 2, 3, xi).value
+    assert rep.value == rep.interior + rep.bubble
+    assert 0.0026 < rep.rel_error < 0.0028
+
+
+@pytest.mark.parametrize(
+    "b,p,q,match",
+    [
+        (2, 3, 0.5, "left value 0 lies below q = 0.5"),
+        (2, 2.5, 0, r"from x = 1 to \(b, p\) = \(2, 2.5\)"),
+        (3, 3, 0, r"from x = 1 to \(b, p\) = \(3, 3\)"),
+    ],
+)
+def test_dhym_volume_refuses_a_profile_off_its_ends(b, p, q, match):
+    prof = special_cotangent_profile(2, 3, 0, 129)
+    with pytest.raises(InputError, match=match):
+        dhym_volume(prof, b, p, q)
+
+
+def test_dhym_volume_refuses_a_profile_off_the_wall():
+    grid = np.linspace(1.5, 2, 65)
+    with pytest.raises(InputError, match=r"from x = 1 to \(b, p\)"):
+        dhym_volume(MomentProfile(grid, 1 + grid, (2.5, 3.0)), 2, 3, 0)
+
+
 def test_dhym_volume_split_values():
     spl = dhym_volume_split(2, 3, 0)
     xi = 6 - math.sqrt(30)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -541,6 +542,66 @@ def test_checkpoint_plateau_is_the_flux_plateau():
             assert ck.plateau == np.mean(flux)
             assert ck.plateau_spread == flux.max() - flux.min()
         assert tr.terminal_constant == tr.checkpoints[-1].plateau
+
+
+def _lean_step_case(case, cfg):
+    """A fresh scheme and its run for the lean-step tests."""
+    if case == "cotangent":
+        # (2, 3, 0) switches the wall's jump flux on
+        return _CotScheme(2, 3, 0, "special", cfg), lambda: run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    params = BundleParams(n=1, m=0, a=2, b=F(2, 3)) if case == "j" else BundleParams(n=1, m=1, a=3, b=1)
+    return _JScheme(params, "line", cfg), lambda: run_j_flow(params, "line", cfg=cfg)
+
+
+@pytest.mark.parametrize("case", ["j", "j m=1", "cotangent"])
+def test_plateau_columns_span_every_block_of_flux_rows(case, monkeypatch):
+    """The loop keeps its flux rows in one reusable block and takes the
+    plateau and spread each time the profile block fills and once after the
+    loop: over at least three profile blocks, the last of them partial, the
+    columns are bit for bit the window mean and max - min of `cell_flux`
+    recomputed on every kept row."""
+    cfg = FlowConfig(grid_size=64, dt=0.05, t_max=3.0)
+    scheme, run = _lean_step_case(case, cfg)
+    rows = run().steps + 1
+    size = next(s for s in range(rows // 3, 0, -1) if rows % s)
+    assert rows // size >= 3 and rows % size
+    monkeypatch.setattr(flow_engine, "CHUNK_ELEMS", size * scheme.x.size)
+    tr = run()
+    assert [len(block) for block in tr.blocks] == [size] * (rows // size) + [rows % size]
+    x, (lo, hi) = scheme.x, scheme.window
+    # the window's cells as a slice, so that each row sums in place as the
+    # run's rows do (a boolean index copies the window column-major)
+    cells = np.flatnonzero((x[:-1] >= lo) & (x[1:] <= hi))
+    window = scheme.cell_flux(np.concatenate(tr.blocks))[:, cells[0] : cells[-1] + 1]
+    assert tr.columns["plateau"].tobytes() == (window.sum(axis=1) / window.shape[1]).tobytes()
+    assert tr.columns["plateau_spread"].tobytes() == (window.max(axis=1) - window.min(axis=1)).tobytes()
+
+
+@pytest.mark.parametrize("case", ["j", "cotangent"])
+def test_flux_into_a_row_is_the_flux(case):
+    """`flux(pv, out=row)` returns row, holding the bytes of `flux(pv)`."""
+    scheme, _ = _lean_step_case(case, FlowConfig(grid_size=64))
+    pv = scheme.psi
+    row = np.empty((2, pv.size - 1))[1]
+    assert scheme.flux(pv, out=row) is row
+    assert row.tobytes() == scheme.flux(pv).tobytes()
+
+
+@pytest.mark.parametrize("case", ["j", "cotangent"])
+def test_flux_and_sensitivities_results_own_their_memory(case):
+    """An array that `flux`, `cell_flux` or `sensitivities` returned keeps its
+    values through later calls on other profiles: no per-scheme buffer leaks
+    into a result."""
+    scheme, _ = _lean_step_case(case, FlowConfig(grid_size=64))
+    first, other = scheme.psi, scheme.psi.copy()
+    other[1:-1] += 0.01 * np.sin(np.pi * (scheme.x[1:-1] - scheme.x[0]) / (scheme.x[-1] - scheme.x[0]))
+    results = [scheme.flux(first), scheme.cell_flux(first)]
+    results += scheme.sensitivities(first)
+    kept = [r.tobytes() for r in results]
+    scheme.flux(other)
+    scheme.sensitivities(other)
+    scheme.cell_flux(other)
+    assert [r.tobytes() for r in results] == kept
 
 
 @pytest.mark.parametrize("flow", ["j", "cotangent"])
