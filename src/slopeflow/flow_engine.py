@@ -5,40 +5,37 @@ conservative form psi_t = Q (c[i+1/2] - c[i-1/2]) / h.  One integrator,
 `_integrate`, owns the time loop, checkpoints, residual stop, runtime
 monitors and backward-Euler step.  A small scheme per equation supplies the
 half-node flux c (the pointwise slope for the J flow, cot(theta) for the
-cotangent flow) and, apart, its node sensitivities, Q at the interior nodes,
-the checkpoint fields, and the reference profile with its plateau window; its
-admissibility test and slope field are those of `calabi_profiles`.
+cotangent flow), defined only on admissible profiles, and, apart, its node
+sensitivities, Q at the interior nodes, the checkpoint fields, and the
+reference profile with its plateau window.
 
 Every step is backward Euler in delta form, (I - dt Q dc) delta = dt rate,
-with each half flux linearized and Q lagged: one tridiagonal solve by LAPACK
-gtsv, called directly.  The first such solve loads scipy's compiled LAPACK
-wrapper by its file path, without the `scipy.linalg` package.  The flux
-c, and so the rate and the steady residual, is evaluated at every step; the
-sensitivities dc are lagged: evaluated on the first step, once JACOBIAN_LAG
-accepted steps have used them, and before every retry of a rejected step.
-The J flux is the plain chord flux, linear in psi, so its sensitivities are
-fixed and the lag changes none of its steps.  The cotangent flow keeps its
-steady state and residual stop and only takes a slightly different path to
-them: an inexact Jacobian, which pseudo-transient continuation allows
-(Kelley & Keyes 1998).  A run is
-pseudo-transient continuation: the first step is the configured dt, and each
-later step is scaled by the squared fall of the steady residual since the
-last (switched evolution relaxation, Mulder & van Leer 1985, here with the
-ratio raised to SER_EXPONENT) and kept in [dt, max(dt, DT_CAP)], except that
-the last step may be shortened to land on t_max.  Each step is solved into a
-candidate profile.  A candidate that breaks admissibility is rejected: dt is
+with each half flux linearized at the profile the step starts from and Q
+lagged: one tridiagonal solve by LAPACK gtsv, called directly.  The first
+such solve loads scipy's compiled LAPACK wrapper by its file path, without
+the `scipy.linalg` package.  The sensitivities dc are evaluated once per
+step, from the cells the flux kept; the J flux is the chord flux, linear in
+psi, so its sensitivities are fixed.  A run is pseudo-transient continuation: the first step is the
+configured dt, and each later step is scaled by the squared fall of the
+steady residual since the last (switched evolution relaxation, Mulder &
+van Leer 1985, here with the ratio raised to SER_EXPONENT) and kept in
+[dt, max(dt, DT_CAP)], except that the last step may be shortened to land
+on t_max.  Each step is solved into a candidate profile, whose flux is
+evaluated once, right after the solve, for the next step.  A candidate off
+the flux's domain, one that breaks admissibility, is rejected: dt is
 halved, down to the configured dt, and the step is solved again from the
-same rate on sensitivities of the current profile.  A step that is
-inadmissible at the configured dt raises, and so does a run whose kept rows
-pass ROW_BUDGET values.  Rejected steps are counted apart and feed no
-monitor.  A run stops once the steady residual
+same rate and sensitivities.  A step that is inadmissible at the
+configured dt raises, and so does a run whose kept rows pass ROW_BUDGET
+values.  Rejected steps are counted apart and
+feed no monitor.  A run stops once the steady residual
 sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
 Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, and the derivative bounds (J) or the angle range
 (cotangent).  Admissibility is enforced rather than monitored: the scheme's
-constructor checks the initial profile and the step loop every accepted
-step, and both raise.
+constructor checks the initial profile by `calabi_profiles`, and the flux
+checks every profile, the cotangent one without ADMISSIBILITY_TOL's slack;
+the initial profile's flux raises.
 
 Every profile the run reaches is a checkpoint: the initial one and the one
 each accepted step gives, so the last is the final profile.  The profiles
@@ -92,8 +89,6 @@ from .bundle_geometry import BundleParams, _energy_constant, min_slope_certifica
 from .calabi_profiles import (
     ADMISSIBILITY_TOL,
     MomentProfile,
-    _admissible_dhym,
-    _admissible_j,
     _angle,
     _slope_field,
     _slope_grid,
@@ -142,13 +137,6 @@ CHUNK_ELEMS = 8192
 #: J flow's error at t = 1 against fine explicit steps is 3.0e-4 at an
 #: exponent of 2 and 5.05e-4 at 2.5, past the 5e-4 that tests allow.
 SER_EXPONENT = 2
-#: the flux sensitivities serve JACOBIAN_LAG accepted steps (and are evaluated
-#: again before a retry).  The 57 cotangent solves of the flow-limits
-#: benchmark's seeds 1, 2 and 71 take 2750 steps on fresh sensitivities, and
-#: none is rejected at any lag; a lag of 2 takes 2759, 4 takes 2787, 8 takes
-#: 2880 and fails 6 limit checks, and never evaluating them again loses
-#: admissibility on 8 solves
-JACOBIAN_LAG = 4
 #: the most values (kept rows times N) a run may keep, 32 MiB of rows: a run
 #: that passes it raises TimeStepError.  The largest run of the tests keeps
 #: 311,148 (2412 rows at grid 128), and of the benchmark 54,891
@@ -162,10 +150,8 @@ class FlowConfig:
     Every run takes backward-Euler steps.  `dt` is the first step; later
     steps scale by the squared fall of the steady residual (SER_EXPONENT)
     and lie in [dt, max(dt, DT_CAP)], except that the last step may be
-    shortened to land on t_max.  Each step evaluates the flux afresh; its
-    sensitivities are evaluated on the first step, once JACOBIAN_LAG
-    accepted steps have used them and before every retry, and reused in
-    between.
+    shortened to land on t_max.  Each step linearizes the flux at the
+    profile it starts from.
     A step whose profile breaks admissibility is rejected and retried at
     half the step, down to `dt`; at `dt` it raises MonitorViolationError.
     The initial profile and every accepted step are recorded as checkpoints;
@@ -420,14 +406,6 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np
     return x
 
 
-def _node_sensitivities(dc_ddelta, dc_dmean, h: float):
-    """Sensitivity of each half flux to its right and left node, over h, and
-    their sum at each interior node: the implicit step's matrix entries."""
-    d_h, m_2 = dc_ddelta / h, dc_dmean / 2
-    right, left = (d_h + m_2) / h, (d_h - m_2) / h
-    return right, left, left[1:] + right[:-1]
-
-
 class _JScheme:
     """The scheme of `run_j_flow`: Q(psi) = psi (b - psi)/b and the flux
     sigma = psi' + (m/x + n/(1+x)) psi + n/(1+x), the pointwise slope."""
@@ -468,8 +446,11 @@ class _JScheme:
         self.p_h = n / (1 + xh) + (m / xh if m else 0.0)
         self.g_h = n / (1 + xh)
         self.half_p = self.p_h * 0.5
-        # the chord flux is linear, so its implicit-step entries are fixed
-        self.node_sensitivities = _node_sensitivities(1.0, self.p_h, h)
+        # the chord flux is linear, so its implicit-step entries are fixed:
+        # dc/dpsi+ = 1/h + p/2 and -dc/dpsi- = 1/h - p/2, over h
+        d_h, m_2 = 1.0 / h, self.p_h / 2
+        right, left = (d_h + m_2) / h, (d_h - m_2) / h
+        self.node_sensitivities = right, left, left[1:] + right[:-1]
         self.slope_grid = _slope_grid(x, n)
         # energy weights: trapezoid of c_{n,m} sigma^2 x^m (1+x)^n
         tw = np.full_like(x, h)
@@ -486,13 +467,20 @@ class _JScheme:
         y = pv[1:-1]
         return y * (self.b - y) / self.b
 
-    def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
         """The chord flux of each cell, along the last axis, linear in psi;
-        written into out when given."""
+        written into out when given.  None unless `admissible_j` holds, read
+        off the differences the flux takes."""
         hi, lo = pv[..., 1:], pv[..., :-1]
+        delta = hi - lo
+        # NaN fails both tests
+        if not (
+            np.minimum.reduce(pv, axis=None) >= -ADMISSIBILITY_TOL
+            and np.minimum.reduce(delta, axis=None) >= -ADMISSIBILITY_TOL
+        ):
+            return None
         c = np.add(hi, lo, out=out)
         c *= self.half_p
-        delta = hi - lo
         delta /= self.h
         c += delta
         c += self.g_h
@@ -502,11 +490,8 @@ class _JScheme:
     cell_flux = flux
 
     def sensitivities(self, pv: np.ndarray):
-        """The chord flux's fixed `_node_sensitivities`."""
+        """The chord flux's fixed implicit-step entries."""
         return self.node_sensitivities
-
-    def admissible(self, pv: np.ndarray) -> bool:
-        return _admissible_j(pv)
 
     def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
         """The J-only Checkpoint fields of each row of a block.  The energy
@@ -526,7 +511,8 @@ class _JScheme:
 
 class _CotScheme:
     """The scheme of `run_cotangent_flow`: Q(x) = (x-1)(b-x)/(b-1) and the
-    flux cot(theta) = (psi psi' - x)/(x psi' + psi) of the angle sum theta."""
+    flux cot(theta) = (psi psi' - x)/(x psi' + psi) of the angle sum theta,
+    in each cell the secant (1/2) dw/du, with u = x psi and w = psi^2 - x^2."""
 
     kind, monitors = "cotangent", COT_MONITORS
     admissibility_lost = "dHYM admissibility lost"
@@ -563,8 +549,7 @@ class _CotScheme:
         self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
         self.ref[0], self.ref[-1] = s_star, p
         self.window = _window(1.0, b)
-        self.xh = 0.5 * (x[1:] + x[:-1])
-        self.xh2 = self.xh**2
+        self.x2 = x * x
         from .energy_functionals import _volume_geometry  # keeps it out of the CLI's import
 
         self.volume_geometry = _volume_geometry(x)
@@ -573,16 +558,6 @@ class _CotScheme:
     def Q(self, pv: np.ndarray) -> np.ndarray:
         return self.Qx
 
-    def _cells(self, pv: np.ndarray):
-        """Each cell's difference quotient, mean and x psi' + psi at its half
-        node, which must stay positive, along the last axis."""
-        delta = (pv[..., 1:] - pv[..., :-1]) / self.h
-        mean = 0.5 * (pv[..., 1:] + pv[..., :-1])
-        den = self.xh * delta + mean
-        if np.minimum.reduce(den, axis=None) <= 0:
-            raise MonitorViolationError("x psi' + psi reached zero; admissibility lost")
-        return delta, mean, den
-
     def _jump(self, pv: np.ndarray) -> float | None:
         """The constant-angle jump flux of the first half node when it
         exceeds the pinned wall value, else None."""
@@ -590,17 +565,19 @@ class _CotScheme:
         c_jump = x1 * psi1 - math.sqrt((x1 * x1 - 1.0) * (psi1 * psi1 + 1.0))
         return c_jump if c_jump > pv[0] else None
 
-    def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """cot(theta) at half nodes of one profile, written into out when given.
+    def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
+        """cot(theta) at half nodes of one profile, written into out when
+        given; None unless du > 0 at every cell.
 
-        c = (mean*delta - x)/(x*delta + mean) is strictly increasing in the
-        difference quotient delta.  Through the cell mean it also depends on
-        each end node: dc/dpsi_- = (x(1+delta^2)/2 - (mean^2+x^2)/h)/den^2,
-        which is nonpositive exactly while
-        r = h x (1+delta^2) / (2(mean^2+x^2)) <= 1.  Where every cell has
-        r <= 1 the flux-difference update is a monotone scheme and keeps
-        admissibility and the comparison principle at the discrete level; a
-        steep cell with r > 1 can break them, as on short unstable intervals
+        The secant c = (1/2) dw/du, u = x psi and w = psi^2 - x^2, is in
+        real arithmetic the mean-value flux (mean delta - x)/(x delta + mean)
+        at the half node.  dc/dpsi+ = (psi+ - c x+)/du and
+        dc/dpsi- = -(psi- - c x-)/du, so a cell is monotone while c <= psi/x
+        at both of its nodes, its angle arccot c at least the base angle
+        arccot(psi/x).  Where every cell is monotone, the flux-difference
+        update is a monotone scheme and keeps admissibility and the
+        comparison principle at the discrete level; a steep cell with
+        c > psi/x at a node can break them, as on short unstable intervals
         during the transient.
 
         The first half node takes the constant-angle jump flux
@@ -617,39 +594,48 @@ class _CotScheme:
         `sensitivities` reuses the cells and the jump flux kept here.
         """
         c = self.cell_flux(pv, out)
+        if c is None:
+            return None
         self.c_jump = self._jump(pv)
         if self.c_jump is not None:
             c[0] = self.c_jump
         return c
 
-    def cell_flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The mean-value flux of each cell along the last axis, written into
-        out when given, which the first cell of `flux` may trade for the jump
-        flux; it keeps the cells for `sensitivities`."""
-        self.cells = delta, mean, den = self._cells(pv)
-        c = np.multiply(mean, delta, out=out)
-        c -= self.xh
-        c /= den
+    def cell_flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
+        """The secant flux of each cell along the last axis, written into out
+        when given, which the first cell of `flux` may trade for the jump
+        flux; None unless every du > 0.  It keeps du and c for
+        `sensitivities`."""
+        u = self.x * pv
+        du = u[..., 1:] - u[..., :-1]
+        # NaN fails the test
+        if not np.minimum.reduce(du, axis=None) > 0:
+            return None
+        w = np.multiply(pv, pv, out=u)
+        w -= self.x2
+        c = np.subtract(w[..., 1:], w[..., :-1], out=out)
+        c /= du
+        c *= 0.5
+        self.cells = du, c
         return c
 
     def sensitivities(self, pv: np.ndarray):
-        """The `_node_sensitivities` of `flux` at pv, the profile it last
-        evaluated, from the cells and the jump flux it kept."""
-        delta, mean, den = self.cells
-        den2 = den**2
-        dc_ddelta = (mean**2 + self.xh2) / den2
-        dc_dmean = self.xh * (1 + delta**2) / den2
+        """The implicit step's entries at pv, the profile `flux` last
+        evaluated, from the cells and jump flux it kept: each half flux's
+        dc/dpsi+ and -dc/dpsi- over h, (psi+ - c x+)/(h du) and
+        (psi- - c x-)/(h du), and their sum at each interior node."""
+        du, c = self.cells
+        hdu = du * self.h
+        right = pv[1:] - c * self.x[1:]
+        right /= hdu
+        left = pv[:-1] - c * self.x[:-1]
+        left /= hdu
         if self.c_jump is not None:
+            # the jump flux depends on psi1 alone; left[0] belongs to the
+            # pinned wall node, which is never an unknown
             x1, psi1 = self.x1, float(pv[1])
-            # the jump flux depends on psi1 alone: put its sensitivity in the
-            # mean slot (the assembly halves it, hence the factor 2; the
-            # pinned wall node is never an unknown)
-            dc_ddelta[0] = 0.0
-            dc_dmean[0] = 2.0 * (x1 - math.sqrt(x1 * x1 - 1.0) * psi1 / math.sqrt(psi1 * psi1 + 1.0))
-        return _node_sensitivities(dc_ddelta, dc_dmean, self.h)
-
-    def admissible(self, pv: np.ndarray) -> bool:
-        return _admissible_dhym(self.x, pv)
+            right[0] = (x1 - math.sqrt(x1 * x1 - 1.0) * psi1 / math.sqrt(psi1 * psi1 + 1.0)) / self.h
+        return right, left, left[1:] + right[:-1]
 
     def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
         """The cotangent-only Checkpoint fields of each row of a block: the
@@ -676,12 +662,10 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     Stops once the steady residual sup |d psi/dt| at the current profile is
     below the tolerance, or at t_max, which the last step never passes.
-    Each step is solved into the next free row of the kept blocks; a
-    candidate that breaks admissibility is retried there at half the step,
-    and raises once the step is down to cfg.dt.
-    The flux is evaluated at every step and its sensitivities on the first
-    step, once JACOBIAN_LAG accepted steps have used them and before every
-    retry.
+    Each step takes the sensitivities at the profile it starts from and is
+    solved into the next free row of the kept blocks, its flux into the
+    matching flux row; a candidate whose flux is None is retried there at
+    half the step, and raises once the step is down to cfg.dt.
     A step writes its arrays into buffers made once per solve, and the
     solve consumes its four.  Each profile's fluxes fill a row of one
     reusable block of flux rows, whose plateau and spread are taken each
@@ -706,8 +690,6 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     dt = cfg.dt
     t, rejected = 0.0, 0
     dt_max, res_prev = 0.0, None
-    # accepted steps since the sensitivities were evaluated: they are due first
-    age = JACOBIAN_LAG
     max_rows = ROW_BUDGET // x.size
     size = max(1, CHUNK_ELEMS // x.size)
     blocks = [_new_block((size, x.size), scheme.boundary)]
@@ -727,9 +709,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         plateau.append(window.sum(axis=1) / window.shape[1])
         spread.append(window.max(axis=1) - window.min(axis=1))
 
+    c = scheme.flux(psi, out=fluxes[k])
+    if c is None:
+        # the constructor's test forgives ADMISSIBILITY_TOL, the flux does not
+        raise MonitorViolationError(f"{scheme.admissibility_lost} at t=0")
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
-        c = scheme.flux(psi, out=fluxes[k])
         Qv = scheme.Q(psi)
         np.subtract(c[1:], c[:-1], out=rate)
         rate *= Qv
@@ -752,6 +737,10 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             # switched evolution relaxation: dt grows by the squared fall of the residual
             dt = max(cfg.dt, min(dt * (res_prev / res) ** SER_EXPONENT, DT_CAP))
         res_prev = res
+        # before a candidate's flux replaces the cells they read; a retry
+        # reuses them
+        right, left, mid = scheme.sensitivities(psi)
+        lower, upper = -left[1:-1], -right[1:-1]
         k += 1
         if k == size:
             plateau_of(size)
@@ -759,10 +748,6 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             k = 0
         cand = blocks[-1][k]
         while True:
-            if age >= JACOBIAN_LAG:
-                # the off-diagonals are negated once per evaluation
-                right, left, mid = scheme.sensitivities(psi)
-                lower, upper, age = -left[1:-1], -right[1:-1], 0
             last = t + dt >= cfg.t_max
             step = cfg.t_max - t if last else dt
             # (I - dt Q dc) delta = dt rate, each half flux linearized; the
@@ -778,17 +763,17 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             if not (math.isfinite(dmax) and math.isfinite(dmin)):
                 raise TimeStepError(f"non-finite update at t={t + step:.6g}; time step too large")
             np.add(psi[1:-1], delta, out=cand[1:-1])
-            if scheme.admissible(cand):
+            # the next step's flux, or None off the flux's domain
+            c = scheme.flux(cand, out=fluxes[k])
+            if c is not None:
                 break
             if step <= cfg.dt:
                 raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t + step:.6g}")
-            # reject: retry at half the step, on sensitivities of this profile
+            # reject: retry at half the step
             dt = max(cfg.dt, step / 2)
             rejected += 1
-            age = JACOBIAN_LAG
         psi = cand
         t = cfg.t_max if last else t + step
-        age += 1
         dt_max = max(dt_max, step)
         # the step's rate delta / step: rounding keeps the order, so its
         # extrema are those of delta over the step

@@ -15,9 +15,9 @@ the closed-form L2 slope deviation against Simpson's rule
 and, near semistability, against its Taylor series summed in Fraction.
 The flows' checkpoint diagnostics, computed over blocks of stacked
 profiles, are checked bit for bit against the time loop that computed them
-one checkpoint at a time; the cotangent flow's lagged flux sensitivities
-against that loop with sensitivities evaluated at every step; and the
-factored calibration volume against its expanded integrand.
+one checkpoint at a time; the implicit step's matrix entries against central
+differences of the flux they linearize; and the factored calibration volume
+against its expanded integrand.
 """
 
 import itertools
@@ -1280,13 +1280,13 @@ def _ref_checkpoint_fields(scheme, pv, t):
     return {"comparison_gap": float((scheme.ref - pv).min()), "theta_min": tmin, "theta_max": tmax}
 
 
-def _ref_integrate(scheme, cfg, lag):
+def _ref_integrate(scheme, cfg):
     """The time loop with one pass of diagnostics per checkpoint, one for the
     initial profile and one per accepted step, and the decaying functional
     one profile at a time: (times, checkpoints, profile values, the decay
-    series, the largest rise).  The flux sensitivities are evaluated on the
-    first step, once `lag` accepted steps have used them and before every
-    retry, so lag 1 evaluates them at every step."""
+    series, the largest rise).  The flux sensitivities are evaluated at the
+    profile each step starts from, and each candidate's flux once, right
+    after its solve: a flux of None rejects the candidate."""
     x, h, psi = scheme.x, scheme.h, scheme.psi.copy()
     decay = "energy" if scheme.kind == "j" else "volume"
     lo, hi = scheme.window
@@ -1297,13 +1297,12 @@ def _ref_integrate(scheme, cfg, lag):
     t, res_prev, cand = 0.0, None, psi.copy()
     times, checkpoints, profiles, series = [], [], [], []
     step_rate = None
-    since = lag  # accepted steps since the sensitivities were evaluated
+    c = scheme.flux(psi)
     while True:
         if scheme.kind == "j":
             series.append(_ref_energy(scheme, psi))
         else:
             series.append(_ref_volume_value(psi, geometry))
-        c = scheme.flux(psi)
         Qv = scheme.Q(psi)
         rate = Qv * (c[1:] - c[:-1]) / h
         res = float(np.abs(rate).max())
@@ -1327,10 +1326,8 @@ def _ref_integrate(scheme, cfg, lag):
         if res_prev is not None:
             dt = max(cfg.dt, min(dt * (res_prev / res) ** flow_engine.SER_EXPONENT, flow_engine.DT_CAP))
         res_prev = res
+        right, left, mid = scheme.sensitivities(psi)
         while True:
-            if since >= lag:
-                right, left, mid = scheme.sensitivities(psi)
-                since = 0
             last = t + dt >= cfg.t_max
             step = cfg.t_max - t if last else dt
             dtQ = step * Qv
@@ -1338,14 +1335,13 @@ def _ref_integrate(scheme, cfg, lag):
                 -dtQ[1:] * left[1:-1], 1 + dtQ * mid, -dtQ[:-1] * right[1:-1], step * rate
             )
             np.add(psi[1:-1], delta, out=cand[1:-1])
-            if scheme.admissible(cand):
+            c = scheme.flux(cand)
+            if c is not None:
                 break
             dt = max(cfg.dt, step / 2)
-            since = lag
         psi, cand = cand, psi
         step_rate = delta / step
         t = cfg.t_max if last else t + step
-        since += 1
     rise = 0.0
     for before, after in zip(series, series[1:]):
         rise = max(rise, after - before)
@@ -1409,9 +1405,9 @@ FLOW_CHECKPOINT_CASES = [
     # more checkpoints (and J steps) than a chunk holds
     ("j", (1, 0, 2, F(2, 3)), 512, {}),
     ("cotangent", (2, 3, 0), 512, {}),
-    # a short unstable pair that fails monotone_increasing, while the largest
-    # magnitude of its rates is a rise
-    ("cotangent", (F(9, 8), F(29, 8), 0), 128, {}),
+    # a short unstable triple that fails monotone_increasing, while the
+    # largest magnitude of its rates is a rise
+    ("cotangent", (F(17, 16), 3, 0), 128, {}),
 ]
 
 
@@ -1419,10 +1415,9 @@ FLOW_CHECKPOINT_CASES = [
 def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, grid, overrides):
     """Every Checkpoint field, every kept profile, and the decay monitor's
     largest rise and first rise above the slack are bit for bit those of the
-    per-checkpoint loop at the engine's JACOBIAN_LAG; the chunked trace's
-    profiles are read-only rows on one grid.  Every checkpoint monitor's
-    verdict, worst value and first violation are those of a plain loop over
-    the oracle's checkpoints."""
+    per-checkpoint loop; the chunked trace's profiles are read-only rows on
+    one grid.  Every checkpoint monitor's verdict, worst value and first
+    violation are those of a plain loop over the oracle's checkpoints."""
     cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
     if flow == "j":
         params = BundleParams(*args)
@@ -1430,7 +1425,7 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
     else:
         scheme = flow_engine._CotScheme(*args, "special", cfg)
         trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
-    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg, flow_engine.JACOBIAN_LAG)
+    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg)
     decay = "energy" if flow == "j" else "volume"
     assert trace.times == times and len(times) == trace.steps + 1
     assert len(trace.checkpoints) == len(checkpoints) == len(trace.profiles)
@@ -1453,7 +1448,7 @@ def test_flow_checkpoint_blocks_match_per_checkpoint_diagnostics(flow, args, gri
         got = trace.monitor_report.entries[name]
         assert (got["passed"], got["first_violation"]) == (ref["passed"], ref["first_violation"]), name
         assert type(got["worst"]) is float and _bits(got["worst"]) == _bits(ref["worst"]), name
-    if args == (F(9, 8), F(29, 8), 0):
+    if args == (F(17, 16), 3, 0):
         entry = trace.monitor_report.entries["monotone_increasing"]
         rates = trace.columns["min_rate"]
         assert not entry["passed"] and entry["worst"] == rates.min() < 0 < -rates.min() < rates.max()
@@ -1499,35 +1494,6 @@ def test_flow_trace_does_not_depend_on_the_block_size(flow, args, grid, override
         assert trace.monitor_report == ref.monitor_report
 
 
-#: the cotangent cases but (9/8, 29/8, 0), whose monotone verdict the lagged
-#: sensitivities change: it passes with sensitivities fresh at every step
-COT_CHECKPOINT_CASES = [
-    case for case in FLOW_CHECKPOINT_CASES if case[0] == "cotangent" and case[1] != (F(9, 8), F(29, 8), 0)
-]
-
-
-@pytest.mark.parametrize("flow,args,grid,overrides", COT_CHECKPOINT_CASES)
-def test_lagged_sensitivities_match_fresh_ones(flow, args, grid, overrides):
-    """The cotangent flow with sensitivities lagged by JACOBIAN_LAG steps
-    reaches the plateau and sup error of the loop that evaluates them at
-    every step, with the same monitor verdicts and at most 5 % more steps."""
-    cfg = flow_engine.FlowConfig(grid_size=grid, dt=0.05, **overrides)
-    scheme = flow_engine._CotScheme(*args, "special", cfg)
-    trace = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg)
-    times, checkpoints, profiles, series, rise = _ref_integrate(scheme, cfg, 1)
-    assert trace.converged and checkpoints[-1].sup_rate < cfg.convergence_tol
-    assert abs(trace.terminal_constant - checkpoints[-1].plateau) <= 1e-8
-    first = int(np.searchsorted(scheme.x, scheme.window[0]))
-    sup_error = float(np.max(np.abs((profiles[-1] - scheme.ref)[first:])))
-    assert abs(trace.sup_error_on_compact - sup_error) <= 5e-8
-    scans = _ref_checkpoint_monitors(flow, trace.meta["monitors"], checkpoints)
-    scans["volume_nonincreasing"] = {"passed": rise <= flow_engine._decay_slack("volume", scheme.h)}
-    assert {name: entry["passed"] for name, entry in trace.monitor_report.entries.items()} == {
-        name: entry["passed"] for name, entry in scans.items()
-    }
-    assert len(times) - 1 <= trace.steps <= 1.05 * (len(times) - 1)
-
-
 def _random_admissible_rows(rng, b, p, q, n, count):
     """`count` random admissible perturbations of the special profile on n
     nodes, stacked."""
@@ -1543,6 +1509,68 @@ def _random_admissible_rows(rng, b, p, q, n, count):
     return grid, np.array(rows)
 
 
+#: (flow, arguments, nodes) of the sensitivity test; "cotangent run" takes
+#: the kept rows of a run from the special profile, on which the wall's jump
+#: flux switches on, where the perturbed special profiles keep it off
+SENSITIVITY_CASES = [
+    ("cotangent", (2, 3, 1), 65),
+    ("cotangent", (3, 2, -1), 129),
+    ("cotangent", (1.5, 4, 0.5), 257),
+    ("cotangent run", (2, 3, 0), 65),
+    ("j", (1, 0, 4, 1), 65),
+    ("j", (2, 1, 3, 1), 65),
+]
+#: the central differences' step, and their largest error relative to
+#: max(1, |entry|); the worst of these cases is 1.2e-8
+FD_STEP, FD_TOL = 1e-6, 1e-7
+
+
+@pytest.mark.parametrize("flow,args,n", SENSITIVITY_CASES)
+def test_sensitivities_are_central_differences_of_the_flux(flow, args, n):
+    """On seeded admissible rows, the implicit step's entries are the flux's
+    derivatives: at each interior node j, h right[j-1] and -h left[j] are
+    the central differences of cells j - 1 and j in psi_j within FD_TOL
+    relative, no other cell moves, and mid[j-1] is left[j] + right[j-1].
+    The cotangent rows take the wall's jump flux both on and off."""
+    rng = np.random.default_rng(n)
+    cfg = flow_engine.FlowConfig(grid_size=n - 1, dt=0.05)
+    if flow == "j":
+        params = BundleParams(*args)
+        scheme = flow_engine._JScheme(params, "line", cfg)
+        rises = np.cumsum(rng.uniform(0.0, 1.0, (8, n)), axis=1)
+        rows = float(params.b) * (rises - rises[:, :1]) / (rises[:, -1:] - rises[:, :1])
+    else:
+        scheme = flow_engine._CotScheme(*args, "special", cfg)
+        if flow == "cotangent run":
+            blocks = flow_engine.run_cotangent_flow(*args, "special", cfg=cfg).blocks
+            rows = np.concatenate(blocks)[:: 4]
+        else:
+            grid, rows = _random_admissible_rows(rng, *args, n, 8)
+            assert np.array_equal(grid, scheme.x)
+
+    def flux(pv):
+        """The flux, and whether it took the wall's jump flux."""
+        return scheme.flux(pv), getattr(scheme, "c_jump", None) is not None
+
+    jumps = set()
+    for pv in rows:
+        _, jump = flux(pv)
+        jumps.add(jump)
+        right, left, mid = scheme.sensitivities(pv)
+        assert mid.tobytes() == (left[1:] + right[:-1]).tobytes()
+        for j in range(1, n - 1):
+            up, down = pv.copy(), pv.copy()
+            up[j] += FD_STEP
+            down[j] -= FD_STEP
+            (c_up, jump_up), (c_down, jump_down) = flux(up), flux(down)
+            assert jump_up is jump_down is jump
+            diff = (c_up - c_down) / (2 * FD_STEP)
+            want = np.zeros(n - 1)
+            want[j - 1], want[j] = scheme.h * right[j - 1], -scheme.h * left[j]
+            assert np.all(np.abs(diff - want) <= FD_TOL * np.maximum(1.0, np.abs(want))), j
+    assert jumps == ({True, False} if flow == "cotangent run" else {False})
+
+
 @pytest.mark.parametrize("bpq,n", [((2, 3, 0), 257), ((2, 3, 1), 65), ((3, 2, -1), 129), ((1.5, 4, 0.5), 513)])
 def test_factored_volume_matches_the_expanded_integrand(bpq, n):
     """`_volume_values`, which takes sqrt(1 + psi'^2) out of each cell's Gauss
@@ -1556,7 +1584,7 @@ def test_factored_volume_matches_the_expanded_integrand(bpq, n):
         assert value == _ref_volume_value(row, geometry)
 
 
-@pytest.mark.parametrize("flow,args,grid,overrides", COT_CHECKPOINT_CASES)
+@pytest.mark.parametrize("flow,args,grid,overrides", [case for case in FLOW_CHECKPOINT_CASES if case[0] == "cotangent"])
 def test_factored_volume_matches_the_expanded_integrand_on_flow_rows(flow, args, grid, overrides):
     """Each cotangent checkpoint's volume is within 1e-15 relative of the
     expanded integrand on its profile."""

@@ -34,7 +34,6 @@ from slopeflow import flow_engine
 from slopeflow.errors import AdmissibilityError, InputError, MonitorViolationError, TimeStepError
 from slopeflow.flow_engine import (
     DT_CAP,
-    JACOBIAN_LAG,
     ROW_BUDGET,
     FlowConfig,
     _CotScheme,
@@ -263,30 +262,46 @@ def test_inadmissible_step_at_the_first_dt_raises(unstable, monkeypatch):
     assert len(solves) == 1
 
 
-def test_sensitivities_serve_jacobian_lag_steps_and_are_fresh_for_a_retry(monkeypatch):
-    """The cotangent sensitivities are evaluated at the profile a step starts
-    from: on the first step, once JACOBIAN_LAG accepted steps have used them,
-    and before the retry of a rejected step, after which the count restarts."""
-    evaluated, tries = [], []
-    sensitivities, admissible = _CotScheme.sensitivities, _CotScheme.admissible
+def test_sensitivities_are_evaluated_once_per_step_and_serve_its_retry(monkeypatch):
+    """The cotangent sensitivities are evaluated once per step, at the
+    profile the step starts from, from the cells its flux kept.  A rejected
+    candidate's flux replaces those cells, and the retry solves on the
+    sensitivities of the step's start, not the candidate's: at half the step,
+    its sub-diagonal is the first try's halved, bit for bit."""
+    evaluated, fluxes, subs = [], [], []
+    sensitivities, flux = _CotScheme.sensitivities, _CotScheme.flux
 
     def recording(self, pv):
-        evaluated.append(pv.copy())
-        return sensitivities(self, pv)
+        entries = sensitivities(self, pv)
+        evaluated.append((pv.copy(), [e.tobytes() for e in entries]))
+        return entries
 
-    def refuse_the_sixth_try(self, pv):
-        tries.append(1)
-        return len(tries) != 6 and admissible(self, pv)
+    def refuse_the_21st_candidate(self, pv, out=None):
+        # the first flux is the initial profile's
+        c = flux(self, pv, out)
+        fluxes.append(1)
+        return None if len(fluxes) == 22 else c
+
+    def recording_solve(lower, diag, upper, rhs):
+        subs.append(lower.copy())
+        return solve_banded(lower, diag, upper, rhs)
 
     monkeypatch.setattr(_CotScheme, "sensitivities", recording)
-    monkeypatch.setattr(_CotScheme, "admissible", refuse_the_sixth_try)
-    tr = run_cotangent_flow(2, 3, 0, "special", cfg=FlowConfig(grid_size=64, dt=0.05))
-    assert tr.converged and tr.meta["rejected"] == 1 and JACOBIAN_LAG == 4
-    # step 5 is tried on step 4's sensitivities and retried on its own
-    starts = [0, 4] + list(range(5, tr.steps, JACOBIAN_LAG))
-    assert len(evaluated) == len(starts)
-    for pv, k in zip(evaluated, starts):
-        assert pv.tobytes() == tr.profiles[k].values.tobytes()
+    monkeypatch.setattr(_CotScheme, "flux", refuse_the_21st_candidate)
+    monkeypatch.setattr(flow_engine, "solve_banded", recording_solve)
+    cfg = FlowConfig(grid_size=64, dt=0.05)
+    tr = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    assert tr.converged and tr.meta["rejected"] == 1 and len(subs) == tr.steps + 1
+    # step 21 is tried at more than twice the first step, so its retry is at half
+    assert tr.times[21] - tr.times[20] > cfg.dt
+    assert subs[21].tobytes() == (subs[20] / 2).tobytes()
+    assert len(evaluated) == tr.steps
+    monkeypatch.undo()
+    fresh = _CotScheme(2, 3, 0, "special", cfg)
+    for (pv, entries), prof in zip(evaluated, tr.profiles):
+        assert pv.tobytes() == prof.values.tobytes()
+        fresh.flux(pv)
+        assert entries == [e.tobytes() for e in fresh.sensitivities(pv)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -423,9 +438,10 @@ def test_scheme_diffusion_coefficients():
 
 
 def test_admissibility_predicates_agree():
-    """`admissible_j`, `admissible_dhym` and both schemes' `admissible` give
-    one verdict: a dip of half the slack passes, a NaN or a dip of twice the
-    slack fails."""
+    """The J flux is None exactly where `admissible_j` fails: at a NaN or a
+    dip of twice the slack, not at a dip of half of it.  The cotangent flux
+    is None at all three dips, the half-slack one that `admissible_dhym`
+    passes included."""
     cfg = FlowConfig(grid_size=64)
     j = _JScheme(BundleParams(n=1, m=0, a=4, b=1), "line", cfg)
     cot = _CotScheme(2, 3, 0, "special", cfg)
@@ -435,8 +451,8 @@ def test_admissibility_predicates_agree():
         for dip, ok in ((math.nan, False), (2 * ADMISSIBILITY_TOL, False), (ADMISSIBILITY_TOL / 2, True)):
             vals = scheme.psi.copy()
             vals[20] = (w[19] * vals[19] - dip) / w[20]
-            assert scheme.admissible(vals) is ok
             assert predicate(MomentProfile(scheme.x, vals, scheme.boundary)) is ok
+            assert (scheme.flux(vals) is not None) is (ok and scheme is j)
 
 
 def test_checkpoint_profiles_admissible(unstable):
