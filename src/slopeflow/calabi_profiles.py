@@ -4,7 +4,8 @@ Under the symmetric ansatz every metric is encoded by a momentum profile: an
 increasing function psi on the fiber-height interval.  This module provides
 the closed-form steady profiles for both equations, the pointwise slope and
 angle evaluations and the admissibility predicates.  The flow schemes call
-the same slope field and predicates on their arrays.
+the same slope field on their arrays; their fluxes test admissibility
+themselves.
 
 Each steady J profile is built once per puncture, its weight integrals
 rounded from the exact antiderivative table of `bundle_geometry`.
@@ -82,32 +83,25 @@ class MomentProfile:
         return np.gradient(self.values, self.grid)
 
 
-def _admissible_j(values: np.ndarray) -> bool:
-    """`admissible_j` on node values, for the flow schemes; NaN fails."""
+def admissible_j(profile: MomentProfile) -> bool:
+    """Nonnegative and monotone increasing up to ADMISSIBILITY_TOL slack;
+    NaN fails.
+
+    The singular limits are identically zero on part of the interval, so the
+    numerically meaningful predicate allows flat stretches within tolerance.
+    """
+    values = profile.values
     return bool(
         np.minimum.reduce(values) >= -ADMISSIBILITY_TOL
         and np.minimum.reduce(values[1:] - values[:-1]) >= -ADMISSIBILITY_TOL
     )
 
 
-def _admissible_dhym(grid: np.ndarray, values: np.ndarray) -> bool:
-    """`admissible_dhym` on node values, for the flow schemes; NaN fails."""
-    xp = grid * values
-    return bool(np.minimum.reduce(xp[1:] - xp[:-1]) > -ADMISSIBILITY_TOL)
-
-
-def admissible_j(profile: MomentProfile) -> bool:
-    """Nonnegative and monotone increasing up to ADMISSIBILITY_TOL slack.
-
-    The singular limits are identically zero on part of the interval, so the
-    numerically meaningful predicate allows flat stretches within tolerance.
-    """
-    return _admissible_j(profile.values)
-
-
 def admissible_dhym(profile: MomentProfile) -> bool:
-    """x psi' + psi > 0 in the interior, checked as monotonicity of x*psi."""
-    return _admissible_dhym(profile.grid, profile.values)
+    """x psi' + psi > 0 in the interior, checked as monotonicity of x*psi up
+    to ADMISSIBILITY_TOL slack; NaN fails."""
+    xp = profile.grid * profile.values
+    return bool(np.minimum.reduce(xp[1:] - xp[:-1]) > -ADMISSIBILITY_TOL)
 
 
 def require_admissible_j(profile: MomentProfile) -> None:

@@ -62,7 +62,6 @@ __all__ = [
     "futaki_invariant",
     "pl_limit_hamiltonian",
     "l2_slope_deviation",
-    "minimizing_profile",
     "minimizing_sequence",
     "dhym_volume",
     "dhym_volume_split",
@@ -533,12 +532,6 @@ def minimizing_sequence(params: BundleParams, ks) -> list[tuple[RadialProfile, f
         energy = c * float(np.trapezoid(integrand, rho[i:]))
         members.append((RadialProfile(rho=rho[i:], dv=v1, d2v=v2), energy))
     return members
-
-
-def minimizing_profile(params: BundleParams, k: int) -> tuple[RadialProfile, float]:
-    """The k-th member of the explicit energy-minimizing sequence, sampled at
-    rho = j/50 on [-k - 35, 35]: `minimizing_sequence(params, [k])[0]`."""
-    return minimizing_sequence(params, [k])[0]
 
 
 # ---------------------------------------------------------------------------

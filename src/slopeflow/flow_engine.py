@@ -32,10 +32,11 @@ sup |Q (c[i+1/2] - c[i-1/2]) / h| falls below the tolerance, or at t_max.
 Monitors track
 monotonicity and comparison with the singular limit, energy or
 calibration-volume decay, and the derivative bounds (J) or the angle range
-(cotangent).  Admissibility is enforced rather than monitored: the scheme's
-constructor checks the initial profile by `calabi_profiles`, and the flux
-checks every profile, the cotangent one without ADMISSIBILITY_TOL's slack;
-the initial profile's flux raises.
+(cotangent).  Admissibility is enforced rather than monitored, by the flux
+alone, the cotangent one without ADMISSIBILITY_TOL's slack: a start off the
+flux's domain raises AdmissibilityError, an InputError.  Both schemes build
+their start, a profile or the name of one, through `_start`, which checks
+its interval and boundary values, pins them and takes h.
 
 Every profile the run reaches is a checkpoint: the initial one and the one
 each accepted step gives, so the last is the final profile.  The profiles
@@ -49,23 +50,23 @@ solve consumes its four in place.  Each profile's cell fluxes c, the
 ones the step computes anyway, go into the row of one reusable block of
 flux rows, as many as a block of profiles holds.  Per checkpoint the loop
 records t and the rate's sup, max and min (the residual's for the initial
-profile, delta / step for every later one); each time a block of profiles
-fills, and once for the last one after the loop, it takes the plateau and
-spread (mean and max - min) of the flux rows over the cells with both end
-nodes in the window.  The first cell, where the cotangent flux may take the
-wall's jump flux, is never among them.  After the loop the blocks turn
-read-only, the last trimmed to its rows by a view, and one pass computes the
-other diagnostics, one numpy call each along the rows of a block, which
-bounds the kernels' temporaries:
+profile, delta / step for every later one).  Each block is closed once,
+when it fills and, for the last, after the loop: it turns read-only, the
+last trimmed to its rows by a view, and its columns are computed with one
+numpy call each along its rows, which bounds the kernels' temporaries:
+- the plateau and spread (mean and max - min) of the flux rows over the
+  cells with both end nodes in the window.  The first cell, where the
+  cotangent flux may take the wall's jump flux, is never among them.
 - the scheme's fields: the distance to the reference profile, the decaying
   functional (the J energy, one dot product per row, or the calibration
   volume from `dhym_volume`'s quadrature on a geometry built once per
   solve), and the forward-difference and derivative bounds (J) or the angle
   range (cotangent, from one angle evaluation); an angle outside (0, pi)
   raises with the t of the first offending checkpoint.
-The trace keeps the blocks and one column per Checkpoint field.  Its step
-count, terminal constant and every `monitor_suite` verdict are read off the
-columns; its checkpoints and profiles are built from them on first access.
+The trace keeps the blocks and one column per Checkpoint field, each
+concatenated once from the blocks' columns.  Its step count, terminal
+constant and every `monitor_suite` verdict are read off the columns; its
+checkpoints and profiles are built from them on first access.
 The profiles are views of the read-only rows, on a read-only grid shared
 with the reference profile of the solve, and are not validated again.
 `FlowTrace.save` writes what the trace holds and nothing recomputed: the
@@ -92,15 +93,13 @@ from .calabi_profiles import (
     _angle,
     _slope_field,
     _slope_grid,
-    require_admissible_dhym,
-    require_admissible_j,
     sample_steady_profile_dhym,
     singular_limit_profile_j,
     special_cotangent_profile,
     steady_profile_dhym,
     straight_line_profile,
 )
-from .errors import InputError, MonitorViolationError, TimeStepError
+from .errors import AdmissibilityError, InputError, MonitorViolationError, TimeStepError
 from .flow_steps import DT_CAP
 from .surface_slopes import STABLE, one_point_blowup_certificate
 
@@ -128,7 +127,7 @@ ENERGY_SLACK = 1e-10
 COMPACT_MARGIN = 0.1
 #: values per block of kept rows: max(1, CHUNK_ELEMS // N) rows of N nodes,
 #: which also sizes the reusable block of flux rows and bounds the
-#: temporaries of the post-loop diagnostics
+#: temporaries of the diagnostics taken as each block closes
 CHUNK_ELEMS = 8192
 #: dt scales by (res_prev / res) ** SER_EXPONENT.  Under backward Euler the
 #: slow mode's residual falls by about 1 + dt/5 per step, so the plain ratio
@@ -152,8 +151,9 @@ class FlowConfig:
     and lie in [dt, max(dt, DT_CAP)], except that the last step may be
     shortened to land on t_max.  Each step linearizes the flux at the
     profile it starts from.
-    A step whose profile breaks admissibility is rejected and retried at
-    half the step, down to `dt`; at `dt` it raises MonitorViolationError.
+    An initial profile that breaks admissibility raises AdmissibilityError.
+    A step whose profile breaks it is rejected and retried at half the
+    step, down to `dt`; at `dt` it raises MonitorViolationError.
     The initial profile and every accepted step are recorded as checkpoints;
     a run that would keep more than ROW_BUDGET values raises TimeStepError.
     A run has converged once its steady residual drops below
@@ -313,6 +313,25 @@ def _uniform_spacing(grid: np.ndarray) -> float:
     return h0
 
 
+def _start(init, starts: dict, num: int, interval: tuple[float, float], boundary: tuple[float, float], left_tol: float):
+    """The grid, the pinned values and h of a flow's start: `init`, or the
+    start it names, one of `starts` built at num nodes.  The grid must span
+    `interval`, its ends within 1e-12 and 1e-9, and the boundary values must
+    be `boundary`, the left within left_tol and the right within 1e-9."""
+    if isinstance(init, str):
+        if init not in starts:
+            raise InputError(f"unknown initial profile {init!r}: not one of {', '.join(starts)}")
+        init = starts[init](num)
+    (x0, x1), (v0, v1) = interval, boundary
+    if abs(init.grid[0] - x0) > 1e-12 or abs(init.grid[-1] - x1) > 1e-9:
+        raise InputError(f"initial profile must live on [{x0}, {x1}]")
+    if abs(init.boundary[0] - v0) > left_tol or abs(init.boundary[1] - v1) > 1e-9:
+        raise InputError(f"initial profile must have boundary values ({v0}, {v1})")
+    x, psi = init.grid.copy(), init.values.copy()
+    psi[0], psi[-1] = boundary
+    return x, psi, _uniform_spacing(x)
+
+
 def _gradient(psi: np.ndarray, h: float) -> np.ndarray:
     """psi' along the last axis on a uniform grid: centered inside, one-sided
     at the ends."""
@@ -411,31 +430,20 @@ class _JScheme:
     sigma = psi' + (m/x + n/(1+x)) psi + n/(1+x), the pointwise slope."""
 
     kind, monitors = "j", J_MONITORS
-    admissibility_lost = "J-admissibility lost"
+    admissibility = "J-admissibility"
 
     def __init__(self, params: BundleParams, init, cfg: FlowConfig):
         a, b = float(params.a), float(params.b)
-        if isinstance(init, str):
-            if init == "line":
-                init = straight_line_profile(params, cfg.grid_size + 1)
-            elif init == "steady":
-                init = singular_limit_profile_j(params, cfg.grid_size + 1)
-            else:
-                raise InputError(f"unknown J initial profile {init!r}")
-        if abs(init.grid[0]) > 1e-12 or abs(init.grid[-1] - a) > 1e-9:
-            raise InputError("initial profile must live on [0, a]")
-        if abs(init.boundary[0]) > 1e-12 or abs(init.boundary[1] - b) > 1e-9:
-            raise InputError("initial profile must have boundary values (0, b)")
-        require_admissible_j(init)
-
+        starts = {
+            "line": lambda num: straight_line_profile(params, num),
+            "steady": lambda num: singular_limit_profile_j(params, num),
+        }
+        self.boundary = (0.0, b)
+        self.x, self.psi, self.h = _start(init, starts, cfg.grid_size + 1, (0.0, a), self.boundary, 1e-12)
+        x, h = self.x, self.h
         cert = min_slope_certificate(params)
         lam = cert.lam if cert.lam is not None else 0.0
         self.reference_constant = cert.zeta_inv
-        self.x = x = init.grid.copy()
-        self.boundary = (0.0, b)
-        self.psi = init.values.copy()
-        self.psi[0], self.psi[-1] = self.boundary
-        self.h = h = _uniform_spacing(x)
         n, m = params.n, params.m
         self.m, self.b = m, b
         ref = singular_limit_profile_j(params, x.size, lam=lam)
@@ -515,34 +523,22 @@ class _CotScheme:
     in each cell the secant (1/2) dw/du, with u = x psi and w = psi^2 - x^2."""
 
     kind, monitors = "cotangent", COT_MONITORS
-    admissibility_lost = "dHYM admissibility lost"
+    admissibility = "dHYM admissibility"
 
     def __init__(self, b, p, q, init, cfg: FlowConfig):
         b, p, q = float(b), float(p), float(q)
         cert = one_point_blowup_certificate(b, p, q)
         s_star = max(cert.slope, q)
-        if isinstance(init, str):
-            if init == "special":
-                init = special_cotangent_profile(b, p, q, cfg.grid_size + 1)
-            elif init == "steady":
-                prof = sample_steady_profile_dhym(b, p, s_star, cfg.grid_size + 1)
-                vals = prof.values.copy()
-                vals[0] = q
-                init = MomentProfile(prof.grid, vals, (q, p))
-            else:
-                raise InputError(f"unknown cotangent initial profile {init!r}")
-        if abs(init.grid[0] - 1.0) > 1e-12 or abs(init.grid[-1] - b) > 1e-9:
-            raise InputError("initial profile must live on [1, b]")
-        if abs(init.boundary[0] - q) > 1e-9 or abs(init.boundary[1] - p) > 1e-9:
-            raise InputError(f"initial profile must have boundary values ({q}, {p})")
-        require_admissible_dhym(init)
 
-        self.reference_constant = cert.slope
-        self.x = x = init.grid.copy()
+        def steady(num):  # the steady profile at s_star, pinned to q at the wall
+            prof = sample_steady_profile_dhym(b, p, s_star, num)
+            return MomentProfile(prof.grid, np.r_[q, prof.values[1:]], (q, p))
+
+        starts = {"special": lambda num: special_cotangent_profile(b, p, q, num), "steady": steady}
         self.boundary = (q, p)
-        self.psi = init.values.copy()
-        self.psi[0], self.psi[-1] = self.boundary
-        self.h = _uniform_spacing(x)
+        self.x, self.psi, self.h = _start(init, starts, cfg.grid_size + 1, (1.0, b), self.boundary, 1e-9)
+        x = self.x
+        self.reference_constant = cert.slope
         self.x1 = float(x[1])
         xi = x[1:-1]
         self.Qx = (xi - 1.0) * (b - xi) / (b - 1.0)
@@ -662,17 +658,18 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
 
     Stops once the steady residual sup |d psi/dt| at the current profile is
     below the tolerance, or at t_max, which the last step never passes.
-    Each step takes the sensitivities at the profile it starts from and is
-    solved into the next free row of the kept blocks, its flux into the
-    matching flux row; a candidate whose flux is None is retried there at
-    half the step, and raises once the step is down to cfg.dt.
-    A step writes its arrays into buffers made once per solve, and the
-    solve consumes its four.  Each profile's fluxes fill a row of one
-    reusable block of flux rows, whose plateau and spread are taken each
-    time the block of profiles fills and once after the loop.  The loop
-    records t and the rate's extrema per checkpoint, and raises once its
-    rows would pass ROW_BUDGET values; one pass after it computes the
-    scheme's fields block by block.
+    The initial profile's flux is the start's admissibility test: None
+    raises AdmissibilityError.  Each step takes the sensitivities at the
+    profile it starts from and is solved into the next free row of the kept
+    blocks, its flux into the matching flux row; a candidate whose flux is
+    None is retried there at half the step, and raises once the step is
+    down to cfg.dt.  A step writes its arrays into buffers made once per
+    solve, and the solve consumes its four.  Each profile's fluxes fill a
+    row of one reusable block of flux rows.  The loop records t and the
+    rate's extrema per checkpoint, and raises once its rows would pass
+    ROW_BUDGET values.  `close` ends each block of profiles once, when it
+    fills and after the loop: read-only, trimmed, and its columns, the
+    plateau and spread of its flux rows and the scheme's fields of its rows.
     """
     x, h = scheme.x, scheme.h
     # one read-only grid for every profile the trace keeps
@@ -696,23 +693,26 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     # psi is row k of the last block, and its cell fluxes row k of `fluxes`
     psi, k = blocks[0][0], 0
     psi[:] = scheme.psi
-    # per checkpoint: t and the rate's sup, max and min; per block of rows,
-    # the plateau and spread of their fluxes
-    records, plateau, spread = [], [], []
+    # per checkpoint: t and the rate's sup, max and min; per closed block,
+    # its columns of the plateau, the spread and the scheme's fields
+    records, parts = [], []
     # per-solve buffers, which every step writes in place
     fluxes = np.empty((size, x.size - 1))
     rate, abs_rate, dtQ, diag, rhs = (np.empty(x.size - 2) for _ in range(5))
     sub, sup = np.empty(x.size - 3), np.empty(x.size - 3)
 
-    def plateau_of(rows: int) -> None:
+    def close(rows: int) -> None:
+        # read-only before the trim, so that every view of a row inherits it
+        blocks[-1].flags.writeable = False
+        block = blocks[-1] = blocks[-1][:rows]
         window = fluxes[:rows, cells]
-        plateau.append(window.sum(axis=1) / window.shape[1])
-        spread.append(window.max(axis=1) - window.min(axis=1))
+        part = {"plateau": window.sum(axis=1) / window.shape[1], "plateau_spread": window.max(axis=1) - window.min(axis=1)}
+        parts.append(part | scheme.block_fields(block, [rec[0] for rec in records[-rows:]]))
 
+    # the one admissibility test of the start: its flux
     c = scheme.flux(psi, out=fluxes[k])
     if c is None:
-        # the constructor's test forgives ADMISSIBILITY_TOL, the flux does not
-        raise MonitorViolationError(f"{scheme.admissibility_lost} at t=0")
+        raise AdmissibilityError(f"the initial profile breaks {scheme.admissibility}")
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
         Qv = scheme.Q(psi)
@@ -743,7 +743,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         lower, upper = -left[1:-1], -right[1:-1]
         k += 1
         if k == size:
-            plateau_of(size)
+            close(size)
             blocks.append(_new_block((size, x.size), scheme.boundary))
             k = 0
         cand = blocks[-1][k]
@@ -768,7 +768,7 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             if c is not None:
                 break
             if step <= cfg.dt:
-                raise MonitorViolationError(f"{scheme.admissibility_lost} at t={t + step:.6g}")
+                raise MonitorViolationError(f"{scheme.admissibility} lost at t={t + step:.6g}")
             # reject: retry at half the step
             dt = max(cfg.dt, step / 2)
             rejected += 1
@@ -779,18 +779,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         # extrema are those of delta over the step
         rmax, rmin = dmax / step, dmin / step
 
-    # read-only before the trim, so that every view of a row inherits it
-    for block in blocks:
-        block.flags.writeable = False
-    blocks[-1] = blocks[-1][: k + 1]
-    plateau_of(k + 1)
+    close(k + 1)
     cols = dict(zip(("t", "sup_rate", "max_rate", "min_rate"), np.array(records).T))
-    cols.update(plateau=np.concatenate(plateau), plateau_spread=np.concatenate(spread))
-    # the scheme's fields, one numpy call each along the rows of a block
-    parts, start = [], 0
-    for block in blocks:
-        parts.append(scheme.block_fields(block, cols["t"][start : start + len(block)]))
-        start += len(block)
     cols.update({name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
     # every run ends on a checkpoint of its final profile
     terminal = MomentProfile._view(grid, blocks[-1][-1], scheme.boundary)

@@ -22,7 +22,7 @@ from slopeflow.energy_functionals import (
     energy_infimum,
     futaki_invariant,
     l2_slope_deviation,
-    minimizing_profile,
+    minimizing_sequence,
     pl_limit_hamiltonian,
 )
 from slopeflow.errors import MonitorViolationError
@@ -128,6 +128,15 @@ def test_flow_without_step_flags_takes_implicit_steps(capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["converged"] and summary["meta"]["dt"] == 0.05
+
+
+@pytest.mark.parametrize("argv", [["flow", "j", "--params", "0,1,1,2"], ["flow", "cotangent", "--bpq", "2,3,0"]])
+def test_flow_from_the_steady_start_takes_no_step(capsys, argv):
+    """--init steady starts an exact case at its discrete limit: exit 0 after
+    no step."""
+    code, out = _run(capsys, argv + ["--grid", "64", "--init", "steady"])
+    assert code == 0
+    assert json.loads(out)["steps"] == 0
 
 
 @pytest.mark.parametrize(
@@ -381,7 +390,7 @@ def test_energy_minimizing_seq_matches_library(capsys):
     assert rep["reference"] == ref
     assert [row["k"] for row in rep["sequence"]] == [4, 8]
     for row in rep["sequence"]:
-        assert row["energy"] == minimizing_profile(params, row["k"])[1]
+        assert row["energy"] == minimizing_sequence(params, [row["k"]])[0][1]
         assert abs(row["signed_error"]) == row["rel_error"]
         assert math.copysign(1.0, row["signed_error"]) == math.copysign(1.0, row["energy"] - ref)
 

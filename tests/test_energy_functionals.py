@@ -24,7 +24,6 @@ from slopeflow.energy_functionals import (
     energy_infimum,
     futaki_invariant,
     l2_slope_deviation,
-    minimizing_profile,
     minimizing_sequence,
     moment_energy,
     pl_limit_hamiltonian,
@@ -169,14 +168,14 @@ def test_minimizing_sequence_converges():
     rep = energy_infimum(UNSTABLE)
     errs = {}
     for k in (6, 12, 20):
-        _, e = minimizing_profile(UNSTABLE, k)
+        _, e = minimizing_sequence(UNSTABLE, [k])[0]
         errs[k] = abs(e - rep.value) / rep.value
     assert errs[20] < 0.01
     assert errs[20] < errs[6]
 
 
 def test_minimizing_profile_structure():
-    prof, _ = minimizing_profile(UNSTABLE, 8)
+    prof, _ = minimizing_sequence(UNSTABLE, [8])[0]
     # derivative data: dv spans (0, a) and is increasing
     assert prof.dv[0] == pytest.approx(0.0, abs=1e-6)
     assert prof.dv[-1] == pytest.approx(4.0, abs=0.05)
@@ -194,7 +193,7 @@ def test_minimizing_profile_builds_each_steady_profile_once(monkeypatch):
     monkeypatch.setattr(calabi_profiles, "steady_slope", counted)
     calabi_profiles._steady_j.cache_clear()
     # one build for the puncture's profile, one for the weight table at 0
-    minimizing_profile(BundleParams(n=2, m=0, a=3, b=F(15, 16)), 4)
+    minimizing_sequence(BundleParams(n=2, m=0, a=3, b=F(15, 16)), [4])
     assert len(calls) == 2
 
 
@@ -212,7 +211,7 @@ def test_minimizing_sequence_shares_one_weight_table(monkeypatch):
     energies += [e for _, e in minimizing_sequence(other, [4])]
     assert builds == [UNSTABLE, other]
     assert energies[0] == energies[1]
-    assert [minimizing_profile(p, k)[1] for p, k in members[1:]] == energies[1:]
+    assert [minimizing_sequence(p, [k])[0][1] for p, k in members[1:]] == energies[1:]
 
 
 #: unstable (n, m, a, b) with m >= 1: the weight integral vanishes to order
@@ -229,7 +228,7 @@ def test_minimizing_sequence_with_m_at_least_1_nears_the_infimum(n, m, a, b):
     params = BundleParams(n=n, m=m, a=a, b=b)
     ref = energy_infimum(params).value
     for k, bound in ((4, 1e-3), (8, 2e-5), (12, 2e-5), (16, 2e-5), (20, 2e-5)):
-        prof, e = minimizing_profile(params, k)
+        prof, e = minimizing_sequence(params, [k])[0]
         assert prof.dv[0] > 0 and np.isfinite(prof.d2v).all()
         assert abs(e - ref) <= bound * ref, (k, (e - ref) / ref)
 
@@ -242,7 +241,7 @@ SEQUENCE_PAIRS = [(2, 0, 3, 1), (1, 0, 4, 1), *HIGHER_M_PAIRS]
 def test_minimizing_sequence_is_its_members_computed_alone(n, m, a, b):
     params = BundleParams(n=n, m=m, a=a, b=b)
     for k, (prof, energy) in zip(range(4, 21), minimizing_sequence(params, range(4, 21))):
-        alone, alone_energy = minimizing_profile(params, k)
+        alone, alone_energy = minimizing_sequence(params, [k])[0]
         for got, want in ((prof.rho, alone.rho), (prof.dv, alone.dv), (prof.d2v, alone.d2v)):
             assert got.tobytes() == want.tobytes(), k
         assert energy == alone_energy, k
@@ -251,7 +250,7 @@ def test_minimizing_sequence_is_its_members_computed_alone(n, m, a, b):
 def test_minimizing_members_sample_rho_on_the_lattice():
     """Member k samples rho = j/50 on [-k - 35, 35], both ends included."""
     for k in range(1, 41):
-        rho = minimizing_profile(UNSTABLE, k)[0].rho
+        rho = minimizing_sequence(UNSTABLE, [k])[0][0].rho
         assert rho[0] == -k - 35 and rho[-1] == 35.0, k
         assert rho.size == 50 * (k + 70) + 1, k
         assert np.array_equal(rho, np.arange(-50 * (k + 35), 50 * 35 + 1) / 50), k
@@ -281,14 +280,14 @@ def test_minimizing_sequence_inverts_differentiates_and_tabulates_once(monkeypat
 def test_minimizing_sequence_keeps_the_order_and_repeats_of_ks():
     seq = minimizing_sequence(UNSTABLE, [12, 4, 12, 8, 4])
     assert [prof.rho[0] for prof, _ in seq] == [-47.0, -39.0, -47.0, -43.0, -39.0]
-    assert [e for _, e in seq] == [minimizing_profile(UNSTABLE, k)[1] for k in (12, 4, 12, 8, 4)]
+    assert [e for _, e in seq] == [minimizing_sequence(UNSTABLE, [k])[0][1] for k in (12, 4, 12, 8, 4)]
 
 
 def test_minimizing_profile_refuses_stable():
     with pytest.raises(InputError):
-        minimizing_profile(STABLE, 5)
+        minimizing_sequence(STABLE, [5])
     with pytest.raises(InputError):
-        minimizing_profile(UNSTABLE, 0)
+        minimizing_sequence(UNSTABLE, [0])
 
 
 @pytest.mark.parametrize("params,ks", [(UNSTABLE, []), (UNSTABLE, [4, 0]), (UNSTABLE, [-3]), (UNSTABLE, [4.5]), (STABLE, [4])])

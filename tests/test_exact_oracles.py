@@ -70,7 +70,7 @@ from slopeflow.energy_functionals import (
     energy_infimum,
     futaki_invariant,
     l2_slope_deviation,
-    minimizing_profile,
+    minimizing_sequence,
     pl_limit_hamiltonian,
 )
 from slopeflow import surface_slopes
@@ -672,13 +672,13 @@ def test_steady_profile_j_matches_binomial_expansion_bitwise(params):
 
 @pytest.mark.parametrize("params", STEADY_PAIRS[:2])
 def test_minimizing_profile_matches_binomial_expansion_bitwise(params, monkeypatch):
-    prof, energy = minimizing_profile(params, 2.0)
+    prof, energy = minimizing_sequence(params, [2.0])[0]
     n, m = params.n, params.m
     table = _weight_poly_coeffs(m, n, 0.0)
     monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", _invert_expanded)
     monkeypatch.setattr(calabi_profiles, "steady_profile_j_derivative", _derivative_expanded)
     monkeypatch.setattr(calabi_profiles, "_steady_j", lambda p, s: SimpleNamespace(integral=lambda y: _polyval_ascending(table, y)))
-    ref, ref_energy = minimizing_profile(params, 2.0)
+    ref, ref_energy = minimizing_sequence(params, [2.0])[0]
     for got, want in ((prof.rho, ref.rho), (prof.dv, ref.dv), (prof.d2v, ref.d2v)):
         assert got.tobytes() == want.tobytes()
     assert energy == ref_energy
@@ -777,16 +777,16 @@ def test_invert_takes_at_most_8_evaluations_on_minimizing_inputs(params, monkeyp
 
     monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", counted)
     for k in range(4, 21):
-        minimizing_profile(params, k)
+        minimizing_sequence(params, [k])
     assert len(counts) == 17 and max(counts) <= 8
 
 
 @pytest.mark.parametrize("params", MINIMIZING_PAIRS)
 def test_minimizing_energies_match_the_bisection_path(params, monkeypatch):
-    energies = [minimizing_profile(params, k)[1] for k in range(4, 21)]
+    energies = [minimizing_sequence(params, [k])[0][1] for k in range(4, 21)]
     monkeypatch.setattr(calabi_profiles, "invert_steady_profile_j", _invert_bisect)
     for k, energy in zip(range(4, 21), energies):
-        ref = minimizing_profile(params, k)[1]
+        ref = minimizing_sequence(params, [k])[0][1]
         assert abs(energy - ref) <= 1e-14 * abs(ref)
 
 
