@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .bundle_geometry import (
@@ -147,16 +147,16 @@ def energy_infimum(params: BundleParams) -> EnergyReport:
 class PLTestConfig:
     """Continuous convex piecewise-linear data with rational slopes on [0, a].
 
-    Values are pinned at the breakpoints; convexity (nondecreasing slopes)
-    and a flat final segment are validated exactly, on the reduced integer
-    pairs (numerator, denominator) of the data by cross-multiplication.
-    `slopes` holds the slope of each segment as a Fraction, built once here
-    from those pairs.
+    Values are pinned at the breakpoints.  `slope_pairs` holds the slope of
+    each segment as an unreduced integer pair (numerator, positive
+    denominator), on which convexity (nondecreasing slopes) and a flat final
+    segment are validated exactly by cross-multiplication.  `slopes` holds
+    the same slopes as reduced Fractions, built on first access.
     """
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    slope_pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.breakpoints = tuple(to_fraction(x) for x in self.breakpoints)
@@ -168,15 +168,19 @@ class PLTestConfig:
         runs = [p2 * q1 - p1 * q2 for (p1, q1), (p2, q2) in zip(xs, xs[1:])]
         if any(run <= 0 for run in runs):
             raise InputError("breakpoints must increase strictly")
-        self.slopes = tuple(
-            Fraction((u2 * v1 - u1 * v2) * q1 * q2, run * v1 * v2)
+        # rise over run, both over the common denominators of their ends
+        self.slope_pairs = pairs = tuple(
+            ((u2 * v1 - u1 * v2) * q1 * q2, run * v1 * v2)
             for run, (_, q1), (_, q2), (u1, v1), (u2, v2) in zip(runs, xs, xs[1:], hs, hs[1:])
         )
-        pairs = [(s.numerator, s.denominator) for s in self.slopes]
         if any(p2 * q1 < p1 * q2 for (p1, q1), (p2, q2) in zip(pairs, pairs[1:])):
             raise InputError("slopes must be nondecreasing (convexity)")
         if pairs[-1][0]:
             raise InputError("the final segment must be flat")
+
+    @cached_property
+    def slopes(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, q) for p, q in self.slope_pairs)
 
 
 def _exact_sum(terms: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -263,12 +267,13 @@ def _pl_integrals(
     pairs = [(hp * w1 * (d1 // dw1), hp * v1 * (d1 // dv1), hq * d1)]
     square = [(hp * hp * w1, hq * hq * dw1)]
     (cw2, cw3, cv2), common = _by_parts_table(m, n)
-    slopes = [(0, 1), *((s.numerator, s.denominator) for s in cfg.slopes), (0, 1)]
+    slopes = [(0, 1), *cfg.slope_pairs, (0, 1)]
     for x, h, (p0, q0), (p1, q1) in zip(cfg.breakpoints, cfg.values, slopes, slopes[1:]):
         jump = p1 * q0 - p0 * q1
         if not jump:
             continue
-        # J_i = jump/jd and s_i + s_(i-1) = total/sd, each reduced
+        # J_i = jump/jd and s_i + s_(i-1) = total/sd, each reduced: the
+        # same integers whether or not the slope pairs were
         g = math.gcd(jump, q0 * q1)
         jump, jd = jump // g, q0 * q1 // g
         total = p1 * q0 + p0 * q1

@@ -11,7 +11,10 @@ reference profile with its plateau window.
 
 Every step is backward Euler in delta form, (I - dt Q dc) delta = dt rate,
 with each half flux linearized at the profile the step starts from and Q
-lagged: one tridiagonal solve by LAPACK gtsv, called directly.  The first
+lagged: one tridiagonal solve by LAPACK gtsv, called directly, of the system
+negated, -(I - dt Q dc) delta = -dt rate, whose off-diagonals are dt Q times
+the sensitivities as they are.  gtsv's pivot choices and arithmetic are
+symmetric under negation, so delta is the same bit for bit.  The first
 such solve loads scipy's compiled LAPACK wrapper by its file path, without
 the `scipy.linalg` package.  The sensitivities dc are evaluated once per
 step, from the cells the flux kept; the J flux is the chord flux, linear in
@@ -43,14 +46,21 @@ each accepted step gives, so the last is the final profile.  The profiles
 are the rows of blocks of max(1, CHUNK_ELEMS // N) rows of N nodes, each
 allocated when the one before it fills, with its pinned ends set once: each
 step solves its candidate straight into the next free row, and a retry
-overwrites a rejected one.  A step's arrays, the flux, the rate and its
-absolute value, dt Q, the three diagonals and the right-hand side, live in
-buffers made once per solve, which the step writes with `out=`, and the
-solve consumes its four in place.  Each profile's cell fluxes c, the
-ones the step computes anyway, go into the row of one reusable block of
-flux rows, as many as a block of profiles holds.  Per checkpoint the loop
-records t and the rate's sup, max and min (the residual's for the initial
-profile, delta / step for every later one).  Each block is closed once,
+overwrites a rejected one.  A step's arrays live in buffers made once per
+solve, which the step writes with `out=`: the rate and its absolute value,
+dt Q, the three diagonals and the right-hand side, whose four the solve
+consumes in place, and the entries that change from step to step, J's Q
+and the cotangent sensitivities.  The fixed entries, J's sensitivities and
+the cotangent Q, are the scheme's own arrays, built once.  A scheme serves
+one solve, and keeps buffers of its own for the cotangent cells u and du of
+a flux written into a row and the h du of sensitivities written into
+buffers.  `flux`, `Q` and `sensitivities` share one contract: given `out`,
+they write into it and return it, with the bytes of the call without it;
+without it, they return arrays that no later call writes.  Each profile's
+cell fluxes c, the ones the step computes anyway, go into the row of one
+reusable block of flux rows, as many as a block of profiles holds.  Per
+checkpoint the loop records t and the rate's sup, max and min (the
+residual's for the initial profile, delta / step for every later one).  Each block is closed once,
 when it fills and, for the last, after the loop: it turns read-only, the
 last trimmed to its rows by a view, and its columns are computed with one
 numpy call each along its rows, which bounds the kernels' temporaries:
@@ -58,7 +68,7 @@ numpy call each along its rows, which bounds the kernels' temporaries:
   cells with both end nodes in the window.  The first cell, where the
   cotangent flux may take the wall's jump flux, is never among them.
 - the scheme's fields: the distance to the reference profile, the decaying
-  functional (the J energy, one dot product per row, or the calibration
+  functional (the J energy, one `np.vecdot` of the rows, or the calibration
   volume from `dhym_volume`'s quadrature on a geometry built once per
   solve), and the forward-difference and derivative bounds (J) or the angle
   range (cotangent, from one angle evaluation); an angle outside (0, pi)
@@ -68,7 +78,8 @@ concatenated once from the blocks' columns.  Its step count, terminal
 constant and every `monitor_suite` verdict are read off the columns; its
 checkpoints and profiles are built from them on first access.
 The profiles are views of the read-only rows, on a read-only grid shared
-with the reference profile of the solve, and are not validated again.
+with the reference profile of the solve, a read-only view of the scheme's
+pinned reference, and none is validated again.
 `FlowTrace.save` writes what the trace holds and nothing recomputed: the
 columns as checkpoints.csv, one line per checkpoint, and the rows and grid
 as profiles.npy and grid.npy.
@@ -220,8 +231,8 @@ class FlowTrace:
     run reached.  `blocks` are read-only arrays whose rows, in order, are the
     profiles' values.  `checkpoints` and `profiles` are built from the two on
     first access and cached: the profiles are views of the rows, all on one
-    read-only grid shared with the reference profile, and the last of them is
-    `terminal_profile`; `steps` and `terminal_constant`, the final plateau,
+    read-only grid shared with the reference profile, whose values are
+    read-only too, and the last of them is `terminal_profile`; `steps` and `terminal_constant`, the final plateau,
     are read off the columns.  `save` writes the columns, the rows and the
     grid as checkpoints.csv, profiles.npy and grid.npy.  The decay monitor's
     entry in `monitor_report` gives the largest rise of the J energy or
@@ -420,7 +431,7 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np
     if _gtsv is None:
         _gtsv = _load_gtsv()
     _, u, _, x, info = _gtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
-    if info or not math.isfinite(u.sum()):
+    if info or not math.isfinite(np.add.reduce(u)):
         raise TimeStepError(f"singular or non-finite implicit system (gtsv info {info})")
     return x
 
@@ -471,9 +482,14 @@ class _JScheme:
             "h": h,
         }
 
-    def Q(self, pv: np.ndarray) -> np.ndarray:
+    def Q(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Q(psi) = psi (b - psi)/b at the interior nodes, written into out
+        when given."""
         y = pv[1:-1]
-        return y * (self.b - y) / self.b
+        q = np.subtract(self.b, y, out=out)
+        q *= y
+        q /= self.b
+        return q
 
     def flux(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
         """The chord flux of each cell, along the last axis, linear in psi;
@@ -497,20 +513,28 @@ class _JScheme:
     #: the chord flux has no wall flux to leave out
     cell_flux = flux
 
-    def sensitivities(self, pv: np.ndarray):
-        """The chord flux's fixed implicit-step entries."""
-        return self.node_sensitivities
+    def sensitivities(self, pv: np.ndarray, out: tuple[np.ndarray, ...] | None = None):
+        """The chord flux's implicit-step entries right, left and mid, as for
+        `_CotScheme.sensitivities`: fixed per solve, so they are the same
+        arrays at every pv, or copied into the three arrays of out when
+        given."""
+        if out is None:
+            return self.node_sensitivities
+        for dst, src in zip(out, self.node_sensitivities):
+            np.copyto(dst, src)
+        return out
 
     def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
         """The J-only Checkpoint fields of each row of a block.  The energy
         is the trapezoid of the nodal slope field, on the grid terms built
-        once per solve, one dot product per row."""
+        once per solve: one `np.vecdot` over the rows, which takes the dot
+        product of each row as `np.dot` does."""
         s = _slope_field(block, _gradient(block, self.h), self.m, self.slope_grid)
         s *= s
         diffs = block[:, 1:] - block[:, :-1]
         dmin, dmax = diffs.min(axis=1), diffs.max(axis=1)
         return {
-            "energy": np.array([np.dot(row, self.tw) for row in s]),
+            "energy": np.vecdot(s, self.tw),
             "comparison_gap": (block - self.ref).min(axis=1),
             "min_forward_diff": dmin,
             "max_derivative": np.maximum(dmax, -dmin) / self.h,
@@ -540,6 +564,12 @@ class _CotScheme:
         x = self.x
         self.reference_constant = cert.slope
         self.x1 = float(x[1])
+        # sqrt(x1^2 - 1), the fixed factor of d c_jump / d psi1
+        self.root1 = math.sqrt(self.x1 * self.x1 - 1.0)
+        self.x_hi, self.x_lo = x[1:], x[:-1]
+        # the cells u and du of a flux written into a row, and h du of the
+        # sensitivities written into buffers: made once per solve
+        self.u, self.du, self.hdu = np.empty(x.size), np.empty(x.size - 1), np.empty(x.size - 1)
         xi = x[1:-1]
         self.Qx = (xi - 1.0) * (b - xi) / (b - 1.0)
         self.ref = np.asarray(steady_profile_dhym(b, p, s_star, x), dtype=float)
@@ -551,8 +581,13 @@ class _CotScheme:
         self.volume_geometry = _volume_geometry(x)
         self.meta = {"bpq": [b, p, q], "verdict": cert.verdict, "c0": cert.topological_slope, "h": self.h}
 
-    def Q(self, pv: np.ndarray) -> np.ndarray:
-        return self.Qx
+    def Q(self, pv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Q(x) = (x-1)(b-x)/(b-1) at the interior nodes: fixed per solve, so
+        the same array at every pv, or copied into out when given."""
+        if out is None:
+            return self.Qx
+        np.copyto(out, self.Qx)
+        return out
 
     def _jump(self, pv: np.ndarray) -> float | None:
         """The constant-angle jump flux of the first half node when it
@@ -601,9 +636,12 @@ class _CotScheme:
         """The secant flux of each cell along the last axis, written into out
         when given, which the first cell of `flux` may trade for the jump
         flux; None unless every du > 0.  It keeps du and c for
-        `sensitivities`."""
-        u = self.x * pv
-        du = u[..., 1:] - u[..., :-1]
+        `sensitivities`.  With out, which is then one profile's row, u and
+        du go into the scheme's buffers, which the next such call
+        overwrites; without it, into new arrays."""
+        u, du = (None, None) if out is None else (self.u, self.du)
+        u = np.multiply(self.x, pv, out=u)
+        du = np.subtract(u[..., 1:], u[..., :-1], out=du)
         # NaN fails the test
         if not np.minimum.reduce(du, axis=None) > 0:
             return None
@@ -615,23 +653,28 @@ class _CotScheme:
         self.cells = du, c
         return c
 
-    def sensitivities(self, pv: np.ndarray):
+    def sensitivities(self, pv: np.ndarray, out: tuple[np.ndarray, ...] | None = None):
         """The implicit step's entries at pv, the profile `flux` last
-        evaluated, from the cells and jump flux it kept: each half flux's
-        dc/dpsi+ and -dc/dpsi- over h, (psi+ - c x+)/(h du) and
-        (psi- - c x-)/(h du), and their sum at each interior node."""
+        evaluated, from the cells and jump flux it kept: right and left,
+        each half flux's dc/dpsi+ and -dc/dpsi- over h, (psi+ - c x+)/(h du)
+        and (psi- - c x-)/(h du), and mid, their sum left[1:] + right[:-1]
+        at each interior node.  They are written into the three arrays of
+        out when given, and h du then into the scheme's buffer."""
         du, c = self.cells
-        hdu = du * self.h
-        right = pv[1:] - c * self.x[1:]
+        right, left, mid = (None, None, None) if out is None else out
+        hdu = np.multiply(du, self.h, out=None if out is None else self.hdu)
+        right = np.multiply(c, self.x_hi, out=right)
+        np.subtract(pv[1:], right, out=right)
         right /= hdu
-        left = pv[:-1] - c * self.x[:-1]
+        left = np.multiply(c, self.x_lo, out=left)
+        np.subtract(pv[:-1], left, out=left)
         left /= hdu
         if self.c_jump is not None:
             # the jump flux depends on psi1 alone; left[0] belongs to the
             # pinned wall node, which is never an unknown
-            x1, psi1 = self.x1, float(pv[1])
-            right[0] = (x1 - math.sqrt(x1 * x1 - 1.0) * psi1 / math.sqrt(psi1 * psi1 + 1.0)) / self.h
-        return right, left, left[1:] + right[:-1]
+            psi1 = float(pv[1])
+            right[0] = (self.x1 - self.root1 * psi1 / math.sqrt(psi1 * psi1 + 1.0)) / self.h
+        return right, left, np.add(left[1:], right[:-1], out=mid)
 
     def block_fields(self, block: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
         """The cotangent-only Checkpoint fields of each row of a block: the
@@ -684,8 +727,8 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     # stable limits are smooth: no monotone approach, no barrier to compare with
     stable = scheme.meta["verdict"] == STABLE
     monitors = [mn for mn in scheme.monitors if not (stable and mn in ("monotone", "comparison"))]
-    dt = cfg.dt
-    t, rejected = 0.0, 0
+    dt0, t_max, tol = cfg.dt, cfg.t_max, cfg.convergence_tol
+    dt, t, rejected = dt0, 0.0, 0
     dt_max, res_prev = 0.0, None
     max_rows = ROW_BUDGET // x.size
     size = max(1, CHUNK_ELEMS // x.size)
@@ -700,6 +743,15 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     fluxes = np.empty((size, x.size - 1))
     rate, abs_rate, dtQ, diag, rhs = (np.empty(x.size - 2) for _ in range(5))
     sub, sup = np.empty(x.size - 3), np.empty(x.size - 3)
+    dtQ_hi, dtQ_lo = dtQ[1:], dtQ[:-1]
+    # the entries that change from step to step, J's Q and the cotangent
+    # sensitivities, go into buffers; the fixed ones, J's sensitivities and
+    # the cotangent Q, are the scheme's own arrays
+    j = scheme.kind == "j"
+    q_out = np.empty(x.size - 2) if j else None
+    entries_out = None if j else (np.empty(x.size - 1), np.empty(x.size - 1), np.empty(x.size - 2))
+    flux, Q, sensitivities, solve = scheme.flux, scheme.Q, scheme.sensitivities, solve_banded
+    max_of, min_of, isfinite = np.maximum.reduce, np.minimum.reduce, math.isfinite
 
     def close(rows: int) -> None:
         # read-only before the trim, so that every view of a row inherits it
@@ -710,23 +762,23 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
         parts.append(part | scheme.block_fields(block, [rec[0] for rec in records[-rows:]]))
 
     # the one admissibility test of the start: its flux
-    c = scheme.flux(psi, out=fluxes[k])
+    c = flux(psi, out=fluxes[k])
     if c is None:
         raise AdmissibilityError(f"the initial profile breaks {scheme.admissibility}")
     while True:
         # the steady residual: sup |d psi/dt| at the current profile
-        Qv = scheme.Q(psi)
+        Qv = Q(psi, out=q_out)
         np.subtract(c[1:], c[:-1], out=rate)
         rate *= Qv
         rate /= h
-        res = float(np.maximum.reduce(np.abs(rate, out=abs_rate)))
-        converged = res < cfg.convergence_tol
+        res = float(max_of(np.abs(rate, out=abs_rate)))
+        converged = res < tol
         if not records:
             # the initial profile records the residual's extrema, every later
             # one those of the step that reached it
-            rmax, rmin = float(np.maximum.reduce(rate)), float(np.minimum.reduce(rate))
+            rmax, rmin = float(max_of(rate)), float(min_of(rate))
         records.append((t, max(rmax, -rmin), rmax, rmin))
-        if converged or t >= cfg.t_max:
+        if converged or t >= t_max:
             break
         if len(records) > max_rows:
             raise TimeStepError(
@@ -735,12 +787,12 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             )
         if res_prev is not None:
             # switched evolution relaxation: dt grows by the squared fall of the residual
-            dt = max(cfg.dt, min(dt * (res_prev / res) ** SER_EXPONENT, DT_CAP))
+            dt = max(dt0, min(dt * (res_prev / res) ** SER_EXPONENT, DT_CAP))
         res_prev = res
         # before a candidate's flux replaces the cells they read; a retry
         # reuses them
-        right, left, mid = scheme.sensitivities(psi)
-        lower, upper = -left[1:-1], -right[1:-1]
+        right, left, mid = sensitivities(psi, out=entries_out)
+        right_in, left_in = right[1:-1], left[1:-1]
         k += 1
         if k == size:
             close(size)
@@ -748,32 +800,34 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
             k = 0
         cand = blocks[-1][k]
         while True:
-            last = t + dt >= cfg.t_max
-            step = cfg.t_max - t if last else dt
-            # (I - dt Q dc) delta = dt rate, each half flux linearized; the
-            # solve consumes its four buffers, so a retry fills them again
+            last = t + dt >= t_max
+            step = t_max - t if last else dt
+            # (I - dt Q dc) delta = dt rate, each half flux linearized, solved
+            # negated: -(I - dt Q dc) delta = -dt rate has the same delta bit
+            # for bit and takes the entries in their own sign.  The solve
+            # consumes its four buffers, so a retry fills them again
             np.multiply(Qv, step, out=dtQ)
-            np.multiply(dtQ[1:], lower, out=sub)
+            np.multiply(dtQ_hi, left_in, out=sub)
             np.multiply(dtQ, mid, out=diag)
-            diag += 1
-            np.multiply(dtQ[:-1], upper, out=sup)
-            delta = solve_banded(sub, diag, sup, np.multiply(rate, step, out=rhs))
+            np.subtract(-1.0, diag, out=diag)
+            np.multiply(dtQ_lo, right_in, out=sup)
+            delta = solve(sub, diag, sup, np.multiply(rate, -step, out=rhs))
             # NaN propagates into both extrema, and an inf reaches one
-            dmax, dmin = float(np.maximum.reduce(delta)), float(np.minimum.reduce(delta))
-            if not (math.isfinite(dmax) and math.isfinite(dmin)):
+            dmax, dmin = float(max_of(delta)), float(min_of(delta))
+            if not (isfinite(dmax) and isfinite(dmin)):
                 raise TimeStepError(f"non-finite update at t={t + step:.6g}; time step too large")
             np.add(psi[1:-1], delta, out=cand[1:-1])
             # the next step's flux, or None off the flux's domain
-            c = scheme.flux(cand, out=fluxes[k])
+            c = flux(cand, out=fluxes[k])
             if c is not None:
                 break
-            if step <= cfg.dt:
+            if step <= dt0:
                 raise MonitorViolationError(f"{scheme.admissibility} lost at t={t + step:.6g}")
             # reject: retry at half the step
-            dt = max(cfg.dt, step / 2)
+            dt = max(dt0, step / 2)
             rejected += 1
         psi = cand
-        t = cfg.t_max if last else t + step
+        t = t_max if last else t + step
         dt_max = max(dt_max, step)
         # the step's rate delta / step: rounding keeps the order, so its
         # extrema are those of delta over the step
@@ -784,15 +838,18 @@ def _integrate(scheme, cfg: FlowConfig) -> FlowTrace:
     cols.update({name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
     # every run ends on a checkpoint of its final profile
     terminal = MomentProfile._view(grid, blocks[-1][-1], scheme.boundary)
+    # the scheme's pinned reference, read-only as the grid it lies on
+    ref = scheme.ref.view()
+    ref.flags.writeable = False
     trace = FlowTrace(
         kind=scheme.kind,
         columns=cols,
         blocks=blocks,
         terminal_profile=terminal,
         reference_constant=scheme.reference_constant,
-        reference_profile=MomentProfile(grid, scheme.ref, (scheme.ref[0], scheme.ref[-1])),
+        reference_profile=MomentProfile._view(grid, ref, (ref[0], ref[-1])),
         sup_error_on_compact=float(np.max(np.abs((terminal.values - scheme.ref)[first:]))),
-        lambda_estimate=_lambda_estimate(terminal) if scheme.kind == "j" else None,
+        lambda_estimate=_lambda_estimate(terminal) if j else None,
         converged=converged,
         meta={
             **scheme.meta,
@@ -870,12 +927,13 @@ def monitor_suite(trace: FlowTrace) -> MonitorReport:
 
     def scan(name, v, ok, worst):
         # worst is np.min under a lower bound and np.max under an upper one,
-        # so it is the most violating value, whether or not any fails
-        fails = np.flatnonzero(~ok(v))
-        i = int(fails[0]) if fails.size else None
+        # so it is the most violating value, whether or not any fails, and
+        # NaN where one is NaN: only a worst that fails has a first violation
+        w = worst(v)
+        i = None if ok(w) else int(np.flatnonzero(~ok(v))[0])
         entries[name] = {
             "passed": i is None,
-            "worst": float(worst(v)),
+            "worst": float(w),
             "first_violation": None if i is None else {"checkpoint": i, "t": float(cols["t"][i])},
         }
 

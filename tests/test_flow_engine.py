@@ -5,6 +5,7 @@ acceptance suite, test_flow_limits.py; here we verify scheme consistency
 and plumbing at small grids and short horizons.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -271,8 +272,8 @@ def test_sensitivities_are_evaluated_once_per_step_and_serve_its_retry(monkeypat
     evaluated, fluxes, subs = [], [], []
     sensitivities, flux = _CotScheme.sensitivities, _CotScheme.flux
 
-    def recording(self, pv):
-        entries = sensitivities(self, pv)
+    def recording(self, pv, out=None):
+        entries = sensitivities(self, pv, out)
         evaluated.append((pv.copy(), [e.tobytes() for e in entries]))
         return entries
 
@@ -635,29 +636,80 @@ def test_plateau_columns_span_every_block_of_flux_rows(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ["j", "cotangent"])
 def test_flux_into_a_row_is_the_flux(case):
-    """`flux(pv, out=row)` returns row, holding the bytes of `flux(pv)`."""
-    scheme, _ = _lean_step_case(case, FlowConfig(grid_size=64))
-    pv = scheme.psi
-    row = np.empty((2, pv.size - 1))[1]
-    assert scheme.flux(pv, out=row) is row
-    assert row.tobytes() == scheme.flux(pv).tobytes()
+    """`flux(pv, out=row)` returns row, holding the bytes of `flux(pv)`, and
+    `Q` and `sensitivities` keep the same contract: `Q(pv, out=row)` returns
+    row and `sensitivities(pv, out=rows)` its three rows, holding the bytes
+    of the call without out.  The cotangent rows are those of a run, on which
+    the wall's jump flux switches on."""
+    scheme, run = _lean_step_case(case, FlowConfig(grid_size=64))
+    n = scheme.psi.size
+    rows = np.concatenate(run().blocks) if case == "cotangent" else [scheme.psi]
+    jumps = set()
+    for pv in rows:
+        row = np.empty((2, n - 1))[1]
+        assert scheme.flux(pv, out=row) is row
+        q = np.empty((2, n - 2))[1]
+        assert scheme.Q(pv, out=q) is q
+        out = (np.empty((2, n - 1))[1], np.empty((2, n - 1))[1], np.empty((2, n - 2))[1])
+        entries = scheme.sensitivities(pv, out=out)
+        assert len(entries) == 3 and all(e is o for e, o in zip(entries, out))
+        jumps.add(getattr(scheme, "c_jump", None) is not None)
+        assert row.tobytes() == scheme.flux(pv).tobytes()
+        assert q.tobytes() == scheme.Q(pv).tobytes()
+        assert [o.tobytes() for o in out] == [e.tobytes() for e in scheme.sensitivities(pv)]
+    assert jumps == ({True, False} if case == "cotangent" else {False})
 
 
 @pytest.mark.parametrize("case", ["j", "cotangent"])
 def test_flux_and_sensitivities_results_own_their_memory(case):
-    """An array that `flux`, `cell_flux` or `sensitivities` returned keeps its
-    values through later calls on other profiles: no per-scheme buffer leaks
-    into a result."""
+    """An array that `flux`, `cell_flux`, `Q` or `sensitivities` returned
+    without out keeps its values through later calls on other profiles, with
+    and without out: no per-scheme buffer leaks into a result."""
     scheme, _ = _lean_step_case(case, FlowConfig(grid_size=64))
     first, other = scheme.psi, scheme.psi.copy()
     other[1:-1] += 0.01 * np.sin(np.pi * (scheme.x[1:-1] - scheme.x[0]) / (scheme.x[-1] - scheme.x[0]))
-    results = [scheme.flux(first), scheme.cell_flux(first)]
+    results = [scheme.flux(first), scheme.cell_flux(first), scheme.Q(first)]
     results += scheme.sensitivities(first)
     kept = [r.tobytes() for r in results]
+    n = first.size
     scheme.flux(other)
     scheme.sensitivities(other)
+    scheme.flux(other, out=np.empty(n - 1))
+    scheme.sensitivities(other, out=(np.empty(n - 1), np.empty(n - 1), np.empty(n - 2)))
+    scheme.Q(other)
+    scheme.Q(other, out=np.empty(n - 2))
     scheme.cell_flux(other)
     assert [r.tobytes() for r in results] == kept
+
+
+def test_a_kept_trace_survives_later_solves():
+    """No buffer of one solve reaches another: in one process, J
+    (1, 0, 2, 2/3), then the cotangent (2, 3, 0), then the J case again, at
+    grid 64.  The second J trace equals the first byte for byte, its
+    columns, blocks and `summary()`; the first trace's arrays are unchanged
+    after the later runs; and the reference profile is read-only."""
+    cfg = FlowConfig(grid_size=64)
+    params = BundleParams(n=1, m=0, a=2, b=F(2, 3))
+
+    def held(tr):
+        return (
+            {name: col.tobytes() for name, col in tr.columns.items()},
+            [(block.shape, block.tobytes()) for block in tr.blocks],
+            json.dumps(tr.summary()),
+            [prof.values.tobytes() for prof in (tr.terminal_profile, tr.reference_profile)],
+            tr.terminal_profile.grid.tobytes(),
+        )
+
+    first = run_j_flow(params, "line", cfg=cfg)
+    kept = held(first)
+    cot = run_cotangent_flow(2, 3, 0, "special", cfg=cfg)
+    assert cot.steps > 0 and held(first) == kept
+    assert held(run_j_flow(params, "line", cfg=cfg)) == kept
+    assert held(first) == kept
+    for tr in (first, cot):
+        assert not tr.reference_profile.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tr.reference_profile.values[1] = 0.0
 
 
 @pytest.mark.parametrize("flow", ["j", "cotangent"])
