@@ -21,8 +21,10 @@ Library layout:
                       integers, minimizing sequences sampled on one rho
                       lattice per sequence, and the dHYM volume functional;
                       only the last two and the moment energy load numpy
-- cli:                command-line front end; only its flow, minimizing-seq
-                      and dhym-volume subcommands load numpy
+- cli:                command-line front end, holding the ring oracles that
+                      `verify identities` checks the closed forms against;
+                      only its flow, minimizing-seq and dhym-volume
+                      subcommands load numpy
 """
 
 from .surface_lattice import (
@@ -50,7 +52,6 @@ from .bundle_geometry import (
     BundleParams,
     BundleSlopeCertificate,
     ChowElement,
-    combinatorial_identity_check,
     intersection_number,
     min_slope_certificate,
     steady_slope,

@@ -19,16 +19,13 @@ degree and folds the powers of eta past the relation back into the basis
 through a table cached per degree.  A pairing never forms its last product:
 the top-degree fold table gives the coefficient t[k] of the top monomial in
 each h^k eta^(N-k), and two rows of complementary degrees pair to the sum of
-x_i y_j t[i + j].  The slope and blow-up oracles share one power
-alpha^(N-1), paired with h, eta and alpha; alpha^(N-1).beta is the pairing
-with h plus b times the pairing with eta, so a sweep over b or over the
-puncture s reuses the three pairings.  Weight integrals and slopes are integer
-numerators over integer denominators until one Fraction at the end.  The
-puncture, a root of a polynomial with no closed form, is bracketed by
-adjacent floats at which the exact sign of that polynomial, cleared of
-denominators, changes.  The ring oracles (`steady_slope_chow`, the
-`blowup_*_power_sum` and `pairing_number`) use the ring alone and never the
-antiderivative table, so `verify identities` checks one against the other.
+x_i y_j t[i + j].  Weight integrals and slopes are integer numerators over
+integer denominators until one Fraction at the end.  The puncture, a root of
+a polynomial with no closed form, is bracketed by adjacent floats at which
+the exact sign of that polynomial, cleared of denominators, changes.  The
+ring (`ChowElement`, `intersection_number`, `pairing_number`) never reads
+the antiderivative table, so the command line's `verify identities` checks
+the closed forms here against intersection numbers of the ring.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import warnings
 
 from .errors import InputError
 from .surface_lattice import to_fraction
+from .surface_slopes import SEMISTABLE, STABLE, UNSTABLE
 
 __all__ = [
     "BundleParams",
@@ -52,22 +50,11 @@ __all__ = [
     "intersection_number",
     "pairing_number",
     "steady_slope",
-    "steady_slope_chow",
     "critical_polynomial",
     "min_slope_certificate",
     "blowup_top_power",
-    "blowup_top_power_sum",
     "blowup_mixed_power",
-    "blowup_mixed_power_sum",
-    "count_compositions",
-    "combinatorial_identity_check",
 ]
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -175,7 +162,7 @@ def _slope_numerator(params: BundleParams, s: Fraction) -> tuple[int, int]:
 def _energy_constant(params: BundleParams) -> Fraction:
     """c_{n,m} d = (n+m+1) C(n+m, n) d, the normalization of the energies and
     of the top power of the blow-up class."""
-    return params.dim * _binom(params.dim - 1, params.n) * params.d
+    return params.dim * math.comb(params.dim - 1, params.n) * params.d
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +177,7 @@ def _eta_power(r: int, l: int) -> tuple[tuple[int, int], ...]:
             out[j] = out.get(j, 0) + c
         else:  # eta^r = sum_i (-1)^(i-1) C(r-1, i) h^i eta^(r-i)
             for i in range(1, r):
-                out[j + i] = out.get(j + i, 0) + (-1) ** (i - 1) * _binom(r - 1, i) * c
+                out[j + i] = out.get(j + i, 0) + (-1) ** (i - 1) * math.comb(r - 1, i) * c
     return tuple((j, c) for j, c in sorted(out.items()) if c)
 
 
@@ -456,38 +443,6 @@ def steady_slope(params: BundleParams, s) -> Fraction:
     return Fraction(num * v, den * u)
 
 
-def _alpha_pairings(params: BundleParams) -> tuple[Fraction, Fraction, Fraction]:
-    """alpha^(N-1).h, alpha^(N-1).eta and alpha^N, alpha = h + a eta, by the
-    ring: one power of alpha and three pairings.  They do not depend on b, so
-    a sweep over b shares them."""
-    alpha = ChowElement.fiber_class(params, params.a)
-    power = alpha ** (params.dim - 1)
-    classes = (ChowElement.hyperplane(params), ChowElement.infinity(params), alpha)
-    return tuple(intersection_number([power, c], params) for c in classes)
-
-
-def _mixed_pairing(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-    """alpha^(N-1).beta, beta = h + b eta, from the pairings of `_alpha_pairings`,
-    as one Fraction of integers."""
-    (u, v), (w, z), (p, q) = (x.as_integer_ratio() for x in (pairings[0], pairings[1], params.b))
-    return Fraction(u * z * q + p * w * v, v * z * q)
-
-
-def _chow_slope(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-    """(n+m+1) alpha^(N-1).beta / alpha^N from the pairings of `_alpha_pairings`."""
-    mixed, total = _mixed_pairing(params, pairings), pairings[2]
-    return Fraction(params.dim * mixed.numerator * total.denominator, mixed.denominator * total.numerator)
-
-
-def steady_slope_chow(params: BundleParams) -> Fraction:
-    """(n+m+1) alpha^(n+m).beta / alpha^(n+m+1) via the ring oracle.
-
-    One power alpha^(n+m) is paired with h, eta and alpha; alpha^(n+m).beta
-    is the pairing with h plus b times the pairing with eta.
-    """
-    return _chow_slope(params, _alpha_pairings(params))
-
-
 def critical_polynomial(params: BundleParams) -> list[Fraction]:
     """Coefficients (ascending) of p(s) = (mu_s (1+s) - n) I_{m,n,s}(a).
 
@@ -628,8 +583,6 @@ def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
     brackets it, and lam is the end of that bracket nearer the root.  The
     exact straddle p(lo) < 0 <= p(hi) is the certificate: no tolerance enters.
     """
-    from .surface_slopes import SEMISTABLE, STABLE, UNSTABLE
-
     n = params.n
     mu0 = steady_slope(params, 0)
     if mu0 >= n:
@@ -676,65 +629,8 @@ def blowup_top_power(params: BundleParams, s) -> Fraction:
     return _energy_constant(params) * weight_integral(params.m, params.n, to_fraction(s), params.a)
 
 
-def _exceptional_sum(params: BundleParams, s: Fraction, M: int, k: int) -> Fraction:
-    """sum_{l <= k} C(M, k-l) C(r-2+l, l) s^(r-1+l) d: the exceptional divisor's
-    powers paired against the base class, summed over one denominator."""
-    r, d = params.r, params.d
-    p, q = s.numerator, s.denominator
-    num = sum(_binom(M, k - l) * _binom(r - 2 + l, l) * p ** (r - 1 + l) * q ** (k - l) for l in range(k + 1))
-    return Fraction(num * d.numerator, q ** (r - 1 + k) * d.denominator)
-
-
-def _blowup_sums(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction], s) -> tuple[Fraction, Fraction]:
-    """The blow-up's top and mixed powers at puncture s: alpha^N and
-    alpha^(N-1).beta, from the pairings of `_alpha_pairings`, minus their
-    exceptional corrections."""
-    s = to_fraction(s)
-    N, n = params.dim, params.n
-    return (
-        pairings[2] - _exceptional_sum(params, s, N, n),
-        _mixed_pairing(params, pairings) - _exceptional_sum(params, s, N - 1, n - 1),
-    )
-
-
-def blowup_top_power_sum(params: BundleParams, s) -> Fraction:
-    """Same number via alpha^N from the ring minus the exceptional corrections.
-
-    The corrections pair powers of the exceptional divisor against the base
-    class; each pairing value is C(r-2+l, l) d by the recursion on the
-    projectivized normal bundle.
-    """
-    return _blowup_sums(params, _alpha_pairings(params), s)[0]
-
-
 def blowup_mixed_power(params: BundleParams, s) -> Fraction:
     """Pairing of the (N-1)-st power of the blow-up class with the pullback."""
     s = to_fraction(s)
     n, m, a, b, d, N = params.n, params.m, params.a, params.b, params.d, params.dim
-    return d * _binom(N - 1, n) * ((1 + a) ** n * a**m * b + n * weight_integral(m, n - 1, s, a))
-
-
-def blowup_mixed_power_sum(params: BundleParams, s) -> Fraction:
-    """Same number via alpha^(N-1).beta from the ring minus the exceptional corrections."""
-    return _blowup_sums(params, _alpha_pairings(params), s)[1]
-
-
-@lru_cache(maxsize=None)
-def count_compositions(parts: int, total: int) -> int:
-    """Number of nonnegative integer solutions of x_0 + ... + x_parts = total.
-
-    Dynamic-programming enumeration; serves as the independent oracle for the
-    binomial identity below.
-    """
-    if parts == 0:
-        return 1
-    return sum(count_compositions(parts - 1, total - x) for x in range(total + 1))
-
-
-def combinatorial_identity_check(s: int, q: int) -> bool:
-    """Check sum_j (-1)^(j-1) C(s+1,j) C(s+q-j, q-j) = C(q+s, q), three ways."""
-    if s < 1 or q < 1:
-        raise InputError("need positive integers s and q")
-    lhs = sum((-1) ** (j - 1) * _binom(s + 1, j) * _binom(s + q - j, q - j) for j in range(1, s + 2))
-    rhs = _binom(q + s, q)
-    return lhs == rhs == count_compositions(s, q)
+    return d * math.comb(N - 1, n) * ((1 + a) ** n * a**m * b + n * weight_integral(m, n - 1, s, a))

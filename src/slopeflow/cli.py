@@ -16,6 +16,10 @@ alone, not the `scipy.linalg` package.  `slope`,
 `bundle`, `verify`, `energy infimum` and `energy futaki`, and `run` of a
 config for one of them, work in exact arithmetic and never load numpy.
 
+The oracles of `verify identities` live here: they build the slope and
+blow-up intersection numbers from `bundle_geometry`'s Chow ring, never from
+its antiderivative table, and count compositions for the binomial identity.
+
 Exit codes: 0 success, 1 input error (a usage error included), 2 solver or
 monitor failure.  Floats are printed in Python's shortest round-trip form;
 JSON artifacts are deterministic for a fixed configuration.
@@ -29,17 +33,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundle_geometry import (
     BundleParams,
-    _alpha_pairings,
-    _blowup_sums,
-    _chow_slope,
+    ChowElement,
     blowup_mixed_power,
     blowup_top_power,
-    combinatorial_identity_check,
+    intersection_number,
     min_slope_certificate,
     pairing_number,
     steady_slope,
@@ -53,7 +54,7 @@ from .surface_slopes import (
     one_point_blowup_certificate,
 )
 
-__all__ = ["ExperimentConfig", "run", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -62,37 +63,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed description of one experiment: command, geometry, solver, output."""
-
-    command: str
-    geometry: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        """Read a config; a section other than these four, or a key other
-        than `command` in [experiment], is an input error."""
-        with open(path, "r", encoding="utf-8") as fh:
-            sections = _read_ini(fh.read(), "experiment")
-        known = ("experiment", "geometry", "solver", "output")
-        unknown = [f"section [{name}]" for name in sections if name not in known]
-        unknown += [f"key {key!r} in [experiment]" for key in sections["experiment"] if key != "command"]
-        if unknown:
-            raise InputError(f"experiment config has an unknown {', '.join(unknown)}")
-        command = sections["experiment"].get("command")
-        if not command:
-            raise InputError("experiment config needs a 'command' entry")
-        return cls(
-            command=command,
-            geometry=sections.get("geometry", {}),
-            solver=sections.get("solver", {}),
-            output=sections.get("output", {}),
-        )
 
 
 def _flow_config(ns):
@@ -120,6 +90,9 @@ def _outdir(ns) -> str | None:
 
 
 def _cmd_slope(ns) -> int:
+    # load_surface_model would read a path that is not a file as config text
+    if not os.path.isfile(ns.surface):
+        raise InputError(f"surface config {ns.surface!r} does not exist as a file")
     model = load_surface_model(ns.surface)
     alpha = DivisorClass.parse(ns.alpha)
     beta = DivisorClass.parse(ns.beta)
@@ -213,6 +186,68 @@ def _cmd_energy(ns) -> int:
     return 0
 
 
+def _alpha_pairings(params: BundleParams) -> tuple[Fraction, Fraction, Fraction]:
+    """alpha^(N-1).h, alpha^(N-1).eta and alpha^N, alpha = h + a eta, by the
+    ring: one power of alpha and three pairings.  They do not depend on b, so
+    a sweep over b shares them."""
+    alpha = ChowElement.fiber_class(params, params.a)
+    power = alpha ** (params.dim - 1)
+    classes = (ChowElement.hyperplane(params), ChowElement.infinity(params), alpha)
+    return tuple(intersection_number([power, c], params) for c in classes)
+
+
+def _mixed_pairing(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """alpha^(N-1).beta, beta = h + b eta, from the pairings of `_alpha_pairings`,
+    as one Fraction of integers."""
+    (u, v), (w, z), (p, q) = (x.as_integer_ratio() for x in (pairings[0], pairings[1], params.b))
+    return Fraction(u * z * q + p * w * v, v * z * q)
+
+
+def _chow_slope(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """(n+m+1) alpha^(N-1).beta / alpha^N from the pairings of `_alpha_pairings`."""
+    mixed, total = _mixed_pairing(params, pairings), pairings[2]
+    return Fraction(params.dim * mixed.numerator * total.denominator, mixed.denominator * total.numerator)
+
+
+def _exceptional_sum(params: BundleParams, s: Fraction, M: int, k: int) -> Fraction:
+    """sum_{l <= k} C(M, k-l) C(r-2+l, l) s^(r-1+l) d: the exceptional divisor's
+    powers paired against the base class, each pairing C(r-2+l, l) d by the
+    recursion on the projectivized normal bundle, summed over one denominator."""
+    r, d = params.r, params.d
+    p, q = s.numerator, s.denominator
+    num = sum(math.comb(M, k - l) * math.comb(r - 2 + l, l) * p ** (r - 1 + l) * q ** (k - l) for l in range(k + 1))
+    return Fraction(num * d.numerator, q ** (r - 1 + k) * d.denominator)
+
+
+def _blowup_sums(params: BundleParams, pairings: tuple[Fraction, Fraction, Fraction], s: Fraction) -> tuple[Fraction, Fraction]:
+    """The blow-up's top and mixed powers at puncture s: alpha^N and
+    alpha^(N-1).beta, from the pairings of `_alpha_pairings`, minus their
+    exceptional corrections."""
+    N, n = params.dim, params.n
+    return (
+        pairings[2] - _exceptional_sum(params, s, N, n),
+        _mixed_pairing(params, pairings) - _exceptional_sum(params, s, N - 1, n - 1),
+    )
+
+
+@functools.cache
+def count_compositions(parts: int, total: int) -> int:
+    """Number of nonnegative integer solutions of x_0 + ... + x_parts = total,
+    by dynamic programming: the binomial identity's independent oracle."""
+    if parts == 0:
+        return 1
+    return sum(count_compositions(parts - 1, total - x) for x in range(total + 1))
+
+
+def combinatorial_identity_check(s: int, q: int) -> bool:
+    """Check sum_j (-1)^(j-1) C(s+1,j) C(s+q-j, q-j) = C(q+s, q), three ways;
+    the terms with j > q are zero."""
+    if s < 1 or q < 1:
+        raise InputError("need positive integers s and q")
+    lhs = sum((-1) ** (j - 1) * math.comb(s + 1, j) * math.comb(s + q - j, q - j) for j in range(1, min(s + 1, q) + 1))
+    return lhs == math.comb(q + s, q) == count_compositions(s, q)
+
+
 def _cmd_verify(ns) -> int:
     """Each identity case by case, by exact equality.  `--max-mn` bounds n
     and m of the slope and blow-up sweeps, `--max-sq` both arguments of the
@@ -262,15 +297,27 @@ def _cmd_verify(ns) -> int:
     return 0 if all(c["passed"] for c in report["checks"]) else 2
 
 
-def run(config: ExperimentConfig) -> int:
-    """Dispatch a parsed experiment; returns the process exit status.  A
-    config may not run another config, so `run` cannot recurse."""
-    argv = config.command.split()
-    if argv[:1] == ["run"]:
+def _cmd_run(ns) -> int:
+    """Run an experiment config: its [experiment] `command`, with each key of
+    [geometry], [solver] and [output] as a `--key value` flag.  A section
+    other than these four, a key other than `command` in [experiment], or a
+    command that runs another config, so that `run` would recurse, is an
+    input error."""
+    with open(ns.config, "r", encoding="utf-8") as fh:
+        sections = _read_ini(fh.read(), "experiment")
+    known = ("experiment", "geometry", "solver", "output")
+    unknown = [f"section [{name}]" for name in sections if name not in known]
+    unknown += [f"key {key!r} in [experiment]" for key in sections["experiment"] if key != "command"]
+    if unknown:
+        raise InputError(f"experiment config has an unknown {', '.join(unknown)}")
+    argv = sections["experiment"].get("command", "").split()
+    if not argv:
+        raise InputError("experiment config needs a 'command' entry")
+    if argv[0] == "run":
         raise InputError("an experiment config cannot run another config")
-    for section in (config.geometry, config.solver, config.output):
-        for key, val in section.items():
-            argv += [f"--{key.replace('_', '-')}", str(val)]
+    for name in known[1:]:
+        for key, val in sections.get(name, {}).items():
+            argv += [f"--{key.replace('_', '-')}", val]
     return main(argv)
 
 
@@ -354,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ru = sub.add_parser("run", help="drive an experiment from a config file")
     ru.add_argument("--config", required=True)
-    ru.set_defaults(func=None)
+    ru.set_defaults(func=_cmd_run)
 
     return ap
 
@@ -363,13 +410,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
-        if ns.cmd == "run":
-            return run(ExperimentConfig.from_file(ns.config))
         return ns.func(ns)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InputError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver/monitor failures

@@ -45,7 +45,7 @@ from .bundle_geometry import (
 )
 from .errors import InputError
 from .surface_lattice import to_fraction
-from .surface_slopes import STABLE
+from .surface_slopes import STABLE, one_point_blowup_certificate
 
 if TYPE_CHECKING:  # numpy and the profiles load only where a function needs them
     import numpy as np
@@ -643,7 +643,6 @@ def dhym_volume_split(b, p, q) -> EnergyReport:
     boundary jump from q up to xi contributes 2 int_q^xi sqrt(1+y^2) dy.
     """
     from .calabi_profiles import steady_cot_slope
-    from .surface_slopes import one_point_blowup_certificate
 
     cert = one_point_blowup_certificate(b, p, q)
     b, p, q = float(b), float(p), float(q)

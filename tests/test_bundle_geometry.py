@@ -9,19 +9,15 @@ from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
     blowup_mixed_power,
-    blowup_mixed_power_sum,
     blowup_top_power,
-    blowup_top_power_sum,
-    combinatorial_identity_check,
-    count_compositions,
     critical_polynomial,
     intersection_number,
     min_slope_certificate,
     pairing_number,
     steady_slope,
-    steady_slope_chow,
     weight_integral,
 )
+from slopeflow.cli import _alpha_pairings, _blowup_sums, _chow_slope, combinatorial_identity_check, count_compositions
 from slopeflow.energy_functionals import energy_infimum, l2_slope_deviation
 from slopeflow.errors import InputError
 from slopeflow.surface_slopes import SEMISTABLE, STABLE, UNSTABLE
@@ -83,7 +79,7 @@ def test_slope_oracle_equivalence_grid():
             for a in grid:
                 for b in grid:
                     params = BundleParams(n=n, m=m, a=a, b=b)
-                    assert steady_slope(params, 0) == steady_slope_chow(params)
+                    assert steady_slope(params, 0) == _chow_slope(params, _alpha_pairings(params))
 
 
 def test_blowup_identities_exact():
@@ -91,8 +87,9 @@ def test_blowup_identities_exact():
         for n in range(1, 4):
             params = BundleParams(n=n, m=m, a=2, b=F(5, 4), d=F(2, 3))
             for s in (F(1, 3), F(1), F(7, 4)):
-                assert blowup_top_power(params, s) == blowup_top_power_sum(params, s)
-                assert blowup_mixed_power(params, s) == blowup_mixed_power_sum(params, s)
+                top, mixed = _blowup_sums(params, _alpha_pairings(params), s)
+                assert blowup_top_power(params, s) == top
+                assert blowup_mixed_power(params, s) == mixed
 
 
 def test_unstable_certificate_closed_form():

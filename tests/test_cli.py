@@ -329,6 +329,15 @@ def test_slope_with_a_bad_surface_config_exits_1(capsys, tmp_path, line):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+def test_slope_with_a_missing_surface_file_exits_1(capsys, tmp_path):
+    """A --surface path that names no file is reported as such, not read as
+    config text."""
+    path = str(tmp_path / "missing.ini")
+    assert main(["slope", "j", "--surface", path, "--alpha", "3,1", "--beta", "2,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and repr(path) in err and "does not exist" in err
+
+
 def test_slope_j_matches_library(capsys, blowup):
     code, out = _run(capsys, ["slope", "j", "--surface", blowup, "--alpha", "2,3/10", "--beta", "3,1"])
     assert code == 0

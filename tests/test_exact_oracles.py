@@ -36,16 +36,13 @@ from slopeflow import calabi_profiles, energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
     ChowElement,
-    _alpha_pairings,
     _antiderivative_at,
-    _chow_slope,
     _energy_constant,
     critical_polynomial,
     intersection_number,
     min_slope_certificate,
     pairing_number,
     steady_slope,
-    steady_slope_chow,
     weight_integral,
 )
 from slopeflow.calabi_profiles import (
@@ -60,6 +57,7 @@ from slopeflow.calabi_profiles import (
     steady_profile_j,
     steady_profile_j_derivative,
 )
+from slopeflow.cli import _alpha_pairings, _chow_slope
 from slopeflow.energy_functionals import (
     PLTestConfig,
     _exact_sum,
@@ -406,7 +404,7 @@ def test_shared_alpha_pairings_give_every_slope():
             params = BundleParams(n=n, m=m, a=a, b=b)
             want = params.dim * _worklist_pairing(power + [{(1, 0): F(1), (0, 1): b}], params)
             want /= _worklist_pairing(power + [alpha], params)
-            assert _chow_slope(params, pairings) == steady_slope_chow(params) == want, (n, m, a, b)
+            assert _chow_slope(params, pairings) == _chow_slope(params, _alpha_pairings(params)) == want, (n, m, a, b)
 
 
 # ---------------------------------------------------------------------------

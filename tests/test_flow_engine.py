@@ -31,7 +31,7 @@ from slopeflow.calabi_profiles import (
     straight_line_profile,
 )
 from slopeflow.energy_functionals import dhym_volume
-from slopeflow import flow_engine
+from slopeflow import calabi_profiles, flow_engine
 from slopeflow.errors import AdmissibilityError, InputError, MonitorViolationError, TimeStepError
 from slopeflow.flow_engine import (
     DT_CAP,
@@ -529,6 +529,23 @@ def test_the_steady_start_of_an_exact_case_is_at_rest(flow, case, grid):
     assert tr.steps == 0 and tr.converged and tr.monitor_report.passed
     assert abs(tr.terminal_constant - ref) <= 4 * np.spacing(abs(ref))
     assert tr.sup_error_on_compact == 0.0
+
+
+def test_the_steady_j_start_computes_its_certificate_once(monkeypatch):
+    """The steady start and the reference profile share one certificate,
+    counted where the flow engine and the profiles look it up."""
+    calls = []
+    real = flow_engine.min_slope_certificate
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(flow_engine, "min_slope_certificate", counting)
+    monkeypatch.setattr(calabi_profiles, "min_slope_certificate", counting)
+    params = BundleParams(n=1, m=0, a=4, b=1)
+    run_j_flow(params, "steady", cfg=FlowConfig(grid_size=64, t_max=0.5))
+    assert calls == [params]
 
 
 def test_checkpoint_volume_is_dhym_volume():
