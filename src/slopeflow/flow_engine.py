@@ -445,20 +445,26 @@ class _JScheme:
 
     def __init__(self, params: BundleParams, init, cfg: FlowConfig):
         a, b = float(params.a), float(params.b)
-        # the steady start and the reference share the certificate's puncture
+        # the steady start and the reference share the certificate's puncture,
+        # and the steady start, before its ends are pinned, is the reference
         cert = min_slope_certificate(params)
         lam = cert.lam if cert.lam is not None else 0.0
-        starts = {
-            "line": lambda num: straight_line_profile(params, num),
-            "steady": lambda num: singular_limit_profile_j(params, num, lam=lam),
-        }
+        ref = None
+
+        def steady(num):
+            nonlocal ref
+            ref = singular_limit_profile_j(params, num, lam=lam)
+            return ref
+
+        starts = {"line": lambda num: straight_line_profile(params, num), "steady": steady}
         self.boundary = (0.0, b)
         self.x, self.psi, self.h = _start(init, starts, cfg.grid_size + 1, (0.0, a), self.boundary, 1e-12)
         x, h = self.x, self.h
         self.reference_constant = cert.zeta_inv
         n, m = params.n, params.m
         self.m, self.b = m, b
-        ref = singular_limit_profile_j(params, x.size, lam=lam)
+        if ref is None:
+            ref = singular_limit_profile_j(params, x.size, lam=lam)
         self.ref = np.interp(x, ref.grid, ref.values)
         self.window = _window(lam, a)
         # half-node data of the chord flux delta + p mean + g

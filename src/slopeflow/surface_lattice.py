@@ -4,10 +4,13 @@ A surface is described by a finite divisor basis, the symmetric intersection
 form on that basis, a finite list of irreducible curve classes generating the
 effective cone, and a designated Kahler reference class.  Arithmetic is exact
 on integers: each class has an integer view (numerators over one positive
-denominator), the model clears its form and its curves' Gram matrix to
-integers once, a pairing makes one Fraction and a sign test none.  Volumes of
-big classes are Z^2 through the support-growing decomposition, each Gram
-system solved by one fraction-free elimination that tests definiteness too.
+denominator), and the model clears its form, its curves' images under the
+form and their Gram matrix to integers once, so a pairing is an integer
+numerator over a known denominator and a sign test makes no Fraction.
+Volumes of big classes are Z^2 through the support-growing decomposition,
+each Gram system solved by one fraction-free elimination that tests
+definiteness too.  The chamber walk along a ray alpha - t beta runs on the
+same integers and returns its root as (a + b sqrt(n)) / e.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, ModelInconsistencyError, NotBigError
 
@@ -80,12 +84,11 @@ class DivisorClass:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse divisor class {text!r}: {exc}") from exc
 
-    def __add__(self, other: "DivisorClass", sign: int = 1) -> "DivisorClass":
-        (x, dx), (y, dy) = self._view, other._view
-        return _from_view([u * dy + sign * v * dx for u, v in zip(x, y, strict=True)], dx * dy)
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return _minus(self, other, -1, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self.__add__(other, -1)
+        return _minus(self, other, 1, 1)
 
     def __mul__(self, t) -> "DivisorClass":
         t, (nums, den) = to_fraction(t), self._view
@@ -112,6 +115,12 @@ def _from_view(nums: list[int], den: int) -> DivisorClass:
     cls = object.__new__(DivisorClass)
     cls.__dict__["_view"] = (tuple([v // g for v in nums]), den // g)
     return cls
+
+
+def _minus(a: DivisorClass, b: DivisorClass, tn: int, td: int) -> DivisorClass:
+    """The class a - (tn / td) b for integers tn and td > 0, as one view."""
+    (x, dx), (y, dy) = a._view, b._view
+    return _from_view([u * dy * td - tn * v * dx for u, v in zip(x, y, strict=True)], dx * dy * td)
 
 
 @dataclass
@@ -142,14 +151,16 @@ class SurfaceModel:
                 raise InputError("curve coefficient length does not match basis")
         if len(self.kahler_ref.coeffs) != k:
             raise InputError("kahler_ref coefficient length does not match basis")
-        # the form's nonzero entries (i, j, v) over d_form, the curves' rows
-        # over d_c and their Gram matrix over d_c^2 d_form, all integers
+        # the form's nonzero entries (i, j, v) over d_form, the curves' rows R_i
+        # over d_c, their images G R_i under the form over d_c d_form and their
+        # Gram matrix over d_c^2 d_form, all integers
         d = self._dform = math.lcm(*(v.denominator for row in self.form for v in row))
         form = [[v.numerator * (d // v.denominator) for v in row] for row in self.form]
         self._entries = tuple((i, j, v) for i, row in enumerate(form) for j, v in enumerate(row) if v)
         d = self._dc = math.lcm(*(c._view[1] for c in self.curves))
         self._rows = tuple(tuple(v * (d // c._view[1]) for v in c._view[0]) for c in self.curves)
-        self._gram = tuple(tuple(_pair(r, row, self) for r in self._rows) for row in self._rows)
+        self._images = tuple(tuple(sum(map(mul, row, r)) for row in form) for r in self._rows)
+        self._gram = tuple(tuple(sum(map(mul, r, g)) for r in self._rows) for g in self._images)
         x = self.kahler_ref._view[0]
         kk = _pair(x, x, self)
         if kk <= 0:
@@ -200,7 +211,7 @@ def _view_of(a: DivisorClass, model: SurfaceModel) -> tuple[tuple[int, ...], int
 def _curve_nums(a: DivisorClass, model: SurfaceModel) -> list[int]:
     """Numerators of a.C over the curve list, all over d_a d_c d_form."""
     x = _view_of(a, model)[0]
-    return [_pair(x, row, model) for row in model._rows]
+    return [sum(map(mul, x, g)) for g in model._images]
 
 
 def intersect(a: DivisorClass, b: DivisorClass, model: SurfaceModel) -> Fraction:
@@ -277,8 +288,8 @@ def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition |
     return ZariskiDecomposition(positive=z, negative=pairs)
 
 
-def _sign(u: Fraction, v: Fraction, d: Fraction) -> int:
-    """Exact sign of u + v sqrt(d) for rationals u, v and d >= 0."""
+def _sign(u, v, d) -> int:
+    """Exact sign of u + v sqrt(d) for integers or rationals u, v and d >= 0."""
     su = (u > 0) - (u < 0)
     sv = (v > 0) - (v < 0) if d else 0
     if su == sv or sv == 0:
@@ -290,62 +301,74 @@ def _sign(u: Fraction, v: Fraction, d: Fraction) -> int:
 
 
 def _volume_root(alpha, beta, model, t0, quad):
-    """First root t >= t0 of vol(alpha - t beta) = A + B t + C t^2, walked exactly.
+    """First root t >= t0 of vol(alpha - t beta) = (A + B t + C t^2) / L, walked exactly.
 
-    On a Zariski chamber with negative-part support S the Gram systems for
-    alpha and beta give the positive part as an affine class P0 - t P1, so the
-    equation is the exact quadratic (P0 - t P1)^2 = A + B t + C t^2 there.
-    At t0 the support grows from nothing as in _try_zariski; then a chamber
-    ends at the first wall P0.C / P1.C of a curve C outside S with P1.C > 0,
-    where C joins S, and beta nef keeps every weight growing.  Returns the
-    root as (r, s, d), meaning r + s sqrt(d), and the chamber's negative part
-    as the pair (N_alpha, N_beta) with N(t) = N_alpha - t N_beta.
+    t0 = (tn, td) means tn / td, and quad = (A, B, C, L), all integers with
+    td, L > 0.  On a Zariski chamber with negative-part support S the Gram
+    systems for alpha and beta give the positive part as an affine class
+    P0 - t P1, so the equation is the exact quadratic (P0 - t P1)^2 =
+    (A + B t + C t^2) / L there, cleared to integers.  At t0 the support grows
+    from nothing as in _try_zariski; then a chamber ends at the first wall
+    P0.C / P1.C of a curve C outside S with P1.C > 0, where C joins S, and
+    beta nef keeps every weight growing.  The chamber's start and walls are
+    integer pairs, compared by cross-multiplication.  Returns the root as
+    integers (a, b, n, e) with e > 0, meaning (a + b sqrt(n)) / e, and the
+    chamber's negative part as the pair (N_alpha, N_beta) with
+    N(t) = N_alpha - t N_beta.
     """
-    A, B, C = quad
+    A, B, C, L = quad
     nums = [_curve_nums(alpha, model), _curve_nums(beta, model)]
-    support, lo = [], t0
+    support, (ln, ld) = [], t0
     while True:
         solved = _support_solve(support, nums, model._gram)
         if solved is None:
-            raise ModelInconsistencyError(f"alpha - t beta is not big at t = {lo}")
+            raise ModelInconsistencyError(f"alpha - t beta is not big at t = {Fraction(ln, ld)}")
         det, ys = solved
         n_alpha, n_beta = (_curve_sum(zip(support, y), det * c._view[1], model) for y, c in zip(ys, (alpha, beta)))
         p0, p1 = alpha - n_alpha, beta - n_beta
         # P0.C_j = u_j / (d0 e) and P1.C_j = v_j / (d1 e) with d0, d1, e > 0
-        u, v, d0, d1 = _curve_nums(p0, model), _curve_nums(p1, model), p0._view[1], p1._view[1]
+        (x0, d0), (x1, d1) = p0._view, p1._view
+        u, v = _curve_nums(p0, model), _curve_nums(p1, model)
         outside = [j for j in range(len(model.curves)) if j not in support]
-        grow = [j for j in outside if u[j] * d1 * lo.denominator < lo.numerator * v[j] * d0]
+        grow = [j for j in outside if u[j] * d1 * ld < ln * v[j] * d0]
         if grow:
             support += grow
             continue
-        # (P0 - t P1)^2 - (A + B t + C t^2) = a t^2 + b t + c
-        a = intersect(p1, p1, model) - C
-        b = -2 * intersect(p0, p1, model) - B
-        c = intersect(p0, p0, model) - A
-        q_lo = a * lo * lo + b * lo + c
+        # K ((P0 - t P1)^2 - (A + B t + C t^2) / L) = a t^2 + b t + c for K = L k > 0
+        k = d0 * d0 * d1 * d1 * model._dform
+        a = L * d0 * d0 * _pair(x1, x1, model) - k * C
+        b = -2 * L * d0 * d1 * _pair(x0, x1, model) - k * B
+        c = L * d1 * d1 * _pair(x0, x0, model) - k * A
+        q_lo = (a * ln + b * ld) * ln + c * ld * ld
         if q_lo < 0:
-            raise ModelInconsistencyError(f"vol(alpha - {lo} beta) lies below the volume equation")
+            raise ModelInconsistencyError(f"vol(alpha - {Fraction(ln, ld)} beta) lies below the volume equation")
         if q_lo == 0:
-            return (lo, Fraction(0), Fraction(0)), (n_alpha, n_beta)
-        walls = {}
+            return (ln, 0, 0, ld), (n_alpha, n_beta)
+        # the first wall (hn, hd) and the curves on it
+        hi, at = None, []
         for j in outside:
             if v[j] > 0:
-                walls.setdefault(Fraction(u[j] * d1, v[j] * d0), []).append(j)
-        hi = min(walls, default=None)
+                wn, wd = u[j] * d1, v[j] * d0
+                if hi is None or wn * hi[1] < hi[0] * wd:
+                    hi, at = (wn, wd), [j]
+                elif wn * hi[1] == hi[0] * wd:
+                    at.append(j)
         # q(lo) > 0, so the first crossing after lo is (-b - sqrt(b^2 - 4ac)) / 2a
         if a:
             disc = b * b - 4 * a * c
-            root = (-b / (2 * a), -1 / (2 * a), disc) if disc >= 0 else None
+            root = ((-b, -1, disc, 2 * a) if a > 0 else (b, 1, disc, -2 * a)) if disc >= 0 else None
         else:
-            root = (-c / b, Fraction(0), Fraction(0)) if b else None
+            root = ((-c, 0, 0, b) if b > 0 else (c, 0, 0, -b)) if b else None
         if root is not None:
-            r, s, d = root
-            if _sign(r - lo, s, d) > 0 and (hi is None or _sign(r - hi, s, d) <= 0):
+            ra, rb, rn, re = root
+            if _sign(ra * ld - re * ln, rb * ld, rn) > 0 and (
+                hi is None or _sign(ra * hi[1] - re * hi[0], rb * hi[1], rn) <= 0
+            ):
                 return root, (n_alpha, n_beta)
         if hi is None:
             raise ModelInconsistencyError("the volume equation has no root on this model")
-        support += walls[hi]
-        lo = hi
+        support += at
+        ln, ld = hi
 
 
 def zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition:

@@ -5,9 +5,11 @@ C t^2: the minimal J-slope xi solves it for t = 1/xi with (A, B, C) = (0, 0,
 beta^2), the dHYM slope with (beta^2, 0, beta^2), and the bigness threshold
 with (0, 0, 0).  The volume along the ray is piecewise quadratic between the
 walls where the support of the Zariski negative part grows, so the root is
-found exactly, as r + s sqrt(d) with rational r, s and d, by walking those
-chambers.  The negative part at the root is the witness divisor achieving the
-slope.
+found exactly, as (a + b sqrt(n)) / e with integers a, b, n and e, by walking
+those chambers on the integer views of the classes.  It is rounded to the
+nearest float and bracketed by floats on the same integers, and each end of
+the bracket is checked against a fresh volume of its class.  The negative part
+at the root is the witness divisor achieving the slope.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from .errors import InputError, ModelInconsistencyError
 from .surface_lattice import (
     DivisorClass,
     SurfaceModel,
+    _curve_nums,
+    _minus,
+    _pair,
     _sign,
+    _view_of,
     _volume_root,
-    intersect,
     is_kahler,
     is_nef,
     to_fraction,
@@ -125,24 +130,14 @@ def _nearest_float(a: int, b: int, n: int, e: int) -> tuple[float, tuple[float, 
     return nearer, (lo, hi), None
 
 
-def _rounded_root(r: Fraction, s: Fraction, d: Fraction) -> tuple[float, tuple[float, float], Fraction]:
-    """r + s sqrt(d) as the float nearest it, the floats bracketing it, and the
-    exact root when it is rational, else its float (one end of the bracket) as
-    a Fraction."""
-    # r + s sqrt(d) = (r_n s_d d_d + s_n r_d sqrt(d_n d_d)) / (r_d s_d d_d)
-    e = r.denominator * s.denominator * d.denominator
-    x, bracket, num = _nearest_float(
-        r.numerator * s.denominator * d.denominator, s.numerator * r.denominator, d.numerator * d.denominator, e
-    )
-    return x, bracket, Fraction(x) if num is None else Fraction(num, e)
-
-
-def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -> Fraction:
-    """mu = 2 a.b/a^2 for J, c0 = (a^2 - b^2)/(2 a.b) for dHYM."""
-    a2, ab = intersect(a, a, model), intersect(a, b, model)
+def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -> tuple[int, int]:
+    """mu = 2 a.b/a^2 for J, c0 = (a^2 - b^2)/(2 a.b) for dHYM, as an integer
+    numerator and a nonzero integer denominator of either sign."""
+    (x, dx), (y, dy) = a._view, b._view
+    ab = _pair(x, y, model)
     if equation == "j":
-        return 2 * ab / a2
-    return (a2 - intersect(b, b, model)) / (2 * ab)
+        return 2 * ab * dx, _pair(x, x, model) * dy
+    return _pair(x, x, model) * dy * dy - _pair(y, y, model) * dx * dx, 2 * ab * dx * dy
 
 
 def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCertificate:
@@ -150,34 +145,47 @@ def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCer
 
     J solves vol(alpha - t beta) = t^2 beta^2 for t = 1/xi from t = 1/mu;
     dHYM solves vol(alpha - t beta) = (1 + t^2) beta^2 for t = xi from c0.
+    `topological` is mu or c0 as an integer pair over a positive denominator.
     """
-    b2 = intersect(beta, beta, model)
-    if equation == "j":
-        quad, t0, to_t = (0, 0, b2), 1 / topological, lambda xi: 1 / xi
-    else:
-        quad, t0, to_t = (b2, 0, b2), topological, lambda xi: xi
-    (r, s, d), (n_alpha, n_beta) = _volume_root(alpha, beta, model, t0, quad)
-    if equation == "j":  # xi = 1/t, still in Q(sqrt d)
-        norm = r * r - s * s * d
-        r, s = r / norm, -s / norm
-    slope, bracket, xi_hat = _rounded_root(r, s, d)
-    gaps = {}
-    for xi in bracket:
-        t = to_t(Fraction(xi))
-        gaps[xi] = volume(alpha - t * beta, model) - (quad[0] + quad[1] * t + quad[2] * t * t)
-    if gaps[bracket[0]] * gaps[bracket[1]] > 0:
+    y, dy = beta._view
+    C, L = _pair(y, y, model), dy * dy * model._dform  # beta^2 = C / L
+    A = 0 if equation == "j" else C
+
+    def t_of(xn: int, xd: int) -> tuple[int, int]:
+        """t = 1/xi for J, whose xi is positive, and xi for dHYM, for xi = xn / xd
+        with xd > 0, over a positive denominator."""
+        return (xd, xn) if equation == "j" else (xn, xd)
+
+    (a, b, n, e), (n_alpha, n_beta) = _volume_root(alpha, beta, model, t_of(*topological), (A, 0, C, L))
+    if equation == "j":  # xi = 1/t = e (a - b sqrt(n)) / (a^2 - b^2 n)
+        norm = a * a - b * b * n
+        a, b, e = (e * a, -e * b, norm) if norm > 0 else (-e * a, e * b, -norm)
+    slope, bracket, num = _nearest_float(a, b, n, e)
+    # xi_hat: the root when it is rational, else the slope
+    xn, xd = slope.as_integer_ratio() if num is None else (num, e)
+    gaps = []
+    for end in bracket:
+        tn, td = t_of(*end.as_integer_ratio())
+        vol = volume(_minus(alpha, beta, tn, td), model)
+        # vol - (A + C t^2) / L over a positive denominator
+        w = L * td * td
+        gaps.append((vol.numerator * w - vol.denominator * (A * td * td + C * tn * tn), vol.denominator * w))
+    if gaps[0][0] * gaps[1][0] > 0:
         raise ModelInconsistencyError(f"{equation} bracket {bracket} does not straddle the volume equation")
-    negative = n_alpha - to_t(xi_hat) * n_beta
+    negative = _minus(n_alpha, n_beta, *t_of(xn, xd))
+    gap = gaps[0] if slope == bracket[0] else gaps[1]
+    ws_n, ws_d = _topological_slope(equation, alpha - negative, beta, model)
     return SlopeCertificate(
         equation=equation,
         slope=slope,
         bracket=bracket,
         witness=None if negative.is_zero() else negative,
         verdict=verdict,
-        topological_slope=float(topological),
-        # 0 at a rational root, which the walk solved exactly (a float root has gap 0)
-        residual=0.0 if xi_hat != slope else float(abs(gaps[slope])),
-        witness_slope=float(_topological_slope(equation, alpha - negative, beta, model)),
+        topological_slope=topological[0] / topological[1],
+        # 0 at a rational root, which the walk solved exactly (at a float root
+        # the bracket check has already found the gap 0)
+        residual=0.0 if num is not None else abs(gap[0]) / gap[1],
+        witness_slope=ws_n / ws_d,
     )
 
 
@@ -192,11 +200,13 @@ def j_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: SurfaceM
         raise InputError("alpha is not Kahler on this model")
     if not is_kahler(beta, model):
         raise InputError("beta is not Kahler on this model")
-    mu = _topological_slope("j", alpha, beta, model)
-    curve_slopes = [intersect(beta, c, model) / intersect(alpha, c, model) for c in model.curves]
-    if all(cs < mu for cs in curve_slopes):
+    mu = mn, md = _topological_slope("j", alpha, beta, model)
+    # beta.C / alpha.C - mu per curve, over v d_beta md > 0 with alpha.C = v / (d_alpha d_c d_form)
+    da, db = alpha._view[1], beta._view[1]
+    gaps = [u * da * md - mn * v * db for u, v in zip(_curve_nums(beta, model), _curve_nums(alpha, model))]
+    if all(g < 0 for g in gaps):
         verdict = STABLE
-    elif all(cs <= mu for cs in curve_slopes):
+    elif all(g <= 0 for g in gaps):
         verdict = SEMISTABLE
     else:
         verdict = UNSTABLE
@@ -209,8 +219,8 @@ def bigness_threshold(alpha: DivisorClass, beta: DivisorClass, model: SurfaceMod
         raise InputError("alpha itself is not big; no positive threshold")
     if not is_nef(beta, model) or beta.is_zero():
         raise InputError("beta is not a nonzero nef class on this model")
-    root, _ = _volume_root(alpha, beta, model, Fraction(0), (0, 0, 0))
-    return _rounded_root(*root)[0]
+    root, _ = _volume_root(alpha, beta, model, (0, 1), (0, 0, 0, 1))
+    return _nearest_float(*root)[0]
 
 
 def dhym_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: SurfaceModel) -> SlopeCertificate:
@@ -224,10 +234,10 @@ def dhym_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: Surfa
     """
     if not is_kahler(beta, model):
         raise InputError("beta is not Kahler on this model")
-    if intersect(alpha, beta, model) <= 0:
+    if _pair(_view_of(alpha, model)[0], beta._view[0], model) <= 0:
         raise InputError("alpha.beta <= 0; replace alpha by -alpha and retry")
     c0 = _topological_slope("dhym", alpha, beta, model)
-    gamma0 = alpha - c0 * beta
+    gamma0 = _minus(alpha, beta, *c0)
     if is_kahler(gamma0, model):
         verdict = STABLE
     elif is_nef(gamma0, model):

@@ -7,8 +7,9 @@ integral, slope, limit-Hamiltonian data and PL slopes that the integer
 kernels replaced, direct evaluation and binomial expansion of the critical
 polynomial and of the weight integral, and the Fraction pairing, eliminations and Zariski
 decomposition of the surface lattice, on which the surface certificates are
-also rerun; the Fraction rounding of a quadratic-surd root and the Fraction
-one-point blow-up certificate against their integer kernels.  The kernels in src/ must agree with them exactly.  The
+also rerun, and the whole surface certificate, chamber walk, rounding and
+bracket check, in Fraction arithmetic; the Fraction rounding of a
+quadratic-surd root and the Fraction one-point blow-up certificate against their integer kernels.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
 expansion, its inverse against the 80 halvings that Newton replaced, and
 the closed-form L2 slope deviation against Simpson's rule
@@ -959,8 +960,10 @@ def _ref_volume(a, model):
     return _ref_intersect(z, z, model)
 
 
-def _ref_volume_root(alpha, beta, model, t0, quad):
-    """The chamber walk of surface_lattice._volume_root on the Fraction kernels."""
+def _ref_walk(alpha, beta, model, t0, quad):
+    """The chamber walk of surface_lattice._volume_root on the Fraction kernels,
+    from the rational t0 for the rational (A, B, C) = quad; the root comes back
+    as (r, s, d), meaning r + s sqrt(d) for rationals r, s and d."""
     A, B, C = quad
     curves = model.curves
     support, lo = [], t0
@@ -1000,9 +1003,21 @@ def _ref_volume_root(alpha, beta, model, t0, quad):
         lo = hi
 
 
-#: what surface_slopes imports from surface_lattice, as Fraction kernels
+def _ref_volume_root(alpha, beta, model, t0, quad):
+    """`_ref_walk` in the integer form of surface_lattice._volume_root: t0 as
+    (tn, td), quad as (A, B, C, L), and the root as (a, b, n, e), meaning
+    (a + b sqrt(n)) / e."""
+    L = quad[3]
+    (r, s, d), negative = _ref_walk(alpha, beta, model, F(*t0), tuple(F(v, L) for v in quad[:3]))
+    # r + s sqrt(d) = (r_n s_d d_d + s_n r_d sqrt(d_n d_d)) / (r_d s_d d_d)
+    e = r.denominator * s.denominator * d.denominator
+    a, b, n = r.numerator * s.denominator * d.denominator, s.numerator * r.denominator, d.numerator * d.denominator
+    return (a, b, n, e), negative
+
+
+#: what surface_slopes imports from surface_lattice, as Fraction kernels; its
+#: integer pairings are checked by the whole-certificate oracle below
 FRACTION_KERNELS = {
-    "intersect": _ref_intersect,
     "is_nef": _ref_is_nef,
     "is_kahler": _ref_is_kahler,
     "volume": _ref_volume,
@@ -1131,6 +1146,73 @@ def test_certificates_and_threshold_match_fraction_oracle(model_name, request, m
     for name, ref in FRACTION_KERNELS.items():
         monkeypatch.setattr(surface_slopes, name, ref)
     assert _surface_outputs(model, pairs) == want
+
+
+def _ref_certificate(equation, alpha, beta, model):
+    """The whole surface certificate in Fraction arithmetic: the verdict and
+    topological slope from Fraction pairings, the Fraction chamber walk, its
+    root inverted in Q(sqrt d) for J, the Fraction rounding, and the bracket
+    checked against the Fraction volume."""
+    a2, ab, b2 = (_ref_intersect(u, v, model) for u, v in ((alpha, alpha), (alpha, beta), (beta, beta)))
+    if equation == "j":
+        mu = 2 * ab / a2
+        slopes = [_ref_intersect(beta, c, model) / _ref_intersect(alpha, c, model) for c in model.curves]
+        verdict = STABLE if all(cs < mu for cs in slopes) else SEMISTABLE if all(cs <= mu for cs in slopes) else UNSTABLE
+        topological, quad, t0, to_t = mu, (0, 0, b2), 1 / mu, lambda xi: 1 / xi
+    else:
+        c0 = (a2 - b2) / (2 * ab)
+        gamma0 = _ref_minus(alpha, beta, c0)
+        verdict = STABLE if _ref_is_kahler(gamma0, model) else SEMISTABLE if _ref_is_nef(gamma0, model) else UNSTABLE
+        topological, quad, t0, to_t = c0, (b2, 0, b2), c0, lambda xi: xi
+    (r, s, d), (n_alpha, n_beta) = _ref_walk(alpha, beta, model, t0, quad)
+    if equation == "j":  # xi = 1/t, still in Q(sqrt d)
+        norm = r * r - s * s * d
+        r, s = r / norm, -s / norm
+    slope, bracket, xi_hat = _ref_rounded_root(r, s, d)
+    gaps = {}
+    for xi in bracket:
+        t = to_t(F(xi))
+        gaps[xi] = _ref_volume(_ref_minus(alpha, beta, t), model) - (quad[0] + quad[1] * t + quad[2] * t * t)
+    assert gaps[bracket[0]] * gaps[bracket[1]] <= 0
+    negative = _ref_minus(n_alpha, n_beta, to_t(xi_hat))
+    w = _ref_minus(alpha, negative)
+    w2, wb = _ref_intersect(w, w, model), _ref_intersect(w, beta, model)
+    return SlopeCertificate(
+        equation=equation,
+        slope=slope,
+        bracket=bracket,
+        witness=None if not any(negative.coeffs) else negative,
+        verdict=verdict,
+        topological_slope=float(topological),
+        residual=0.0 if xi_hat != slope else float(abs(gaps[slope])),
+        witness_slope=float(2 * wb / w2 if equation == "j" else (w2 - b2) / (2 * wb)),
+    )
+
+
+@pytest.mark.parametrize("model_name", ["blp2", "two_point"])
+def test_certificates_match_whole_fraction_certificate(model_name, request):
+    """A seeded sweep of 300 pairs per model, with the semistable J and dHYM
+    pairs on the blown-up plane, whose roots are rational: every certificate
+    and bigness threshold equals its Fraction computation, bit for bit."""
+    model = request.getfixturevalue(model_name)
+    pairs = _certificate_pairs(model, f"whole-{model_name}", 150)
+    if model_name == "blp2":
+        pairs += [("j", DivisorClass.of(3, 1), DivisorClass.of(F(5, 3), 1))]
+        pairs += [("dhym", DivisorClass.of(1, -1), DivisorClass.of(3, 1))]
+    verdicts, rational, thresholds = set(), 0, 0
+    for equation, alpha, beta in pairs:
+        cert_of = j_slope_certificate if equation == "j" else dhym_slope_certificate
+        got, want = cert_of(alpha, beta, model).to_dict(), _ref_certificate(equation, alpha, beta, model).to_dict()
+        assert got == want, (equation, alpha, beta)
+        verdicts.add(got["verdict"])
+        rational += got["residual"] == 0.0
+        if _ref_volume(alpha, model) > 0:
+            (r, s, d), _ = _ref_walk(alpha, beta, model, F(0), (0, 0, 0))
+            assert bigness_threshold(alpha, beta, model) == _ref_rounded_root(r, s, d)[0]
+            thresholds += 1
+    # a residual of 0 marks a rational root, as the semistable pairs have
+    assert verdicts == ({STABLE, SEMISTABLE, UNSTABLE} if model_name == "blp2" else {STABLE, UNSTABLE})
+    assert thresholds > 0 and (rational > 0 or model_name != "blp2")
 
 
 def _ref_approx_root(r, s, d):

@@ -548,6 +548,32 @@ def test_the_steady_j_start_computes_its_certificate_once(monkeypatch):
     assert calls == [params]
 
 
+def test_the_steady_j_start_is_its_own_reference(monkeypatch):
+    """The named steady start builds the singular-limit profile once and reads
+    the reference off it: its reference and trace are, bit for bit, those of
+    a run from the same profile passed in, which builds the reference anew."""
+    calls = []
+    real = flow_engine.singular_limit_profile_j
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow_engine, "singular_limit_profile_j", counting)
+    params, cfg = BundleParams(n=1, m=0, a=4, b=1), FlowConfig(grid_size=64, t_max=0.5)
+    steady = run_j_flow(params, "steady", cfg=cfg)
+    assert len(calls) == 1
+    start = real(params, 65, lam=min_slope_certificate(params).lam)
+    given = run_j_flow(params, start, cfg=cfg)
+    assert len(calls) == 2 and steady.steps > 0
+    assert steady.reference_profile.values.tobytes() == given.reference_profile.values.tobytes()
+    assert steady.reference_profile.values.tobytes() == start.values.tobytes()
+    assert steady.columns.keys() == given.columns.keys()
+    assert all(steady.columns[k].tobytes() == given.columns[k].tobytes() for k in steady.columns)
+    assert [b.tobytes() for b in steady.blocks] == [b.tobytes() for b in given.blocks]
+    assert json.dumps(steady.summary()) == json.dumps(given.summary())
+
+
 def test_checkpoint_volume_is_dhym_volume():
     """Each checkpoint's volume is `dhym_volume` of its profile, bit for bit."""
     cfg = FlowConfig(grid_size=128, dt=0.05, t_max=5.0)

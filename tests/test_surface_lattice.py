@@ -1,5 +1,6 @@
 """Exact intersection arithmetic, Zariski decomposition and volume."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,8 @@ from slopeflow.errors import InputError, ModelInconsistencyError, NotBigError
 from slopeflow.surface_lattice import (
     DivisorClass,
     SurfaceModel,
+    _sign,
+    _volume_root,
     intersect,
     is_kahler,
     is_nef,
@@ -76,6 +79,20 @@ def test_volume_paper_cases(blp2):
     assert volume(DivisorClass.of(3, 1), blp2) == 8      # x=3, y=1 -> x^2-y^2
     assert volume(DivisorClass.of(3, "-0.5"), blp2) == 9  # y <= 0 -> x^2
     assert volume(DivisorClass.of(-1, 0), blp2) == 0
+
+
+def test_volume_root_of_a_downward_quadratic(blp2):
+    """vol(alpha - t beta) = 5 t^2 for alpha = 3H - E, beta = 2H - E: in the
+    first chamber (alpha - t beta)^2 - 5 t^2 = 8 - 10 t - 2 t^2 opens
+    downward, and the walk returns its positive root, (sqrt(41) - 5) / 2,
+    which lies before the first wall t = 1, as (a + b sqrt(n)) / e, e > 0."""
+    alpha, beta = DivisorClass.of(3, 1), DivisorClass.of(2, 1)
+    (a, b, n, e), (n_alpha, n_beta) = _volume_root(alpha, beta, blp2, (0, 1), (0, 0, 5, 1))
+    assert e > 0 and n_alpha.is_zero() and n_beta.is_zero()
+    # t^2 + 5 t - 4 = 0 in Q(sqrt(n)), sqrt(n) irrational, and t > 0
+    assert math.isqrt(n) ** 2 != n
+    assert a * a + b * b * n + 5 * e * a - 4 * e * e == 0 and b * (2 * a + 5 * e) == 0
+    assert _sign(a, b, n) > 0
 
 
 def test_not_big_raises(blp2):

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from slopeflow.errors import InputError
-from slopeflow.surface_lattice import DivisorClass, _sign, intersect, volume, zariski
+from slopeflow.surface_lattice import DivisorClass, SurfaceModel, _sign, intersect, volume, zariski
 from slopeflow.surface_slopes import (
     SEMISTABLE,
     STABLE,
     UNSTABLE,
-    _rounded_root,
+    _nearest_float,
     bigness_threshold,
     dhym_slope_certificate,
     j_slope_certificate,
@@ -282,6 +282,18 @@ def test_dhym_root_past_a_chamber_wall(two_point):
     assert abs(cert.witness_slope - cert.slope) < 1e-14
 
 
+def _rounded_root(r, s, d):
+    """r + s sqrt(d) for rationals r, s and d >= 0 through `_nearest_float`:
+    the float nearest it, the floats bracketing it, and the exact root when it
+    is rational, else its float as a Fraction."""
+    # r + s sqrt(d) = (r_n s_d d_d + s_n r_d sqrt(d_n d_d)) / (r_d s_d d_d)
+    e = r.denominator * s.denominator * d.denominator
+    x, bracket, num = _nearest_float(
+        r.numerator * s.denominator * d.denominator, s.numerator * r.denominator, d.numerator * d.denominator, e
+    )
+    return x, bracket, F(x) if num is None else F(num, e)
+
+
 def _nearer_end(r, s, d, lo, hi):
     """The end of [lo, hi] nearer the irrational root r + s sqrt(d): the root
     lies above the midpoint exactly when s sqrt(d) > midpoint - r, which is
@@ -368,3 +380,68 @@ def test_one_point_blowup_slope_is_the_nearer_float():
     assert cert.bracket == (0.24328434281804986, 0.2432843428180499)
     assert cert.slope == 0.2432843428180499
     assert cert.witness.coeffs == (0, -F(cert.slope))
+
+
+def _hirzebruch(k):
+    """F_k in the basis (S, F): S the negative section, S^2 = -k, F the fiber."""
+    one, zero = F(1), F(0)
+    return SurfaceModel(
+        basis_labels=("S", "F"),
+        form=((F(-k), one), (one, zero)),
+        curves=(DivisorClass((one, zero)), DivisorClass((zero, one))),
+        kahler_ref=DivisorClass((one, F(k + 1))),
+    )
+
+
+def test_hirzebruch_dhym_matches_the_blowup_closed_form():
+    """Under the Calabi ansatz F_k is the blown-up plane rescaled: for
+    omega = uS + vF and A0 = omega.S, A1 = A0 + ku, q' = alpha.S and
+    p' = q' + k alpha.F, the dHYM certificate of (alpha, omega) on F_k is the
+    closed form at (A1/A0, p'/A0, q'/A0) in verdict, slope, bracket and
+    topological slope, and its witness, a multiple of S, is
+    ((A0/k)(xi - q'/A0), 0) for the blow-up witness (0, q'/A0 - xi)."""
+    rng = random.Random(23)
+    matched = refused = 0
+    for k in (1, 2, 3, 5):
+        model = _hirzebruch(k)
+        for _ in range(100):
+            u = F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+            v = k * u + F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+            x = F(rng.randint(-12, 24), rng.choice((1, 2, 4)))
+            alpha, omega = DivisorClass((x, F(rng.randint(-12, 36), rng.choice((1, 2, 3))))), DivisorClass((u, v))
+            a0, q = v - k * u, intersect(alpha, DivisorClass.of(1, 0), model)
+            p = q + k * x
+            try:
+                got = dhym_slope_certificate(alpha, omega, model)
+            except InputError:
+                with pytest.raises(InputError):
+                    one_point_blowup_certificate(v / a0, p / a0, q / a0)
+                refused += 1
+                continue
+            want = one_point_blowup_certificate(v / a0, p / a0, q / a0)
+            assert (got.verdict, got.slope, got.bracket, got.topological_slope) == (
+                want.verdict, want.slope, want.bracket, want.topological_slope
+            ), (k, alpha, omega)
+            if want.witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.coeffs == (-a0 / k * want.witness.coeffs[1], 0), (k, alpha, omega)
+            matched += 1
+    assert matched >= 300 and refused > 0
+
+
+@pytest.mark.parametrize(
+    "alpha,omega", [("5,1", "2,1"), ("3,1/2", "2,1"), ("5/2,1/4", "3/2,1"), ("3,3/2", "2,1")]
+)
+def test_dhym_at_large_volume_tends_to_j(blp2, alpha, omega):
+    """arccot(lambda) ~ 1/lambda: k / slope of the dHYM certificate of
+    (k alpha, omega) tends to the J slope of (alpha, omega) like k^-2, and the
+    verdicts agree."""
+    alpha, omega = DivisorClass.parse(alpha), DivisorClass.parse(omega)
+    j = j_slope_certificate(alpha, omega, blp2)
+    gaps = []
+    for k in (100, 1000):
+        cert = dhym_slope_certificate(k * alpha, omega, blp2)
+        assert cert.verdict == j.verdict
+        gaps.append(abs(k / cert.slope - j.slope))
+    assert 80 <= gaps[0] / gaps[1] <= 120
