@@ -20,7 +20,9 @@ through a table cached per degree.  A pairing never forms its last product:
 the top-degree fold table gives the coefficient t[k] of the top monomial in
 each h^k eta^(N-k), and two rows of complementary degrees pair to the sum of
 x_i y_j t[i + j].  Weight integrals and slopes are integer numerators over
-integer denominators until one Fraction at the end.  The puncture, a root of
+integer denominators until one Fraction at the end; the minimal-slope
+certificate's one Fraction is its mu0, and each of its floats is one
+correctly rounded integer division.  The puncture, a root of
 a polynomial with no closed form, is bracketed by adjacent floats at which
 the exact sign of that polynomial, cleared of denominators, changes.  The
 ring (`ChowElement`, `intersection_number`, `pairing_number`) never reads
@@ -443,6 +445,26 @@ def steady_slope(params: BundleParams, s) -> Fraction:
     return Fraction(num * v, den * u)
 
 
+def _critical_coeffs(params: BundleParams) -> tuple[list[int], int]:
+    """The coefficients of `critical_polynomial` as integers over one positive
+    denominator, in lowest terms."""
+    n, m = params.n, params.m
+    (cn, cd), (wn, wd) = _slope_numerator(params, 0), _antiderivative_at(m, n, 1, params.a)
+    upper, du = _antiderivative(m, n, 1)
+    lower, dl = _antiderivative(m, n - 1, 1)
+    scale = cd * wd * dl  # du divides wd
+    coeffs = [n * c * (scale // du) for c in upper]
+    const = cn * (scale // cd)
+    coeffs[0] += const - n * wn * (scale // wd)
+    coeffs[1] += const
+    for i, c in enumerate(lower):
+        term = n * c * (scale // dl)
+        coeffs[i] -= term
+        coeffs[i + 1] -= term
+    g = math.gcd(scale, *coeffs)
+    return [c // g for c in coeffs], scale // g
+
+
 def critical_polynomial(params: BundleParams) -> list[Fraction]:
     """Coefficients (ascending) of p(s) = (mu_s (1+s) - n) I_{m,n,s}(a).
 
@@ -452,18 +474,8 @@ def critical_polynomial(params: BundleParams) -> list[Fraction]:
     x^m (1+x)^k vanishing at 0 and C = (1+a)^n a^m b + n W_(n-1)(a),
     p(s) = (1+s) (C - n W_(n-1)(s)) - n (W_n(a) - W_n(s)).
     """
-    n, m, a = params.n, params.m, params.a
-    const = Fraction(*_slope_numerator(params, Fraction(0)))
-    upper, den = _antiderivative(m, n, 1)
-    coeffs = [Fraction(n * c, den) for c in upper]
-    coeffs[0] += const - n * weight_integral(m, n, 0, a)
-    coeffs[1] += const
-    lower, den = _antiderivative(m, n - 1, 1)
-    for i, c in enumerate(lower):
-        term = Fraction(n * c, den)
-        coeffs[i] -= term
-        coeffs[i + 1] -= term
-    return coeffs
+    coeffs, scale = _critical_coeffs(params)
+    return [Fraction(c, scale) for c in coeffs]
 
 
 def _newton(coeffs: list[float], lo: float, hi: float) -> float:
@@ -583,44 +595,43 @@ def min_slope_certificate(params: BundleParams) -> BundleSlopeCertificate:
     brackets it, and lam is the end of that bracket nearer the root.  The
     exact straddle p(lo) < 0 <= p(hi) is the certificate: no tolerance enters.
     """
-    n = params.n
-    mu0 = steady_slope(params, 0)
-    if mu0 >= n:
-        stable = mu0 > n
-        return BundleSlopeCertificate(
-            mu0=mu0,
-            n=n,
-            verdict=STABLE if stable else SEMISTABLE,
-            lam=None if stable else 0.0,
-            bracket=None if stable else (0.0, 0.0),
-            zeta_inv=float(mu0),
-            residual=0.0,
-            alpha_lambda_top_power=float(blowup_top_power(params, 0)),
-        )
-    poly = critical_polynomial(params)
-    scale = math.lcm(*(c.denominator for c in poly))
-    coeffs = [c.numerator * (scale // c.denominator) for c in poly]
-    top = float(params.a)
-    if top < params.a:
-        top = math.nextafter(top, math.inf)
-    lo, hi = _straddle(coeffs, _newton([float(c) for c in poly], 0.0, top), top)
-    # the midpoint of the bracket decides which end is nearer the root
-    (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    lam = lo if _eval_poly(coeffs, n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi) > 0 else hi
-    num, den = lam.as_integer_ratio()
-    zeta = Fraction(n * den, den + num)
-    # p(hi) >= 0 puts the root at or below hi, so n / (1 + hi) < mu0 holds exactly;
-    # zeta, at lam = lo, can pass mu0 when mu0 - n / (1 + root) is below float resolution
-    assert Fraction(n * d_hi, d_hi + n_hi) < mu0, "minimal slope must undercut the topological slope when unstable"
+    n, m, a = params.n, params.m, params.a
+    # mu0 = mn / md = C / W_n(a)
+    (sn, sd), (wn, wd) = _slope_numerator(params, 0), _antiderivative_at(m, n, 1, a)
+    mn, md = sn * wd, sd * wn
+    if mn >= n * md:
+        verdict, lam, bracket = (STABLE, None, None) if mn > n * md else (SEMISTABLE, 0.0, (0.0, 0.0))
+        zeta_inv, residual, num, den = mn / md, 0.0, 0, 1
+    else:
+        verdict = UNSTABLE
+        coeffs, scale = _critical_coeffs(params)
+        top = a.numerator / a.denominator
+        tn, td = top.as_integer_ratio()
+        if tn * a.denominator < a.numerator * td:
+            top = math.nextafter(top, math.inf)
+        lo, hi = bracket = _straddle(coeffs, _newton([c / scale for c in coeffs], 0.0, top), top)
+        # the midpoint of the bracket decides which end is nearer the root
+        (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        lam = lo if _eval_poly(coeffs, n_lo * d_hi + n_hi * d_lo, 2 * d_lo * d_hi) > 0 else hi
+        num, den = lam.as_integer_ratio()
+        # p(hi) >= 0 puts the root at or below hi, so n / (1 + hi) < mu0 holds exactly;
+        # zeta, at lam = lo, can pass mu0 when mu0 - n / (1 + root) is below float resolution
+        assert n * d_hi * md < mn * (d_hi + n_hi), "minimal slope must undercut the topological slope when unstable"
+        zeta_inv = n * den / (den + num)
+        residual = abs(_eval_poly(coeffs, num, den)) / (scale * den ** (len(coeffs) - 1))
+    # the top power at the puncture num / den: c_{n,m} d (W_n(a) - W_n(num / den)), W_n(num / den) = ln / ld
+    upper, du = _antiderivative(m, n, 1)
+    ln, ld = _eval_poly(upper, num, den), du * den ** (len(upper) - 1)
+    cn = params.dim * math.comb(params.dim - 1, n) * params.d.numerator
     return BundleSlopeCertificate(
-        mu0=mu0,
+        mu0=Fraction(mn, md),
         n=n,
-        verdict=UNSTABLE,
+        verdict=verdict,
         lam=lam,
-        bracket=(lo, hi),
-        zeta_inv=float(zeta),
-        residual=abs(_eval_poly(coeffs, num, den)) / (scale * den ** (len(coeffs) - 1)),
-        alpha_lambda_top_power=float(blowup_top_power(params, Fraction(num, den))),
+        bracket=bracket,
+        zeta_inv=zeta_inv,
+        residual=residual,
+        alpha_lambda_top_power=cn * (wn * ld - ln * wd) / (params.d.denominator * wd * ld),
     )
 
 

@@ -38,7 +38,6 @@ from .bundle_geometry import (
     _antiderivative_at,
     _energy_constant,
     _eval_poly,
-    blowup_top_power,
     min_slope_certificate,
     steady_slope,
     weight_integral,
@@ -131,8 +130,8 @@ def energy_infimum(params: BundleParams) -> EnergyReport:
     c = float(_energy_constant(params))
     n, m = params.n, params.m
     if cert.verdict == STABLE or cert.lam is None or cert.lam == 0.0:
-        top = float(blowup_top_power(params, 0))
-        value = float(cert.mu0) ** 2 * top
+        # the puncture is 0, so the certificate's top power is alpha^top
+        value = float(cert.mu0) ** 2 * cert.alpha_lambda_top_power
         return EnergyReport(value=value, interior=value, bubble=0.0)
     interior = cert.zeta_inv**2 * c * float(weight_integral(m, n, to_fraction(repr(cert.lam)), params.a))
     bubble = n**2 * c * float(_bubble_weight(m, n, cert.lam))

@@ -9,15 +9,17 @@ form and their Gram matrix to integers once, so a pairing is an integer
 numerator over a known denominator and a sign test makes no Fraction.
 Volumes of big classes are Z^2 through the support-growing decomposition,
 each Gram system solved by one fraction-free elimination that tests
-definiteness too.  The chamber walk along a ray alpha - t beta runs on the
-same integers and returns its root as (a + b sqrt(n)) / e.
+definiteness too.  That one Zariski loop runs on an integer view and
+returns the positive part as an integer vector; `zariski` and `volume` wrap
+it, and the certificates read Z^2 as an integer numerator over a positive
+denominator.  The chamber walk along a ray alpha - t beta runs on the same
+integers and returns its root as (a + b sqrt(n)) / e.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -172,7 +174,7 @@ class SurfaceModel:
         hodge = [[kk * v - 2 * gi * gj for v, gj in zip(row, gk)] for row, gi in zip(form, gk)]
         if _support_solve(list(range(k)), [], hodge) is None:
             raise ModelInconsistencyError(f"intersection form must have signature (1,{k - 1})")
-        if not all(v > 0 for v in _curve_nums(self.kahler_ref, self)):
+        if not all(v > 0 for v in _curve_nums(x, self)):
             raise ModelInconsistencyError("kahler_ref pairs non-positively with a curve")
 
     @property
@@ -208,9 +210,9 @@ def _view_of(a: DivisorClass, model: SurfaceModel) -> tuple[tuple[int, ...], int
     return a._view
 
 
-def _curve_nums(a: DivisorClass, model: SurfaceModel) -> list[int]:
-    """Numerators of a.C over the curve list, all over d_a d_c d_form."""
-    x = _view_of(a, model)[0]
+def _curve_nums(x, model: SurfaceModel) -> list[int]:
+    """Numerators of a.C over the curve list for the integer view x / d_a of a,
+    all over d_a d_c d_form."""
     return [sum(map(mul, x, g)) for g in model._images]
 
 
@@ -221,12 +223,13 @@ def intersect(a: DivisorClass, b: DivisorClass, model: SurfaceModel) -> Fraction
 
 
 def is_nef(a: DivisorClass, model: SurfaceModel) -> bool:
-    return all(v >= 0 for v in _curve_nums(a, model))
+    return all(v >= 0 for v in _curve_nums(_view_of(a, model)[0], model))
 
 
 def is_kahler(a: DivisorClass, model: SurfaceModel) -> bool:
     """Numerical Kahler test: positive on every curve and positive square."""
-    return all(v > 0 for v in _curve_nums(a, model)) and _pair(a._view[0], a._view[0], model) > 0
+    x = _view_of(a, model)[0]
+    return all(v > 0 for v in _curve_nums(x, model)) and _pair(x, x, model) > 0
 
 
 def _support_solve(support: list[int], cols: list[list[int]], gram):
@@ -252,40 +255,50 @@ def _support_solve(support: list[int], cols: list[list[int]], gram):
     return abs(prev), [[row[c] if prev > 0 else -row[c] for row in rows] for c in range(k, k + len(cols))]
 
 
-def _curve_sum(pairs: Iterable[tuple[int, int]], den: int, model: SurfaceModel) -> DivisorClass:
-    """The class sum of w R_i / den over (i, w) pairs, R_i the curves' integer rows."""
+def _curve_vec(support: list[int], y: list[int], model: SurfaceModel) -> list[int]:
+    """The integer vector sum of y_i R_i over the support, R_i the curves' integer rows."""
     acc = [0] * model.rank
-    for i, w in pairs:
+    for i, w in zip(support, y):
         acc = [s + w * c for s, c in zip(acc, model._rows[i])]
-    return _from_view(acc, den)
+    return acc
 
 
-def _try_zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition | None:
-    """Iterative support growth; None when the result certifies a is not big.
+def _zariski_view(x, model: SurfaceModel):
+    """Support growth on the numerators x of a class a = x / d, d > 0; None
+    when the result certifies a is not big.
 
     Start from the curves a pairs negatively with, solve the orthogonality
     system on their span, and enlarge the support while the candidate nef part
     still pairs negatively with some curve.  The loop terminates because the
-    curve list is finite and the support only grows.  The weights come out as
-    y_i d_c / (d d_a), so the negative part is sum y_i R_i / (d d_a).
+    curve list is finite and the support only grows.  Returns (support, y, det,
+    z): the negative part is sum y_i R_i / (det d), so curve i has the weight
+    y_i d_c / (det d), and the positive part is the integer vector z over det d.
     """
-    nums, da = _curve_nums(a, model), a._view[1]
+    nums = _curve_nums(x, model)
     support = [i for i, v in enumerate(nums) if v < 0]
     while True:
         solved = _support_solve(support, [nums], model._gram)
         if solved is None:
             return None
         det, (y,) = solved
-        z = a - _curve_sum(zip(support, y), det * da, model)
+        z = [det * u - v for u, v in zip(x, _curve_vec(support, y, model))]
         to_add = [i for i, v in enumerate(_curve_nums(z, model)) if v < 0 and i not in support]
         if not to_add:
             break
         support.extend(to_add)
-    zx = z._view[0]
-    if any(v < 0 for v in y) or _pair(zx, zx, model) <= 0 or _pair(zx, model.kahler_ref._view[0], model) <= 0:
+    if any(v < 0 for v in y) or _pair(z, z, model) <= 0 or _pair(z, model.kahler_ref._view[0], model) <= 0:
         return None
-    pairs = tuple((i, Fraction(v * model._dc, det * da)) for i, v in zip(support, y) if v)
-    return ZariskiDecomposition(positive=z, negative=pairs)
+    return support, y, det, z
+
+
+def _volume_pair(x, d: int, model: SurfaceModel) -> tuple[int, int]:
+    """vol(x / d) for an integer view with d > 0, as a numerator over a positive
+    denominator: Z^2 when the class is big, 0 otherwise."""
+    dec = _zariski_view(x, model)
+    if dec is None:
+        return 0, 1
+    _, _, det, z = dec
+    return _pair(z, z, model), det * det * d * d * model._dform
 
 
 def _sign(u, v, d) -> int:
@@ -308,7 +321,7 @@ def _volume_root(alpha, beta, model, t0, quad):
     systems for alpha and beta give the positive part as an affine class
     P0 - t P1, so the equation is the exact quadratic (P0 - t P1)^2 =
     (A + B t + C t^2) / L there, cleared to integers.  At t0 the support grows
-    from nothing as in _try_zariski; then a chamber ends at the first wall
+    from nothing as in _zariski_view; then a chamber ends at the first wall
     P0.C / P1.C of a curve C outside S with P1.C > 0, where C joins S, and
     beta nef keeps every weight growing.  The chamber's start and walls are
     integer pairs, compared by cross-multiplication.  Returns the root as
@@ -317,18 +330,22 @@ def _volume_root(alpha, beta, model, t0, quad):
     N(t) = N_alpha - t N_beta.
     """
     A, B, C, L = quad
-    nums = [_curve_nums(alpha, model), _curve_nums(beta, model)]
+    (xa, da), (xb, db) = alpha._view, beta._view
+    nums = [_curve_nums(xa, model), _curve_nums(xb, model)]
     support, (ln, ld) = [], t0
     while True:
         solved = _support_solve(support, nums, model._gram)
         if solved is None:
             raise ModelInconsistencyError(f"alpha - t beta is not big at t = {Fraction(ln, ld)}")
         det, ys = solved
-        n_alpha, n_beta = (_curve_sum(zip(support, y), det * c._view[1], model) for y, c in zip(ys, (alpha, beta)))
-        p0, p1 = alpha - n_alpha, beta - n_beta
-        # P0.C_j = u_j / (d0 e) and P1.C_j = v_j / (d1 e) with d0, d1, e > 0
-        (x0, d0), (x1, d1) = p0._view, p1._view
-        u, v = _curve_nums(p0, model), _curve_nums(p1, model)
+        # N_alpha = na / d0, N_beta = nb / d1, P0 = x0 / d0 and P1 = x1 / d1
+        # over d0 = det d_alpha and d1 = det d_beta
+        na, nb = (_curve_vec(support, y, model) for y in ys)
+        d0, d1 = det * da, det * db
+        x0 = [det * w - v for w, v in zip(xa, na)]
+        x1 = [det * w - v for w, v in zip(xb, nb)]
+        # P0.C_j = u_j / (d0 e) and P1.C_j = v_j / (d1 e) with e > 0
+        u, v = _curve_nums(x0, model), _curve_nums(x1, model)
         outside = [j for j in range(len(model.curves)) if j not in support]
         grow = [j for j in outside if u[j] * d1 * ld < ln * v[j] * d0]
         if grow:
@@ -343,7 +360,7 @@ def _volume_root(alpha, beta, model, t0, quad):
         if q_lo < 0:
             raise ModelInconsistencyError(f"vol(alpha - {Fraction(ln, ld)} beta) lies below the volume equation")
         if q_lo == 0:
-            return (ln, 0, 0, ld), (n_alpha, n_beta)
+            return (ln, 0, 0, ld), (_from_view(na, d0), _from_view(nb, d1))
         # the first wall (hn, hd) and the curves on it
         hi, at = None, []
         for j in outside:
@@ -364,7 +381,7 @@ def _volume_root(alpha, beta, model, t0, quad):
             if _sign(ra * ld - re * ln, rb * ld, rn) > 0 and (
                 hi is None or _sign(ra * hi[1] - re * hi[0], rb * hi[1], rn) <= 0
             ):
-                return root, (n_alpha, n_beta)
+                return root, (_from_view(na, d0), _from_view(nb, d1))
         if hi is None:
             raise ModelInconsistencyError("the volume equation has no root on this model")
         support += at
@@ -373,18 +390,19 @@ def _volume_root(alpha, beta, model, t0, quad):
 
 def zariski(a: DivisorClass, model: SurfaceModel) -> ZariskiDecomposition:
     """Zariski decomposition of a big class; raises NotBigError otherwise."""
-    dec = _try_zariski(a, model)
+    x, da = _view_of(a, model)
+    dec = _zariski_view(x, model)
     if dec is None:
         raise NotBigError(f"class {a} is not big on this model")
-    return dec
+    support, y, det, z = dec
+    den = det * da
+    negative = tuple((i, Fraction(v * model._dc, den)) for i, v in zip(support, y) if v)
+    return ZariskiDecomposition(positive=_from_view(z, den), negative=negative)
 
 
 def volume(a: DivisorClass, model: SurfaceModel) -> Fraction:
     """vol(a) = Z^2 when a is big, 0 otherwise.  Total and exact."""
-    dec = _try_zariski(a, model)
-    if dec is None:
-        return Fraction(0)
-    return intersect(dec.positive, dec.positive, model)
+    return Fraction(*_volume_pair(*_view_of(a, model), model))
 
 
 def _parse_rows(text: str, key: str) -> list[list[Fraction]]:

@@ -8,8 +8,10 @@ walls where the support of the Zariski negative part grows, so the root is
 found exactly, as (a + b sqrt(n)) / e with integers a, b, n and e, by walking
 those chambers on the integer views of the classes.  It is rounded to the
 nearest float and bracketed by floats on the same integers, and each end of
-the bracket is checked against a fresh volume of its class.  The negative part
-at the root is the witness divisor achieving the slope.
+the bracket is checked against a fresh integer volume of its class: a new
+Zariski decomposition of alpha - t beta, its Z^2 an integer numerator over a
+positive denominator.  The negative part at the root is the witness divisor
+achieving the slope.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .surface_lattice import (
     _pair,
     _sign,
     _view_of,
+    _volume_pair,
     _volume_root,
     is_kahler,
     is_nef,
@@ -141,13 +144,13 @@ def _topological_slope(equation: str, a: DivisorClass, b: DivisorClass, model) -
 
 
 def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCertificate:
-    """Walk the chambers to the exact root and check it against volume().
+    """Walk the chambers to the exact root and check its bracket against fresh volumes.
 
     J solves vol(alpha - t beta) = t^2 beta^2 for t = 1/xi from t = 1/mu;
     dHYM solves vol(alpha - t beta) = (1 + t^2) beta^2 for t = xi from c0.
     `topological` is mu or c0 as an integer pair over a positive denominator.
     """
-    y, dy = beta._view
+    (x, dx), (y, dy) = alpha._view, beta._view
     C, L = _pair(y, y, model), dy * dy * model._dform  # beta^2 = C / L
     A = 0 if equation == "j" else C
 
@@ -166,10 +169,10 @@ def _certificate(equation, alpha, beta, model, verdict, topological) -> SlopeCer
     gaps = []
     for end in bracket:
         tn, td = t_of(*end.as_integer_ratio())
-        vol = volume(_minus(alpha, beta, tn, td), model)
-        # vol - (A + C t^2) / L over a positive denominator
+        # a fresh volume of alpha - t beta, then vol - (A + C t^2) / L over a positive denominator
+        vn, vd = _volume_pair([u * dy * td - tn * v * dx for u, v in zip(x, y)], dx * dy * td, model)
         w = L * td * td
-        gaps.append((vol.numerator * w - vol.denominator * (A * td * td + C * tn * tn), vol.denominator * w))
+        gaps.append((vn * w - vd * (A * td * td + C * tn * tn), vd * w))
     if gaps[0][0] * gaps[1][0] > 0:
         raise ModelInconsistencyError(f"{equation} bracket {bracket} does not straddle the volume equation")
     negative = _minus(n_alpha, n_beta, *t_of(xn, xd))
@@ -202,8 +205,8 @@ def j_slope_certificate(alpha: DivisorClass, beta: DivisorClass, model: SurfaceM
         raise InputError("beta is not Kahler on this model")
     mu = mn, md = _topological_slope("j", alpha, beta, model)
     # beta.C / alpha.C - mu per curve, over v d_beta md > 0 with alpha.C = v / (d_alpha d_c d_form)
-    da, db = alpha._view[1], beta._view[1]
-    gaps = [u * da * md - mn * v * db for u, v in zip(_curve_nums(beta, model), _curve_nums(alpha, model))]
+    (xa, da), (xb, db) = alpha._view, beta._view
+    gaps = [u * da * md - mn * v * db for u, v in zip(_curve_nums(xb, model), _curve_nums(xa, model))]
     if all(g < 0 for g in gaps):
         verdict = STABLE
     elif all(g <= 0 for g in gaps):

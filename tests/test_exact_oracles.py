@@ -9,7 +9,9 @@ polynomial and of the weight integral, and the Fraction pairing, eliminations an
 decomposition of the surface lattice, on which the surface certificates are
 also rerun, and the whole surface certificate, chamber walk, rounding and
 bracket check, in Fraction arithmetic; the Fraction rounding of a
-quadratic-surd root and the Fraction one-point blow-up certificate against their integer kernels.  The kernels in src/ must agree with them exactly.  The
+quadratic-surd root and the Fraction one-point blow-up certificate against their integer kernels;
+and the whole bundle certificate, its slope, critical polynomial, bracket and
+top power, in Fraction arithmetic.  The kernels in src/ must agree with them exactly.  The
 float steady J profile is checked bit for bit against its binomial
 expansion, its inverse against the 80 halvings that Newton replaced, and
 the closed-form L2 slope deviation against Simpson's rule
@@ -24,6 +26,7 @@ against its expanded integrand.
 import itertools
 import math
 import random
+import struct
 import warnings
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -36,6 +39,7 @@ from hypothesis import strategies as st
 from slopeflow import calabi_profiles, energy_functionals, flow_engine
 from slopeflow.bundle_geometry import (
     BundleParams,
+    BundleSlopeCertificate,
     ChowElement,
     _antiderivative_at,
     _energy_constant,
@@ -578,6 +582,72 @@ def test_weight_integral_and_critical_polynomial_match_loops(m, n, s, width, b):
         assert critical_polynomial(params) == _critical_polynomial_loops(params)
 
 
+def _float_of_bits(k):
+    return struct.unpack("<d", struct.pack("<q", k))[0]
+
+
+def _ref_min_slope_certificate(params):
+    """The bundle certificate in Fraction arithmetic: mu0 from the Fraction
+    slope, the expanded critical polynomial, its bracket found by halving the
+    float bit patterns on Fraction signs, zeta and the undercut assert in
+    Fraction, and the top power as c_{n,m} d times the Fraction weight integral."""
+    n, m, a = params.n, params.m, params.a
+    mu0 = _ref_steady_slope(params, 0)
+
+    def top_power(s):
+        return float(params.dim * math.comb(params.dim - 1, n) * params.d * _ref_weight_integral(m, n, s, a))
+
+    if mu0 >= n:
+        stable = mu0 > n
+        return BundleSlopeCertificate(
+            mu0=mu0, n=n, verdict=STABLE if stable else SEMISTABLE, lam=None if stable else 0.0,
+            bracket=None if stable else (0.0, 0.0), zeta_inv=float(mu0), residual=0.0,
+            alpha_lambda_top_power=top_power(0),
+        )
+    poly = _critical_polynomial_loops(params)
+    top = float(a) if F(float(a)) >= a else math.nextafter(float(a), math.inf)
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", top))[0]
+    assert _p(poly, 0) < 0 <= _p(poly, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _p(poly, _float_of_bits(mid)) < 0 else (lo, mid)
+    lo, hi = _float_of_bits(lo), _float_of_bits(hi)
+    lam = lo if _p(poly, (F(lo) + F(hi)) / 2) > 0 else hi
+    assert F(n) / (1 + F(hi)) < mu0
+    return BundleSlopeCertificate(
+        mu0=mu0, n=n, verdict=UNSTABLE, lam=lam, bracket=(lo, hi), zeta_inv=float(F(n) / (1 + F(lam))),
+        residual=float(abs(_p(poly, lam))), alpha_lambda_top_power=top_power(F(lam)),
+    )
+
+
+def _semistable_b(n, m, a):
+    """The b at which mu0 = n exactly: n (I_n - I_(n-1)) / ((1+a)^n a^m)."""
+    return n * (_weight_integral_loop(m, n, 0, a) - _weight_integral_loop(m, n - 1, 0, a)) / ((1 + a) ** n * a**m)
+
+
+def test_min_slope_certificate_matches_fraction_certificate():
+    """300 seeded draws with n <= 5 and m <= 4, a third of them with d != 1, and
+    the exact semistable pairs of the benchmark's bundle slots: every
+    certificate equals its Fraction computation, bit for bit."""
+    rng = random.Random(37)
+    draws = []
+    for i in range(300):
+        a = F(rng.randint(1, 40), rng.choice((1, 2, 3, 7, 8, 12)))
+        b = F(rng.randint(1, 40), rng.choice((1, 4, 5, 16, 64)))
+        d = F(rng.randint(2, 9), rng.choice((1, 2, 3))) if i % 3 == 0 else F(1)
+        draws.append(BundleParams(n=rng.randint(1, 5), m=rng.randint(0, 4), a=a, b=b, d=d))
+    for n, m in ((2, 2), (3, 0)):
+        for a in (F(15, 8), F(2), F(17, 8), F(9, 4)):
+            draws.append(BundleParams(n=n, m=m, a=a, b=_semistable_b(n, m, a)))
+    verdicts = []
+    for params in draws:
+        got = min_slope_certificate(params)
+        assert got.to_dict() == _ref_min_slope_certificate(params).to_dict(), params
+        verdicts.append(got.verdict)
+    assert verdicts[-8:] == [SEMISTABLE] * 8
+    assert {STABLE, UNSTABLE} <= set(verdicts[:-8])
+
+
 # ---------------------------------------------------------------------------
 # the float steady J profile: binomial coefficients comb(n, k)/p, Horner's rule
 
@@ -1015,12 +1085,19 @@ def _ref_volume_root(alpha, beta, model, t0, quad):
     return (a, b, n, e), negative
 
 
+def _ref_volume_pair(x, d, model):
+    """`_ref_volume` in the integer form of surface_lattice._volume_pair: the
+    class x / d, and its volume as (numerator, positive denominator)."""
+    return _ref_volume(DivisorClass(tuple(F(v, d) for v in x)), model).as_integer_ratio()
+
+
 #: what surface_slopes imports from surface_lattice, as Fraction kernels; its
 #: integer pairings are checked by the whole-certificate oracle below
 FRACTION_KERNELS = {
     "is_nef": _ref_is_nef,
     "is_kahler": _ref_is_kahler,
     "volume": _ref_volume,
+    "_volume_pair": _ref_volume_pair,
     "_volume_root": _ref_volume_root,
 }
 
